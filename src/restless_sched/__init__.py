@@ -1,7 +1,8 @@
 """Belief-state scheduling of restless projects under noisy observation.
 
 The package certifies, numerically, when the greedy (myopic) rule that
-always works the likelihood-ratio-best project is exactly optimal for
+always works the reward-greatest (under the assumptions, the
+likelihood-ratio-best) project is exactly optimal for
 a finite-horizon discounted objective: two verifiable assumption
 regimes, an exact DP oracle, sensitivity bounds on the auxiliary value
 function, an instance generator, and a Monte Carlo cross-check.

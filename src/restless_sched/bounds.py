@@ -24,7 +24,6 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import BeliefProfile
-from .orders import DEFAULT_TOL
 from .policy import TreeEvaluator
 from .types import BeliefVector, ModelInstance
 
@@ -155,7 +154,6 @@ def check_bounds_suite(
     n_samples: int,
     seed: int,
     regime: int | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> list[BoundSample]:
     """Sampled containment check of every case of the relevant lemma.
 
@@ -205,12 +203,9 @@ def check_bounds_suite(
 
             ev = evaluator_cache.get(T)
             if ev is None:
-                ev = evaluator_cache[T] = TreeEvaluator(inst, T, tol=tol)
-            try:
-                u = ev.myopic_index(tuple(checked))
-                u_prime = ev.myopic_index(tuple(raised_profile))
-            except IncomparablePairError:
-                continue
+                ev = evaluator_cache[T] = TreeEvaluator(inst, T)
+            u = ev.myopic_index(tuple(checked))
+            u_prime = ev.myopic_index(tuple(raised_profile))
             if u_prime == l and u == l:
                 realized = 1
             elif u_prime != l and u != l and u_prime == u:

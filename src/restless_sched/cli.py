@@ -2,8 +2,10 @@
 
 Subcommands: validate, spectral, solve, compare, bounds, simulate,
 generate, certify-sweep.  JSON for structured reports, CSV for sweeps;
-floats are serialized with 17 significant digits so reruns are
-byte-stable modulo the version header.  Exit codes: 0 success, 1 domain
+floats are serialized with 17 significant digits.  Every command is
+single-threaded and deterministic in its arguments, so rerunning it
+gives byte-identical artifacts; ``simulate`` prints the same estimate
+with or without ``--dump-csv``.  Exit codes: 0 success, 1 domain
 failure (regime Neither, nonzero gap, bound violation, generation
 failure), 2 usage or format error.
 """
@@ -12,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -104,15 +104,6 @@ class _UsageError(Exception):
     pass
 
 
-def _worker_count(args) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    try:
-        return max(1, int(os.environ.get("RESTLESS_SCHED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -188,17 +179,15 @@ _POLICIES = {
 def _cmd_simulate(args) -> int:
     inst = _load_instance(args.instance)
     policy = _POLICIES[args.policy](inst)
+    mean, stderr, totals = estimate_value(
+        inst, policy, args.horizon, args.n_traj, args.seed, return_totals=True
+    )
     if args.dump_csv:
-        mean, stderr, totals = estimate_value(
-            inst, policy, args.horizon, args.n_traj, args.seed, return_totals=True
-        )
         _emit_csv(
             ["trajectory,discounted_total"]
             + [f"{i},{_fmt(v)}" for i, v in enumerate(totals)],
             args.dump_csv,
         )
-    else:
-        mean, stderr = estimate_value(inst, policy, args.horizon, args.n_traj, args.seed)
     _emit_json(
         {"mean": mean, "stderr": stderr, "n_traj": args.n_traj, "seed": args.seed},
         args.out,
@@ -228,37 +217,24 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_certify_sweep(args) -> int:
-    def one(i: int):
-        seed = args.seed + i
+    rows = ["seed,regime,status,gap,argmax_agreement"]
+    n_pass = n_fail = 0
+    for seed in range(args.seed, args.seed + args.instances):
         try:
             inst = _generate_one(args, seed)
         except RestlessSchedError as e:
-            return (seed, "generation-failed", str(e), None, None)
-        report = certify_myopic(inst, args.horizon)
-        status = "pass" if report.gap <= GAP_TOL else "gap"
-        return (seed, status, "", report.gap, report.argmax_agreement)
-
-    workers = _worker_count(args)
-    indices = range(args.instances)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
-
-    rows = ["seed,regime,status,gap,argmax_agreement"]
-    n_pass = n_fail = 0
-    for seed, status, detail, gap, agreement in results:
-        if status == "generation-failed":
-            rows.append(f"{seed},{args.regime},{status},,")
-            print(f"seed {seed}: {detail}", file=sys.stderr)
+            rows.append(f"{seed},{args.regime},generation-failed,,")
+            print(f"seed {seed}: {e}", file=sys.stderr)
             continue
-        if status == "pass":
+        report = certify_myopic(inst, args.horizon)
+        if report.gap <= GAP_TOL:
+            status = "pass"
             n_pass += 1
         else:
+            status = "gap"
             n_fail += 1
         rows.append(
-            f"{seed},{args.regime},{status},{_fmt(gap)},{_fmt(agreement)}"
+            f"{seed},{args.regime},{status},{_fmt(report.gap)},{_fmt(report.argmax_agreement)}"
         )
     rows.append(f"# pass {n_pass} fail {n_fail} of {n_pass + n_fail}")
     _emit_csv(rows, args.out)
@@ -282,11 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the artifact here instead of stdout")
-        p.add_argument(
-            "--deterministic",
-            action="store_true",
-            help="force single-threaded evaluation for bit-exact reruns",
-        )
         return p
 
     p = add("validate", _cmd_validate, help="verify the assumption regimes of an instance")

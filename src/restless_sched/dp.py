@@ -7,17 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import NodeBudgetExceededError
 from .filtering import BeliefProfile
-from .orders import DEFAULT_TOL
-from .policy import TreeEvaluator, myopic_policy
+from .policy import TreeEvaluator, _greatest_array_index, myopic_policy
 from .types import ModelInstance
 
 DEFAULT_NODE_BUDGET = 10_000_000
-#: Two action values within this are treated as tied.
-ARGMAX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,11 +39,9 @@ class ValueReport:
 
 
 class _DPSolver(TreeEvaluator):
-    def __init__(self, inst, horizon, node_budget=DEFAULT_NODE_BUDGET, tol=DEFAULT_TOL,
-                 track_agreement=False):
-        super().__init__(inst, horizon, prune_epsilon=0.0, tol=tol)
+    def __init__(self, inst, horizon, node_budget=DEFAULT_NODE_BUDGET):
+        super().__init__(inst, horizon)
         self.node_budget = int(node_budget)
-        self.track_agreement = track_agreement
         self._opt_memo: dict = {}
         self.node_counts = [0] * (self.T + 1)
         self.nodes_total = 0
@@ -65,21 +58,21 @@ class _DPSolver(TreeEvaluator):
             raise NodeBudgetExceededError(self.node_budget, self.N, self.Y, self.T)
         self.node_counts[t] += 1
 
-        values = np.empty(self.N)
-        for u in range(self.N):
-            v = float(self.R @ beliefs[u])
-            if t < self.T:
+        rewards = [float(self.R @ x) for x in beliefs]
+        values = list(rewards)
+        if t < self.T:
+            for u in range(self.N):
                 acc = 0.0
-                for d, stepped in self.branches(beliefs, u):
+                for _, d, stepped in self.branches(beliefs, u):
                     acc += d * self.optimal(t + 1, stepped)[0]
-                v += self.beta * acc
-            values[u] = v
-        best = float(values.max())
-        best_u = int(np.nonzero(values >= best - ARGMAX_TOL)[0][0])
-        if self.track_agreement:
-            myo = self.myopic_index(beliefs)
-            if values[myo] >= best - ARGMAX_TOL:
-                self.agree_nodes += 1
+                values[u] += self.beta * acc
+        best = max(values)
+        best_u = _greatest_array_index(values)
+        # The myopic action agrees when its value ties the best one,
+        # i.e. wins the tie rule against it.
+        myo = _greatest_array_index(rewards)
+        if _greatest_array_index((values[myo], best)) == 0:
+            self.agree_nodes += 1
         result = (best, best_u)
         self._opt_memo[key] = result
         return result
@@ -91,15 +84,14 @@ def optimal_value(
     t: int,
     T: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[float, int]:
     """Exact DP value from slot t and the 1-based optimal first action.
 
-    Ties are broken toward the lowest project index within 1e-12.
+    Ties are broken toward the lowest project index within ARGMAX_TOL.
     """
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
-    solver = _DPSolver(inst, T, node_budget, tol)
+    solver = _DPSolver(inst, T, node_budget)
     value, best_u = solver.optimal(t, profile.arrays())
     return value, best_u + 1
 
@@ -108,14 +100,13 @@ def certify_myopic(
     inst: ModelInstance,
     T: int,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    tol: float = DEFAULT_TOL,
 ) -> ValueReport:
     """Compare the DP optimum against the myopic policy from the initial
     profile; reports the gap and per-node argmax agreement."""
     profile = BeliefProfile(inst.initial_beliefs, 0)
-    solver = _DPSolver(inst, T, node_budget, tol, track_agreement=True)
+    solver = _DPSolver(inst, T, node_budget)
     opt, best_u = solver.optimal(0, profile.arrays())
-    myo = solver.policy_value(0, profile.arrays(), myopic_policy(inst, tol))
+    myo = solver.policy_value(0, profile.arrays(), myopic_policy(inst))
     agreement = solver.agree_nodes / solver.nodes_total if solver.nodes_total else 1.0
     return ValueReport(
         optimal_value=opt,

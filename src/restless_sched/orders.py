@@ -5,6 +5,11 @@ are phrased in.
 All comparisons use the division-free cross-product form so zero
 probabilities never divide.  Every predicate threads a configurable
 tolerance; the default matches the certification tolerance.
+
+The myopic decision does not consult these orders: it is the
+immediate-reward argmax in ``policy``.  With strictly increasing
+rewards an MLR-greater belief has a strictly larger expected reward, so
+on MLR-ordered profiles that argmax is the MLR-greatest project.
 """
 
 from __future__ import annotations
@@ -154,28 +159,6 @@ def _sort_arrays_by_mlr(beliefs: Sequence[np.ndarray], tol: float) -> list[int]:
             pos -= 1
         order.insert(pos, idx)
     return order
-
-
-def _greatest_array_index(beliefs: Sequence[np.ndarray], tol: float) -> int:
-    """Index (0-based) of the greatest belief, ties to the lowest index.
-
-    Primary order is MLR; an MLR-incomparable pair falls back to the
-    weaker tail-sum order, which is the separation the belief dynamics
-    actually guarantee along deep observation histories.  Raises
-    IncomparablePairError only when a pair is incomparable in both.
-    """
-    best = 0
-    for idx in range(1, len(beliefs)):
-        ge, _ = _mlr_ge_arrays(beliefs[idx], beliefs[best], tol)
-        le, _ = _mlr_ge_arrays(beliefs[best], beliefs[idx], tol)
-        if not ge and not le:
-            ge, _ = _fosd_ge_arrays(beliefs[idx], beliefs[best], tol)
-            le, _ = _fosd_ge_arrays(beliefs[best], beliefs[idx], tol)
-            if not ge and not le:
-                raise IncomparablePairError(best + 1, idx + 1)
-        if ge and not le:
-            best = idx
-    return best
 
 
 def sort_by_mlr(

@@ -1,6 +1,16 @@
 """Policies, the myopic rule, and exact evaluation of finite-horizon
 values by exhaustive recursion over the observation tree.
 
+The myopic rule works the project with the largest immediate reward
+R'x, ties (within ``ARGMAX_TOL``) going to the lowest index.  Rewards
+are strictly increasing, so this is also the MLR-greatest project
+wherever the profile is MLR-ordered, in either regime.  The same tie
+rule picks the DP's best action.
+
+A policy is a name plus one batch-shaped decision ``decide(t,
+beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
+calls it on a whole batch and the tree walks on a batch of one.
+
 The auxiliary value function W^u_t is the expected discounted reward of
 taking action u at slot t and following the myopic rule afterwards;
 ``policy_value`` evaluates an arbitrary deterministic policy the same
@@ -10,41 +20,26 @@ way.  Both share one branch-expansion kernel and memoize on
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .filtering import LIKELIHOOD_FLOOR, BeliefProfile, _filter_from_propagated
-from .orders import DEFAULT_TOL, _greatest_array_index
-from .types import BeliefVector, ModelInstance, RewardVector, belief_key
+from .types import ModelInstance, RewardVector, belief_key
+
+#: Two values within this are treated as tied.
+ARGMAX_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PolicyRule:
-    """A deterministic decision function (slot, profile) -> project (1-based)."""
+    """A deterministic decision rule: (slot, beliefs of shape (n, N, X))
+    -> 0-based actions of shape (n,)."""
 
     name: str
-    decide: Callable[[int, BeliefProfile], int]
-    #: Optional fast path on raw belief arrays, returning a 0-based index.
-    decide_arrays: Optional[Callable[[int, tuple], int]] = None
-    #: Optional vectorized fast path for the simulator: (slot, beliefs
-    #: of shape (n, N, X)) -> 0-based action array of shape (n,).
-    decide_batch: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-
-
-@dataclass(frozen=True)
-class EvaluationSettings:
-    horizon: int
-    beta: float
-    prune_epsilon: float = 0.0
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be nonnegative, got {self.horizon}")
-        if self.prune_epsilon < 0:
-            raise ValueError(f"prune_epsilon must be >= 0, got {self.prune_epsilon}")
+    decide: Callable[[int, np.ndarray], np.ndarray]
 
 
 def horizon_for_tolerance(beta: float, r_max: float, tol: float) -> int:
@@ -61,18 +56,28 @@ def horizon_for_tolerance(beta: float, r_max: float, tol: float) -> int:
     return T
 
 
-def myopic_action(beliefs: BeliefProfile, R: RewardVector, tol: float = DEFAULT_TOL) -> int:
-    """MLR-greatest project (1-based), ties broken by lowest index."""
-    arrays = list(beliefs.arrays())
+def _greatest_array_index(values):
+    """Lowest index whose value lies within ARGMAX_TOL of the largest.
+
+    ``values`` is a sequence of floats (one decision; returns an int) or
+    an array whose last axis indexes the candidates (one decision per
+    row).  A single decision stays in Python floats: building an array
+    per tree node costs more than the decision itself.
+    """
+    if isinstance(values, np.ndarray):
+        near = values >= values.max(axis=-1, keepdims=True) - ARGMAX_TOL
+        return near.argmax(axis=-1)
+    floor = max(values) - ARGMAX_TOL
+    return next(i for i, v in enumerate(values) if v >= floor)
+
+
+def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
+    """Project (1-based) with the largest immediate reward, ties to the
+    lowest index."""
+    arrays = beliefs.arrays()
     if arrays[0].size != R.values.size:
         raise DimensionMismatchError("reward/belief dimensions differ")
-    best = _greatest_array_index(arrays, tol)
-    if __debug__:
-        # Under monotone rewards the MLR-best project also maximizes the
-        # immediate reward.
-        rewards = [float(R.values @ x) for x in arrays]
-        assert rewards[best] >= max(rewards) - 1e-9, (rewards, best)
-    return best + 1
+    return _greatest_array_index([float(R.values @ x) for x in arrays]) + 1
 
 
 class TreeEvaluator:
@@ -83,13 +88,7 @@ class TreeEvaluator:
     indices are 0-based; beliefs are tuples of read-only arrays.
     """
 
-    def __init__(
-        self,
-        inst: ModelInstance,
-        horizon: int,
-        prune_epsilon: float = 0.0,
-        tol: float = DEFAULT_TOL,
-    ):
+    def __init__(self, inst: ModelInstance, horizon: int):
         self.inst = inst
         self.T = int(horizon)
         self.A_T = inst.A.rows.T.copy()
@@ -98,8 +97,6 @@ class TreeEvaluator:
         self.beta = inst.beta
         self.N = inst.n_projects
         self.Y = inst.n_obs
-        self.prune = float(prune_epsilon)
-        self.tol = tol
         self._myopic_memo: dict = {}
         self._policy_memos: dict = {}
 
@@ -108,13 +105,13 @@ class TreeEvaluator:
 
     def myopic_index(self, beliefs: tuple) -> int:
         """0-based myopic project for a tuple of belief arrays."""
-        return _greatest_array_index(list(beliefs), self.tol)
+        return _greatest_array_index([float(self.R @ x) for x in beliefs])
 
     def branches(self, beliefs: tuple, u: int):
         """Observation branches after working project u (0-based).
 
-        Yields (likelihood, stepped beliefs); zero-likelihood branches
-        are skipped, sub-prune_epsilon branches dropped.
+        Returns (0-based observation, likelihood, stepped beliefs) per
+        possible observation; zero-likelihood branches are skipped.
         """
         propagated = tuple(self.A_T @ x for x in beliefs)
         z = propagated[u]
@@ -122,13 +119,13 @@ class TreeEvaluator:
         out = []
         for m in range(self.Y):
             d = float(ds[m])
-            if d <= LIKELIHOOD_FLOOR or d < self.prune:
+            if d <= LIKELIHOOD_FLOOR:
                 continue
             filtered = _filter_from_propagated(self.B, z, m, d)
             stepped = tuple(
                 filtered if n == u else propagated[n] for n in range(self.N)
             )
-            out.append((d, stepped))
+            out.append((m, d, stepped))
         return out
 
     def avf(self, t: int, beliefs: tuple, u: int) -> float:
@@ -137,7 +134,7 @@ class TreeEvaluator:
         if t >= self.T:
             return value
         acc = 0.0
-        for d, stepped in self.branches(beliefs, u):
+        for _, d, stepped in self.branches(beliefs, u):
             acc += d * self.myopic_value(t + 1, stepped)
         return value + self.beta * acc
 
@@ -156,38 +153,32 @@ class TreeEvaluator:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if policy.decide_arrays is not None:
-            u = policy.decide_arrays(t, beliefs)
-        else:
-            u = policy.decide(t, BeliefProfile([BeliefVector(x) for x in beliefs], t)) - 1
+        u = int(policy.decide(t, np.array((beliefs,)))[0])
         if not 0 <= u < self.N:
             raise IndexError(f"policy {policy.name!r} chose project {u + 1} of {self.N}")
         value = float(self.R @ beliefs[u])
         if t < self.T:
             acc = 0.0
-            for d, stepped in self.branches(beliefs, u):
+            for _, d, stepped in self.branches(beliefs, u):
                 acc += d * self.policy_value(t + 1, stepped, policy)
             value += self.beta * acc
         memo[key] = value
         return value
 
 
-def avf_evaluate(
-    inst: ModelInstance,
-    profile: BeliefProfile,
-    t: int,
-    T: int,
-    first_action: int,
-    prune_epsilon: float = 0.0,
-    tol: float = DEFAULT_TOL,
-) -> float:
-    """Auxiliary value W^u_t for 1-based first action u on a profile."""
+def _check_first_action(profile: BeliefProfile, t: int, T: int, first_action: int):
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
     if not 1 <= first_action <= profile.n_projects:
         raise IndexError(f"project {first_action} out of range 1..{profile.n_projects}")
-    ev = TreeEvaluator(inst, T, prune_epsilon, tol)
-    return ev.avf(t, profile.arrays(), first_action - 1)
+
+
+def avf_evaluate(
+    inst: ModelInstance, profile: BeliefProfile, t: int, T: int, first_action: int
+) -> float:
+    """Auxiliary value W^u_t for 1-based first action u on a profile."""
+    _check_first_action(profile, t, T, first_action)
+    return TreeEvaluator(inst, T).avf(t, profile.arrays(), first_action - 1)
 
 
 def avf_frozen(
@@ -197,7 +188,6 @@ def avf_frozen(
     T: int,
     first_action: int,
     reference: BeliefProfile,
-    tol: float = DEFAULT_TOL,
 ) -> float:
     """Auxiliary value with continuation decisions frozen to a reference.
 
@@ -210,112 +200,67 @@ def avf_frozen(
     holds exactly (the self-referencing form breaks it whenever a basis
     substitution flips a downstream myopic choice).
     """
-    if t > T:
-        raise ValueError(f"t={t} exceeds horizon T={T}")
-    if not 1 <= first_action <= profile.n_projects:
-        raise IndexError(f"project {first_action} out of range 1..{profile.n_projects}")
-    ev = TreeEvaluator(inst, T, 0.0, tol)
-
-    def step(beliefs: tuple, u: int, m: int):
-        propagated = tuple(ev.A_T @ x for x in beliefs)
-        z = propagated[u]
-        d = float(z @ ev.B[:, m])
-        if d <= LIKELIHOOD_FLOOR:
-            return None
-        filtered = _filter_from_propagated(ev.B, z, m, d)
-        return d, tuple(filtered if n == u else propagated[n] for n in range(ev.N))
+    _check_first_action(profile, t, T, first_action)
+    ev = TreeEvaluator(inst, T)
 
     def value_of(slot: int, ref: tuple, cur: tuple, u: int) -> float:
         value = float(ev.R @ cur[u])
         if slot >= T:
             return value
+        ref_branches = {m: stepped for m, _, stepped in ev.branches(ref, u)}
         acc = 0.0
-        for m in range(ev.Y):
-            stepped_cur = step(cur, u, m)
-            if stepped_cur is None:
-                continue
-            d, cur_next = stepped_cur
-            stepped_ref = step(ref, u, m)
+        for m, d, cur_next in ev.branches(cur, u):
             # The reference profile cannot rule out a branch the
             # evaluated one reaches; fall back to self-reference there.
-            ref_next = stepped_ref[1] if stepped_ref is not None else cur_next
-            u_next = ev.myopic_index(ref_next)
-            acc += d * value_of(slot + 1, ref_next, cur_next, u_next)
+            ref_next = ref_branches.get(m, cur_next)
+            acc += d * value_of(slot + 1, ref_next, cur_next, ev.myopic_index(ref_next))
         return value + ev.beta * acc
 
     return value_of(t, reference.arrays(), profile.arrays(), first_action - 1)
 
 
 def policy_value(
-    inst: ModelInstance,
-    profile: BeliefProfile,
-    t: int,
-    T: int,
-    policy: PolicyRule,
-    prune_epsilon: float = 0.0,
-    tol: float = DEFAULT_TOL,
+    inst: ModelInstance, profile: BeliefProfile, t: int, T: int, policy: PolicyRule
 ) -> float:
     """Exact expected discounted reward of a policy from slot t to T."""
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
-    ev = TreeEvaluator(inst, T, prune_epsilon, tol)
-    return ev.policy_value(t, profile.arrays(), policy)
+    return TreeEvaluator(inst, T).policy_value(t, profile.arrays(), policy)
 
 
-def myopic_policy(inst: ModelInstance, tol: float = DEFAULT_TOL) -> PolicyRule:
-    """The rule that works the MLR-best project each slot."""
-    R = inst.R
-
-    def decide(t: int, profile: BeliefProfile) -> int:
-        del t
-        return myopic_action(profile, R, tol)
-
-    def decide_arrays(t: int, beliefs: tuple) -> int:
-        del t
-        return _greatest_array_index(list(beliefs), tol)
-
+def myopic_policy(inst: ModelInstance) -> PolicyRule:
+    """The rule that works the project with the largest immediate reward."""
     r = inst.R.values
 
-    def decide_batch(t: int, beliefs: np.ndarray) -> np.ndarray:
-        # Immediate-reward argmax; coincides with the MLR rule under
-        # monotone rewards on order-separated profiles.
+    def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
         del t
-        return np.argmax(beliefs @ r, axis=1)
+        return _greatest_array_index(beliefs @ r)
 
-    return PolicyRule("myopic", decide, decide_arrays, decide_batch)
+    return PolicyRule("myopic", decide)
+
+
+def _constant(project: int, beliefs: np.ndarray) -> np.ndarray:
+    """The same 0-based project for every row of a batch."""
+    return np.full(beliefs.shape[0], project, dtype=np.int64)
 
 
 def stay_policy(project: int) -> PolicyRule:
     """Always work one fixed project (1-based)."""
-
-    return PolicyRule(
-        f"stay-{project}",
-        lambda t, profile: project,
-        lambda t, beliefs: project - 1,
-        lambda t, beliefs: np.full(beliefs.shape[0], project - 1, dtype=np.int64),
-    )
+    return PolicyRule(f"stay-{project}", lambda t, beliefs: _constant(project - 1, beliefs))
 
 
 def round_robin_policy(n_projects: int) -> PolicyRule:
     """Cycle through projects in index order."""
-
     return PolicyRule(
-        "round-robin",
-        lambda t, profile: (t % n_projects) + 1,
-        lambda t, beliefs: t % n_projects,
-        lambda t, beliefs: np.full(beliefs.shape[0], t % n_projects, dtype=np.int64),
+        "round-robin", lambda t, beliefs: _constant(t % n_projects, beliefs)
     )
 
 
 def seeded_random_policy(n_projects: int, seed: int) -> PolicyRule:
     """Belief-blind pseudo-random choice, deterministic in (seed, slot)."""
 
-    def pick(t: int) -> int:
-        return int(np.random.default_rng((seed, t)).integers(n_projects))
+    def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
+        pick = int(np.random.default_rng((seed, t)).integers(n_projects))
+        return _constant(pick, beliefs)
 
-    return PolicyRule(
-        f"random-{seed}",
-        lambda t, profile: pick(t) + 1,
-        lambda t, beliefs: pick(t),
-        lambda t, beliefs: np.full(beliefs.shape[0], pick(t), dtype=np.int64),
-    )
+    return PolicyRule(f"random-{seed}", decide)

@@ -1,17 +1,20 @@
 """Monte Carlo sampling of the hidden process under a policy.
 
 The simulator draws true hidden states, feeds the policy only the
-filtered belief profile (the same filter used by exact evaluation),
-and accumulates discounted rewards of the scheduled projects.
+filtered belief profile, and accumulates discounted rewards of the
+scheduled projects.
 
-RNG contract: trajectory i of a batch uses ``np.random.default_rng``
-seeded with ``seed ^ i`` (Philox-free but splittable enough for
-independent streams; the derivation rule, not the generator family, is
-the stable part of the contract).  ``estimate_value`` additionally has
-a vectorized fast path for policies that expose ``decide_batch``; it
-simulates all trajectories in lockstep from a single generator seeded
-with ``seed``, so its estimates are deterministic in ``seed`` but not
-trajectory-by-trajectory identical to ``sample_trajectory``.
+One engine simulates a block of trajectories in lockstep, slot by
+slot, through the policy's batch decision.  RNG contract: a call draws
+from one ``np.random.default_rng(seed)``; its blocks of up to
+``_BLOCK`` trajectories take turns, and each draws first every initial
+state, then per slot every project's next state and the active
+project's observation, each by inverting a cumulative distribution
+(last entry pinned to 1) against one uniform.  Results are therefore
+deterministic in (instance, policy, T, n_traj, seed):
+``estimate_value`` gives the same mean and standard error with or
+without ``return_totals``, and ``sample_trajectory`` is the engine with
+one trajectory.
 """
 
 from __future__ import annotations
@@ -20,11 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filtering import BeliefProfile, step_profile
+# ``step_profile`` is unused here; the per-layer tracer in perfbench
+# wraps ``simulate.step_profile`` by name.
+from .filtering import step_profile  # noqa: F401
 from .policy import PolicyRule
 from .types import ModelInstance
 
 _SEED_MASK = (1 << 64) - 1
+#: Trajectories simulated together: bounds the engine's working memory
+#: whatever n_traj is.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,8 +46,81 @@ class Trajectory:
     discounted_total: float
 
 
-def _draw(rng: np.random.Generator, pmf: np.ndarray) -> int:
-    return int(np.searchsorted(np.cumsum(pmf), rng.random(), side="right"))
+def _cdf(pmf: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, scaled so the last entry is
+    exactly 1.
+
+    Validated rows may sum to 1 only within 1e-9; unpinned, a uniform
+    above the last entry would fall off the end of the distribution.
+    """
+    cdf = np.cumsum(pmf, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
+    """Categorical draws by inversion: for each uniform in ``u`` (in
+    [0, 1)), the 0-based index of the first entry above it in the cdf
+    row ``cdf[row]``; ``row`` broadcasts against ``u``.
+
+    Rows are nondecreasing and end in 1, so that index is the count of
+    the other entries at or below the uniform.  Counting column by
+    column gathers one entry per draw at a time, which beats an argmax
+    over gathered whole rows.
+    """
+    out = np.zeros(u.shape, dtype=np.int64)
+    for k in range(cdf.shape[-1] - 1):
+        out += cdf[row, k] <= u
+    return out
+
+
+def _lockstep(
+    inst: ModelInstance,
+    policy: PolicyRule,
+    T: int,
+    n_traj: int,
+    rng: np.random.Generator,
+    record=None,
+) -> np.ndarray:
+    """The engine: discounted total reward of each of n_traj trajectories
+    over slots 0..T, simulated in lockstep.
+
+    ``record``, when given, is called once per slot with the hidden
+    states (n_traj, N), the actions (n_traj,) and the active projects'
+    observations (n_traj,), all 0-based.  Otherwise nothing is kept
+    across slots but the current beliefs, states and totals.
+    """
+    N, X = inst.n_projects, inst.n_states
+    A = inst.A.rows
+    B = inst.B.rows
+    R = inst.R.values
+    rows = np.arange(n_traj)
+
+    x0 = np.stack([x.probs for x in inst.initial_beliefs])  # (N, X)
+    beliefs = np.broadcast_to(x0, (n_traj, N, X)).copy()
+    a_cdf = _cdf(A)
+    b_cdf = _cdf(B)
+    current = _inverse_cdf(_cdf(x0), np.arange(N), rng.random((N, n_traj)).T)  # (n_traj, N)
+
+    totals = np.zeros(n_traj)
+    scale = 1.0
+    for t in range(T + 1):
+        u = policy.decide(t, beliefs)
+        totals += scale * R[current[rows, u]]
+        scale *= inst.beta
+
+        # Transition every chain, then the active one emits.
+        nxt = _inverse_cdf(a_cdf, current, rng.random((n_traj, N)))
+        obs = _inverse_cdf(b_cdf, nxt[rows, u], rng.random(n_traj))
+        if record is not None:
+            record(current, u, obs)
+
+        if t < T:
+            beliefs = beliefs @ A  # propagate: each row x -> A' x
+            z = beliefs[rows, u]  # (n_traj, X)
+            num = z * B[:, obs].T
+            beliefs[rows, u] = num / num.sum(axis=1, keepdims=True)
+        current = nxt
+    return totals
 
 
 def sample_trajectory(
@@ -50,85 +131,29 @@ def sample_trajectory(
     At each slot the policy sees the current belief profile and picks a
     project; that project earns R(s), transitions, and emits an
     observation which updates its belief.  Passive projects transition
-    silently and their beliefs are propagated.
+    silently and their beliefs are propagated.  This is the lockstep
+    engine with one trajectory.
     """
+    slots = []
     rng = np.random.default_rng(seed & _SEED_MASK)
-    N = inst.n_projects
-    A = inst.A.rows
-    B = inst.B.rows
-    R = inst.R.values
-
-    states = np.empty((N, T + 1), dtype=np.int64)
-    actions = np.empty(T + 1, dtype=np.int64)
-    observations = np.empty(T + 1, dtype=np.int64)
-    rewards = np.empty(T + 1)
-
-    current = np.array([_draw(rng, x.probs) for x in inst.initial_beliefs])
-    profile = BeliefProfile(inst.initial_beliefs, 0)
-
-    disc = 0.0
-    scale = 1.0
-    for t in range(T + 1):
-        u = policy.decide(t, profile)
-        states[:, t] = current + 1
-        actions[t] = u
-        rewards[t] = R[current[u - 1]]
-        disc += scale * rewards[t]
-        scale *= inst.beta
-
-        # Transition every chain, then the active one emits.
-        nxt = np.array([_draw(rng, A[s]) for s in current])
-        m = _draw(rng, B[nxt[u - 1]]) + 1
-        observations[t] = m
-        current = nxt
-        if t < T:
-            profile = step_profile(inst, profile, u, m)
-
-    return Trajectory(states, actions, observations, rewards, disc)
+    totals = _lockstep(inst, policy, T, 1, rng, record=lambda *arrays: slots.append(arrays))
+    states = np.stack([s[0] for s, _, _ in slots], axis=1)
+    actions = np.array([u[0] for _, u, _ in slots])
+    observations = np.array([m[0] for _, _, m in slots])
+    rewards = inst.R.values[states[actions, np.arange(T + 1)]]
+    return Trajectory(states + 1, actions + 1, observations + 1, rewards, float(totals[0]))
 
 
 def _estimate_batched(
     inst: ModelInstance, policy: PolicyRule, T: int, n_traj: int, seed: int
-) -> tuple[float, float]:
-    """Lockstep simulation of all trajectories with one generator."""
+) -> np.ndarray:
+    """Discounted total reward of each of n_traj trajectories, simulated
+    in consecutive lockstep blocks that draw from one generator."""
     rng = np.random.default_rng(seed & _SEED_MASK)
-    N, X = inst.n_projects, inst.n_states
-    A = inst.A.rows
-    A_T = A.T
-    B = inst.B.rows
-    R = inst.R.values
-    rows = np.arange(n_traj)
-
-    x0 = np.stack([x.probs for x in inst.initial_beliefs])  # (N, X)
-    beliefs = np.broadcast_to(x0, (n_traj, N, X)).copy()
-    a_cdf = np.cumsum(A, axis=1)
-    b_cdf = np.cumsum(B, axis=1)
-    current = np.array(
-        [np.searchsorted(np.cumsum(x.probs), rng.random(n_traj), side="right")
-         for x in inst.initial_beliefs]
-    ).T  # (n_traj, N)
-
-    totals = np.zeros(n_traj)
-    scale = 1.0
-    for t in range(T + 1):
-        u = policy.decide_batch(t, beliefs)  # (n_traj,) 0-based
-        totals += scale * R[current[rows, u]]
-        scale *= inst.beta
-
-        nxt = (a_cdf[current] > rng.random((n_traj, N, 1))).argmax(axis=2)
-        active_next = nxt[rows, u]
-        obs = (b_cdf[active_next] > rng.random((n_traj, 1))).argmax(axis=1)
-
-        if t < T:
-            beliefs = beliefs @ A  # propagate: each row x -> A' x
-            z = beliefs[rows, u]  # (n_traj, X)
-            num = z * B[:, obs].T
-            beliefs[rows, u] = num / num.sum(axis=1, keepdims=True)
-        current = nxt
-
-    mean = float(totals.mean())
-    stderr = float(totals.std(ddof=1) / np.sqrt(n_traj))
-    return mean, stderr
+    return np.concatenate([
+        _lockstep(inst, policy, T, min(_BLOCK, n_traj - start), rng)
+        for start in range(0, n_traj, _BLOCK)
+    ])
 
 
 def estimate_value(
@@ -139,19 +164,11 @@ def estimate_value(
     seed: int,
     return_totals: bool = False,
 ):
-    """Sample mean and standard error of the discounted total reward.
-
-    Uses the vectorized lockstep engine when the policy supports it;
-    otherwise falls back to per-trajectory rollouts with derived seeds
-    ``seed ^ i``.
-    """
+    """Sample mean and standard error of the discounted total reward,
+    and with ``return_totals`` also the per-trajectory totals."""
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    if policy.decide_batch is not None and not return_totals:
-        return _estimate_batched(inst, policy, T, n_traj, seed)
-    totals = np.empty(n_traj)
-    for i in range(n_traj):
-        totals[i] = sample_trajectory(inst, policy, T, (seed ^ i) & _SEED_MASK).discounted_total
+    totals = _estimate_batched(inst, policy, T, n_traj, seed)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / np.sqrt(n_traj))
     if return_totals:

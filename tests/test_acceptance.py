@@ -256,8 +256,8 @@ def test_criterion_9_cli_determinism(tmp_path):
     mismatches = []
     for cmd in commands:
         a, b = tmp_path / "a.out", tmp_path / "b.out"
-        cli_main(cmd + ["--deterministic", "--out", str(a)])
-        cli_main(cmd + ["--deterministic", "--out", str(b)])
+        cli_main(cmd + ["--out", str(a)])
+        cli_main(cmd + ["--out", str(b)])
         if a.read_bytes() != b.read_bytes():
             mismatches.append(cmd[0])
     ok = not mismatches

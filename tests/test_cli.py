@@ -128,6 +128,15 @@ class TestSimulate:
         assert lines[1] == "trajectory,discounted_total"
         assert len(lines) == 202
 
+    def test_dump_does_not_change_estimate(self, inst_path, tmp_path):
+        args = ["simulate", inst_path, "--horizon", "4", "--n-traj", "200", "--seed", "3"]
+        plain, dumped = tmp_path / "plain.json", tmp_path / "dumped.json"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert main(args + ["--dump-csv", str(tmp_path / "traj.csv"),
+                            "--out", str(dumped)]) == 0
+        assert read_json(plain)["mean"] == read_json(dumped)["mean"]
+        assert plain.read_bytes() == dumped.read_bytes()
+
 
 class TestGenerate:
     def test_roundtrip(self, tmp_path):
@@ -153,7 +162,7 @@ class TestCertifySweep:
         out = tmp_path / "sweep.csv"
         assert main(["certify-sweep", "--regime", "1", "--seed", "0",
                      "--instances", "10", "--horizon", "2",
-                     "--deterministic", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert lines[1] == "seed,regime,status,gap,argmax_agreement"
         assert lines[-1].startswith("# pass 10 fail 0")
@@ -162,7 +171,7 @@ class TestCertifySweep:
         out = tmp_path / "sweep2.csv"
         assert main(["certify-sweep", "--regime", "2", "--seed", "0",
                      "--instances", "5", "--horizon", "2",
-                     "--deterministic", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
 
 
 class TestDeterminism:
@@ -179,8 +188,8 @@ class TestDeterminism:
              "--instances", "5", "--horizon", "2"],
         ):
             a, b = tmp_path / "a.out", tmp_path / "b.out"
-            main(cmd + ["--deterministic", "--out", str(a)])
-            main(cmd + ["--deterministic", "--out", str(b)])
+            main(cmd + ["--out", str(a)])
+            main(cmd + ["--out", str(b)])
             pairs.append((cmd[0], a.read_bytes(), b.read_bytes()))
         for name, x, y in pairs:
             assert x == y, name

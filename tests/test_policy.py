@@ -8,6 +8,7 @@ from restless_sched import (
     avf_evaluate,
     avf_frozen,
     expected_reward,
+    gen_assumption1_instance,
     myopic_action,
     myopic_policy,
     policy_value,
@@ -33,6 +34,27 @@ class TestMyopicAction:
         # MLR-incomparable pair, FOSD-ordered: second dominates.
         prof = BeliefProfile([[0.1, 0.5, 0.4], [0.05, 0.55, 0.4]], 0)
         assert myopic_action(prof, RewardVector([0.0, 1.0, 2.0])) == 2
+
+    def test_incomparable_in_mlr_and_fosd(self):
+        # Neither order ranks the pair; the immediate rewards 1.0 and 1.1 do.
+        prof = BeliefProfile([[0.2, 0.6, 0.2], [0.3, 0.3, 0.4]], 0)
+        assert myopic_action(prof, RewardVector([0.0, 1.0, 2.0])) == 2
+
+    def test_batch_decide_matches_myopic_action(self, small_params):
+        inst = gen_assumption1_instance(small_params, 2)
+        N, X = inst.n_projects, inst.n_states
+        rng = np.random.default_rng(0)
+        stack = rng.dirichlet(np.ones(X), size=(200, N))
+        # Exact ties: every project shares one belief, or every project
+        # but the first shares the top one.
+        stack[:10] = stack[:10, :1]
+        stack[10:20, 0] = np.eye(X)[0]
+        stack[10:20, 1:] = np.eye(X)[-1]
+        got = myopic_policy(inst).decide(0, stack)
+        want = [myopic_action(BeliefProfile(row), inst.R) - 1 for row in stack]
+        assert got.tolist() == want
+        assert np.all(got[:10] == 0)
+        assert np.all(got[10:20] == 1)
 
 
 class TestHorizonForTolerance:
@@ -116,16 +138,16 @@ class TestPolicyValue:
 
     def test_round_robin_cycles(self, two_state_instance):
         pol = round_robin_policy(2)
-        prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
-        assert pol.decide(0, prof) == 1
-        assert pol.decide(1, prof) == 2
-        assert pol.decide(2, prof) == 1
+        beliefs = np.array([BeliefProfile(two_state_instance.initial_beliefs, 0).arrays()])
+        assert pol.decide(0, beliefs).tolist() == [0]
+        assert pol.decide(1, beliefs).tolist() == [1]
+        assert pol.decide(2, beliefs).tolist() == [0]
 
     def test_seeded_random_deterministic(self, two_state_instance):
-        prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
+        beliefs = np.array([BeliefProfile(two_state_instance.initial_beliefs, 0).arrays()])
         p1, p2 = seeded_random_policy(2, 7), seeded_random_policy(2, 7)
-        assert [p1.decide(t, prof) for t in range(10)] == [
-            p2.decide(t, prof) for t in range(10)
+        assert [p1.decide(t, beliefs).tolist() for t in range(10)] == [
+            p2.decide(t, beliefs).tolist() for t in range(10)
         ]
 
 

@@ -11,6 +11,7 @@ from restless_sched import (
     sample_trajectory,
     stay_policy,
 )
+from restless_sched.simulate import _cdf, _inverse_cdf
 
 
 def deterministic_instance() -> ModelInstance:
@@ -61,7 +62,38 @@ class TestSampleTrajectory:
         assert set(np.unique(tr.observations)) <= set(range(1, inst.n_obs + 1))
 
 
+class TestInverseCdf:
+    def test_explicit_uniforms(self):
+        cdf = _cdf(np.array([[0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]))
+        u = np.array([0.0, 0.2499, 0.25, 0.7499, 0.75, 0.999999])
+        assert _inverse_cdf(cdf, 0, u).tolist() == [0, 0, 1, 1, 2, 2]
+        assert _inverse_cdf(cdf, 1, u).tolist() == [2] * 6
+        assert _inverse_cdf(cdf, np.array([1, 0]), np.array([0.5, 0.5])).tolist() == [2, 1]
+
+    def test_top_of_short_distribution(self):
+        # Validation accepts rows summing to 1 within 1e-9; a uniform
+        # above the raw last cumulative sum must still draw the last state.
+        pmf = np.array([[0.3, 0.7 - 1e-9]])
+        assert np.cumsum(pmf)[-1] < 1 - 1e-10
+        cdf = _cdf(pmf)
+        assert cdf[0, -1] == 1.0
+        assert _inverse_cdf(cdf, 0, np.array([1 - 1e-10])).tolist() == [1]
+
+    def test_trailing_zero_probability_never_drawn(self):
+        cdf = _cdf(np.array([[0.5, 0.5 - 1e-9, 0.0]]))
+        u = np.array([1 - 1e-10, 0.9999999999999999])
+        assert _inverse_cdf(cdf, 0, u).tolist() == [1, 1]
+
+
 class TestEstimateValue:
+    def test_totals_do_not_change_estimate(self, small_params):
+        inst = gen_assumption1_instance(small_params, 2)
+        pol = myopic_policy(inst)
+        plain = estimate_value(inst, pol, 5, 500, 11)
+        with_totals = estimate_value(inst, pol, 5, 500, 11, return_totals=True)
+        assert with_totals[:2] == plain
+        assert float(with_totals[2].mean()) == plain[0]
+
     def test_deterministic_instance_zero_stderr(self):
         inst = deterministic_instance()
         mean, stderr = estimate_value(inst, stay_policy(2), 3, 50, 0)
