@@ -1,16 +1,24 @@
 """Exact finite-horizon dynamic programming over the reachable belief
 tree, and the certification oracle comparing the optimum against the
 myopic policy.
+
+The tree is expanded breadth first, one level of profiles at a time
+under every action, merging profiles with equal rounded keys; one
+backward sweep then yields the optimal value, the myopic value and the
+per-node agreement of the two (the exact finite-horizon POMDP backup of
+Smallwood & Sondik, Oper. Res. 1973).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import NodeBudgetExceededError
 from .filtering import BeliefProfile
-from .policy import TreeEvaluator, _greatest_array_index, myopic_policy
-from .types import ModelInstance
+from .policy import ARGMAX_TOL, TreeEvaluator, _greatest_array_index, distinct_nodes
+from .types import ModelInstance, count_distinct_rows
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -38,44 +46,73 @@ class ValueReport:
         }
 
 
-class _DPSolver(TreeEvaluator):
-    def __init__(self, inst, horizon, node_budget=DEFAULT_NODE_BUDGET):
-        super().__init__(inst, horizon)
-        self.node_budget = int(node_budget)
-        self._opt_memo: dict = {}
-        self.node_counts = [0] * (self.T + 1)
-        self.nodes_total = 0
-        self.agree_nodes = 0
+def _backup(rewards, seg, d, next_values, beta):
+    """Q-values of one level, (n, N): immediate reward plus the discounted
+    likelihood-weighted values of each action's children, summed in
+    expansion order."""
+    n, N = rewards.shape
+    acc = np.bincount(seg, weights=d * next_values, minlength=n * N)
+    return rewards + beta * acc.reshape(n, N)
 
-    def optimal(self, t: int, beliefs: tuple) -> tuple[float, int]:
-        """(V_t, 0-based best action), memoized on (t, rounded profile)."""
-        key = self.profile_key(t, beliefs)
-        hit = self._opt_memo.get(key)
-        if hit is not None:
-            return hit
-        self.nodes_total += 1
-        if self.nodes_total > self.node_budget:
-            raise NodeBudgetExceededError(self.node_budget, self.N, self.Y, self.T)
-        self.node_counts[t] += 1
 
-        rewards = [float(self.R @ x) for x in beliefs]
-        values = list(rewards)
-        if t < self.T:
-            for u in range(self.N):
-                acc = 0.0
-                for _, d, stepped in self.branches(beliefs, u):
-                    acc += d * self.optimal(t + 1, stepped)[0]
-                values[u] += self.beta * acc
-        best = max(values)
-        best_u = _greatest_array_index(values)
-        # The myopic action agrees when its value ties the best one,
-        # i.e. wins the tie rule against it.
+def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int) -> ValueReport:
+    """Optimal and myopic values from slot t to T of one profile.
+
+    Each level keeps the first occurrence of every rounded profile in
+    expansion order, the one a depth-first walk meets first.  The last
+    level is only counted, not merged: a leaf's value is its largest
+    immediate reward, which the myopic action attains, so every leaf
+    agrees and each child is valued from its own beliefs.
+    """
+    ev = TreeEvaluator(inst, T)
+    counts = [0] * (T + 1)
+
+    def count(depth: int, n: int) -> None:
+        counts[depth] = n
+        if sum(counts) > node_budget:
+            raise NodeBudgetExceededError(node_budget, ev.N, ev.Y, T)
+
+    rows = np.array((beliefs,))
+    sweep = []
+    for depth in range(t, T):
+        count(depth, len(rows))
+        every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
+        children, parent, u, d = ev.expand(rows, every_action)
+        inverse = None
+        if depth + 1 < T:
+            first, inverse = distinct_nodes(children)
+            children = children[first]
+        sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
+        rows = children
+    rewards = np.dot(rows, ev.R)
+    count(T, len(rows) if T == t else count_distinct_rows(rows))
+
+    best = myo = _greatest_array_index(rewards)
+    optimal = rewards.max(axis=-1)
+    myopic = np.take_along_axis(rewards, myo[:, None], axis=-1)[:, 0]
+    agree = counts[T]
+    for rewards, seg, d, inverse in reversed(sweep):
+        if inverse is not None:
+            optimal, myopic = optimal[inverse], myopic[inverse]
+        idx = np.arange(len(rewards))
+        values = _backup(rewards, seg, d, optimal, ev.beta)
         myo = _greatest_array_index(rewards)
-        if _greatest_array_index((values[myo], best)) == 0:
-            self.agree_nodes += 1
-        result = (best, best_u)
-        self._opt_memo[key] = result
-        return result
+        myopic = _backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
+        optimal = values.max(axis=-1)
+        best = _greatest_array_index(values)
+        # The myopic action agrees when its value ties the best one.
+        agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))
+
+    opt, myo_value = float(optimal[0]), float(myopic[0])
+    return ValueReport(
+        optimal_value=opt,
+        myopic_value=myo_value,
+        gap=opt - myo_value,
+        per_depth_node_counts=tuple(counts),
+        argmax_agreement=agree / sum(counts),
+        best_action=int(best[0]) + 1,
+        horizon=T,
+    )
 
 
 def optimal_value(
@@ -91,9 +128,8 @@ def optimal_value(
     """
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
-    solver = _DPSolver(inst, T, node_budget)
-    value, best_u = solver.optimal(t, profile.arrays())
-    return value, best_u + 1
+    report = _solve(inst, profile.arrays(), t, T, node_budget)
+    return report.optimal_value, report.best_action
 
 
 def certify_myopic(
@@ -104,16 +140,4 @@ def certify_myopic(
     """Compare the DP optimum against the myopic policy from the initial
     profile; reports the gap and per-node argmax agreement."""
     profile = BeliefProfile(inst.initial_beliefs, 0)
-    solver = _DPSolver(inst, T, node_budget)
-    opt, best_u = solver.optimal(0, profile.arrays())
-    myo = solver.policy_value(0, profile.arrays(), myopic_policy(inst))
-    agreement = solver.agree_nodes / solver.nodes_total if solver.nodes_total else 1.0
-    return ValueReport(
-        optimal_value=opt,
-        myopic_value=myo,
-        gap=opt - myo,
-        per_depth_node_counts=tuple(solver.node_counts),
-        argmax_agreement=agreement,
-        best_action=best_u + 1,
-        horizon=T,
-    )
+    return _solve(inst, profile.arrays(), 0, T, node_budget)

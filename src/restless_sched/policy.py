@@ -1,5 +1,5 @@
 """Policies, the myopic rule, and exact evaluation of finite-horizon
-values by exhaustive recursion over the observation tree.
+values over the observation tree.
 
 The myopic rule works the project with the largest immediate reward
 R'x, ties (within ``ARGMAX_TOL``) going to the lowest index.  Rewards
@@ -9,13 +9,15 @@ rule picks the DP's best action.
 
 A policy is a name plus one batch-shaped decision ``decide(t,
 beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
-calls it on a whole batch and the tree walks on a batch of one.
+calls it on a whole batch and ``policy_value`` on one tree level.
 
-The auxiliary value function W^u_t is the expected discounted reward of
-taking action u at slot t and following the myopic rule afterwards;
-``policy_value`` evaluates an arbitrary deterministic policy the same
-way.  Both share one branch-expansion kernel and memoize on
-(slot, rounded profile).
+The tree is walked two ways.  ``TreeEvaluator.expand`` and
+``distinct_nodes`` grow it one level at a time as arrays of profiles,
+merging profiles with the same rounded key; ``policy_value`` and the
+DP in ``dp`` sweep those levels backwards.  The auxiliary value
+function W^u_t (take action u at slot t, act myopically afterwards)
+and its frozen-continuation variant recurse node by node over
+``TreeEvaluator.branches``, memoized on (slot, rounded profile).
 """
 
 from __future__ import annotations
@@ -25,9 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
-from .filtering import LIKELIHOOD_FLOOR, BeliefProfile, _filter_from_propagated
-from .types import ModelInstance, RewardVector, belief_key
+from .exceptions import DimensionMismatchError, InvalidBeliefError
+from .filtering import (
+    FILTER_SUM_TOL,
+    LIKELIHOOD_FLOOR,
+    BeliefProfile,
+    _filter_from_propagated,
+)
+from .types import ModelInstance, RewardVector, belief_key, belief_row_keys
 
 #: Two values within this are treated as tied.
 ARGMAX_TOL = 1e-12
@@ -80,12 +87,31 @@ def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
     return _greatest_array_index([float(R.values @ x) for x in arrays]) + 1
 
 
+def distinct_nodes(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge profiles (rows of ``children``) with equal rounded keys.
+
+    Returns the index of each distinct profile's first occurrence, in
+    order of first occurrence (the order a depth-first walk meets them),
+    and for every row the position of its profile among those.
+    """
+    _, first, inverse = np.unique(
+        belief_row_keys(children), return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse]
+
+
 class TreeEvaluator:
     """Exact expectation over the Y-ary observation tree of one instance.
 
-    Shared by the auxiliary-value, policy-value, and DP computations;
-    reusable across calls so memoized subtrees amortize.  All internal
-    indices are 0-based; beliefs are tuples of read-only arrays.
+    Holds the matrices of one instance and horizon: the level kernel
+    (``expand``) serves ``policy_value`` and the DP; the per-node kernel
+    (``branches``) serves the auxiliary values, which memoize on it so
+    an evaluator reused across calls amortizes shared subtrees.  All
+    internal indices are 0-based; beliefs are tuples of read-only
+    arrays, levels are arrays of shape (n, N, X).
     """
 
     def __init__(self, inst: ModelInstance, horizon: int):
@@ -98,7 +124,41 @@ class TreeEvaluator:
         self.N = inst.n_projects
         self.Y = inst.n_obs
         self._myopic_memo: dict = {}
-        self._policy_memos: dict = {}
+
+    def expand(self, level: np.ndarray, actions: np.ndarray):
+        """Children of every profile in ``level`` (n, N, X) under each
+        column of ``actions`` (n, K) of 0-based projects.
+
+        Returns (children, parent, column, likelihood): one entry per
+        child, ordered by parent, then action column, then observation;
+        zero-likelihood branches are skipped as in ``branches``.
+        """
+        n, K = actions.shape
+        rows = np.arange(n)
+        # A'x per belief, as a stack of matrix-vector products: the same
+        # arithmetic as ``branches``, so both kernels merge the same keys.
+        propagated = (self.A_T @ level[..., None])[..., 0]
+        buf = np.empty((n, K, self.Y) + level.shape[1:])
+        ds = np.empty((n, K, self.Y))
+        for k in range(K):
+            a = actions[:, k]
+            z = propagated[rows, a]
+            d = ds[:, k] = z @ self.B
+            live = d > LIKELIHOOD_FLOOR
+            filtered = self.B.T * z[:, None, :] / np.where(live, d, 1.0)[:, :, None]
+            s = filtered.sum(axis=-1)
+            drift = live & (np.abs(s - 1.0) > FILTER_SUM_TOL)
+            if drift.any():
+                raise InvalidBeliefError(
+                    f"filter output sums to {s[drift][0]}; mass lost beyond tolerance"
+                )
+            child = buf[:, k]
+            child[...] = propagated[:, None]
+            child[rows, :, a] = filtered / np.where(live, s, 1.0)[:, :, None]
+        live = ds > LIKELIHOOD_FLOOR
+        parent, column, _ = np.nonzero(live)
+        children = buf.reshape((-1,) + level.shape[1:]) if live.all() else buf[live]
+        return children, parent, column, ds[live]
 
     def profile_key(self, t: int, beliefs: tuple) -> tuple:
         return (t, b"".join(belief_key(x) for x in beliefs))
@@ -148,22 +208,28 @@ class TreeEvaluator:
         return value
 
     def policy_value(self, t: int, beliefs: tuple, policy: PolicyRule) -> float:
-        memo = self._policy_memos.setdefault(policy.name, {})
-        key = self.profile_key(t, beliefs)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        u = int(policy.decide(t, np.array((beliefs,)))[0])
-        if not 0 <= u < self.N:
-            raise IndexError(f"policy {policy.name!r} chose project {u + 1} of {self.N}")
-        value = float(self.R @ beliefs[u])
-        if t < self.T:
-            acc = 0.0
-            for _, d, stepped in self.branches(beliefs, u):
-                acc += d * self.policy_value(t + 1, stepped, policy)
-            value += self.beta * acc
-        memo[key] = value
-        return value
+        """Value of ``policy`` from slot t: one batch decision per tree
+        level, only the chosen action expanded, then a backward sweep."""
+        level = np.array((beliefs,))
+        sweep = []
+        for depth in range(t, self.T + 1):
+            u = np.asarray(policy.decide(depth, level))
+            bad = (u < 0) | (u >= self.N)
+            if bad.any():
+                raise IndexError(
+                    f"policy {policy.name!r} chose project {u[bad][0] + 1} of {self.N}"
+                )
+            values = np.dot(level, self.R)[np.arange(len(level)), u]
+            if depth == self.T:
+                break
+            children, parent, _, d = self.expand(level, u[:, None])
+            first, inverse = distinct_nodes(children)
+            sweep.append((values, parent, d, inverse))
+            level = children[first]
+        for rewards, parent, d, inverse in reversed(sweep):
+            acc = np.bincount(parent, weights=d * values[inverse], minlength=len(rewards))
+            values = rewards + self.beta * acc
+        return float(values[0])
 
 
 def _check_first_action(profile: BeliefProfile, t: int, T: int, first_action: int):

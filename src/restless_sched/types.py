@@ -32,9 +32,39 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _rounded(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.round(probs, KEY_DECIMALS, out=out)
+    # Adding 0.0 turns -0.0 into 0.0, so the two share a key.
+    out += 0.0
+    return out
+
+
+def _void_rows(flat: np.ndarray) -> np.ndarray:
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+
+
 def belief_key(probs: np.ndarray) -> bytes:
     """Hashable key for a belief, stable under sub-1e-12 float noise."""
-    return (np.round(probs, KEY_DECIMALS) + 0.0).tobytes()
+    return _rounded(probs).tobytes()
+
+
+def belief_row_keys(rows: np.ndarray) -> np.ndarray:
+    """One key per leading-axis entry of ``rows`` (e.g. profiles of shape
+    (n, N, X)), as void scalars whose bytes are the concatenated
+    ``belief_key`` of the entry's beliefs; ``np.unique`` dedups them."""
+    return _void_rows(_rounded(rows.reshape(len(rows), -1)))
+
+
+def count_distinct_rows(rows: np.ndarray) -> int:
+    """Number of distinct ``belief_row_keys`` among ``rows``.
+
+    Rounds and sorts a C-contiguous ``rows`` in place, so that counting
+    a large array needs no second copy of it.
+    """
+    flat = rows.reshape(len(rows), -1)
+    keys = _void_rows(_rounded(flat, out=flat))
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,7 @@ class TestDeterminism:
         for cmd in (
             ["validate", inst_path],
             ["spectral", inst_path],
+            ["solve", inst_path, "--horizon", "2"],
             ["compare", inst_path, "--horizon", "2"],
             ["bounds", inst_path, "--samples", "20", "--seed", "4"],
             ["simulate", inst_path, "--horizon", "3", "--n-traj", "100", "--seed", "5"],
