@@ -10,9 +10,10 @@ u (original profile) and u' (raised profile):
 
     C1/D1: u' = u = l        C2/D2: u' = u != l       C3/D3: u' = l != u
 
-``check_bounds_suite`` samples ordered pairs, classifies the realized
-case, measures the gap exactly with ``avf_evaluate``, and reports
-containment slack per sample.
+``check_bounds_suite`` first draws and classifies every ordered pair,
+then measures the gaps exactly: one batched sweep of the auxiliary
+value per lookahead T covers both profiles of every sample with that T.
+It reports containment slack per sample.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import BeliefProfile
-from .policy import TreeEvaluator
+from .policy import TreeEvaluator, myopic_index, myopic_policy
 from .types import BeliefVector, ModelInstance
 
 #: Containment checked with this additive slack.
@@ -143,12 +144,6 @@ def _detect_regime(inst: ModelInstance) -> int:
     raise ValueError("instance satisfies neither verified regime")
 
 
-def tilted(x: np.ndarray, s: float) -> np.ndarray:
-    """An MLR-larger belief: multiply by the increasing tilt exp(s*i)."""
-    out = x * np.exp(s * np.arange(x.size))
-    return out / out.sum()
-
-
 def check_bounds_suite(
     inst: ModelInstance,
     n_samples: int,
@@ -157,24 +152,28 @@ def check_bounds_suite(
 ) -> list[BoundSample]:
     """Sampled containment check of every case of the relevant lemma.
 
-    Cycles through the three cases; for each sample draws a profile on
-    the segment between the extreme rows of A (so every pair is
-    MLR-comparable and the chain clause keeps holding), raises component
-    l by mixing toward the upper anchor, classifies the realized
-    (u, u') pattern, and measures the exact gap.  Misclassified draws
-    are redrawn.
+    First draws every sample, cycling through the three cases: a
+    profile on the segment between the extreme rows of A (so every pair
+    is MLR-comparable and the chain clause keeps holding), component l
+    raised by mixing toward the upper anchor, and the realized (u, u')
+    pattern classified by immediate rewards; misclassified draws are
+    redrawn.  Then evaluates per lookahead T: the validated original and
+    raised profiles of every sample with that T are the roots of one
+    sweep of W^u_0, which gives each sample's exact gap.  Samples are
+    returned in draw order.
     """
     rng = np.random.default_rng(seed)
     if regime is None:
         regime = _detect_regime(inst)
     prefix = "C" if regime == 1 else "D"
     bound_fn = lemma2_bounds if regime == 1 else lemma4_bounds
-    N, X = inst.n_projects, inst.n_states
+    N = inst.n_projects
+    R = inst.R.values
     low, high = inst.A.rows[-1], inst.A.rows[0]
     if regime == 1:
         low, high = high, low
-    evaluator_cache: dict[int, TreeEvaluator] = {}
-    samples: list[BoundSample] = []
+    draws = []  # (case, T, x_low, x_high, u, u') per sample, in draw order
+    roots = []  # the validated original and raised profile per sample
 
     for k in range(n_samples):
         want = k % 3 + 1  # 1 -> C1/D1, 2 -> C2/D2, 3 -> C3/D3
@@ -196,16 +195,11 @@ def check_bounds_suite(
             beliefs = [(1 - w) * low + w * high for w in weights]
             alpha = rng.uniform(0.02, 0.2) if want == 2 else rng.uniform(0.05, 0.9)
             raised = (1 - alpha) * beliefs[l] + alpha * high
-            delta = raised - beliefs[l]
-            checked = [b.copy() for b in beliefs]
-            raised_profile = [b.copy() for b in beliefs]
+            raised_profile = list(beliefs)
             raised_profile[l] = raised
 
-            ev = evaluator_cache.get(T)
-            if ev is None:
-                ev = evaluator_cache[T] = TreeEvaluator(inst, T)
-            u = ev.myopic_index(tuple(checked))
-            u_prime = ev.myopic_index(tuple(raised_profile))
+            u = myopic_index(R, beliefs)
+            u_prime = myopic_index(R, raised_profile)
             if u_prime == l and u == l:
                 realized = 1
             elif u_prime != l and u != l and u_prime == u:
@@ -217,36 +211,42 @@ def check_bounds_suite(
             if realized != want:
                 continue
 
-            profile = BeliefProfile([BeliefVector(b) for b in checked], 0)
+            profile = BeliefProfile([BeliefVector(b) for b in beliefs], 0)
             profile_hi = BeliefProfile([BeliefVector(b) for b in raised_profile], 0)
-            w_lo = ev.avf(0, profile.arrays(), u)
-            w_hi = ev.avf(0, profile_hi.arrays(), u_prime)
-            delta_w = w_hi - w_lo
-            case = f"{prefix}{want}"
-            lower, upper = bound_fn(inst, 0, T, delta)[case]
-            verdict = (
-                "Pass"
-                if lower - SLACK_TOL <= delta_w <= upper + SLACK_TOL
-                else "Fail"
-            )
-            samples.append(
-                BoundSample(
-                    case=case,
-                    t=0,
-                    T=T,
-                    x_low=beliefs[l],
-                    x_high=raised,
-                    u=u + 1,
-                    u_prime=u_prime + 1,
-                    delta_w=delta_w,
-                    lower=lower,
-                    upper=upper,
-                    verdict=verdict,
-                )
-            )
+            draws.append((f"{prefix}{want}", T, beliefs[l], raised, u, u_prime))
+            roots.append((profile.arrays(), profile_hi.arrays()))
             break
         else:
             raise IncomparablePairError(
                 None, None, f"could not realize case {prefix}{want} in 200 draws"
             )
+
+    policy = myopic_policy(inst)
+    delta_w = np.empty(len(draws))
+    for T in sorted({draw[1] for draw in draws}):
+        picked = [i for i, draw in enumerate(draws) if draw[1] == T]
+        level = np.array([profile for i in picked for profile in roots[i]])
+        first = np.array([u for i in picked for u in draws[i][4:]])
+        w = TreeEvaluator(inst, T).sweep(0, level, policy, first)
+        delta_w[picked] = w[1::2] - w[0::2]
+
+    samples = []
+    for (case, T, x_low, x_high, u, u_prime), gap in zip(draws, delta_w.tolist()):
+        lower, upper = bound_fn(inst, 0, T, x_high - x_low)[case]
+        verdict = "Pass" if lower - SLACK_TOL <= gap <= upper + SLACK_TOL else "Fail"
+        samples.append(
+            BoundSample(
+                case=case,
+                t=0,
+                T=T,
+                x_low=x_low,
+                x_high=x_high,
+                u=u + 1,
+                u_prime=u_prime + 1,
+                delta_w=gap,
+                lower=lower,
+                upper=upper,
+                verdict=verdict,
+            )
+        )
     return samples

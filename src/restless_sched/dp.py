@@ -17,7 +17,13 @@ import numpy as np
 
 from .exceptions import NodeBudgetExceededError
 from .filtering import BeliefProfile
-from .policy import ARGMAX_TOL, TreeEvaluator, _greatest_array_index, distinct_nodes
+from .policy import (
+    ARGMAX_TOL,
+    TreeEvaluator,
+    _greatest_array_index,
+    check_profile,
+    distinct_nodes,
+)
 from .types import ModelInstance, count_distinct_rows
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -126,8 +132,7 @@ def optimal_value(
 
     Ties are broken toward the lowest project index within ARGMAX_TOL.
     """
-    if t > T:
-        raise ValueError(f"t={t} exceeds horizon T={T}")
+    check_profile(inst, profile, t, T)
     report = _solve(inst, profile.arrays(), t, T, node_budget)
     return report.optimal_value, report.best_action
 

@@ -11,13 +11,15 @@ A policy is a name plus one batch-shaped decision ``decide(t,
 beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
 calls it on a whole batch and ``policy_value`` on one tree level.
 
-The tree is walked two ways.  ``TreeEvaluator.expand`` and
-``distinct_nodes`` grow it one level at a time as arrays of profiles,
-merging profiles with the same rounded key; ``policy_value`` and the
-DP in ``dp`` sweep those levels backwards.  The auxiliary value
-function W^u_t (take action u at slot t, act myopically afterwards)
-and its frozen-continuation variant recurse node by node over
-``TreeEvaluator.branches``, memoized on (slot, rounded profile).
+The tree is grown one level at a time as arrays of profiles
+(``TreeEvaluator.expand``), merging profiles with the same rounded key
+(``distinct_nodes``), and summed backwards.  ``TreeEvaluator.sweep``
+follows one decision per node from many root profiles at once; it gives
+``policy_value`` and the auxiliary value function W^u_t (take action u
+at slot t, act myopically afterwards), and the DP in ``dp`` runs the
+same kernel under every action.  Only the frozen-continuation variant
+of W, whose decisions follow a reference profile, still recurses node
+by node over ``TreeEvaluator.branches``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,13 @@ def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
     arrays = beliefs.arrays()
     if arrays[0].size != R.values.size:
         raise DimensionMismatchError("reward/belief dimensions differ")
-    return _greatest_array_index([float(R.values @ x) for x in arrays]) + 1
+    return myopic_index(R.values, arrays) + 1
+
+
+def myopic_index(R: np.ndarray, beliefs) -> int:
+    """0-based myopic project for a sequence of belief arrays, one
+    reward at a time."""
+    return _greatest_array_index([float(R @ x) for x in beliefs])
 
 
 def distinct_nodes(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -107,9 +115,8 @@ class TreeEvaluator:
     """Exact expectation over the Y-ary observation tree of one instance.
 
     Holds the matrices of one instance and horizon: the level kernel
-    (``expand``) serves ``policy_value`` and the DP; the per-node kernel
-    (``branches``) serves the auxiliary values, which memoize on it so
-    an evaluator reused across calls amortizes shared subtrees.  All
+    (``expand``) serves ``sweep`` and the DP; the per-node kernel
+    (``branches``) serves the frozen-continuation auxiliary value.  All
     internal indices are 0-based; beliefs are tuples of read-only
     arrays, levels are arrays of shape (n, N, X).
     """
@@ -123,7 +130,6 @@ class TreeEvaluator:
         self.beta = inst.beta
         self.N = inst.n_projects
         self.Y = inst.n_obs
-        self._myopic_memo: dict = {}
 
     def expand(self, level: np.ndarray, actions: np.ndarray):
         """Children of every profile in ``level`` (n, N, X) under each
@@ -160,12 +166,10 @@ class TreeEvaluator:
         children = buf.reshape((-1,) + level.shape[1:]) if live.all() else buf[live]
         return children, parent, column, ds[live]
 
+    # Not called by the package; the per-layer tracer in perfbench wraps
+    # ``TreeEvaluator.profile_key`` by name.
     def profile_key(self, t: int, beliefs: tuple) -> tuple:
         return (t, b"".join(belief_key(x) for x in beliefs))
-
-    def myopic_index(self, beliefs: tuple) -> int:
-        """0-based myopic project for a tuple of belief arrays."""
-        return _greatest_array_index([float(self.R @ x) for x in beliefs])
 
     def branches(self, beliefs: tuple, u: int):
         """Observation branches after working project u (0-based).
@@ -188,53 +192,64 @@ class TreeEvaluator:
             out.append((m, d, stepped))
         return out
 
-    def avf(self, t: int, beliefs: tuple, u: int) -> float:
-        """W^u_t: take u (0-based) now, act myopically afterwards."""
-        value = float(self.R @ beliefs[u])
-        if t >= self.T:
-            return value
-        acc = 0.0
-        for _, d, stepped in self.branches(beliefs, u):
-            acc += d * self.myopic_value(t + 1, stepped)
-        return value + self.beta * acc
+    def sweep(
+        self, t: int, roots: np.ndarray, policy: PolicyRule, first: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Value from slot t of every profile in ``roots`` (n, N, X).
 
-    def myopic_value(self, t: int, beliefs: tuple) -> float:
-        key = self.profile_key(t, beliefs)
-        hit = self._myopic_memo.get(key)
-        if hit is not None:
-            return hit
-        value = self.avf(t, beliefs, self.myopic_index(beliefs))
-        self._myopic_memo[key] = value
-        return value
-
-    def policy_value(self, t: int, beliefs: tuple, policy: PolicyRule) -> float:
-        """Value of ``policy`` from slot t: one batch decision per tree
-        level, only the chosen action expanded, then a backward sweep."""
-        level = np.array((beliefs,))
-        sweep = []
+        ``policy`` decides at every node, except that ``first`` (n,), if
+        given, is the 0-based project each root works at slot t.  Each
+        level expands only the chosen action and merges equal keys below
+        the roots, keeping the first occurrence, which is the one a
+        depth-first walk of the roots in order meets first; one backward
+        sweep then sums each node's likelihood-weighted child values in
+        observation order.
+        """
+        level, u, levels = roots, first, []
         for depth in range(t, self.T + 1):
-            u = np.asarray(policy.decide(depth, level))
-            bad = (u < 0) | (u >= self.N)
-            if bad.any():
-                raise IndexError(
-                    f"policy {policy.name!r} chose project {u[bad][0] + 1} of {self.N}"
-                )
+            if u is None:
+                u = np.asarray(policy.decide(depth, level))
+                bad = (u < 0) | (u >= self.N)
+                if bad.any():
+                    raise IndexError(
+                        f"policy {policy.name!r} chose project {u[bad][0] + 1} of {self.N}"
+                    )
             values = np.dot(level, self.R)[np.arange(len(level)), u]
             if depth == self.T:
                 break
             children, parent, _, d = self.expand(level, u[:, None])
-            first, inverse = distinct_nodes(children)
-            sweep.append((values, parent, d, inverse))
-            level = children[first]
-        for rewards, parent, d, inverse in reversed(sweep):
+            kept, inverse = distinct_nodes(children)
+            levels.append((values, parent, d, inverse))
+            level, u = children[kept], None
+        for rewards, parent, d, inverse in reversed(levels):
             acc = np.bincount(parent, weights=d * values[inverse], minlength=len(rewards))
             values = rewards + self.beta * acc
-        return float(values[0])
+        return values
+
+    def avf(self, t: int, beliefs: tuple, u: int) -> float:
+        """W^u_t: take u (0-based) now, act myopically afterwards."""
+        roots = np.array((beliefs,))
+        return float(self.sweep(t, roots, myopic_policy(self.inst), np.array([u]))[0])
+
+    def policy_value(self, t: int, beliefs: tuple, policy: PolicyRule) -> float:
+        """Value of ``policy`` from slot t of one profile."""
+        return float(self.sweep(t, np.array((beliefs,)), policy)[0])
 
 
-def _check_first_action(profile: BeliefProfile, t: int, T: int, first_action: int):
+def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -> None:
+    """Reject a slot past the horizon, and a profile whose number of
+    projects or belief dimension differs from the instance's."""
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
+    dims = {x.dim for x in profile.beliefs}
+    if profile.n_projects != inst.n_projects or dims != {inst.n_states}:
+        raise DimensionMismatchError(
+            f"profile of {profile.n_projects} beliefs with dims {sorted(dims)} does not fit "
+            f"an instance of N={inst.n_projects} projects and X={inst.n_states} states"
+        )
+
+
+def _check_first_action(profile: BeliefProfile, first_action: int) -> None:
     if not 1 <= first_action <= profile.n_projects:
         raise IndexError(f"project {first_action} out of range 1..{profile.n_projects}")
 
@@ -243,7 +258,8 @@ def avf_evaluate(
     inst: ModelInstance, profile: BeliefProfile, t: int, T: int, first_action: int
 ) -> float:
     """Auxiliary value W^u_t for 1-based first action u on a profile."""
-    _check_first_action(profile, t, T, first_action)
+    check_profile(inst, profile, t, T)
+    _check_first_action(profile, first_action)
     return TreeEvaluator(inst, T).avf(t, profile.arrays(), first_action - 1)
 
 
@@ -266,7 +282,9 @@ def avf_frozen(
     holds exactly (the self-referencing form breaks it whenever a basis
     substitution flips a downstream myopic choice).
     """
-    _check_first_action(profile, t, T, first_action)
+    check_profile(inst, profile, t, T)
+    check_profile(inst, reference, t, T)
+    _check_first_action(profile, first_action)
     ev = TreeEvaluator(inst, T)
 
     def value_of(slot: int, ref: tuple, cur: tuple, u: int) -> float:
@@ -279,7 +297,7 @@ def avf_frozen(
             # The reference profile cannot rule out a branch the
             # evaluated one reaches; fall back to self-reference there.
             ref_next = ref_branches.get(m, cur_next)
-            acc += d * value_of(slot + 1, ref_next, cur_next, ev.myopic_index(ref_next))
+            acc += d * value_of(slot + 1, ref_next, cur_next, myopic_index(ev.R, ref_next))
         return value + ev.beta * acc
 
     return value_of(t, reference.arrays(), profile.arrays(), first_action - 1)
@@ -289,8 +307,7 @@ def policy_value(
     inst: ModelInstance, profile: BeliefProfile, t: int, T: int, policy: PolicyRule
 ) -> float:
     """Exact expected discounted reward of a policy from slot t to T."""
-    if t > T:
-        raise ValueError(f"t={t} exceeds horizon T={T}")
+    check_profile(inst, profile, t, T)
     return TreeEvaluator(inst, T).policy_value(t, profile.arrays(), policy)
 
 

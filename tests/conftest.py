@@ -19,8 +19,42 @@ def two_state_instance() -> ModelInstance:
 
 
 @pytest.fixture
+def absorbing_instance() -> ModelInstance:
+    """State 1 is absorbing and never emits observation 2, so working a
+    project whose belief sits on state 1 has a zero-likelihood branch."""
+    A = np.array([[1.0, 0.0], [0.4, 0.6]])
+    B = np.array([[1.0, 0.0], [0.3, 0.7]])
+    x0 = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
+    return ModelInstance(2, 2, 2, A, B, np.array([0.0, 1.0]), 0.9, x0)
+
+
+@pytest.fixture
 def small_params() -> GeneratorParams:
     return GeneratorParams()
+
+
+def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float:
+    """W^u_t by direct recursion over observation histories, with no
+    memo and no merging: work u (0-based) at slot t, then at every later
+    slot the project of largest immediate reward, ties within 1e-12 to
+    the lowest index."""
+    A, B, R = inst.A.rows, inst.B.rows, inst.R.values
+    value = float(R @ beliefs[u])
+    if t == T:
+        return value
+    propagated = [A.T @ x for x in beliefs]
+    acc = 0.0
+    for m in range(inst.n_obs):
+        joint = B[:, m] * propagated[u]
+        d = joint.sum()
+        if d <= 0.0:
+            continue
+        stepped = list(propagated)
+        stepped[u] = joint / d
+        rewards = [float(R @ x) for x in stepped]
+        nxt = next(i for i, r in enumerate(rewards) if r >= max(rewards) - 1e-12)
+        acc += d * recursive_avf(inst, stepped, t + 1, T, nxt)
+    return value + inst.beta * acc
 
 
 def random_simplex(rng: np.random.Generator, dim: int) -> np.ndarray:

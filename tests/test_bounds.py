@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import recursive_avf
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
@@ -11,6 +12,22 @@ from restless_sched import (
     lemma2_bounds,
     lemma4_bounds,
 )
+from restless_sched.policy import TreeEvaluator
+
+#: (case, T, u, u') of the first twelve samples of two suites, keyed by
+#: (regime, instance seed, suite seed); evaluation must not change the draws.
+PINNED_DRAWS = {
+    (1, 3, 5): [
+        ("C1", 3, 1, 1), ("C2", 4, 2, 2), ("C3", 0, 1, 2), ("C1", 1, 1, 1),
+        ("C2", 4, 2, 2), ("C3", 4, 1, 2), ("C1", 3, 1, 1), ("C2", 0, 2, 2),
+        ("C3", 0, 1, 2), ("C1", 0, 2, 2), ("C2", 2, 1, 1), ("C3", 2, 1, 2),
+    ],
+    (2, 1009, 11): [
+        ("D1", 0, 2, 2), ("D2", 0, 1, 1), ("D3", 1, 2, 3), ("D1", 3, 2, 2),
+        ("D2", 4, 3, 3), ("D3", 2, 1, 3), ("D1", 4, 2, 2), ("D2", 4, 3, 3),
+        ("D3", 1, 1, 3), ("D1", 0, 1, 1), ("D2", 2, 1, 1), ("D3", 0, 2, 3),
+    ],
+}
 
 
 class TestLemma2Bounds:
@@ -129,3 +146,36 @@ class TestCheckBoundsSuite:
         assert [(s.case, s.delta_w, s.lower, s.upper) for s in a] == [
             (s.case, s.delta_w, s.lower, s.upper) for s in b
         ]
+
+    @pytest.mark.parametrize("regime, inst_seed, seed", sorted(PINNED_DRAWS))
+    def test_gaps_match_memo_free_recursion(self, small_params, monkeypatch,
+                                            regime, inst_seed, seed):
+        gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
+        inst = gen(small_params, inst_seed)
+        sweeps = []
+        sweep = TreeEvaluator.sweep
+
+        def spy(ev, t, roots, policy, first=None):
+            sweeps.append((ev.T, roots, first))
+            return sweep(ev, t, roots, policy, first)
+
+        monkeypatch.setattr(TreeEvaluator, "sweep", spy)
+        samples = check_bounds_suite(inst, 12, seed)
+        assert [(s.case, s.T, s.u, s.u_prime) for s in samples] == PINNED_DRAWS[
+            (regime, inst_seed, seed)
+        ]
+        # One sweep per lookahead, holding each sample's pair in draw order.
+        assert sorted(T for T, _, _ in sweeps) == sorted({s.T for s in samples})
+        pairs = {
+            T: iter(zip(roots[0::2], roots[1::2], first[0::2], first[1::2]))
+            for T, roots, first in sweeps
+        }
+        for s in samples:
+            lo, hi, u, u_prime = next(pairs[s.T])
+            assert (u + 1, u_prime + 1) == (s.u, s.u_prime)
+            changed = np.flatnonzero(np.any(lo != hi, axis=1))
+            assert changed.size == 1
+            np.testing.assert_allclose(lo[changed[0]], s.x_low, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hi[changed[0]], s.x_high, rtol=0, atol=1e-12)
+            want = recursive_avf(inst, hi, 0, s.T, u_prime) - recursive_avf(inst, lo, 0, s.T, u)
+            assert s.delta_w == pytest.approx(want, abs=1e-12)

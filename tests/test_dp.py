@@ -4,6 +4,7 @@ import pytest
 import restless_sched.policy as policy_module
 from restless_sched import (
     BeliefProfile,
+    DimensionMismatchError,
     InvalidBeliefError,
     NodeBudgetExceededError,
     certify_myopic,
@@ -82,16 +83,6 @@ def recursive_policy_value(inst: ModelInstance, pol, T: int) -> float:
         return v
 
     return value(0, list(inst.initial_beliefs))
-
-
-@pytest.fixture
-def absorbing_instance() -> ModelInstance:
-    """State 1 is absorbing and never emits observation 2, so working a
-    project whose belief sits on state 1 has a zero-likelihood branch."""
-    A = np.array([[1.0, 0.0], [0.4, 0.6]])
-    B = np.array([[1.0, 0.0], [0.3, 0.7]])
-    x0 = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
-    return ModelInstance(2, 2, 2, A, B, np.array([0.0, 1.0]), 0.9, x0)
 
 
 class TestOptimalValue:
@@ -176,6 +167,12 @@ class TestOptimalValue:
         value, action = optimal_value(two_state_instance, prof, 0, 2)
         assert type(value) is float
         assert type(action) is int
+
+    def test_profile_must_fit_instance(self, two_state_instance):
+        inst = two_state_instance
+        for beliefs in ([[0.5, 0.5]] * 3, [[0.2, 0.3, 0.5]] * 2):
+            with pytest.raises(DimensionMismatchError):
+                optimal_value(inst, BeliefProfile(beliefs, 0), 0, 2)
 
 
 class TestPolicyValueLevels:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import recursive_avf
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
+    DimensionMismatchError,
     ModelInstance,
     avf_evaluate,
     avf_frozen,
     expected_reward,
     gen_assumption1_instance,
+    gen_assumption2_instance,
     myopic_action,
     myopic_policy,
     policy_value,
@@ -17,7 +20,7 @@ from restless_sched import (
     stay_policy,
 )
 from restless_sched.filtering import filter_update, obs_likelihood, propagate
-from restless_sched.policy import horizon_for_tolerance
+from restless_sched.policy import TreeEvaluator, horizon_for_tolerance
 from restless_sched.types import RewardVector
 
 
@@ -55,6 +58,11 @@ class TestMyopicAction:
         assert got.tolist() == want
         assert np.all(got[:10] == 0)
         assert np.all(got[10:20] == 1)
+
+
+#: Profiles that do not fit the two-state, two-project fixture: one
+#: project too many, and one state too many.
+MISFITS = ([[0.5, 0.5]] * 3, [[0.2, 0.3, 0.5]] * 2)
 
 
 class TestHorizonForTolerance:
@@ -105,6 +113,35 @@ class TestAvfEvaluate:
         with pytest.raises(IndexError):
             avf_evaluate(two_state_instance, prof, 0, 2, 3)
 
+    def test_profile_must_fit_instance(self, two_state_instance):
+        for beliefs in MISFITS:
+            with pytest.raises(DimensionMismatchError):
+                avf_evaluate(two_state_instance, BeliefProfile(beliefs, 0), 0, 2, 1)
+
+
+class TestAuxiliarySweep:
+    def test_matches_memo_free_recursion(self, small_params, absorbing_instance):
+        # Many roots in one level, duplicates among them (with equal and
+        # with different first actions), against a recursion that merges
+        # nothing; both regimes, a zero-likelihood branch, t > 0, T = 0.
+        rng = np.random.default_rng(4)
+        for inst in (
+            gen_assumption1_instance(small_params, 3),
+            gen_assumption2_instance(small_params, 1009),
+            absorbing_instance,
+        ):
+            N, X = inst.n_projects, inst.n_states
+            base = np.array([x.probs for x in inst.initial_beliefs])
+            drawn = rng.dirichlet(np.ones(X), size=(3, N))
+            roots = np.concatenate([[base, base, base], drawn, drawn[:1]])
+            first = np.array([0, 0, 1, 0, N - 1, 1 % N, N - 1])
+            policy = myopic_policy(inst)
+            for T in (0, 1, 3):
+                for t in range(T + 1):
+                    got = TreeEvaluator(inst, T).sweep(t, roots, policy, first)
+                    want = [recursive_avf(inst, r, t, T, u) for r, u in zip(roots, first)]
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestPolicyValue:
     def test_stay_policy_expected_value(self, two_state_instance):
@@ -143,6 +180,12 @@ class TestPolicyValue:
         assert pol.decide(1, beliefs).tolist() == [1]
         assert pol.decide(2, beliefs).tolist() == [0]
 
+    def test_profile_must_fit_instance(self, two_state_instance):
+        for beliefs in MISFITS:
+            with pytest.raises(DimensionMismatchError):
+                policy_value(two_state_instance, BeliefProfile(beliefs, 0), 0, 2,
+                             myopic_policy(two_state_instance))
+
     def test_seeded_random_deterministic(self, two_state_instance):
         beliefs = np.array([BeliefProfile(two_state_instance.initial_beliefs, 0).arrays()])
         p1, p2 = seeded_random_policy(2, 7), seeded_random_policy(2, 7)
@@ -177,3 +220,13 @@ class TestAvfFrozen:
                     p2 = BeliefProfile([BeliefVector(b) for b in sub], 0)
                     rhs += beliefs[n][i] * avf_frozen(inst, p2, 0, 3, u, prof)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_profile_and_reference_must_fit_instance(self, two_state_instance):
+        inst = two_state_instance
+        fit = BeliefProfile(inst.initial_beliefs, 0)
+        for beliefs in MISFITS:
+            misfit = BeliefProfile(beliefs, 0)
+            with pytest.raises(DimensionMismatchError):
+                avf_frozen(inst, misfit, 0, 2, 1, misfit)
+            with pytest.raises(DimensionMismatchError):
+                avf_frozen(inst, fit, 0, 2, 1, misfit)
