@@ -246,6 +246,17 @@ def _cmd_certify_sweep(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _horizon(text: str) -> int:
+    """A ``--horizon`` value: the last slot, an integer 0 or more."""
+    try:
+        T = int(text)
+    except ValueError:
+        T = -1
+    if T < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return T
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="restless-sched",
@@ -269,11 +280,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", _cmd_solve, help="exact finite-horizon optimum")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_horizon, required=True)
 
     p = add("compare", _cmd_compare, help="optimal vs myopic value")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_horizon, required=True)
 
     p = add("bounds", _cmd_bounds, help="sampled sensitivity-bound containment")
     p.add_argument("instance")
@@ -282,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo value estimate")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=int, required=True)
+    p.add_argument("--horizon", type=_horizon, required=True)
     p.add_argument("--n-traj", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", choices=sorted(_POLICIES), default="myopic")
@@ -300,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("certify-sweep", _cmd_certify_sweep, help="generate and certify many instances")
     add_gen_flags(p)
     p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--horizon", type=int, default=3)
+    p.add_argument("--horizon", type=_horizon, default=3)
 
     return parser
 

@@ -23,6 +23,7 @@ from .policy import (
     _greatest_array_index,
     check_profile,
     distinct_nodes,
+    row_max,
 )
 from .types import ModelInstance, count_distinct_rows
 
@@ -94,7 +95,7 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
     count(T, len(rows) if T == t else count_distinct_rows(rows))
 
     best = myo = _greatest_array_index(rewards)
-    optimal = rewards.max(axis=-1)
+    optimal = row_max(rewards)
     myopic = np.take_along_axis(rewards, myo[:, None], axis=-1)[:, 0]
     agree = counts[T]
     for rewards, seg, d, inverse in reversed(sweep):
@@ -104,7 +105,7 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         values = _backup(rewards, seg, d, optimal, ev.beta)
         myo = _greatest_array_index(rewards)
         myopic = _backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
-        optimal = values.max(axis=-1)
+        optimal = row_max(values)
         best = _greatest_array_index(values)
         # The myopic action agrees when its value ties the best one.
         agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))

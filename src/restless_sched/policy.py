@@ -9,7 +9,12 @@ rule picks the DP's best action.
 
 A policy is a name plus one batch-shaped decision ``decide(t,
 beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
-calls it on a whole batch and ``policy_value`` on one tree level.
+calls it on a whole batch and ``policy_value`` on one tree level, and
+both reject an action outside 0..N-1 (``check_decisions``).  The batch
+primitives avoid numpy's slow paths on short axes: ``immediate_rewards``
+is one matrix-vector product over the flattened beliefs, and
+``row_max``, which the tie rule and the DP use, takes the maximum
+column by column.
 
 The tree is grown one level at a time as arrays of profiles
 (``TreeEvaluator.expand``), merging profiles with the same rounded key
@@ -51,6 +56,17 @@ class PolicyRule:
     decide: Callable[[int, np.ndarray], np.ndarray]
 
 
+def check_decisions(policy: PolicyRule, u, n_projects: int) -> np.ndarray:
+    """The batch decision ``u`` as an array, or an ``IndexError`` if it
+    names a project outside 0..n_projects-1 (numpy would wrap a negative
+    index to another project)."""
+    u = np.asarray(u)
+    bad = (u < 0) | (u >= n_projects)
+    if bad.any():
+        raise IndexError(f"policy {policy.name!r} chose project {u[bad][0] + 1} of {n_projects}")
+    return u
+
+
 def horizon_for_tolerance(beta: float, r_max: float, tol: float) -> int:
     """Smallest T with beta^(T+1) * r_max / (1 - beta) below tol."""
     if not 0.0 <= beta < 1.0:
@@ -65,6 +81,27 @@ def horizon_for_tolerance(beta: float, r_max: float, tol: float) -> int:
     return T
 
 
+def row_max(values: np.ndarray) -> np.ndarray:
+    """The largest entry along the last axis, taken column by column.
+
+    Exactly ``values.max(axis=-1)``, but each step is one elementwise
+    ``np.maximum`` over a whole column: numpy reduces a short last axis
+    one row at a time.
+    """
+    out = np.maximum(values[..., 0], values[..., -1])
+    for k in range(1, values.shape[-1] - 1):
+        np.maximum(out, values[..., k], out=out)
+    return out
+
+
+def immediate_rewards(level: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """R'x of every belief in ``level`` (..., X): one matrix-vector
+    product over the flattened beliefs instead of numpy's stacked
+    matmul, which loops over the leading axes."""
+    X = level.shape[-1]
+    return (level.reshape(-1, X) @ R).reshape(level.shape[:-1])
+
+
 def _greatest_array_index(values):
     """Lowest index whose value lies within ARGMAX_TOL of the largest.
 
@@ -74,7 +111,7 @@ def _greatest_array_index(values):
     per tree node costs more than the decision itself.
     """
     if isinstance(values, np.ndarray):
-        near = values >= values.max(axis=-1, keepdims=True) - ARGMAX_TOL
+        near = values >= row_max(values)[..., None] - ARGMAX_TOL
         return near.argmax(axis=-1)
     floor = max(values) - ARGMAX_TOL
     return next(i for i, v in enumerate(values) if v >= floor)
@@ -208,12 +245,7 @@ class TreeEvaluator:
         level, u, levels = roots, first, []
         for depth in range(t, self.T + 1):
             if u is None:
-                u = np.asarray(policy.decide(depth, level))
-                bad = (u < 0) | (u >= self.N)
-                if bad.any():
-                    raise IndexError(
-                        f"policy {policy.name!r} chose project {u[bad][0] + 1} of {self.N}"
-                    )
+                u = check_decisions(policy, policy.decide(depth, level), self.N)
             values = np.dot(level, self.R)[np.arange(len(level)), u]
             if depth == self.T:
                 break
@@ -317,7 +349,7 @@ def myopic_policy(inst: ModelInstance) -> PolicyRule:
 
     def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
         del t
-        return _greatest_array_index(beliefs @ r)
+        return _greatest_array_index(immediate_rewards(beliefs, r))
 
     return PolicyRule("myopic", decide)
 

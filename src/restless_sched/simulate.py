@@ -5,13 +5,21 @@ filtered belief profile, and accumulates discounted rewards of the
 scheduled projects.
 
 One engine simulates a block of trajectories in lockstep, slot by
-slot, through the policy's batch decision.  RNG contract: a call draws
-from one ``np.random.default_rng(seed)``; its blocks of up to
-``_BLOCK`` trajectories take turns, and each draws first every initial
-state, then per slot every project's next state and the active
-project's observation, each by inverting a cumulative distribution
-(last entry pinned to 1) against one uniform.  Results are therefore
-deterministic in (instance, policy, T, n_traj, seed):
+slot, through the policy's batch decision.  It holds the beliefs of a
+block as one contiguous (n_traj*N, X) buffer, one row per (trajectory,
+project); the policy sees it reshaped to (n_traj, N, X).  Each slot
+propagates every row with one matrix product, and the flat index
+``trajectory*N + action`` of the worked projects serves the reward, the
+observation draw and the filter as single-index gathers; the engine's
+own steps reduce over no short last axis.  A decision outside 0..N-1
+raises ``IndexError``, a negative horizon ``ValueError``.
+
+RNG contract: a call draws from one ``np.random.default_rng(seed)``;
+its blocks of up to ``_BLOCK`` trajectories take turns, and each draws
+first every initial state, then per slot every project's next state
+and the active project's observation, each by inverting a cumulative
+distribution (last entry pinned to 1) against one uniform.  Results are
+therefore deterministic in (instance, policy, T, n_traj, seed):
 ``estimate_value`` gives the same mean and standard error with or
 without ``return_totals``, and ``sample_trajectory`` is the engine with
 one trajectory.
@@ -26,7 +34,7 @@ import numpy as np
 # ``step_profile`` is unused here; the per-layer tracer in perfbench
 # wraps ``simulate.step_profile`` by name.
 from .filtering import step_profile  # noqa: F401
-from .policy import PolicyRule
+from .policy import PolicyRule, check_decisions
 from .types import ModelInstance
 
 _SEED_MASK = (1 << 64) - 1
@@ -64,12 +72,12 @@ def _inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
 
     Rows are nondecreasing and end in 1, so that index is the count of
     the other entries at or below the uniform.  Counting column by
-    column gathers one entry per draw at a time, which beats an argmax
-    over gathered whole rows.
+    column gathers one entry per draw at a time from a single column,
+    which beats an argmax over gathered whole rows.
     """
     out = np.zeros(u.shape, dtype=np.int64)
     for k in range(cdf.shape[-1] - 1):
-        out += cdf[row, k] <= u
+        out += np.take(cdf[:, k], row) <= u
     return out
 
 
@@ -89,36 +97,48 @@ def _lockstep(
     observations (n_traj,), all 0-based.  Otherwise nothing is kept
     across slots but the current beliefs, states and totals.
     """
+    if T < 0:
+        raise ValueError(f"horizon T must be >= 0, got {T}")
     N, X = inst.n_projects, inst.n_states
     A = inst.A.rows
-    B = inst.B.rows
+    B_T = inst.B.rows.T.copy()  # row m: each state's likelihood of observation m
     R = inst.R.values
-    rows = np.arange(n_traj)
+    base = np.arange(n_traj) * N
 
+    # ``flat`` owns the beliefs, one row per (trajectory, project); the
+    # profiles the policy sees are a reshape of it, which for a
+    # C-contiguous owner is always a view, so writing ``flat`` updates
+    # them.  ``spare`` receives the next propagation.
     x0 = np.stack([x.probs for x in inst.initial_beliefs])  # (N, X)
-    beliefs = np.broadcast_to(x0, (n_traj, N, X)).copy()
+    flat = np.tile(x0, (n_traj, 1))
+    spare = np.empty_like(flat)
     a_cdf = _cdf(A)
-    b_cdf = _cdf(B)
+    b_cdf = _cdf(inst.B.rows)
     current = _inverse_cdf(_cdf(x0), np.arange(N), rng.random((N, n_traj)).T)  # (n_traj, N)
 
     totals = np.zeros(n_traj)
     scale = 1.0
     for t in range(T + 1):
-        u = policy.decide(t, beliefs)
-        totals += scale * R[current[rows, u]]
+        u = check_decisions(policy, policy.decide(t, flat.reshape(n_traj, N, X)), N)
+        active = base + u  # flat index of each trajectory's worked project
+        totals += scale * R[np.take(current, active)]
         scale *= inst.beta
 
         # Transition every chain, then the active one emits.
         nxt = _inverse_cdf(a_cdf, current, rng.random((n_traj, N)))
-        obs = _inverse_cdf(b_cdf, nxt[rows, u], rng.random(n_traj))
+        obs = _inverse_cdf(b_cdf, np.take(nxt, active), rng.random(n_traj))
         if record is not None:
             record(current, u, obs)
 
         if t < T:
-            beliefs = beliefs @ A  # propagate: each row x -> A' x
-            z = beliefs[rows, u]  # (n_traj, X)
-            num = z * B[:, obs].T
-            beliefs[rows, u] = num / num.sum(axis=1, keepdims=True)
+            np.matmul(flat, A, out=spare)  # propagate: each row x -> A' x
+            flat, spare = spare, flat
+            num = np.take(flat, active, axis=0) * np.take(B_T, obs, axis=0)
+            # Summed column by column: the order numpy sums a short row in.
+            total = num[:, 0].copy()
+            for k in range(1, X):
+                total += num[:, k]
+            flat[active] = num / total[:, None]
         current = nxt
     return totals
 

@@ -102,6 +102,22 @@ class TestSolveCompare:
         assert doc["argmax_agreement"] == 1.0
 
 
+class TestHorizonFlag:
+    def test_negative_horizon_is_a_usage_error(self, inst_path, capsys):
+        for argv in (
+            ["solve", inst_path],
+            ["compare", inst_path],
+            ["simulate", inst_path],
+            ["certify-sweep", "--regime", "1", "--instances", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--horizon", "-1"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--horizon: must be an integer >= 0" in err
+            assert "Traceback" not in err
+
+
 class TestBounds:
     def test_csv_shape(self, inst_path, tmp_path):
         out = tmp_path / "b.csv"

@@ -20,7 +20,14 @@ from restless_sched import (
     stay_policy,
 )
 from restless_sched.filtering import filter_update, obs_likelihood, propagate
-from restless_sched.policy import TreeEvaluator, horizon_for_tolerance
+from restless_sched.policy import (
+    ARGMAX_TOL,
+    TreeEvaluator,
+    _greatest_array_index,
+    horizon_for_tolerance,
+    immediate_rewards,
+    row_max,
+)
 from restless_sched.types import RewardVector
 
 
@@ -58,6 +65,53 @@ class TestMyopicAction:
         assert got.tolist() == want
         assert np.all(got[:10] == 0)
         assert np.all(got[10:20] == 1)
+
+
+class TestBatchTieRule:
+    """``row_max`` and the array branch of the tie rule against a
+    per-row reference: ``max`` and the sequence branch."""
+
+    @staticmethod
+    def check(values):
+        assert np.array_equal(row_max(values), values.max(axis=-1))
+        rows = values.reshape(-1, values.shape[-1])
+        want = [_greatest_array_index(row.tolist()) for row in rows]
+        got = _greatest_array_index(values)
+        assert got.shape == values.shape[:-1]
+        assert got.ravel().tolist() == want
+        return got
+
+    def test_exact_and_near_ties_go_to_lowest_index(self):
+        values = np.array([
+            [0.5, 0.5, 0.5],
+            [0.1, 0.7, 0.7],
+            [0.7, 0.7 - ARGMAX_TOL / 2, 0.2],
+            [0.7 - ARGMAX_TOL / 2, 0.7, 0.7],
+            [0.7 - 2 * ARGMAX_TOL, 0.7, 0.1],
+        ])
+        assert self.check(values).tolist() == [0, 1, 0, 0, 1]
+
+    def test_maximum_in_last_column(self):
+        values = np.array([[0.1, 0.2, 0.9], [-3.0, -2.0, -1.0]])
+        assert self.check(values).tolist() == [2, 2]
+
+    def test_leading_shape(self):
+        values = np.random.default_rng(1).random((2, 5, 3))
+        values[0, 0] = values[0, 0, 2]
+        self.check(values)
+
+    def test_single_column(self):
+        values = np.array([[0.3], [-1.0]])
+        assert self.check(values).tolist() == [0, 0]
+        # A fresh array, not a view of the input.
+        assert not np.shares_memory(row_max(values), values)
+
+    def test_immediate_rewards(self):
+        level = np.random.default_rng(2).dirichlet(np.ones(3), size=(4, 2))
+        R = np.array([0.0, 0.5, 2.0])
+        got = immediate_rewards(level, R)
+        assert got.shape == (4, 2)
+        assert np.allclose(got, level @ R, rtol=0, atol=1e-15)
 
 
 #: Profiles that do not fit the two-state, two-project fixture: one
