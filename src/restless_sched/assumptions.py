@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ComplexSpectrumError, NonDiagonalizableError
-from .filtering import LIKELIHOOD_FLOOR, _filter_from_propagated, _propagate
+from .filtering import LIKELIHOOD_FLOOR, _filter_from_propagated
 from .orders import (
     DEFAULT_TOL,
     _mlr_ge_arrays,
@@ -62,7 +62,7 @@ class AssumptionReport:
 
 def _filter_of(A_T: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int):
     """T(x, m) on raw arrays, or None when the observation is impossible."""
-    z = _propagate(A_T, x)
+    z = A_T @ x
     d = float(B[:, m0] @ z)
     if d <= LIKELIHOOD_FLOOR:
         return None
@@ -93,10 +93,10 @@ def find_threshold_K(
     e_lo[0] = 1.0
     e_hi = np.zeros(X)
     e_hi[-1] = 1.0
-    z_lo = _propagate(A_T, e_lo)  # A' e_1
-    z_hi = _propagate(A_T, e_hi)  # A' e_X
-    zz_lo = _propagate(A_T, z_lo)  # (A')^2 e_1
-    zz_hi = _propagate(A_T, z_hi)  # (A')^2 e_X
+    z_lo = A_T @ e_lo  # A' e_1
+    z_hi = A_T @ e_hi  # A' e_X
+    zz_lo = A_T @ z_lo  # (A')^2 e_1
+    zz_hi = A_T @ z_hi  # (A')^2 e_X
 
     for K in range(2, Y + 1):
         if regime == 1:

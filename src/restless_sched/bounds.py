@@ -25,7 +25,7 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import BeliefProfile
-from .policy import TreeEvaluator, myopic_index, myopic_policy
+from .policy import TreeEvaluator, myopic_policy
 from .types import BeliefVector, ModelInstance
 
 #: Containment checked with this additive slack.
@@ -162,13 +162,15 @@ def check_bounds_suite(
     sweep of W^u_0, which gives each sample's exact gap.  Samples are
     returned in draw order.
     """
+    if regime not in (None, 1, 2):
+        raise ValueError(f"regime must be None, 1 or 2, got {regime!r}")
     rng = np.random.default_rng(seed)
     if regime is None:
         regime = _detect_regime(inst)
     prefix = "C" if regime == 1 else "D"
     bound_fn = lemma2_bounds if regime == 1 else lemma4_bounds
     N = inst.n_projects
-    R = inst.R.values
+    policy = myopic_policy(inst)
     low, high = inst.A.rows[-1], inst.A.rows[0]
     if regime == 1:
         low, high = high, low
@@ -198,8 +200,7 @@ def check_bounds_suite(
             raised_profile = list(beliefs)
             raised_profile[l] = raised
 
-            u = myopic_index(R, beliefs)
-            u_prime = myopic_index(R, raised_profile)
+            u, u_prime = policy.decide(0, np.array([beliefs, raised_profile])).tolist()
             if u_prime == l and u == l:
                 realized = 1
             elif u_prime != l and u != l and u_prime == u:
@@ -221,7 +222,6 @@ def check_bounds_suite(
                 None, None, f"could not realize case {prefix}{want} in 200 draws"
             )
 
-    policy = myopic_policy(inst)
     delta_w = np.empty(len(draws))
     for T in sorted({draw[1] for draw in draws}):
         picked = [i for i, draw in enumerate(draws) if draw[1] == T]

@@ -246,15 +246,19 @@ def _cmd_certify_sweep(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _horizon(text: str) -> int:
-    """A ``--horizon`` value: the last slot, an integer 0 or more."""
-    try:
-        T = int(text)
-    except ValueError:
-        T = -1
-    if T < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return T
+def _at_least(minimum: int):
+    """An argparse type: an integer ``minimum`` or more."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = minimum - 1
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return n
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -280,21 +284,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", _cmd_solve, help="exact finite-horizon optimum")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=_horizon, required=True)
+    p.add_argument("--horizon", type=_at_least(0), required=True)
 
     p = add("compare", _cmd_compare, help="optimal vs myopic value")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=_horizon, required=True)
+    p.add_argument("--horizon", type=_at_least(0), required=True)
 
     p = add("bounds", _cmd_bounds, help="sampled sensitivity-bound containment")
     p.add_argument("instance")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo value estimate")
     p.add_argument("instance")
-    p.add_argument("--horizon", type=_horizon, required=True)
-    p.add_argument("--n-traj", type=int, default=10000)
+    p.add_argument("--horizon", type=_at_least(0), required=True)
+    p.add_argument("--n-traj", type=_at_least(2), default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--policy", choices=sorted(_POLICIES), default="myopic")
     p.add_argument("--dump-csv", help="also write per-trajectory totals to this CSV")
@@ -303,15 +307,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--regime", type=int, choices=(1, 2), required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--violate", metavar="CLAUSE", help="e.g. 1.5: break this clause")
-        p.add_argument("--max-attempts", type=int, default=1000)
+        p.add_argument("--max-attempts", type=_at_least(1), default=1000)
 
     p = add("generate", _cmd_generate, help="sample a verified (or violated) instance")
     add_gen_flags(p)
 
     p = add("certify-sweep", _cmd_certify_sweep, help="generate and certify many instances")
     add_gen_flags(p)
-    p.add_argument("--instances", type=int, default=100)
-    p.add_argument("--horizon", type=_horizon, default=3)
+    p.add_argument("--instances", type=_at_least(1), default=100)
+    p.add_argument("--horizon", type=_at_least(0), default=3)
 
     return parser
 

@@ -84,7 +84,7 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
     for depth in range(t, T):
         count(depth, len(rows))
         every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
-        children, parent, u, d = ev.expand(rows, every_action)
+        children, parent, u, _, d = ev.expand(rows, every_action)
         inverse = None
         if depth + 1 < T:
             first, inverse = distinct_nodes(children)
@@ -146,4 +146,5 @@ def certify_myopic(
     """Compare the DP optimum against the myopic policy from the initial
     profile; reports the gap and per-node argmax agreement."""
     profile = BeliefProfile(inst.initial_beliefs, 0)
+    check_profile(inst, profile, 0, T)
     return _solve(inst, profile.arrays(), 0, T, node_budget)

@@ -5,8 +5,8 @@ The worked project's belief is updated by the HMM filter
 ``d(x, m) = 1' B(m) A'x``; every passive project propagates as
 ``A'x``.  Pure functions throughout; profiles are values.
 
-Underscore-prefixed helpers operate on raw numpy arrays and are the hot
-path shared by the policy/DP evaluators.
+``_filter_from_propagated`` works on raw numpy arrays; the assumption
+checks share it.
 """
 
 from __future__ import annotations
@@ -54,16 +54,6 @@ class BeliefProfile:
         return tuple(x.probs for x in self.beliefs)
 
 
-def _propagate(A_T: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A'x for a transposed transition matrix A_T = A.T."""
-    return A_T @ x
-
-
-def _obs_likelihoods(B: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Vector of d over all observations, given the propagated belief z = A'x."""
-    return z @ B
-
-
 def _filter_from_propagated(B: np.ndarray, z: np.ndarray, m0: int, d: float) -> np.ndarray:
     """T(x, m) given z = A'x, 0-based observation m0 and its likelihood d."""
     out = B[:, m0] * z / d
@@ -77,7 +67,7 @@ def propagate(A: TransitionMatrix, x: BeliefVector) -> BeliefVector:
     """One passive Markov step: returns A'x."""
     if A.n_states != x.dim:
         raise DimensionMismatchError(f"A is {A.n_states}-state, belief has dim {x.dim}")
-    return BeliefVector(_propagate(A.rows.T, x.probs))
+    return BeliefVector(A.rows.T @ x.probs)
 
 
 def obs_likelihood(
@@ -88,7 +78,7 @@ def obs_likelihood(
         raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
     if A.n_states != x.dim or B.n_states != x.dim:
         raise DimensionMismatchError("matrix/belief dimensions differ")
-    z = _propagate(A.rows.T, x.probs)
+    z = A.rows.T @ x.probs
     return float(B.rows[:, m - 1] @ z)
 
 
@@ -100,7 +90,7 @@ def filter_update(
         raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
     if A.n_states != x.dim or B.n_states != x.dim:
         raise DimensionMismatchError("matrix/belief dimensions differ")
-    z = _propagate(A.rows.T, x.probs)
+    z = A.rows.T @ x.probs
     d = float(B.rows[:, m - 1] @ z)
     if d <= LIKELIHOOD_FLOOR:
         raise ImpossibleObservationError(

@@ -37,7 +37,7 @@ class GeneratorParams:
     def __post_init__(self):
         for name in ("x_range", "y_range", "n_range"):
             lo, hi = getattr(self, name)
-            if lo > hi or lo < (2 if name == "n_range" else 2):
+            if lo > hi or lo < 2:
                 raise ValueError(f"{name} must be a nonempty range >= 2, got ({lo}, {hi})")
         lo, hi = self.beta_range
         if not (0.0 <= lo <= hi < 1.0):

@@ -22,9 +22,9 @@ The tree is grown one level at a time as arrays of profiles
 follows one decision per node from many root profiles at once; it gives
 ``policy_value`` and the auxiliary value function W^u_t (take action u
 at slot t, act myopically afterwards), and the DP in ``dp`` runs the
-same kernel under every action.  Only the frozen-continuation variant
-of W, whose decisions follow a reference profile, still recurses node
-by node over ``TreeEvaluator.branches``.
+same kernel under every action.  ``avf_frozen``, the variant of W whose
+decisions follow a reference profile, expands the evaluated profiles
+and their references side by side on the same kernel.
 """
 
 from __future__ import annotations
@@ -35,12 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidBeliefError
-from .filtering import (
-    FILTER_SUM_TOL,
-    LIKELIHOOD_FLOOR,
-    BeliefProfile,
-    _filter_from_propagated,
-)
+from .filtering import FILTER_SUM_TOL, LIKELIHOOD_FLOOR, BeliefProfile
 from .types import ModelInstance, RewardVector, belief_key, belief_row_keys
 
 #: Two values within this are treated as tied.
@@ -102,19 +97,12 @@ def immediate_rewards(level: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (level.reshape(-1, X) @ R).reshape(level.shape[:-1])
 
 
-def _greatest_array_index(values):
-    """Lowest index whose value lies within ARGMAX_TOL of the largest.
-
-    ``values`` is a sequence of floats (one decision; returns an int) or
-    an array whose last axis indexes the candidates (one decision per
-    row).  A single decision stays in Python floats: building an array
-    per tree node costs more than the decision itself.
-    """
-    if isinstance(values, np.ndarray):
-        near = values >= row_max(values)[..., None] - ARGMAX_TOL
-        return near.argmax(axis=-1)
-    floor = max(values) - ARGMAX_TOL
-    return next(i for i, v in enumerate(values) if v >= floor)
+def _greatest_array_index(values: np.ndarray) -> np.ndarray:
+    """Lowest index whose value lies within ARGMAX_TOL of the largest,
+    one decision per row: the last axis of ``values`` indexes the
+    candidates."""
+    near = values >= row_max(values)[..., None] - ARGMAX_TOL
+    return near.argmax(axis=-1)
 
 
 def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
@@ -123,13 +111,8 @@ def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
     arrays = beliefs.arrays()
     if arrays[0].size != R.values.size:
         raise DimensionMismatchError("reward/belief dimensions differ")
-    return myopic_index(R.values, arrays) + 1
-
-
-def myopic_index(R: np.ndarray, beliefs) -> int:
-    """0-based myopic project for a sequence of belief arrays, one
-    reward at a time."""
-    return _greatest_array_index([float(R @ x) for x in beliefs])
+    rewards = immediate_rewards(np.array((arrays,)), R.values)
+    return int(_greatest_array_index(rewards)[0]) + 1
 
 
 def distinct_nodes(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,9 +134,8 @@ def distinct_nodes(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class TreeEvaluator:
     """Exact expectation over the Y-ary observation tree of one instance.
 
-    Holds the matrices of one instance and horizon: the level kernel
-    (``expand``) serves ``sweep`` and the DP; the per-node kernel
-    (``branches``) serves the frozen-continuation auxiliary value.  All
+    Holds the matrices of one instance and horizon and the level kernel
+    (``expand``) that ``sweep``, ``avf_frozen`` and the DP run on.  All
     internal indices are 0-based; beliefs are tuples of read-only
     arrays, levels are arrays of shape (n, N, X).
     """
@@ -172,14 +154,14 @@ class TreeEvaluator:
         """Children of every profile in ``level`` (n, N, X) under each
         column of ``actions`` (n, K) of 0-based projects.
 
-        Returns (children, parent, column, likelihood): one entry per
-        child, ordered by parent, then action column, then observation;
-        zero-likelihood branches are skipped as in ``branches``.
+        Returns (children, parent, column, observation, likelihood): one
+        entry per child, ordered by parent, then action column, then
+        0-based observation; zero-likelihood branches are skipped.
         """
         n, K = actions.shape
         rows = np.arange(n)
-        # A'x per belief, as a stack of matrix-vector products: the same
-        # arithmetic as ``branches``, so both kernels merge the same keys.
+        # A'x per belief as a stack of matrix-vector products: merged keys,
+        # and so node counts, depend on the last bits of this form.
         propagated = (self.A_T @ level[..., None])[..., 0]
         buf = np.empty((n, K, self.Y) + level.shape[1:])
         ds = np.empty((n, K, self.Y))
@@ -199,35 +181,22 @@ class TreeEvaluator:
             child[...] = propagated[:, None]
             child[rows, :, a] = filtered / np.where(live, s, 1.0)[:, :, None]
         live = ds > LIKELIHOOD_FLOOR
-        parent, column, _ = np.nonzero(live)
+        parent, column, observation = np.nonzero(live)
         children = buf.reshape((-1,) + level.shape[1:]) if live.all() else buf[live]
-        return children, parent, column, ds[live]
+        return children, parent, column, observation, ds[live]
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.
     def profile_key(self, t: int, beliefs: tuple) -> tuple:
         return (t, b"".join(belief_key(x) for x in beliefs))
 
+    # Not called by the package; the per-layer tracer in perfbench wraps
+    # ``TreeEvaluator.branches`` by name.
     def branches(self, beliefs: tuple, u: int):
-        """Observation branches after working project u (0-based).
-
-        Returns (0-based observation, likelihood, stepped beliefs) per
-        possible observation; zero-likelihood branches are skipped.
-        """
-        propagated = tuple(self.A_T @ x for x in beliefs)
-        z = propagated[u]
-        ds = z @ self.B
-        out = []
-        for m in range(self.Y):
-            d = float(ds[m])
-            if d <= LIKELIHOOD_FLOOR:
-                continue
-            filtered = _filter_from_propagated(self.B, z, m, d)
-            stepped = tuple(
-                filtered if n == u else propagated[n] for n in range(self.N)
-            )
-            out.append((m, d, stepped))
-        return out
+        """(0-based observation, likelihood, stepped beliefs) per possible
+        observation after working project u (0-based)."""
+        children, _, _, obs, d = self.expand(np.array((beliefs,)), np.array([[u]]))
+        return [(int(m), float(p), tuple(c)) for m, p, c in zip(obs, d, children)]
 
     def sweep(
         self, t: int, roots: np.ndarray, policy: PolicyRule, first: np.ndarray | None = None
@@ -249,7 +218,7 @@ class TreeEvaluator:
             values = np.dot(level, self.R)[np.arange(len(level)), u]
             if depth == self.T:
                 break
-            children, parent, _, d = self.expand(level, u[:, None])
+            children, parent, _, _, d = self.expand(level, u[:, None])
             kept, inverse = distinct_nodes(children)
             levels.append((values, parent, d, inverse))
             level, u = children[kept], None
@@ -269,10 +238,13 @@ class TreeEvaluator:
 
 
 def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -> None:
-    """Reject a slot past the horizon, and a profile whose number of
-    projects or belief dimension differs from the instance's."""
-    if t > T:
-        raise ValueError(f"t={t} exceeds horizon T={T}")
+    """Reject a negative horizon or slot, a slot past the horizon, and a
+    profile whose number of projects or belief dimension differs from
+    the instance's."""
+    if T < 0:
+        raise ValueError(f"horizon T must be >= 0, got {T}")
+    if not 0 <= t <= T:
+        raise ValueError(f"slot t={t} outside 0..T={T}")
     dims = {x.dim for x in profile.beliefs}
     if profile.n_projects != inst.n_projects or dims != {inst.n_states}:
         raise DimensionMismatchError(
@@ -313,26 +285,40 @@ def avf_frozen(
     the basis decomposition W(x) = sum_i x^(n)(i) W(x with e_i in slot n)
     holds exactly (the self-referencing form breaks it whenever a basis
     substitution flips a downstream myopic choice).
+
+    Each level expands the evaluated profiles and their references under
+    the same actions; nothing is merged, and one backward pass sums each
+    node's likelihood-weighted child values in observation order.
     """
     check_profile(inst, profile, t, T)
     check_profile(inst, reference, t, T)
     _check_first_action(profile, first_action)
     ev = TreeEvaluator(inst, T)
-
-    def value_of(slot: int, ref: tuple, cur: tuple, u: int) -> float:
-        value = float(ev.R @ cur[u])
-        if slot >= T:
-            return value
-        ref_branches = {m: stepped for m, _, stepped in ev.branches(ref, u)}
-        acc = 0.0
-        for m, d, cur_next in ev.branches(cur, u):
-            # The reference profile cannot rule out a branch the
-            # evaluated one reaches; fall back to self-reference there.
-            ref_next = ref_branches.get(m, cur_next)
-            acc += d * value_of(slot + 1, ref_next, cur_next, myopic_index(ev.R, ref_next))
-        return value + ev.beta * acc
-
-    return value_of(t, reference.arrays(), profile.arrays(), first_action - 1)
+    decide = myopic_policy(inst).decide
+    cur, ref = np.array((profile.arrays(),)), np.array((reference.arrays(),))
+    u = np.array([first_action - 1])
+    levels = []
+    for depth in range(t, T + 1):
+        values = np.dot(cur, ev.R)[np.arange(len(cur)), u]
+        if depth == T:
+            break
+        children, parent, _, obs, d = ev.expand(cur, u[:, None])
+        ref_children, ref_parent, _, ref_obs, _ = ev.expand(ref, u[:, None])
+        # Line each reference child up with the evaluated child of the
+        # same parent and observation.  Where the reference rules out a
+        # branch the evaluated profile reaches, the evaluated child is
+        # its own reference.
+        at = np.full(len(cur) * ev.Y, -1)
+        at[parent * ev.Y + obs] = np.arange(len(parent))
+        into = at[ref_parent * ev.Y + ref_obs]
+        ref = children.copy()
+        ref[into[into >= 0]] = ref_children[into >= 0]
+        levels.append((values, parent, d))
+        cur, u = children, decide(depth + 1, ref)
+    for rewards, parent, d in reversed(levels):
+        acc = np.bincount(parent, weights=d * values, minlength=len(rewards))
+        values = rewards + ev.beta * acc
+    return float(values[0])
 
 
 def policy_value(

@@ -57,6 +57,42 @@ def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float
     return value + inst.beta * acc
 
 
+def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int, u: int) -> float:
+    """W^u_t with continuation decisions frozen to ``reference``, by
+    direct recursion with no memo: work u (0-based) at slot t; after each
+    observation, step the beliefs and the reference alike and work the
+    project of largest immediate reward under the stepped reference,
+    ties within 1e-12 to the lowest index.  Where the reference makes
+    the observation impossible, the stepped beliefs are their own
+    reference."""
+    A, B, R = inst.A.rows, inst.B.rows, inst.R.values
+
+    def step(profile, m):
+        propagated = [A.T @ x for x in profile]
+        joint = B[:, m] * propagated[u]
+        d = joint.sum()
+        if d <= 0.0:
+            return d, None
+        propagated[u] = joint / d
+        return d, propagated
+
+    value = float(R @ beliefs[u])
+    if t == T:
+        return value
+    acc = 0.0
+    for m in range(inst.n_obs):
+        d, stepped = step(beliefs, m)
+        if stepped is None:
+            continue
+        _, ref = step(reference, m)
+        if ref is None:
+            ref = stepped
+        rewards = [float(R @ x) for x in ref]
+        nxt = next(i for i, r in enumerate(rewards) if r >= max(rewards) - 1e-12)
+        acc += d * recursive_avf_frozen(inst, stepped, ref, t + 1, T, nxt)
+    return value + inst.beta * acc
+
+
 def random_simplex(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.dirichlet(np.ones(dim))
 

@@ -120,6 +120,12 @@ class TestCheckBoundsSuite:
         assert {s.case for s in samples} == {"D1", "D2", "D3"}
         assert all(s.verdict == "Pass" for s in samples)
 
+    def test_unknown_regime_rejected(self, small_params):
+        inst = gen_assumption1_instance(small_params, 3)
+        for regime in (0, 3):
+            with pytest.raises(ValueError, match="regime"):
+                check_bounds_suite(inst, 3, 0, regime=regime)
+
     def test_identical_pair_zero_gap(self, small_params):
         # alpha -> 0 limit checked directly through the bound functions:
         # a zero difference puts the measured gap (also zero for C2/D2)

@@ -118,6 +118,26 @@ class TestHorizonFlag:
             assert "Traceback" not in err
 
 
+class TestCountFlags:
+    def test_bad_count_is_a_usage_error(self, inst_path, tmp_path, capsys):
+        out = tmp_path / "artifact"
+        for argv, flag, minimum, values in (
+            (["simulate", inst_path, "--horizon", "2"], "--n-traj", 2, ("0", "1")),
+            (["bounds", inst_path], "--samples", 1, ("0", "-5")),
+            (["generate", "--regime", "1"], "--max-attempts", 1, ("0",)),
+            (["certify-sweep", "--regime", "1"], "--max-attempts", 1, ("0",)),
+            (["certify-sweep", "--regime", "1"], "--instances", 1, ("-3", "x")),
+        ):
+            for value in values:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv + [flag, value, "--out", str(out)])
+                assert exc.value.code == 2
+                err = capsys.readouterr().err
+                assert f"{flag}: must be an integer >= {minimum}" in err
+                assert "Traceback" not in err
+                assert not out.exists()
+
+
 class TestBounds:
     def test_csv_shape(self, inst_path, tmp_path):
         out = tmp_path / "b.csv"

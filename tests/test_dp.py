@@ -200,6 +200,10 @@ class TestCertifyMyopic:
         assert rep.argmax_agreement == 1.0
         assert rep.optimal_value >= rep.myopic_value - 1e-12
 
+    def test_negative_horizon_rejected(self, two_state_instance):
+        with pytest.raises(ValueError, match="horizon"):
+            certify_myopic(two_state_instance, -1)
+
     def test_report_fields(self, small_params):
         inst = gen_assumption1_instance(small_params, 1)
         rep = certify_myopic(inst, 2)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import recursive_avf
+from conftest import recursive_avf, recursive_avf_frozen
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
@@ -14,6 +14,7 @@ from restless_sched import (
     gen_assumption2_instance,
     myopic_action,
     myopic_policy,
+    optimal_value,
     policy_value,
     round_robin_policy,
     seeded_random_policy,
@@ -29,6 +30,11 @@ from restless_sched.policy import (
     row_max,
 )
 from restless_sched.types import RewardVector
+
+
+def reference_tie_rule(row) -> int:
+    """The lowest index within ``ARGMAX_TOL`` of the largest value."""
+    return next(i for i, v in enumerate(row) if v >= max(row) - ARGMAX_TOL)
 
 
 class TestMyopicAction:
@@ -61,21 +67,21 @@ class TestMyopicAction:
         stack[10:20, 0] = np.eye(X)[0]
         stack[10:20, 1:] = np.eye(X)[-1]
         got = myopic_policy(inst).decide(0, stack)
-        want = [myopic_action(BeliefProfile(row), inst.R) - 1 for row in stack]
+        want = [reference_tie_rule([float(inst.R.values @ x) for x in row]) for row in stack]
         assert got.tolist() == want
+        assert [myopic_action(BeliefProfile(row), inst.R) - 1 for row in stack] == want
         assert np.all(got[:10] == 0)
         assert np.all(got[10:20] == 1)
 
 
 class TestBatchTieRule:
-    """``row_max`` and the array branch of the tie rule against a
-    per-row reference: ``max`` and the sequence branch."""
+    """``row_max`` and the batch tie rule against a per-row reference:
+    ``max``, and the lowest index within ``ARGMAX_TOL`` of it."""
 
     @staticmethod
     def check(values):
         assert np.array_equal(row_max(values), values.max(axis=-1))
-        rows = values.reshape(-1, values.shape[-1])
-        want = [_greatest_array_index(row.tolist()) for row in rows]
+        want = [reference_tie_rule(row) for row in values.reshape(-1, values.shape[-1]).tolist()]
         got = _greatest_array_index(values)
         assert got.shape == values.shape[:-1]
         assert got.ravel().tolist() == want
@@ -248,6 +254,22 @@ class TestPolicyValue:
         ]
 
 
+class TestSlotAndHorizonChecks:
+    def test_negative_slot_rejected(self, two_state_instance):
+        inst = two_state_instance
+        prof = BeliefProfile(inst.initial_beliefs, 0)
+        calls = (
+            lambda t, T: policy_value(inst, prof, t, T, myopic_policy(inst)),
+            lambda t, T: avf_evaluate(inst, prof, t, T, 1),
+            lambda t, T: avf_frozen(inst, prof, t, T, 1, prof),
+            lambda t, T: optimal_value(inst, prof, t, T),
+        )
+        for call in calls:
+            for t, T in ((-2, 1), (-1, 0), (0, -1)):
+                with pytest.raises(ValueError):
+                    call(t, T)
+
+
 class TestAvfFrozen:
     def test_self_reference_matches_avf(self, two_state_instance):
         inst = two_state_instance
@@ -274,6 +296,36 @@ class TestAvfFrozen:
                     p2 = BeliefProfile([BeliefVector(b) for b in sub], 0)
                     rhs += beliefs[n][i] * avf_frozen(inst, p2, 0, 3, u, prof)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_matches_memo_free_recursion(self, small_params, absorbing_instance):
+        # References apart from the profiles in both regimes.  On the
+        # absorbing instance a belief on state 1 rules out observation 2:
+        # a reference there cannot follow a branch the profile reaches
+        # (the profile is its own reference below it), and the reverse.
+        rng = np.random.default_rng(6)
+        on_1, mixed = [1.0, 0.0], [0.5, 0.5]
+        cases = [
+            (absorbing_instance, [mixed, mixed], [on_1, on_1]),
+            (absorbing_instance, [on_1, mixed], [mixed, on_1]),
+            (absorbing_instance, [on_1, on_1], [mixed, [0.2, 0.8]]),
+        ]
+        for inst in (
+            gen_assumption1_instance(small_params, 3),
+            gen_assumption2_instance(small_params, 1009),
+        ):
+            drawn = rng.dirichlet(np.ones(inst.n_states), size=(3, inst.n_projects))
+            base = [x.probs for x in inst.initial_beliefs]
+            cases += [(inst, drawn[0], drawn[1]), (inst, base, drawn[2])]
+        for inst, beliefs, reference in cases:
+            prof, ref = BeliefProfile(beliefs), BeliefProfile(reference)
+            for T in (0, 1, 3):
+                for t in range(T + 1):
+                    for u in range(inst.n_projects):
+                        got = avf_frozen(inst, prof, t, T, u + 1, ref)
+                        want = recursive_avf_frozen(
+                            inst, prof.arrays(), ref.arrays(), t, T, u
+                        )
+                        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_profile_and_reference_must_fit_instance(self, two_state_instance):
         inst = two_state_instance
