@@ -91,6 +91,8 @@ def lemma2_bounds(
 
     ``delta`` is x̌^(l) - x^(l) for an MLR-ordered pair x^(l) <=_r x̌^(l).
     """
+    if t < 0:
+        raise ValueError(f"t={t} is negative")
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
     delta = _check_delta(delta, inst.n_states)
@@ -120,6 +122,8 @@ def lemma4_bounds(
     here would make the interval empty whenever any odd term is
     nonzero.
     """
+    if t < 0:
+        raise ValueError(f"t={t} is negative")
     if t > T:
         raise ValueError(f"t={t} exceeds horizon T={T}")
     delta = _check_delta(delta, inst.n_states)
@@ -162,6 +166,8 @@ def check_bounds_suite(
     sweep of W^u_0, which gives each sample's exact gap.  Samples are
     returned in draw order.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if regime not in (None, 1, 2):
         raise ValueError(f"regime must be None, 1 or 2, got {regime!r}")
     rng = np.random.default_rng(seed)

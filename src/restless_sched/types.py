@@ -55,16 +55,61 @@ def belief_row_keys(rows: np.ndarray) -> np.ndarray:
     return _void_rows(_rounded(rows.reshape(len(rows), -1)))
 
 
+#: Odd multiplier and shift of the fingerprint's per-column mix.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_SHIFT = np.uint64(29)
+
+
+def _row_fingerprints(bits: np.ndarray) -> np.ndarray:
+    """One uint64 per row of ``bits`` (n, C): equal rows get equal
+    fingerprints.  Each column is xored in, then multiplied by an odd
+    constant and xor-shifted, so that rows differing only in high
+    (exponent) bits still spread over all 64 bits."""
+    h = np.zeros(len(bits), dtype=np.uint64)
+    shifted = np.empty_like(h)
+    for col in bits.T:
+        h ^= col
+        h *= _MIX
+        np.right_shift(h, _SHIFT, out=shifted)
+        h ^= shifted
+    return h
+
+
 def count_distinct_rows(rows: np.ndarray) -> int:
     """Number of distinct ``belief_row_keys`` among ``rows``.
 
-    Rounds and sorts a C-contiguous ``rows`` in place, so that counting
-    a large array needs no second copy of it.
+    Rounds a C-contiguous ``rows`` in place, then sorts one 64-bit
+    fingerprint of each row's key bits rather than the keys themselves.
+    The count stays exact: neighbours that share a fingerprint are
+    compared bit for bit, and the rows of any fingerprint shared by
+    different keys are counted on their keys.
     """
     flat = rows.reshape(len(rows), -1)
-    keys = _void_rows(_rounded(flat, out=flat))
+    bits = _rounded(flat, out=flat).view(np.uint64)
+    fingerprints = _row_fingerprints(bits)
+    order = np.argsort(fingerprints)
+    fingerprints = fingerprints[order]
+    # Sorted positions i whose row shares its fingerprint with row i + 1.
+    tie = np.flatnonzero(fingerprints[1:] == fingerprints[:-1])
+    del fingerprints
+    above, below = order[tie], order[tie + 1]
+    clash = np.zeros(len(tie), dtype=bool)
+    for col in bits.T:
+        clash |= col[above] != col[below]
+    # Each run of consecutive ties is one shared fingerprint, labelled by
+    # tie - i, which is constant along a run and grows between runs.  A
+    # run with a clash holds more than one key: its rows are counted on
+    # their keys in place of the one count its fingerprint adds.
+    run = tie - np.arange(len(tie))
+    mixed = np.zeros(len(rows), dtype=bool)
+    mixed[run[clash]] = True
+    ends = tie[mixed[run]]
+    keys = _void_rows(flat[order[np.concatenate((ends, ends + 1))]])
+    # Sorted in place, not by np.unique: its first plain call imports
+    # numpy.ma, about 1 MB more resident memory for every process.
     keys.sort()
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    distinct = len(keys) - np.count_nonzero(keys[1:] == keys[:-1])
+    return int(len(rows) - len(tie) - np.count_nonzero(mixed) + distinct)
 
 
 @dataclass(frozen=True)

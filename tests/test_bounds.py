@@ -59,6 +59,11 @@ class TestLemma2Bounds:
         assert b["C2"][1] == pytest.approx(sum(terms[1:]))
         assert b["C3"] == (0.0, pytest.approx(sum(terms)))
 
+    def test_negative_slot_rejected(self, small_params):
+        inst = gen_assumption1_instance(small_params, 3)
+        with pytest.raises(ValueError, match="negative"):
+            lemma2_bounds(inst, -3, 1, np.zeros(inst.n_states))
+
     def test_order_precondition_enforced(self, two_state_instance):
         with pytest.raises(ValueError):
             lemma2_bounds(two_state_instance, 0, 2, np.array([0.3, -0.3]))
@@ -73,6 +78,11 @@ class TestLemma4Bounds:
         b = lemma4_bounds(two_state_instance, 2, 2, delta)
         assert b["D1"] == (pytest.approx(r_delta), pytest.approx(r_delta))
         assert b["D2"] == (pytest.approx(0.0), pytest.approx(0.0))
+
+    def test_negative_slot_rejected(self, small_params):
+        inst = gen_assumption2_instance(small_params, 1003)
+        with pytest.raises(ValueError, match="negative"):
+            lemma4_bounds(inst, -3, 1, np.zeros(inst.n_states))
 
     def test_span_one_single_odd_power(self, two_state_instance):
         inst = two_state_instance
@@ -125,6 +135,12 @@ class TestCheckBoundsSuite:
         for regime in (0, 3):
             with pytest.raises(ValueError, match="regime"):
                 check_bounds_suite(inst, 3, 0, regime=regime)
+
+    def test_no_samples_rejected(self, small_params):
+        inst = gen_assumption1_instance(small_params, 3)
+        for n_samples in (0, -5):
+            with pytest.raises(ValueError, match="n_samples"):
+                check_bounds_suite(inst, n_samples, 0)
 
     def test_identical_pair_zero_gap(self, small_params):
         # alpha -> 0 limit checked directly through the bound functions:

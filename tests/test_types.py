@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from restless_sched import (
     TransitionMatrix,
     basis_belief,
     expected_reward,
+    types,
     validate_instance,
 )
-from restless_sched.types import belief_key
+from restless_sched.policy import TreeEvaluator, distinct_nodes
+from restless_sched.types import belief_key, belief_row_keys, count_distinct_rows
+
+DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
 
 
 class TestBeliefVector:
@@ -125,3 +130,61 @@ class TestValidateInstance:
             two_state_instance.R, 0.5, two_state_instance.initial_beliefs,
         )
         assert any("initial beliefs" in p for p in validate_instance(inst).problems)
+
+
+def reference_count(rows: np.ndarray) -> int:
+    return len(np.unique(belief_row_keys(rows)))
+
+
+def planted_duplicates(rng, n: int, N: int, X: int) -> np.ndarray:
+    """n profiles of N beliefs on X states, about half of them exact
+    copies of others, in shuffled order."""
+    distinct = rng.dirichlet(np.ones(X), size=(max(1, n // 2), N))
+    return distinct[rng.integers(0, len(distinct), size=n)]
+
+
+class TestCountDistinctRows:
+    @pytest.mark.parametrize("n, N, X", [(1, 3, 3), (200, 1, 2), (200, 3, 3), (200, 3, 4)])
+    def test_matches_reference_on_planted_duplicates(self, n, N, X):
+        rows = planted_duplicates(np.random.default_rng(n + N * X), n, N, X)
+        assert count_distinct_rows(rows.copy()) == reference_count(rows)
+
+    def test_negative_zero_shares_a_key_with_zero(self):
+        rows = np.array([[[0.0, 1.0]], [[-0.0, 1.0]], [[1.0, 0.0]], [[1.0, -0.0]]])
+        assert count_distinct_rows(rows.copy()) == reference_count(rows) == 2
+
+    def test_noise_straddling_a_rounding_line_splits_the_key(self):
+        # 0.3 + 0.5e-12 is halfway between two 12-decimal keys.
+        line = 0.3 + 0.5e-12
+        below = [line - 2e-14, line - 1e-14]
+        above = [line + 1e-14, line + 2e-14]
+        rows = np.array([[[x, 1.0 - x]] for x in below + above])
+        assert count_distinct_rows(rows.copy()) == reference_count(rows) == 2
+
+    @pytest.mark.parametrize(
+        "fingerprints",
+        [
+            lambda bits: np.zeros(len(bits), dtype=np.uint64),
+            lambda bits: (bits[:, 0] > bits[:, 1]).astype(np.uint64),
+        ],
+        ids=["constant", "two-valued"],
+    )
+    def test_fingerprint_collisions_keep_the_count_exact(self, monkeypatch, fingerprints):
+        monkeypatch.setattr(types, "_row_fingerprints", fingerprints)
+        rows = planted_duplicates(np.random.default_rng(7), 60, 2, 3)
+        assert count_distinct_rows(rows.copy()) == reference_count(rows)
+
+    def test_deep_leaf_level_matches_reference(self):
+        # Keys of input 14's T=6 leaf level straddle rounding lines: it
+        # held 117,674 distinct keys rather than 7**6 = 117,649.  That
+        # figure can move with the BLAS build, so compare, do not pin.
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
+        ev = TreeEvaluator(inst, doc["horizon"])
+        level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
+        for depth in range(ev.T):
+            every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+            level = ev.expand(level, every_action)[0]
+            if depth + 1 < ev.T:
+                level = level[distinct_nodes(level)[0]]
+        assert count_distinct_rows(level.copy()) == reference_count(level)
