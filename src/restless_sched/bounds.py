@@ -11,9 +11,16 @@ u (original profile) and u' (raised profile):
     C1/D1: u' = u = l        C2/D2: u' = u != l       C3/D3: u' = l != u
 
 ``check_bounds_suite`` first draws and classifies every ordered pair,
-then measures the gaps exactly: one batched sweep of the auxiliary
-value per lookahead T covers both profiles of every sample with that T.
-It reports containment slack per sample.
+keeping the raw profiles in one array, and validates all of them in one
+call.  It then works per lookahead T: one batched sweep of the
+auxiliary value covers both profiles of every sample with that T and
+gives the exact gaps, and one interval table gives the bounds.  The
+table checks every delta at once, computes the power terms
+beta^i R'(A')^i delta of all those samples together (one row per
+sample) and sums them into the three case intervals, from which each
+sample takes its own case.  ``lemma2_bounds`` and ``lemma4_bounds`` are
+the table's one-row case.  The suite reports containment slack per
+sample.
 """
 
 from __future__ import annotations
@@ -24,9 +31,9 @@ import numpy as np
 
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
-from .filtering import BeliefProfile
+from .generate import _mixture_rows
 from .policy import TreeEvaluator, myopic_policy
-from .types import BeliefVector, ModelInstance
+from .types import ModelInstance, valid_belief_rows
 
 #: Containment checked with this additive slack.
 SLACK_TOL = 1e-9
@@ -57,31 +64,69 @@ class BoundSample:
         return self.upper - self.delta_w
 
 
-def _check_delta(delta: np.ndarray, dim: int) -> np.ndarray:
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (dim,):
-        raise ValueError(f"delta must have shape ({dim},), got {delta.shape}")
-    if abs(delta.sum()) > 1e-9:
+def _check_deltas(deltas: np.ndarray) -> None:
+    """Reject any row of ``deltas`` (k, X) that is not the difference of
+    an MLR-ordered pair of distributions."""
+    if (np.abs(deltas.sum(axis=-1)) > 1e-9).any():
         raise ValueError("delta must be a difference of distributions (sum 0)")
     # FOSD tails are a necessary consequence of the MLR precondition.
-    tails = np.cumsum(delta[::-1])[::-1]
-    if tails.min() < -1e-9:
+    if deltas[:, ::-1].cumsum(axis=-1).min() < -1e-9:
         raise ValueError("delta is not the difference of an MLR-ordered pair")
-    return delta
 
 
-def _power_terms(inst: ModelInstance, delta: np.ndarray, n_powers: int) -> np.ndarray:
-    """terms[i] = beta^i R'(A')^i delta for i = 0..n_powers."""
-    A_T = inst.A.rows.T
-    R = inst.R.values
-    terms = np.empty(n_powers + 1)
-    v = delta.copy()
-    scale = 1.0
-    for i in range(n_powers + 1):
-        terms[i] = scale * float(R @ v)
-        v = A_T @ v
-        scale *= inst.beta
-    return terms
+def _power_terms(inst: ModelInstance, deltas: np.ndarray, n_powers: int) -> np.ndarray:
+    """terms[k, i] = beta^i R'(A')^i deltas[k] for i = 0..n_powers.
+
+    Both products are stacks of matrix-vector products, so every term
+    gets the bits of the one-vector ``float(R @ v)`` and ``A' @ v``;
+    ``V @ R`` would round some rows differently.
+    """
+    k, X = deltas.shape
+    powers = np.empty((k, n_powers + 1, 1, X))  # (A')^i delta as a row
+    powers[:, 0, 0] = v = deltas
+    for i in range(1, n_powers + 1):
+        powers[:, i, 0] = v = (inst.A.rows.T @ v[..., None])[..., 0]
+    # beta^i by repeated multiplication, as a running scale would have it.
+    scales = np.cumprod([1.0] + [inst.beta] * n_powers)
+    return scales * (powers @ inst.R.values[:, None])[..., 0, 0]
+
+
+def _interval_table(inst: ModelInstance, regime: int, span: int, deltas: np.ndarray) -> np.ndarray:
+    """Lower and upper bound of cases 1-3 of the regime's lemma for every
+    row of ``deltas`` (k, X), over T - t = ``span`` slots: shape (k, 3, 2).
+    ``lemma2_bounds`` and ``lemma4_bounds`` give the intervals."""
+    _check_deltas(deltas)
+    terms = _power_terms(inst, deltas, span)
+    r_delta = terms[:, 0]
+    table = np.empty((len(deltas), 3, 2))
+    lower, upper = table[..., 0], table[..., 1]  # columns: cases 1, 2, 3
+    if regime == 1:
+        lower[:, 0] = r_delta
+        lower[:, 1:] = 0.0
+        upper[:, 0] = upper[:, 2] = terms.sum(axis=-1)
+        upper[:, 1] = terms[:, 1:].sum(axis=-1)
+    else:
+        odd = terms[:, 1::2].sum(axis=-1)  # powers 1, 3, ..., 2*ceil(span/2)-1
+        even = terms[:, 2::2].sum(axis=-1)  # powers 2, 4, ..., 2*floor(span/2)
+        lower[:, 0] = r_delta + odd
+        lower[:, 1:] = odd[:, None]
+        upper[:, 0] = upper[:, 2] = r_delta + even
+        upper[:, 1] = even
+    return table
+
+
+def _one_delta(inst: ModelInstance, regime: int, t: int, T: int, delta) -> dict:
+    """The regime's three case intervals for one delta: the one-row table."""
+    if t < 0:
+        raise ValueError(f"t={t} is negative")
+    if t > T:
+        raise ValueError(f"t={t} exceeds horizon T={T}")
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (inst.n_states,):
+        raise ValueError(f"delta must have shape ({inst.n_states},), got {delta.shape}")
+    table = _interval_table(inst, regime, T - t, delta[None]).tolist()[0]
+    prefix = "C" if regime == 1 else "D"
+    return {f"{prefix}{case + 1}": tuple(table[case]) for case in range(3)}
 
 
 def lemma2_bounds(
@@ -91,20 +136,7 @@ def lemma2_bounds(
 
     ``delta`` is x̌^(l) - x^(l) for an MLR-ordered pair x^(l) <=_r x̌^(l).
     """
-    if t < 0:
-        raise ValueError(f"t={t} is negative")
-    if t > T:
-        raise ValueError(f"t={t} exceeds horizon T={T}")
-    delta = _check_delta(delta, inst.n_states)
-    terms = _power_terms(inst, delta, T - t)
-    full = float(terms.sum())
-    tail = float(terms[1:].sum())
-    r_delta = float(terms[0])
-    return {
-        "C1": (r_delta, full),
-        "C2": (0.0, tail),
-        "C3": (0.0, full),
-    }
+    return _one_delta(inst, 1, t, T, delta)
 
 
 def lemma4_bounds(
@@ -122,21 +154,7 @@ def lemma4_bounds(
     here would make the interval empty whenever any odd term is
     nonzero.
     """
-    if t < 0:
-        raise ValueError(f"t={t} is negative")
-    if t > T:
-        raise ValueError(f"t={t} exceeds horizon T={T}")
-    delta = _check_delta(delta, inst.n_states)
-    span = T - t
-    terms = _power_terms(inst, delta, span)
-    r_delta = float(terms[0])
-    odd = float(terms[1::2].sum())  # powers 1, 3, ..., 2*ceil(span/2)-1
-    even = float(terms[2::2].sum())  # powers 2, 4, ..., 2*floor(span/2)
-    return {
-        "D1": (r_delta + odd, r_delta + even),
-        "D2": (odd, even),
-        "D3": (odd, r_delta + even),
-    }
+    return _one_delta(inst, 2, t, T, delta)
 
 
 def _detect_regime(inst: ModelInstance) -> int:
@@ -161,30 +179,34 @@ def check_bounds_suite(
     is MLR-comparable and the chain clause keeps holding), component l
     raised by mixing toward the upper anchor, and the realized (u, u')
     pattern classified by immediate rewards; misclassified draws are
-    redrawn.  Then evaluates per lookahead T: the validated original and
-    raised profiles of every sample with that T are the roots of one
-    sweep of W^u_0, which gives each sample's exact gap.  Samples are
-    returned in draw order.
+    redrawn.  The cases need a second project, so N = 1 is rejected
+    before any draw.  Then validates every original and raised profile
+    in one call (``valid_belief_rows``) and evaluates per lookahead T:
+    the profiles of every sample with that T are the roots of one sweep
+    of W^u_0, which gives each sample's exact gap, and one interval
+    table gives its bounds.  Samples are returned in draw order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if regime not in (None, 1, 2):
         raise ValueError(f"regime must be None, 1 or 2, got {regime!r}")
+    N, X = inst.n_projects, inst.n_states
+    if N < 2:
+        raise ValueError(f"the bound cases need at least two projects, got N={N}")
     rng = np.random.default_rng(seed)
     if regime is None:
         regime = _detect_regime(inst)
     prefix = "C" if regime == 1 else "D"
-    bound_fn = lemma2_bounds if regime == 1 else lemma4_bounds
-    N = inst.n_projects
     policy = myopic_policy(inst)
     low, high = inst.A.rows[-1], inst.A.rows[0]
     if regime == 1:
         low, high = high, low
-    draws = []  # (case, T, x_low, x_high, u, u') per sample, in draw order
-    roots = []  # the validated original and raised profile per sample
+    pairs = np.empty((n_samples, 2, N, X))  # the original and raised profile per sample
+    draws = np.empty((n_samples, 5), dtype=np.int64)  # (case - 1, T, l, u, u') per sample
 
     for k in range(n_samples):
         want = k % 3 + 1  # 1 -> C1/D1, 2 -> C2/D2, 3 -> C3/D3
+        pair = pairs[k]
         for _ in range(200):
             T = int(rng.integers(0, MAX_LOOKAHEAD + 1))
             weights = rng.uniform(0.0, 1.0, N)
@@ -200,13 +222,12 @@ def check_bounds_suite(
                     continue
                 l = int(rng.integers(j + 1, N))
                 weights[l] = weights[j]
-            beliefs = [(1 - w) * low + w * high for w in weights]
+            pair[0] = _mixture_rows(low, high, weights)
             alpha = rng.uniform(0.02, 0.2) if want == 2 else rng.uniform(0.05, 0.9)
-            raised = (1 - alpha) * beliefs[l] + alpha * high
-            raised_profile = list(beliefs)
-            raised_profile[l] = raised
+            pair[1] = pair[0]
+            pair[1, l] = (1 - alpha) * pair[0, l] + alpha * high
 
-            u, u_prime = policy.decide(0, np.array([beliefs, raised_profile])).tolist()
+            u, u_prime = policy.decide(0, pair).tolist()
             if u_prime == l and u == l:
                 realized = 1
             elif u_prime != l and u != l and u_prime == u:
@@ -217,36 +238,40 @@ def check_bounds_suite(
                 continue
             if realized != want:
                 continue
-
-            profile = BeliefProfile([BeliefVector(b) for b in beliefs], 0)
-            profile_hi = BeliefProfile([BeliefVector(b) for b in raised_profile], 0)
-            draws.append((f"{prefix}{want}", T, beliefs[l], raised, u, u_prime))
-            roots.append((profile.arrays(), profile_hi.arrays()))
+            draws[k] = (want - 1, T, l, u, u_prime)
             break
         else:
             raise IncomparablePairError(
                 None, None, f"could not realize case {prefix}{want} in 200 draws"
             )
 
-    delta_w = np.empty(len(draws))
-    for T in sorted({draw[1] for draw in draws}):
-        picked = [i for i, draw in enumerate(draws) if draw[1] == T]
-        level = np.array([profile for i in picked for profile in roots[i]])
-        first = np.array([u for i in picked for u in draws[i][4:]])
-        w = TreeEvaluator(inst, T).sweep(0, level, policy, first)
+    roots = valid_belief_rows(pairs)
+    case, horizon, raised_at, first = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3:]
+    every = np.arange(n_samples)
+    x_low, x_high = pairs[every, 0, raised_at], pairs[every, 1, raised_at]
+    delta_w = np.empty(n_samples)
+    bounds = np.empty((n_samples, 2))
+    # Not np.unique: its first plain call imports numpy.ma (about 1 MB resident).
+    for T in sorted(set(horizon.tolist())):
+        picked = np.flatnonzero(horizon == T)
+        level = roots[picked].reshape(-1, N, X)
+        w = TreeEvaluator(inst, T).sweep(0, level, policy, first[picked].ravel())
         delta_w[picked] = w[1::2] - w[0::2]
+        table = _interval_table(inst, regime, T, x_high[picked] - x_low[picked])
+        bounds[picked] = table[np.arange(len(picked)), case[picked]]
 
     samples = []
-    for (case, T, x_low, x_high, u, u_prime), gap in zip(draws, delta_w.tolist()):
-        lower, upper = bound_fn(inst, 0, T, x_high - x_low)[case]
+    for (c, T, _, u, u_prime), x_lo, x_hi, gap, (lower, upper) in zip(
+        draws.tolist(), x_low, x_high, delta_w.tolist(), bounds.tolist()
+    ):
         verdict = "Pass" if lower - SLACK_TOL <= gap <= upper + SLACK_TOL else "Fail"
         samples.append(
             BoundSample(
-                case=case,
+                case=f"{prefix}{c + 1}",
                 t=0,
                 T=T,
-                x_low=x_low,
-                x_high=x_high,
+                x_low=x_lo,
+                x_high=x_hi,
                 u=u + 1,
                 u_prime=u_prime + 1,
                 delta_w=gap,

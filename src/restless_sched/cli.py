@@ -7,7 +7,8 @@ single-threaded and deterministic in its arguments, so rerunning it
 gives byte-identical artifacts; ``simulate`` prints the same estimate
 with or without ``--dump-csv``.  Exit codes: 0 success, 1 domain
 failure (regime Neither, nonzero gap, bound violation, generation
-failure), 2 usage or format error.
+failure), 2 usage or format error, including ``bounds`` on an instance
+with one project or no verified regime.
 """
 
 from __future__ import annotations
@@ -159,7 +160,11 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     inst = _load_instance(args.instance)
-    samples = check_bounds_suite(inst, args.samples, args.seed)
+    try:
+        samples = check_bounds_suite(inst, args.samples, args.seed)
+    except ValueError as e:
+        # An instance the suite cannot run on: one project, or neither regime.
+        raise _UsageError(str(e)) from e
     rows = ["case,t,T,slack_low,slack_high,verdict"]
     rows += [
         f"{s.case},{s.t},{s.T},{_fmt(s.slack_low)},{_fmt(s.slack_high)},{s.verdict}"

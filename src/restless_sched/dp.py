@@ -94,6 +94,9 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
             children = children[first]
         sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
         rows = children
+        # Free the index arrays before the next level (or the leaf count
+        # and backward sweep, after the last one) grows.
+        del children, parent, u, _
     rewards = np.dot(rows, ev.R)
     count(T, len(rows) if T == t else count_distinct_rows(rows))
 

@@ -112,6 +112,34 @@ def count_distinct_rows(rows: np.ndarray) -> int:
     return int(len(rows) - len(tie) - np.count_nonzero(mixed) + distinct)
 
 
+def valid_belief_rows(rows) -> np.ndarray:
+    """Every belief along the last axis of ``rows``, checked, clamped and
+    renormalised as ``BeliefVector`` does one, in one pass over the array.
+
+    Returns a new array whose beliefs equal ``BeliefVector(row).probs``
+    bit for bit.  A failing check raises ``BeliefVector``'s exception and
+    message, for the first belief that fails it.
+    """
+    p = np.asarray(rows, dtype=float)
+    if p.ndim == 0 or p.shape[-1] == 0:
+        raise InvalidBeliefError(f"belief must be a nonempty vector, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InvalidBeliefError("belief has non-finite entries")
+    flat = p.reshape(-1, p.shape[-1])
+    below = flat < CLAMP_TOL
+    if below.any():
+        row = flat[np.flatnonzero(below)[0] // flat.shape[1]]
+        raise InvalidBeliefError(f"belief entry {row.min()} below clamp tolerance")
+    p = np.clip(p, 0.0, None)
+    s = p.sum(axis=-1)
+    drift = np.abs(s - 1.0) > RENORM_TOL
+    if drift.any():
+        raise InvalidBeliefError(f"belief sums to {s[drift][0]}, drift exceeds {RENORM_TOL}")
+    fix = s != 1.0
+    p[fix] /= s[fix][..., None]
+    return p
+
+
 @dataclass(frozen=True)
 class BeliefVector:
     """A point on the (X-1)-simplex: the information state of one project."""

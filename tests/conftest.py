@@ -93,6 +93,101 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
     return value + inst.beta * acc
 
 
+def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
+    """The case intervals of lemma 2 (regime 1) or lemma 4 (regime 2) at
+    t = 0 for one delta, by a loop over the powers: terms[i] = beta^i
+    R'(A')^i delta, summed one delta at a time."""
+    A_T, R = inst.A.rows.T, inst.R.values
+    delta = np.asarray(delta, dtype=float)
+    if abs(delta.sum()) > 1e-9:
+        raise ValueError("delta must be a difference of distributions (sum 0)")
+    if np.cumsum(delta[::-1])[::-1].min() < -1e-9:
+        raise ValueError("delta is not the difference of an MLR-ordered pair")
+    terms = np.empty(T + 1)
+    v, scale = delta.copy(), 1.0
+    for i in range(T + 1):
+        terms[i] = scale * float(R @ v)
+        v = A_T @ v
+        scale *= inst.beta
+    r_delta = float(terms[0])
+    if regime == 1:
+        full, tail = float(terms.sum()), float(terms[1:].sum())
+        return {"C1": (r_delta, full), "C2": (0.0, tail), "C3": (0.0, full)}
+    odd, even = float(terms[1::2].sum()), float(terms[2::2].sum())
+    return {"D1": (r_delta + odd, r_delta + even), "D2": (odd, even), "D3": (odd, r_delta + even)}
+
+
+def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regime: int) -> list:
+    """``check_bounds_suite`` one sample at a time: the same draws from
+    the same generator, each root validated as a ``BeliefProfile`` of
+    ``BeliefVector``s and each sample's intervals from
+    ``lemma_intervals``.  The gaps come from one sweep per lookahead of
+    the validated roots in draw order, as the suite makes them.  Returns
+    one tuple of every ``BoundSample`` field per sample."""
+    from restless_sched import BeliefProfile, BeliefVector
+    from restless_sched.bounds import MAX_LOOKAHEAD, SLACK_TOL
+    from restless_sched.policy import TreeEvaluator, myopic_policy
+
+    rng = np.random.default_rng(seed)
+    prefix = "C" if regime == 1 else "D"
+    N = inst.n_projects
+    policy = myopic_policy(inst)
+    low, high = inst.A.rows[-1], inst.A.rows[0]
+    if regime == 1:
+        low, high = high, low
+    draws, roots = [], []
+    for k in range(n_samples):
+        want = k % 3 + 1
+        for _ in range(200):
+            T = int(rng.integers(0, MAX_LOOKAHEAD + 1))
+            weights = rng.uniform(0.0, 1.0, N)
+            if want == 1:
+                l = int(np.argmax(weights))
+            elif want == 2:
+                l = int(np.argmin(weights))
+            else:
+                j = int(np.argmax(weights))
+                if j == N - 1:
+                    continue
+                l = int(rng.integers(j + 1, N))
+                weights[l] = weights[j]
+            beliefs = [(1 - w) * low + w * high for w in weights]
+            alpha = rng.uniform(0.02, 0.2) if want == 2 else rng.uniform(0.05, 0.9)
+            raised = (1 - alpha) * beliefs[l] + alpha * high
+            raised_profile = list(beliefs)
+            raised_profile[l] = raised
+            u, u_prime = policy.decide(0, np.array([beliefs, raised_profile])).tolist()
+            if u_prime == l and u == l:
+                realized = 1
+            elif u_prime != l and u != l and u_prime == u:
+                realized = 2
+            elif u_prime == l and u != l:
+                realized = 3
+            else:
+                continue
+            if realized == want:
+                break
+        else:
+            raise AssertionError(f"case {prefix}{want} not realized in 200 draws")
+        profiles = [BeliefProfile([BeliefVector(b) for b in p], 0) for p in (beliefs, raised_profile)]
+        draws.append((f"{prefix}{want}", T, beliefs[l], raised, u, u_prime))
+        roots.append([p.arrays() for p in profiles])
+    gaps = [None] * n_samples
+    for T in sorted({d[1] for d in draws}):
+        picked = [i for i, d in enumerate(draws) if d[1] == T]
+        level = np.array([p for i in picked for p in roots[i]])
+        first = np.array([u for i in picked for u in draws[i][4:]])
+        w = TreeEvaluator(inst, T).sweep(0, level, policy, first)
+        for i, gap in zip(picked, (w[1::2] - w[0::2]).tolist()):
+            gaps[i] = gap
+    out = []
+    for (case, T, x_low, x_high, u, u_prime), gap in zip(draws, gaps):
+        lower, upper = lemma_intervals(inst, T, x_high - x_low, regime)[case]
+        verdict = "Pass" if lower - SLACK_TOL <= gap <= upper + SLACK_TOL else "Fail"
+        out.append((case, 0, T, x_low, x_high, u + 1, u_prime + 1, gap, lower, upper, verdict))
+    return out
+
+
 def random_simplex(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.dirichlet(np.ones(dim))
 

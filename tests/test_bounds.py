@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import recursive_avf
+from conftest import lemma_intervals, per_sample_bounds_suite, recursive_avf
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
+    GeneratorParams,
+    ModelInstance,
     avf_evaluate,
     check_bounds_suite,
     gen_assumption1_instance,
@@ -12,6 +14,7 @@ from restless_sched import (
     lemma2_bounds,
     lemma4_bounds,
 )
+from restless_sched.bounds import _interval_table
 from restless_sched.policy import TreeEvaluator
 
 #: (case, T, u, u') of the first twelve samples of two suites, keyed by
@@ -28,6 +31,73 @@ PINNED_DRAWS = {
         ("D3", 1, 1, 3), ("D1", 0, 1, 1), ("D2", 2, 1, 1), ("D3", 0, 2, 3),
     ],
 }
+
+
+def sample_fields(s) -> tuple:
+    """Every field of a bound sample, floats and arrays by their bits."""
+    return (s.case, s.t, s.T, s.x_low.tobytes(), s.x_high.tobytes(), s.u, s.u_prime,
+            s.delta_w.hex(), s.lower.hex(), s.upper.hex(), s.verdict)
+
+
+def mlr_deltas(rng, inst, regime, n):
+    """n differences x̌ - x of pairs on the segment between the extreme
+    rows of A, ordered as the regime's suite orders them."""
+    low, high = inst.A.rows[-1], inst.A.rows[0]
+    if regime == 1:
+        low, high = high, low
+    w = np.sort(rng.uniform(0.0, 1.0, (n, 2)), axis=1)
+    return np.outer(w[:, 1] - w[:, 0], high - low)
+
+
+@pytest.mark.parametrize("bound_fn", [lemma2_bounds, lemma4_bounds])
+class TestLemmaInputChecks:
+    def test_slot_outside_horizon(self, two_state_instance, bound_fn):
+        delta = np.array([-0.2, 0.2])
+        with pytest.raises(ValueError, match="negative"):
+            bound_fn(two_state_instance, -1, 2, delta)
+        with pytest.raises(ValueError, match="exceeds horizon"):
+            bound_fn(two_state_instance, 3, 2, delta)
+
+    def test_wrong_delta_shape(self, two_state_instance, bound_fn):
+        for delta in (np.zeros(3), np.zeros((1, 2)), 0.0):
+            with pytest.raises(ValueError, match="shape"):
+                bound_fn(two_state_instance, 0, 2, delta)
+
+    def test_nonzero_sum(self, two_state_instance, bound_fn):
+        with pytest.raises(ValueError, match="sum 0"):
+            bound_fn(two_state_instance, 0, 2, np.array([0.3, 0.3]))
+
+    def test_negative_fosd_tail(self, two_state_instance, bound_fn):
+        with pytest.raises(ValueError, match="MLR-ordered"):
+            bound_fn(two_state_instance, 0, 2, np.array([0.3, -0.3]))
+
+
+class TestIntervalTable:
+    @pytest.mark.parametrize("regime", [1, 2])
+    def test_rows_match_per_delta_loop(self, small_params, regime):
+        # Spans past 8 powers reach numpy's pairwise summation, which the
+        # table must round as a one-delta sum does.
+        gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
+        inst = gen(small_params, 3 if regime == 1 else 1009)
+        bound_fn = lemma2_bounds if regime == 1 else lemma4_bounds
+        deltas = mlr_deltas(np.random.default_rng(regime), inst, regime, 7)
+        for span in (0, 1, 4, 9, 20):
+            table = _interval_table(inst, regime, span, deltas)
+            assert table.shape == (7, 3, 2)
+            for delta, row in zip(deltas, table.tolist()):
+                want = lemma_intervals(inst, span, delta, regime)
+                assert bound_fn(inst, 0, span, delta) == want
+                assert [tuple(pair) for pair in row] == list(want.values())
+
+    def test_rejects_any_bad_row(self, small_params):
+        inst = gen_assumption1_instance(small_params, 3)
+        deltas = mlr_deltas(np.random.default_rng(0), inst, 1, 4)
+        deltas[2] = -deltas[2]
+        with pytest.raises(ValueError, match="MLR-ordered"):
+            _interval_table(inst, 1, 2, deltas)
+        deltas[2, 0] += 1e-6
+        with pytest.raises(ValueError, match="sum 0"):
+            _interval_table(inst, 1, 2, deltas)
 
 
 class TestLemma2Bounds:
@@ -141,6 +211,29 @@ class TestCheckBoundsSuite:
         for n_samples in (0, -5):
             with pytest.raises(ValueError, match="n_samples"):
                 check_bounds_suite(inst, n_samples, 0)
+
+    def test_one_project_rejected(self, monkeypatch):
+        # Cases 2 and 3 need a project other than l; nothing is drawn.
+        inst = ModelInstance(1, 2, 2, [[0.9, 0.1], [0.2, 0.8]], [[0.99, 0.01], [0.01, 0.99]],
+                             [0.0, 1.0], 0.5, [[0.6, 0.4]])
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for regime in (None, 1, 2):
+            with pytest.raises(ValueError, match="N=1"):
+                check_bounds_suite(inst, 30, 0, regime=regime)
+
+    @pytest.mark.parametrize("regime", [1, 2])
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("X", [2, 3])
+    def test_matches_per_sample_reference(self, regime, N, X):
+        gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
+        inst = gen(GeneratorParams(x_range=(X, X), n_range=(N, N)), 7)
+        samples = check_bounds_suite(inst, 60, 5)
+        reference = per_sample_bounds_suite(inst, 60, 5, regime)
+        assert [sample_fields(s) for s in samples] == [
+            (case, t, T, x_low.tobytes(), x_high.tobytes(), u, u_prime,
+             gap.hex(), lower.hex(), upper.hex(), verdict)
+            for case, t, T, x_low, x_high, u, u_prime, gap, lower, upper, verdict in reference
+        ]
 
     def test_identical_pair_zero_gap(self, small_params):
         # alpha -> 0 limit checked directly through the bound functions:

@@ -149,6 +149,21 @@ class TestBounds:
         assert len(lines) == 32
         assert all(line.endswith(",Pass") for line in lines[2:])
 
+    @pytest.mark.parametrize("inst, message", [
+        (ModelInstance(1, 2, 2, [[0.9, 0.1], [0.2, 0.8]], [[0.99, 0.01], [0.01, 0.99]],
+                       [0.0, 1.0], 0.5, [[0.6, 0.4]]), "N=1"),
+        (ModelInstance(2, 2, 2, [[0.5, 0.5], [0.5, 0.5]], [[0.6, 0.4], [0.4, 0.6]],
+                       [0.0, 1.0], 0.9, [[0.9, 0.1], [0.1, 0.9]]), "neither"),
+    ])
+    def test_unsupported_instance_is_a_usage_error(self, tmp_path, capsys, inst, message):
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(inst.to_json_dict()))
+        out = tmp_path / "b.csv"
+        assert main(["bounds", str(p), "--samples", "30", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_json_and_dump(self, inst_path, tmp_path):

@@ -17,7 +17,12 @@ from restless_sched import (
     validate_instance,
 )
 from restless_sched.policy import TreeEvaluator, distinct_nodes
-from restless_sched.types import belief_key, belief_row_keys, count_distinct_rows
+from restless_sched.types import (
+    belief_key,
+    belief_row_keys,
+    count_distinct_rows,
+    valid_belief_rows,
+)
 
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
 
@@ -56,6 +61,52 @@ class TestBeliefVector:
 
     def test_belief_key_negative_zero_normalized(self):
         assert belief_key(np.array([0.0, 1.0])) == belief_key(np.array([-0.0, 1.0]))
+
+
+class TestValidBeliefRows:
+    @pytest.mark.parametrize("X", [2, 3, 9])
+    def test_matches_belief_vector_bit_for_bit(self, X):
+        # Drift inside RENORM_TOL and entries inside CLAMP_TOL exercise the
+        # clamp and the division; X = 9 sums by numpy's pairwise blocks.
+        rng = np.random.default_rng(X)
+        rows = rng.dirichlet(np.ones(X), (40, 2, 3))
+        rows += rng.uniform(-5e-10, 5e-10, rows.shape[:-1])[..., None] / X
+        clamped = rng.uniform(size=rows.shape[:-1]) < 0.2
+        rows[clamped, 1] += rows[clamped, 0]
+        rows[clamped, 0] = -5e-13
+        rows[::7] = rng.dirichlet(np.ones(X), rows[::7].shape[:-1])
+        before = rows.copy()
+        valid = valid_belief_rows(rows)
+        assert valid.shape == rows.shape
+        np.testing.assert_array_equal(rows, before)
+        for row, got in zip(rows.reshape(-1, X), valid.reshape(-1, X)):
+            assert got.tobytes() == BeliefVector(row).probs.tobytes()
+
+    def test_clamps_and_renormalises(self):
+        rows = np.array([[-1e-13, 1.0], [0.5, 0.5 + 1e-10], [0.25, 0.75]])
+        valid = valid_belief_rows(rows)
+        assert valid[0].tolist() == [0.0, 1.0]
+        assert valid[1].sum() == pytest.approx(1.0, abs=1e-15)
+        assert valid[1].tolist() != rows[1].tolist()
+        assert valid[2].tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("bad", [
+        [np.nan, 1.0], [np.inf, 0.0], [-1e-11, 1.0], [0.5, 0.5 + 2e-9], [0.5, 0.4],
+    ])
+    def test_rejects_with_belief_vector_message(self, bad):
+        with pytest.raises(InvalidBeliefError) as per_belief:
+            BeliefVector(bad)
+        # The bad belief sits between good ones, and a later one fails the
+        # same check with another figure.
+        later = [-1e-10, 1.0] if bad[0] == -1e-11 else [0.5, 0.7]
+        rows = np.array([[[0.5, 0.5], bad], [[0.3, 0.7], later]])
+        with pytest.raises(InvalidBeliefError) as batch:
+            valid_belief_rows(rows)
+        assert str(batch.value) == str(per_belief.value)
+
+    def test_rejects_empty_beliefs(self):
+        with pytest.raises(InvalidBeliefError, match="nonempty"):
+            valid_belief_rows(np.zeros((3, 0)))
 
 
 class TestMatrices:
