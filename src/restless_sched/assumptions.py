@@ -4,6 +4,8 @@ Regime 1 (ascending transition rows) and regime 2 (descending rows)
 each consist of five clauses: row order, observation-column order, the
 observation threshold K, the initial-belief chain, and reward
 separation.  All clauses are always evaluated so reports are complete.
+Each regime-2 order clause is its regime-1 clause with the order
+reversed, on the same MLR predicate and chain walker (``orders``).
 
 The printed form of clause 3's second inequality compares against the
 two-step image of e_1 in regime 1 but of e_X in regime 2; the asymmetry
@@ -19,13 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ComplexSpectrumError, NonDiagonalizableError
-from .filtering import LIKELIHOOD_FLOOR, _filter_from_propagated
-from .orders import (
-    DEFAULT_TOL,
-    _mlr_ge_arrays,
-    obs_columns_mlr_ordered,
-    rows_mlr_ordered,
-)
+from .filtering import bayes_filter
+from .orders import chain_break, obs_columns_mlr_ordered, rows_mlr_ordered
 from .spectral import discount_matrices, eigendecompose, reward_separation_check
 from .types import ModelInstance, ObservationMatrix, TransitionMatrix
 
@@ -60,26 +57,14 @@ class AssumptionReport:
         }
 
 
-def _filter_of(A_T: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int):
-    """T(x, m) on raw arrays, or None when the observation is impossible."""
-    z = A_T @ x
-    d = float(B[:, m0] @ z)
-    if d <= LIKELIHOOD_FLOOR:
-        return None
-    return _filter_from_propagated(B, z, m0, d)
-
-
 def find_threshold_K(
-    A: TransitionMatrix,
-    B: ObservationMatrix,
-    regime: int,
-    alt_clause3: bool = False,
-    tol: float = DEFAULT_TOL,
+    A: TransitionMatrix, B: ObservationMatrix, regime: int, alt_clause3: bool = False
 ) -> Optional[int]:
     """Scan K = 2..Y for the clause-3 observation threshold.
 
     Regime 1 asks T(A'e_1, K) >=_r (A')^2 e_1 and T(A'e_X, K-1) <=_r
-    (A')^2 e_1; regime 2 asks T(A'e_X, K) <=_r (A')^2 e_X and
+    (A')^2 e_1.  Regime 2 is its mirror image: e_1 and e_X swap and both
+    inequalities reverse, so it asks T(A'e_X, K) <=_r (A')^2 e_X and
     T(A'e_1, K-1) >=_r (A')^2 e_X.  ``alt_clause3`` swaps the reference
     vector of the second inequality (e_X <-> e_1).  Candidates whose
     filter branch has zero likelihood are skipped.
@@ -88,53 +73,36 @@ def find_threshold_K(
         raise ValueError(f"regime must be 1 or 2, got {regime}")
     A_T = A.rows.T
     Bm = B.rows
-    X, Y = Bm.shape
-    e_lo = np.zeros(X)
-    e_lo[0] = 1.0
-    e_hi = np.zeros(X)
-    e_hi[-1] = 1.0
-    z_lo = A_T @ e_lo  # A' e_1
-    z_hi = A_T @ e_hi  # A' e_X
-    zz_lo = A_T @ z_lo  # (A')^2 e_1
-    zz_hi = A_T @ z_hi  # (A')^2 e_X
+    e = np.eye(B.n_states)
+    # ``near`` is e_1 in regime 1 and e_X in regime 2; ``far`` the other.
+    near, far = (e[0], e[-1]) if regime == 1 else (e[-1], e[0])
+    z_near, z_far = A_T @ near, A_T @ far
+    zz_near = A_T @ z_near
+    ref = A_T @ z_far if alt_clause3 else zz_near
+    descending = regime == 2
 
-    for K in range(2, Y + 1):
-        if regime == 1:
-            first = _filter_of(A_T, Bm, z_lo, K - 1)
-            second = _filter_of(A_T, Bm, z_hi, K - 2)
-            ref = zz_hi if alt_clause3 else zz_lo
-            if first is None or second is None:
-                continue
-            ok1, _ = _mlr_ge_arrays(first, zz_lo, tol)
-            ok2, _ = _mlr_ge_arrays(ref, second, tol)
-        else:
-            first = _filter_of(A_T, Bm, z_hi, K - 1)
-            second = _filter_of(A_T, Bm, z_lo, K - 2)
-            ref = zz_lo if alt_clause3 else zz_hi
-            if first is None or second is None:
-                continue
-            ok1, _ = _mlr_ge_arrays(zz_hi, first, tol)
-            ok2, _ = _mlr_ge_arrays(second, ref, tol)
-        if ok1 and ok2:
+    for K in range(2, B.n_obs + 1):
+        first = bayes_filter(A_T, Bm, z_near, K - 1)
+        second = bayes_filter(A_T, Bm, z_far, K - 2)
+        if first is None or second is None:
+            continue
+        # Regime 1: (A')^2 e_1 <=_r first and second <=_r ref; regime 2 reverses both.
+        if all(chain_break(pair, descending) is None for pair in ((zz_near, first), (second, ref))):
             return K
     return None
 
 
-def _belief_chain_result(inst: ModelInstance, regime: int, tol: float) -> ClauseResult:
+def _belief_chain_result(inst: ModelInstance, regime: int) -> ClauseResult:
     """Clause 4: initial beliefs chained between the extreme rows of A."""
     rows = inst.A.rows
     chain = [rows[0]] + [x.probs for x in inst.initial_beliefs] + [rows[-1]]
-    labels = ["A_1"] + [f"x0[{n}]" for n in range(1, inst.n_projects + 1)] + ["A_X"]
     clause = f"{regime}.4"
-    for k in range(len(chain) - 1):
-        lo, hi = chain[k], chain[k + 1]
-        if regime == 2:
-            lo, hi = hi, lo
-        ok, _ = _mlr_ge_arrays(hi, lo, tol)
-        if not ok:
-            op = ">=_r" if regime == 2 else "<=_r"
-            return ClauseResult(clause, False, f"{labels[k]} {op} {labels[k + 1]} fails")
-    return ClauseResult(clause, True)
+    k = chain_break(chain, regime == 2)
+    if k is None:
+        return ClauseResult(clause, True)
+    labels = ["A_1"] + [f"x0[{n}]" for n in range(1, inst.n_projects + 1)] + ["A_X"]
+    op = ">=_r" if regime == 2 else "<=_r"
+    return ClauseResult(clause, False, f"{labels[k]} {op} {labels[k + 1]} fails")
 
 
 def _separation_result(inst: ModelInstance, regime: int) -> ClauseResult:
@@ -152,61 +120,43 @@ def _separation_result(inst: ModelInstance, regime: int) -> ClauseResult:
     )
 
 
-def _verify(
-    inst: ModelInstance, regime: int, alt_clause3: bool, tol: float
-) -> AssumptionReport:
+def _verify(inst: ModelInstance, regime: int, alt_clause3: bool) -> AssumptionReport:
     direction = "ascending" if regime == 1 else "descending"
-    results = []
-
-    v1 = rows_mlr_ordered(inst.A, direction, tol)
-    ok1 = v1.relation.value != "Incomparable"
-    results.append(
+    rows = rows_mlr_ordered(inst.A, direction).witness
+    cols = obs_columns_mlr_ordered(inst.B).witness
+    K = find_threshold_K(inst.A, inst.B, regime, alt_clause3)
+    results = (
         ClauseResult(
             f"{regime}.1",
-            ok1,
-            "" if ok1 else f"rows {v1.witness} break the {direction} MLR order",
-        )
-    )
-
-    v2 = obs_columns_mlr_ordered(inst.B, tol)
-    ok2 = v2.relation.value != "Incomparable"
-    results.append(
+            rows is None,
+            "" if rows is None else f"rows {rows} break the {direction} MLR order",
+        ),
         ClauseResult(
             f"{regime}.2",
-            ok2,
-            "" if ok2 else f"observation columns unordered at states {v2.witness}",
-        )
-    )
-
-    K = find_threshold_K(inst.A, inst.B, regime, alt_clause3, tol)
-    results.append(
+            cols is None,
+            "" if cols is None else f"observation columns unordered at states {cols}",
+        ),
         ClauseResult(
             f"{regime}.3",
             K is not None,
             f"K={K}" if K is not None else "no threshold K in 2..Y",
-        )
+        ),
+        _belief_chain_result(inst, regime),
+        _separation_result(inst, regime),
     )
-
-    results.append(_belief_chain_result(inst, regime, tol))
-    results.append(_separation_result(inst, regime))
-
     all_pass = all(c.passed for c in results)
     return AssumptionReport(
         regime=f"Assumption{regime}" if all_pass else "Neither",
-        clause_results=tuple(results),
+        clause_results=results,
         K=K,
     )
 
 
-def verify_assumption1(
-    inst: ModelInstance, alt_clause3: bool = False, tol: float = DEFAULT_TOL
-) -> AssumptionReport:
+def verify_assumption1(inst: ModelInstance, alt_clause3: bool = False) -> AssumptionReport:
     """Full clause 1.1-1.5 report for the ascending regime."""
-    return _verify(inst, 1, alt_clause3, tol)
+    return _verify(inst, 1, alt_clause3)
 
 
-def verify_assumption2(
-    inst: ModelInstance, alt_clause3: bool = False, tol: float = DEFAULT_TOL
-) -> AssumptionReport:
+def verify_assumption2(inst: ModelInstance, alt_clause3: bool = False) -> AssumptionReport:
     """Full clause 2.1-2.5 report for the descending regime."""
-    return _verify(inst, 2, alt_clause3, tol)
+    return _verify(inst, 2, alt_clause3)

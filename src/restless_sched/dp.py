@@ -21,6 +21,7 @@ from .policy import (
     ARGMAX_TOL,
     TreeEvaluator,
     _greatest_array_index,
+    backup,
     check_profile,
     distinct_nodes,
     row_max,
@@ -51,15 +52,6 @@ class ValueReport:
             "best_action": self.best_action,
             "horizon": self.horizon,
         }
-
-
-def _backup(rewards, seg, d, next_values, beta):
-    """Q-values of one level, (n, N): immediate reward plus the discounted
-    likelihood-weighted values of each action's children, summed in
-    expansion order."""
-    n, N = rewards.shape
-    acc = np.bincount(seg, weights=d * next_values, minlength=n * N)
-    return rewards + beta * acc.reshape(n, N)
 
 
 def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int) -> ValueReport:
@@ -108,9 +100,9 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         if inverse is not None:
             optimal, myopic = optimal[inverse], myopic[inverse]
         idx = np.arange(len(rewards))
-        values = _backup(rewards, seg, d, optimal, ev.beta)
+        values = backup(rewards, seg, d, optimal, ev.beta)
         myo = _greatest_array_index(rewards)
-        myopic = _backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
+        myopic = backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
         optimal = row_max(values)
         best = _greatest_array_index(values)
         # The myopic action agrees when its value ties the best one.

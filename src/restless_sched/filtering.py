@@ -5,8 +5,8 @@ The worked project's belief is updated by the HMM filter
 ``d(x, m) = 1' B(m) A'x``; every passive project propagates as
 ``A'x``.  Pure functions throughout; profiles are values.
 
-``_filter_from_propagated`` works on raw numpy arrays; the assumption
-checks share it.
+``bayes_filter`` is the one scalar filter on raw numpy arrays;
+``filter_update`` and the clause-3 threshold search both call it.
 """
 
 from __future__ import annotations
@@ -54,8 +54,13 @@ class BeliefProfile:
         return tuple(x.probs for x in self.beliefs)
 
 
-def _filter_from_propagated(B: np.ndarray, z: np.ndarray, m0: int, d: float) -> np.ndarray:
-    """T(x, m) given z = A'x, 0-based observation m0 and its likelihood d."""
+def bayes_filter(A_T: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int) -> np.ndarray | None:
+    """T(x, m) with A_T = A' and 0-based observation m0, or None when its
+    likelihood d(x, m) is at most ``LIKELIHOOD_FLOOR``."""
+    z = A_T @ x
+    d = float(B[:, m0] @ z)
+    if d <= LIKELIHOOD_FLOOR:
+        return None
     out = B[:, m0] * z / d
     s = out.sum()
     if abs(s - 1.0) > FILTER_SUM_TOL:
@@ -70,14 +75,18 @@ def propagate(A: TransitionMatrix, x: BeliefVector) -> BeliefVector:
     return BeliefVector(A.rows.T @ x.probs)
 
 
-def obs_likelihood(
-    A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
-) -> float:
-    """d(x, m): probability of observing m after working a project at belief x."""
+def _check_step(A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int) -> None:
     if not 1 <= m <= B.n_obs:
         raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
     if A.n_states != x.dim or B.n_states != x.dim:
         raise DimensionMismatchError("matrix/belief dimensions differ")
+
+
+def obs_likelihood(
+    A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
+) -> float:
+    """d(x, m): probability of observing m after working a project at belief x."""
+    _check_step(A, B, x, m)
     z = A.rows.T @ x.probs
     return float(B.rows[:, m - 1] @ z)
 
@@ -86,17 +95,14 @@ def filter_update(
     A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
 ) -> BeliefVector:
     """Bayes update T(x, m) of the worked project's belief."""
-    if not 1 <= m <= B.n_obs:
-        raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
-    if A.n_states != x.dim or B.n_states != x.dim:
-        raise DimensionMismatchError("matrix/belief dimensions differ")
-    z = A.rows.T @ x.probs
-    d = float(B.rows[:, m - 1] @ z)
-    if d <= LIKELIHOOD_FLOOR:
+    _check_step(A, B, x, m)
+    out = bayes_filter(A.rows.T, B.rows, x.probs, m - 1)
+    if out is None:
         raise ImpossibleObservationError(
-            f"observation {m} has likelihood {d}; zero-probability branch"
+            f"observation {m} has likelihood {obs_likelihood(A, B, x, m)}; "
+            "zero-probability branch"
         )
-    return BeliefVector(_filter_from_propagated(B.rows, z, m - 1, d))
+    return BeliefVector(out)
 
 
 def step_profile(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assumptions import verify_assumption1, verify_assumption2
+from .assumptions import _verify, verify_assumption1, verify_assumption2
 from .exceptions import CannotViolateError, GenerationExhaustedError
 from .types import ModelInstance, validate_instance
 
@@ -130,12 +130,6 @@ def gen_assumption2_instance(
     raise GenerationExhaustedError(params.max_attempts, f"clause {last_failure}")
 
 
-def _reverify(inst: ModelInstance, regime: int, alt_clause3: bool):
-    if regime == 1:
-        return verify_assumption1(inst, alt_clause3=alt_clause3)
-    return verify_assumption2(inst, alt_clause3=alt_clause3)
-
-
 def perturb_violate(
     inst: ModelInstance, clause_id: str, seed: int, alt_clause3: bool | None = None
 ) -> ModelInstance:
@@ -213,7 +207,7 @@ def perturb_violate(
     for cand in candidates:
         if not validate_instance(cand).ok:
             continue
-        report = _reverify(cand, regime, alt_clause3)
+        report = _verify(cand, regime, alt_clause3)
         failed = {c.clause for c in report.clause_results if not c.passed}
         if f"{regime}.{clause}" in failed:
             return cand

@@ -115,6 +115,15 @@ def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
     return int(_greatest_array_index(rewards)[0]) + 1
 
 
+def backup(rewards, seg, d, next_values, beta):
+    """Values of one level, shaped like ``rewards``: immediate reward plus
+    the discounted likelihood-weighted values of the children, child c
+    counting toward the flat index ``seg[c]`` of ``rewards``, summed in
+    expansion order."""
+    acc = np.bincount(seg, weights=d * next_values, minlength=rewards.size)
+    return rewards + beta * acc.reshape(rewards.shape)
+
+
 def distinct_nodes(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Merge profiles (rows of ``children``) with equal rounded keys.
 
@@ -223,8 +232,7 @@ class TreeEvaluator:
             levels.append((values, parent, d, inverse))
             level, u = children[kept], None
         for rewards, parent, d, inverse in reversed(levels):
-            acc = np.bincount(parent, weights=d * values[inverse], minlength=len(rewards))
-            values = rewards + self.beta * acc
+            values = backup(rewards, parent, d, values[inverse], self.beta)
         return values
 
     def avf(self, t: int, beliefs: tuple, u: int) -> float:
@@ -316,8 +324,7 @@ def avf_frozen(
         levels.append((values, parent, d))
         cur, u = children, decide(depth + 1, ref)
     for rewards, parent, d in reversed(levels):
-        acc = np.bincount(parent, weights=d * values, minlength=len(rewards))
-        values = rewards + ev.beta * acc
+        values = backup(rewards, parent, d, values, ev.beta)
     return float(values[0])
 
 

@@ -24,6 +24,10 @@ IMAG_TOL = 1e-9
 UNIT_EIG_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 SERIES_TERMS_CAP = 10_000
+#: Floor on |lambda_2| when sizing a truncated series.
+SERIES_EIG_FLOOR = 1e-6
+#: Slack allowed in each reward-separation margin.
+SEPARATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,9 @@ def discount_matrices(dec: SpectralDecomposition, beta: float) -> DiscountMatric
     return DiscountMatrices(Upsilon=Upsilon, Q=Q)
 
 
-def default_series_terms(beta: float, lam2: float, eps: float = 1e-6) -> int:
+def default_series_terms(beta: float, lam2: float) -> int:
     """Truncation length so the geometric tail falls below 1e-12."""
-    base = beta * max(abs(lam2), eps)
+    base = beta * max(abs(lam2), SERIES_EIG_FLOOR)
     if base <= 0.0:
         return 1
     n = math.ceil(math.log(1e-12) / math.log(base))
@@ -154,9 +158,7 @@ class SeparationReport:
     witness: tuple[int, int] | None
 
 
-def reward_separation_check(
-    R: RewardVector, Q: np.ndarray, tol: float = 1e-10
-) -> SeparationReport:
+def reward_separation_check(R: RewardVector, Q: np.ndarray) -> SeparationReport:
     """Check R'(e_{i+1}-e_i) >= R'Q'(e_{i+1}-e_i) for all adjacent i.
 
     Adjacent margins imply every i > j pair by telescoping; the all-pairs
@@ -165,10 +167,10 @@ def reward_separation_check(
     r = R.values
     qr = Q @ r
     margins = np.diff(r) - np.diff(qr)
-    passed = bool(np.all(margins >= -tol))
+    passed = bool(np.all(margins >= -SEPARATION_TOL))
     witness = None
     if not passed:
-        i = int(np.nonzero(margins < -tol)[0][0])
+        i = int(np.nonzero(margins < -SEPARATION_TOL)[0][0])
         witness = (i + 1, i + 2)
     # Telescoping consistency: all-pairs margins are partial sums of the
     # adjacent ones, so a pass must extend to every pair.
@@ -177,5 +179,5 @@ def reward_separation_check(
         for i in range(X):
             for j in range(i):
                 pair = (r[i] - r[j]) - (qr[i] - qr[j])
-                assert pair >= -tol * X, (i + 1, j + 1, pair)
+                assert pair >= -SEPARATION_TOL * X, (i + 1, j + 1, pair)
     return SeparationReport(passed=passed, margins=margins, witness=witness)

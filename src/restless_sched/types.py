@@ -114,29 +114,30 @@ def count_distinct_rows(rows: np.ndarray) -> int:
 
 def valid_belief_rows(rows) -> np.ndarray:
     """Every belief along the last axis of ``rows``, checked, clamped and
-    renormalised as ``BeliefVector`` does one, in one pass over the array.
+    renormalised in one pass over the array; ``BeliefVector`` validates
+    its one belief here too.
 
-    Returns a new array whose beliefs equal ``BeliefVector(row).probs``
-    bit for bit.  A failing check raises ``BeliefVector``'s exception and
-    message, for the first belief that fails it.
+    Entries must be finite and at least ``CLAMP_TOL``; they are clipped
+    at 0, and each belief whose sum is within ``RENORM_TOL`` of 1 is
+    divided by it (a no-op where the sum is exactly 1).  Returns a new
+    array.  A failing check raises ``InvalidBeliefError`` for the first
+    belief that fails it.
     """
     p = np.asarray(rows, dtype=float)
     if p.ndim == 0 or p.shape[-1] == 0:
         raise InvalidBeliefError(f"belief must be a nonempty vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise InvalidBeliefError("belief has non-finite entries")
-    flat = p.reshape(-1, p.shape[-1])
-    below = flat < CLAMP_TOL
+    below = p < CLAMP_TOL
     if below.any():
-        row = flat[np.flatnonzero(below)[0] // flat.shape[1]]
+        row = p.reshape(-1, p.shape[-1])[np.flatnonzero(below)[0] // p.shape[-1]]
         raise InvalidBeliefError(f"belief entry {row.min()} below clamp tolerance")
     p = np.clip(p, 0.0, None)
     s = p.sum(axis=-1)
     drift = np.abs(s - 1.0) > RENORM_TOL
     if drift.any():
         raise InvalidBeliefError(f"belief sums to {s[drift][0]}, drift exceeds {RENORM_TOL}")
-    fix = s != 1.0
-    p[fix] /= s[fix][..., None]
+    p /= s[..., None]
     return p
 
 
@@ -150,17 +151,7 @@ class BeliefVector:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise InvalidBeliefError(f"belief must be a nonempty vector, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidBeliefError("belief has non-finite entries")
-        if p.min() < CLAMP_TOL:
-            raise InvalidBeliefError(f"belief entry {p.min()} below clamp tolerance")
-        p = np.clip(p, 0.0, None)
-        s = p.sum()
-        if abs(s - 1.0) > RENORM_TOL:
-            raise InvalidBeliefError(f"belief sums to {s}, drift exceeds {RENORM_TOL}")
-        if s != 1.0:
-            p = p / s
-        object.__setattr__(self, "probs", _frozen(p))
+        object.__setattr__(self, "probs", _frozen(valid_belief_rows(p)))
 
     @property
     def dim(self) -> int:
@@ -339,27 +330,22 @@ def validate_instance(inst: ModelInstance) -> ValidationReport:
     if Y < 1:
         problems.append(f"n_obs must be positive, got {Y}")
 
-    A = inst.A.rows
-    if A.shape != (X, X):
-        problems.append(f"A has shape {A.shape}, expected ({X}, {X})")
-    else:
-        for i in range(X):
-            row = A[i]
+    for name, M, shape, tol in (
+        ("A", inst.A.rows, (X, X), RENORM_TOL),
+        ("B", inst.B.rows, (X, Y), SUM_TOL),
+    ):
+        if M.shape != shape:
+            problems.append(f"{name} has shape {M.shape}, expected {shape}")
+            continue
+        for i, row in enumerate(M, start=1):
+            # Every comparison with NaN is false, so no later check sees one.
+            if not np.isfinite(row).all():
+                problems.append(f"{name} row {i} has a non-finite entry")
+                continue
             if row.min() < 0:
-                problems.append(f"A row {i + 1} has a negative entry")
-            if abs(row.sum() - 1.0) > RENORM_TOL:
-                problems.append(f"A row {i + 1} not stochastic (sums to {row.sum()!r})")
-
-    B = inst.B.rows
-    if B.shape != (X, Y):
-        problems.append(f"B has shape {B.shape}, expected ({X}, {Y})")
-    else:
-        for i in range(X):
-            row = B[i]
-            if row.min() < 0:
-                problems.append(f"B row {i + 1} has a negative entry")
-            if abs(row.sum() - 1.0) > SUM_TOL:
-                problems.append(f"B row {i + 1} not stochastic (sums to {row.sum()!r})")
+                problems.append(f"{name} row {i} has a negative entry")
+            if abs(row.sum() - 1.0) > tol:
+                problems.append(f"{name} row {i} not stochastic (sums to {row.sum()!r})")
 
     R = inst.R.values
     if R.size != X:

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from restless_sched import (
+    ClauseResult,
     ModelInstance,
     find_threshold_K,
     verify_assumption1,
@@ -119,3 +121,114 @@ class TestVerifyAssumption2:
             assert verify_assumption1(i1).satisfied
             i2 = gen_assumption2_instance(small_params, 100 + seed)
             assert verify_assumption2(i2, alt_clause3=True).satisfied
+
+
+# Rows 2 and 3 break the ascending order, rows 1 and 2 the descending one.
+A_UNORDERED = [[0.7, 0.2, 0.1], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]
+A_ASCENDING = [[0.7, 0.2, 0.1], [0.3, 0.4, 0.3], [0.1, 0.2, 0.7]]
+# Column 2 >=_r column 1 fails at states (3, 2) only: 0.5 * 0.3 < 0.7 * 0.5.
+B_UNORDERED = [[0.8, 0.2], [0.3, 0.7], [0.5, 0.5]]
+B_ASCENDING = [[0.8, 0.2], [0.5, 0.5], [0.3, 0.7]]
+
+
+def three_state(A, B, x0):
+    return ModelInstance(len(x0), 3, 2, A, B, [0.0, 1.0, 2.0], 0.5, x0)
+
+
+class TestClauseDetails:
+    """The detail string and witness of each order clause, per regime."""
+
+    def test_row_order_witness(self):
+        inst = three_state(A_UNORDERED, B_ASCENDING, [[0.4, 0.3, 0.3]])
+        assert clause(verify_assumption1(inst), "1.1") == ClauseResult(
+            "1.1", False, "rows (2, 3) break the ascending MLR order"
+        )
+        assert clause(verify_assumption2(inst), "2.1") == ClauseResult(
+            "2.1", False, "rows (1, 2) break the descending MLR order"
+        )
+        ordered = three_state(A_ASCENDING, B_ASCENDING, [[0.4, 0.3, 0.3]])
+        assert clause(verify_assumption1(ordered), "1.1") == ClauseResult("1.1", True, "")
+        assert clause(verify_assumption2(ordered), "2.1") == ClauseResult(
+            "2.1", False, "rows (1, 2) break the descending MLR order"
+        )
+
+    @pytest.mark.parametrize("verify, regime", [(verify_assumption1, 1), (verify_assumption2, 2)])
+    def test_observation_column_witness(self, verify, regime):
+        inst = three_state(A_ASCENDING, B_UNORDERED, [[0.4, 0.3, 0.3]])
+        assert clause(verify(inst), f"{regime}.2") == ClauseResult(
+            f"{regime}.2", False, "observation columns unordered at states (3, 2)"
+        )
+        ordered = three_state(A_ASCENDING, B_ASCENDING, [[0.4, 0.3, 0.3]])
+        assert clause(verify(ordered), f"{regime}.2") == ClauseResult(f"{regime}.2", True, "")
+
+    @pytest.mark.parametrize("x0, detail", [
+        ([[0.4, 0.6], [0.5, 0.5]], "x0[1] <=_r x0[2] fails"),
+        ([[1.0, 0.0], [0.4, 0.6]], "A_1 <=_r x0[1] fails"),
+        ([[0.5, 0.5], [0.1, 0.9]], "x0[2] <=_r A_X fails"),
+        ([[0.5, 0.5], [0.4, 0.6], [0.45, 0.55]], "x0[2] <=_r x0[3] fails"),
+        ([[0.5, 0.5], [0.5, 0.5]], ""),
+    ])
+    def test_ascending_chain_detail(self, two_state_instance, x0, detail):
+        inst = ModelInstance(
+            len(x0), 2, 2, two_state_instance.A, two_state_instance.B,
+            two_state_instance.R, 0.5, x0,
+        )
+        assert clause(verify_assumption1(inst), "1.4") == ClauseResult("1.4", not detail, detail)
+
+    @pytest.mark.parametrize("x0, detail", [
+        ([[0.35, 0.65], [0.3, 0.7]], "x0[1] >=_r x0[2] fails"),
+        ([[0.1, 0.9], [0.3, 0.7]], "A_1 >=_r x0[1] fails"),
+        ([[0.3, 0.7], [0.95, 0.05]], "x0[2] >=_r A_X fails"),
+        ([[0.3, 0.7], [0.35, 0.65]], ""),
+    ])
+    def test_descending_chain_detail(self, x0, detail):
+        A = [[0.2, 0.8], [0.9, 0.1]]
+        inst = ModelInstance(2, 2, 2, A, [[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], 0.4, x0)
+        assert clause(verify_assumption2(inst), "2.4") == ClauseResult("2.4", not detail, detail)
+
+    def test_whole_report(self):
+        inst = three_state(A_UNORDERED, B_UNORDERED, [[0.3, 0.3, 0.4], [0.4, 0.3, 0.3]])
+        doc = verify_assumption1(inst).to_json_dict()
+        assert doc["regime"] == "Neither" and doc["K"] is None
+        assert [(c["clause"], c["passed"], c["detail"]) for c in doc["clauses"][:4]] == [
+            ("1.1", False, "rows (2, 3) break the ascending MLR order"),
+            ("1.2", False, "observation columns unordered at states (3, 2)"),
+            ("1.3", False, "no threshold K in 2..Y"),
+            ("1.4", False, "x0[1] <=_r x0[2] fails"),
+        ]
+
+
+def _mixture_instance(rng, X):
+    """Ascending A and, usually, MLR-ordered B from geometric anchors, so
+    that clause 3 both passes and fails across draws."""
+    Y = int(rng.integers(2, 4))
+    low = rng.uniform(0.1, 0.6) ** np.arange(X)
+    low /= low.sum()
+    w = np.sort(rng.uniform(0.0, 1.0, X))
+    A = np.outer(1 - w, low) + np.outer(w, low[::-1])
+    b_low = rng.uniform(0.005, 0.5) ** np.arange(Y)
+    b_low /= b_low.sum()
+    v = np.linspace(0.0, 1.0, X) if rng.random() < 0.8 else rng.uniform(0.0, 1.0, X)
+    B = np.outer(1 - v, b_low) + np.outer(v, b_low[::-1])
+    return TransitionMatrix(A), ObservationMatrix(B)
+
+
+@pytest.mark.parametrize("alt", [False, True])
+def test_threshold_mirrors_under_state_reversal(alt):
+    # Regime 2 is regime 1 with the states relabelled in reverse: with P
+    # the reversal permutation, K(PAP, PB, 2) == K(A, B, 1).
+    rng = np.random.default_rng(9)
+    found = set()
+    for k in range(400):
+        X = 2 + k % 2
+        if k % 4 < 2:
+            A, B = _mixture_instance(rng, X)
+        else:
+            A = TransitionMatrix(rng.dirichlet(np.ones(X), X))
+            B = ObservationMatrix(rng.dirichlet(np.ones(int(rng.integers(2, 4))), X))
+        K = find_threshold_K(A, B, 1, alt)
+        flipped_A = TransitionMatrix(A.rows[::-1, ::-1])
+        flipped_B = ObservationMatrix(B.rows[::-1])
+        assert find_threshold_K(flipped_A, flipped_B, 2, alt) == K, k
+        found.add(K is None)
+    assert found == {True, False}

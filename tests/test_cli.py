@@ -72,6 +72,20 @@ class TestValidate:
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == 2
 
+    @pytest.mark.parametrize("command", [["validate"], ["compare", "--horizon", "2"]])
+    @pytest.mark.parametrize("matrix", ["A", "B"])
+    def test_non_finite_matrix_exits_2(self, tmp_path, inst_path, capsys, matrix, command):
+        doc = json.loads(open(inst_path).read())
+        doc[matrix][0][1] = float("nan")
+        p = tmp_path / "nan.json"
+        # json writes the NaN literal, which it also reads back.
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        assert main([command[0], str(p), *command[1:], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{matrix} row 1 has a non-finite entry" in err
+        assert not out.exists()
+
 
 class TestSpectral:
     def test_fields_and_exit(self, inst_path, tmp_path):

@@ -161,6 +161,15 @@ class TestValidateInstance:
         assert not report.ok
         assert any("row 1" in p for p in report.problems)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("matrix", ["A", "B"])
+    def test_non_finite_entry_reported(self, two_state_instance, matrix, bad):
+        # Every comparison with NaN is false, so only an explicit check sees it.
+        doc = two_state_instance.to_json_dict()
+        doc[matrix][1][0] = bad
+        report = validate_instance(ModelInstance.from_json_dict(doc))
+        assert report.problems == (f"{matrix} row 2 has a non-finite entry",)
+
     def test_bad_beta_reported(self, two_state_instance):
         inst = ModelInstance(
             2, 2, 2, two_state_instance.A, two_state_instance.B,
