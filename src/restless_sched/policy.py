@@ -9,8 +9,9 @@ rule picks the DP's best action.
 
 A policy is a name plus one batch-shaped decision ``decide(t,
 beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
-calls it on a whole batch and ``policy_value`` on one tree level, and
-both reject an action outside 0..N-1 (``check_decisions``).  The batch
+calls it on the distinct histories of a slot and ``policy_value`` on
+one tree level, and both reject a decision of another shape or an
+action outside 0..N-1 (``check_decisions``).  The batch
 primitives avoid numpy's slow paths on short axes: ``immediate_rewards``
 is one matrix-vector product over the flattened beliefs, and
 ``row_max``, which the tie rule and the DP use, takes the maximum
@@ -45,17 +46,30 @@ ARGMAX_TOL = 1e-12
 @dataclass(frozen=True)
 class PolicyRule:
     """A deterministic decision rule: (slot, beliefs of shape (n, N, X))
-    -> 0-based actions of shape (n,)."""
+    -> 0-based actions of shape (n,).
+
+    ``decide`` must act on each row on its own: the action of row i may
+    depend on the slot and on ``beliefs[i]``, not on the other rows or
+    on n.  The simulator and ``TreeEvaluator.sweep`` call it once per
+    distinct history or tree node, not once per trajectory or path.
+    """
 
     name: str
     decide: Callable[[int, np.ndarray], np.ndarray]
 
 
-def check_decisions(policy: PolicyRule, u, n_projects: int) -> np.ndarray:
-    """The batch decision ``u`` as an array, or an ``IndexError`` if it
-    names a project outside 0..n_projects-1 (numpy would wrap a negative
-    index to another project)."""
+def check_decisions(policy: PolicyRule, u, beliefs: np.ndarray) -> np.ndarray:
+    """The batch decision ``u`` on ``beliefs`` (n, N, X) as an array: a
+    ``ValueError`` unless it has shape (n,), and an ``IndexError`` if it
+    names a project outside 0..N-1 (numpy would wrap a negative index
+    to another project)."""
     u = np.asarray(u)
+    n, n_projects = beliefs.shape[:2]
+    if u.shape != (n,):
+        raise ValueError(
+            f"policy {policy.name!r} returned decisions of shape {u.shape} for {n} profiles; "
+            f"expected ({n},)"
+        )
     bad = (u < 0) | (u >= n_projects)
     if bad.any():
         raise IndexError(f"policy {policy.name!r} chose project {u[bad][0] + 1} of {n_projects}")
@@ -223,7 +237,7 @@ class TreeEvaluator:
         level, u, levels = roots, first, []
         for depth in range(t, self.T + 1):
             if u is None:
-                u = check_decisions(policy, policy.decide(depth, level), self.N)
+                u = check_decisions(policy, policy.decide(depth, level), level)
             values = np.dot(level, self.R)[np.arange(len(level)), u]
             if depth == self.T:
                 break

@@ -5,14 +5,23 @@ filtered belief profile, and accumulates discounted rewards of the
 scheduled projects.
 
 One engine simulates a block of trajectories in lockstep, slot by
-slot, through the policy's batch decision.  It holds the beliefs of a
-block as one contiguous (n_traj*N, X) buffer, one row per (trajectory,
-project); the policy sees it reshaped to (n_traj, N, X).  Each slot
-propagates every row with one matrix product, and the flat index
-``trajectory*N + action`` of the worked projects serves the reward, the
-observation draw and the filter as single-index gathers; the engine's
-own steps reduce over no short last axis.  A decision outside 0..N-1
-raises ``IndexError``, a negative horizon ``ValueError``.
+slot, through the policy's batch decision.  Under any policy a
+trajectory's belief profile at slot t is a function of its t
+observations so far, so a block holds its beliefs as a table of
+distinct observation histories, at most min(n_traj, Y^t) profiles of
+shape (N, X) at slot t, and each trajectory holds one row index
+(``node``) into it.  Each slot the policy decides once per table row
+and each trajectory takes its row's action.  After the observation
+draw the (node, observation) pairs that occurred, found through a
+presence array of length n_nodes*Y without sorting, become the next
+table: each child's parent profile is propagated by one matrix product
+and its worked project is filtered on the observation.  Each profile
+goes through the same row-wise arithmetic as when every trajectory
+kept a copy of its own, so totals do not depend on how many
+trajectories share a history.  What stays per trajectory is the hidden
+states, the random draws, the rewards and the row index.  A decision
+of the wrong shape raises ``ValueError``, one outside 0..N-1
+``IndexError``, and a negative horizon ``ValueError``.
 
 RNG contract: a call draws from one ``np.random.default_rng(seed)``;
 its blocks of up to ``_BLOCK`` trajectories take turns, and each draws
@@ -77,7 +86,7 @@ def _inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
     """
     out = np.zeros(u.shape, dtype=np.int64)
     for k in range(cdf.shape[-1] - 1):
-        out += np.take(cdf[:, k], row) <= u
+        out += cdf[:, k].take(row) <= u
     return out
 
 
@@ -95,23 +104,24 @@ def _lockstep(
     ``record``, when given, is called once per slot with the hidden
     states (n_traj, N), the actions (n_traj,) and the active projects'
     observations (n_traj,), all 0-based.  Otherwise nothing is kept
-    across slots but the current beliefs, states and totals.
+    across slots but the history table, each trajectory's node in it,
+    the states and the totals.
     """
     if T < 0:
         raise ValueError(f"horizon T must be >= 0, got {T}")
-    N, X = inst.n_projects, inst.n_states
+    N, X, Y = inst.n_projects, inst.n_states, inst.n_obs
     A = inst.A.rows
     B_T = inst.B.rows.T.copy()  # row m: each state's likelihood of observation m
     R = inst.R.values
     base = np.arange(n_traj) * N
+    row_item = np.dtype((np.void, X * A.itemsize))
 
-    # ``flat`` owns the beliefs, one row per (trajectory, project); the
-    # profiles the policy sees are a reshape of it, which for a
-    # C-contiguous owner is always a view, so writing ``flat`` updates
-    # them.  ``spare`` receives the next propagation.
+    # ``table`` holds one belief profile per distinct observation history
+    # and ``node`` each trajectory's row in it; at slot 0 every
+    # trajectory shares the empty history.
     x0 = np.stack([x.probs for x in inst.initial_beliefs])  # (N, X)
-    flat = np.tile(x0, (n_traj, 1))
-    spare = np.empty_like(flat)
+    table = x0[None].copy()
+    node = np.zeros(n_traj, dtype=np.int64)
     a_cdf = _cdf(A)
     b_cdf = _cdf(inst.B.rows)
     current = _inverse_cdf(_cdf(x0), np.arange(N), rng.random((N, n_traj)).T)  # (n_traj, N)
@@ -119,26 +129,44 @@ def _lockstep(
     totals = np.zeros(n_traj)
     scale = 1.0
     for t in range(T + 1):
-        u = check_decisions(policy, policy.decide(t, flat.reshape(n_traj, N, X)), N)
+        acts = check_decisions(policy, policy.decide(t, table), table)
+        u = acts.take(node)
         active = base + u  # flat index of each trajectory's worked project
-        totals += scale * R[np.take(current, active)]
+        totals += scale * R[current.take(active)]
         scale *= inst.beta
 
         # Transition every chain, then the active one emits.
         nxt = _inverse_cdf(a_cdf, current, rng.random((n_traj, N)))
-        obs = _inverse_cdf(b_cdf, np.take(nxt, active), rng.random(n_traj))
+        obs = _inverse_cdf(b_cdf, nxt.take(active), rng.random(n_traj))
         if record is not None:
             record(current, u, obs)
 
         if t < T:
-            np.matmul(flat, A, out=spare)  # propagate: each row x -> A' x
-            flat, spare = spare, flat
-            num = np.take(flat, active, axis=0) * np.take(B_T, obs, axis=0)
+            # The (node, observation) pairs that occurred are the next
+            # slot's histories, numbered in the order of their keys; a
+            # scatter numbers them faster than a cumsum of ``seen``.
+            key = node * Y + obs
+            seen = np.zeros(len(table) * Y, dtype=bool)
+            seen[key] = True
+            pairs = seen.nonzero()[0]
+            rank = np.empty(len(seen), dtype=np.int64)
+            rank[pairs] = np.arange(len(pairs))
+            node = rank.take(key)
+            parent = pairs // Y
+            seen_obs = pairs - parent * Y
+            # Propagate each child's parent profile (each row x -> A' x),
+            # then filter its worked project on the observation.
+            child = np.matmul(table.take(parent, axis=0).reshape(-1, X), A)
+            worked = np.arange(len(parent)) * N + acts.take(parent)
+            num = child.take(worked, axis=0) * B_T.take(seen_obs, axis=0)
             # Summed column by column: the order numpy sums a short row in.
             total = num[:, 0].copy()
             for k in range(1, X):
                 total += num[:, k]
-            flat[active] = num / total[:, None]
+            # Each worked row is written as one X-float item: numpy
+            # assigns the rows of a float array element by element.
+            np.put(child.view(row_item), worked, (num / total[:, None]).view(row_item))
+            table = child.reshape(-1, N, X)
         current = nxt
     return totals
 

@@ -12,6 +12,7 @@ from restless_sched import (
     policy_value,
     round_robin_policy,
     sample_trajectory,
+    seeded_random_policy,
     stay_policy,
 )
 from restless_sched.simulate import _BLOCK, _cdf, _inverse_cdf
@@ -33,6 +34,22 @@ def mixed_dims_instance() -> ModelInstance:
         2, 3, 4, random_stochastic(rng, 3, 3), random_stochastic(rng, 3, 4),
         [0.0, 0.4, 1.0], 0.7, [random_simplex(rng, 3) for _ in range(2)],
     )
+
+
+def zero_likelihood_instance() -> ModelInstance:
+    """N=3, X=3, Y=3 where each state cannot emit one observation, so
+    some branches of the history tree have likelihood 0."""
+    rng = np.random.default_rng(8)
+    B = [[0.6, 0.4, 0.0], [0.0, 0.5, 0.5], [0.2, 0.0, 0.8]]
+    return ModelInstance(
+        3, 3, 3, random_stochastic(rng, 3, 3), B, [0.0, 0.5, 1.0], 0.8,
+        [random_simplex(rng, 3) for _ in range(3)],
+    )
+
+
+def all_policies(inst) -> list:
+    n = inst.n_projects
+    return [myopic_policy(inst), round_robin_policy(n), stay_policy(1), seeded_random_policy(n, 4)]
 
 
 def reference_totals(inst, policy, T, n_traj, seed):
@@ -85,6 +102,22 @@ class TestEngineMatchesReference:
             _, _, totals = estimate_value(inst, policy, 5, _BLOCK + 3, seed, return_totals=True)
             assert np.array_equal(totals, reference_totals(inst, policy, 5, _BLOCK + 3, seed))
 
+    # Once Y^t exceeds n_traj nearly every trajectory has a history of
+    # its own; below it, many trajectories share one table row.
+    @pytest.mark.parametrize("T, n_traj", [(10, 40), (3, _BLOCK + 3)])
+    def test_totals_bit_identical_for_every_policy(self, T, n_traj):
+        inst = mixed_dims_instance()
+        for policy in all_policies(inst):
+            _, _, totals = estimate_value(inst, policy, T, n_traj, 31, return_totals=True)
+            assert np.array_equal(totals, reference_totals(inst, policy, T, n_traj, 31))
+
+    @pytest.mark.parametrize("T, n_traj", [(10, 40), (4, 3000)])
+    def test_totals_bit_identical_with_impossible_observations(self, T, n_traj):
+        inst = zero_likelihood_instance()
+        for policy in all_policies(inst):
+            _, _, totals = estimate_value(inst, policy, T, n_traj, 9, return_totals=True)
+            assert np.array_equal(totals, reference_totals(inst, policy, T, n_traj, 9))
+
     def test_myopic_decisions_vary(self):
         # The comparison above means something only if the myopic policy
         # works both projects.
@@ -100,7 +133,52 @@ def constant_rule(project: int) -> PolicyRule:
     return PolicyRule(f"always-{project}", lambda t, beliefs: np.full(len(beliefs), project))
 
 
+def spy_rule(inner: PolicyRule, calls: list) -> PolicyRule:
+    """``inner``, recording the slot and the profiles of every call."""
+
+    def decide(t, beliefs):
+        calls.append((t, beliefs.copy()))
+        return inner.decide(t, beliefs)
+
+    return PolicyRule(inner.name, decide)
+
+
+class TestHistoryTable:
+    @pytest.mark.parametrize("T, n_traj", [(6, 40), (5, 5000)])
+    def test_decide_sees_one_profile_per_history(self, T, n_traj):
+        inst = mixed_dims_instance()
+        calls = []
+        estimate_value(inst, spy_rule(myopic_policy(inst), calls), T, n_traj, 2)
+        assert [t for t, _ in calls] == list(range(T + 1))
+        x0 = np.stack([x.probs for x in inst.initial_beliefs])
+        assert np.array_equal(calls[0][1], x0[None])
+        for t, beliefs in calls:
+            assert 1 <= len(beliefs) <= min(n_traj, inst.n_obs ** t)
+            assert np.allclose(beliefs.sum(axis=-1), 1.0)
+        # Trajectories do spread over distinct histories.
+        assert len(calls[-1][1]) > len(calls[1][1]) > 1
+
+
+def shaped_rule(shape) -> PolicyRule:
+    """A rule that answers n profiles with zeros of shape ``shape(n)``."""
+    return PolicyRule("misshapen", lambda t, beliefs: np.zeros(shape(len(beliefs)), dtype=np.int64))
+
+
 class TestRejectedInput:
+    # Small n only: an (n, 1) decision broadcast against n trajectories
+    # would make an (n, n) array.
+    @pytest.mark.parametrize("shape, shown", [(lambda n: (n, 1), r"\(1, 1\)"), (lambda n: (), r"\(\)")])
+    def test_misshapen_decision_raises(self, shape, shown):
+        inst = mixed_dims_instance()
+        rule = shaped_rule(shape)
+        message = f"policy 'misshapen' returned decisions of shape {shown} for 1 profiles"
+        with pytest.raises(ValueError, match=message):
+            estimate_value(inst, rule, 3, 20, 0)
+        with pytest.raises(ValueError, match=message):
+            sample_trajectory(inst, rule, 3, 0)
+        with pytest.raises(ValueError, match=message):
+            policy_value(inst, BeliefProfile(inst.initial_beliefs, 0), 0, 3, rule)
+
     @pytest.mark.parametrize("project", [-1, 2])
     def test_out_of_range_decision_raises(self, project):
         inst = mixed_dims_instance()
