@@ -62,9 +62,11 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
     level is only counted, not merged: a leaf's value is its largest
     immediate reward, which the myopic action attains, so every leaf
     agrees and each child is valued from its own beliefs.  The count
-    sorts one 64-bit fingerprint per leaf and compares leaves bit for
-    bit where fingerprints tie, so it stays exact
-    (``count_distinct_rows``).
+    (``count_distinct_rows``) sorts one 64-bit fingerprint per leaf, a
+    wrapping product of its key bits with one odd multiplier per column,
+    and compares leaves bit for bit where fingerprints tie; if two
+    different leaves ever share a fingerprint it counts the keys
+    themselves, so it stays exact.
     """
     ev = TreeEvaluator(inst, T)
     counts = [0] * (T + 1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assumptions import _verify, verify_assumption1, verify_assumption2
+from .assumptions import _verify
 from .exceptions import CannotViolateError, GenerationExhaustedError
 from .types import ModelInstance, validate_instance
 
@@ -76,29 +76,49 @@ def _sample_dims(rng: np.random.Generator, params: GeneratorParams):
     return X, Y, N, beta
 
 
-def gen_assumption1_instance(
-    params: GeneratorParams, seed: int, alt_clause3: bool = False
-) -> ModelInstance:
-    """Rejection-sample an instance verified under the ascending regime."""
+def _generate(params: GeneratorParams, seed: int, regime: int, alt_clause3: bool) -> ModelInstance:
+    """Rejection-sample an instance verified under ``regime``.  Both
+    regimes draw the same variates in the same order; only the order of
+    A's mixing weights, B and the initial chain depend on the regime."""
     rng = np.random.default_rng(seed)
     last_failure = "no attempt made"
     for _ in range(params.max_attempts):
         X, Y, N, beta = _sample_dims(rng, params)
         a_low, a_high = _geometric_anchors(X, rng.uniform(0.15, 0.5))
-        A = _mixture_rows(a_low, a_high, _increasing_weights(rng, X))
-        # Informative observations: clause 3 needs the low branches to
-        # push beliefs below the two-step image of the worst state.
-        b_low, b_high = _geometric_anchors(Y, rng.uniform(0.005, 0.08))
-        B = _mixture_rows(b_low, b_high, np.linspace(0.0, 1.0, X))
+        weights = _increasing_weights(rng, X)
+        if regime == 1:
+            A = _mixture_rows(a_low, a_high, weights)
+            # Informative observations: clause 3 needs the low branches to
+            # push beliefs below the two-step image of the worst state.
+            b_low, b_high = _geometric_anchors(Y, rng.uniform(0.005, 0.08))
+            B = _mixture_rows(b_low, b_high, np.linspace(0.0, 1.0, X))
+        else:
+            # Descending rows: best transition law first.
+            A = _mixture_rows(a_low, a_high, weights[::-1])
+            # Flat observation columns: every row is the same distribution.
+            b = rng.uniform(0.5, 1.5, Y)
+            B = np.tile(b / b.sum(), (X, 1))
         R = _increasing_rewards(rng, X)
-        x0 = _mixture_rows(A[0], A[-1], np.sort(rng.uniform(0.05, 0.95, N)))
+        chain = np.sort(rng.uniform(0.05, 0.95, N))
+        if regime == 1:
+            x0 = _mixture_rows(A[0], A[-1], chain)
+        else:
+            # Descending initial chain inside the band [A_X, A_1].
+            x0 = _mixture_rows(A[-1], A[0], chain[::-1])
         inst = ModelInstance(N, X, Y, A, B, R, beta, x0)
-        report = verify_assumption1(inst, alt_clause3=alt_clause3)
+        report = _verify(inst, regime, alt_clause3)
         if report.satisfied:
             assert validate_instance(inst).ok
             return inst
         last_failure = next(c.clause for c in report.clause_results if not c.passed)
     raise GenerationExhaustedError(params.max_attempts, f"clause {last_failure}")
+
+
+def gen_assumption1_instance(
+    params: GeneratorParams, seed: int, alt_clause3: bool = False
+) -> ModelInstance:
+    """Rejection-sample an instance verified under the ascending regime."""
+    return _generate(params, seed, 1, alt_clause3)
 
 
 def gen_assumption2_instance(
@@ -108,26 +128,7 @@ def gen_assumption2_instance(
 
     Defaults to the mirrored clause-3 reading (see module docstring).
     """
-    rng = np.random.default_rng(seed)
-    last_failure = "no attempt made"
-    for _ in range(params.max_attempts):
-        X, Y, N, beta = _sample_dims(rng, params)
-        a_low, a_high = _geometric_anchors(X, rng.uniform(0.15, 0.5))
-        # Descending rows: best transition law first.
-        A = _mixture_rows(a_low, a_high, _increasing_weights(rng, X)[::-1])
-        # Flat observation columns: every row is the same distribution.
-        b = rng.uniform(0.5, 1.5, Y)
-        B = np.tile(b / b.sum(), (X, 1))
-        R = _increasing_rewards(rng, X)
-        # Descending initial chain inside the band [A_X, A_1].
-        x0 = _mixture_rows(A[-1], A[0], np.sort(rng.uniform(0.05, 0.95, N))[::-1])
-        inst = ModelInstance(N, X, Y, A, B, R, beta, x0)
-        report = verify_assumption2(inst, alt_clause3=alt_clause3)
-        if report.satisfied:
-            assert validate_instance(inst).ok
-            return inst
-        last_failure = next(c.clause for c in report.clause_results if not c.passed)
-    raise GenerationExhaustedError(params.max_attempts, f"clause {last_failure}")
+    return _generate(params, seed, 2, alt_clause3)
 
 
 def perturb_violate(

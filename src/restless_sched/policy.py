@@ -60,15 +60,19 @@ class PolicyRule:
 
 def check_decisions(policy: PolicyRule, u, beliefs: np.ndarray) -> np.ndarray:
     """The batch decision ``u`` on ``beliefs`` (n, N, X) as an array: a
-    ``ValueError`` unless it has shape (n,), and an ``IndexError`` if it
-    names a project outside 0..N-1 (numpy would wrap a negative index
-    to another project)."""
+    ``ValueError`` unless it has shape (n,) and an integer dtype, and an
+    ``IndexError`` if it names a project outside 0..N-1 (numpy would
+    wrap a negative index to another project)."""
     u = np.asarray(u)
     n, n_projects = beliefs.shape[:2]
     if u.shape != (n,):
         raise ValueError(
             f"policy {policy.name!r} returned decisions of shape {u.shape} for {n} profiles; "
             f"expected ({n},)"
+        )
+    if not np.issubdtype(u.dtype, np.integer):
+        raise ValueError(
+            f"policy {policy.name!r} returned decisions of dtype {u.dtype}; expected integers"
         )
     bad = (u < 0) | (u >= n_projects)
     if bad.any():

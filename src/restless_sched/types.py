@@ -55,34 +55,28 @@ def belief_row_keys(rows: np.ndarray) -> np.ndarray:
     return _void_rows(_rounded(rows.reshape(len(rows), -1)))
 
 
-#: Odd multiplier and shift of the fingerprint's per-column mix.
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-_SHIFT = np.uint64(29)
+#: Odd base whose powers weight the key columns in a fingerprint.
+_BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _row_fingerprints(bits: np.ndarray) -> np.ndarray:
     """One uint64 per row of ``bits`` (n, C): equal rows get equal
-    fingerprints.  Each column is xored in, then multiplied by an odd
-    constant and xor-shifted, so that rows differing only in high
-    (exponent) bits still spread over all 64 bits."""
-    h = np.zeros(len(bits), dtype=np.uint64)
-    shifted = np.empty_like(h)
-    for col in bits.T:
-        h ^= col
-        h *= _MIX
-        np.right_shift(h, _SHIFT, out=shifted)
-        h ^= shifted
-    return h
+    fingerprints.  The fingerprint is the row times the odd multipliers
+    ``_BASE ** (j + 1)`` of its columns j, summed modulo 2**64, so rows
+    that differ in one column never share one."""
+    return bits @ np.cumprod(np.full(bits.shape[1], _BASE))
 
 
 def count_distinct_rows(rows: np.ndarray) -> int:
     """Number of distinct ``belief_row_keys`` among ``rows``.
 
-    Rounds a C-contiguous ``rows`` in place, then sorts one 64-bit
+    Rounds a C-contiguous ``rows`` in place and sorts one 64-bit
     fingerprint of each row's key bits rather than the keys themselves.
-    The count stays exact: neighbours that share a fingerprint are
-    compared bit for bit, and the rows of any fingerprint shared by
-    different keys are counted on their keys.
+    Sorted neighbours that share a fingerprint are compared bit for bit,
+    column by column; if they all match, each such pair is one duplicate.
+    If any pair differs, two keys share a fingerprint and the keys
+    themselves are counted on a sorted copy, so the count stays exact
+    and ``rows`` keeps its row order.
     """
     flat = rows.reshape(len(rows), -1)
     bits = _rounded(flat, out=flat).view(np.uint64)
@@ -92,24 +86,15 @@ def count_distinct_rows(rows: np.ndarray) -> int:
     # Sorted positions i whose row shares its fingerprint with row i + 1.
     tie = np.flatnonzero(fingerprints[1:] == fingerprints[:-1])
     del fingerprints
-    above, below = order[tie], order[tie + 1]
-    clash = np.zeros(len(tie), dtype=bool)
-    for col in bits.T:
-        clash |= col[above] != col[below]
-    # Each run of consecutive ties is one shared fingerprint, labelled by
-    # tie - i, which is constant along a run and grows between runs.  A
-    # run with a clash holds more than one key: its rows are counted on
-    # their keys in place of the one count its fingerprint adds.
-    run = tie - np.arange(len(tie))
-    mixed = np.zeros(len(rows), dtype=bool)
-    mixed[run[clash]] = True
-    ends = tie[mixed[run]]
-    keys = _void_rows(flat[order[np.concatenate((ends, ends + 1))]])
-    # Sorted in place, not by np.unique: its first plain call imports
-    # numpy.ma, about 1 MB more resident memory for every process.
-    keys.sort()
-    distinct = len(keys) - np.count_nonzero(keys[1:] == keys[:-1])
-    return int(len(rows) - len(tie) - np.count_nonzero(mixed) + distinct)
+    if len(tie):
+        above, below = order[tie], order[tie + 1]
+        if any((col[above] != col[below]).any() for col in bits.T):
+            # Two keys share a fingerprint: count the keys themselves.
+            # Not by np.unique: its first plain call imports numpy.ma,
+            # about 1 MB more resident memory for every process.
+            keys = np.sort(_void_rows(flat))
+            return int(len(keys) - np.count_nonzero(keys[1:] == keys[:-1]))
+    return len(rows) - len(tie)
 
 
 def valid_belief_rows(rows) -> np.ndarray:

@@ -164,6 +164,11 @@ def shaped_rule(shape) -> PolicyRule:
     return PolicyRule("misshapen", lambda t, beliefs: np.zeros(shape(len(beliefs)), dtype=np.int64))
 
 
+#: A rule whose in-range decisions are floats, and the error it must raise.
+FLOAT_RULE = PolicyRule("floating", lambda t, beliefs: np.ones(len(beliefs)))
+FLOAT_DECISIONS = "policy 'floating' returned decisions of dtype float64; expected integers"
+
+
 class TestRejectedInput:
     # Small n only: an (n, 1) decision broadcast against n trajectories
     # would make an (n, n) array.
@@ -178,6 +183,15 @@ class TestRejectedInput:
             sample_trajectory(inst, rule, 3, 0)
         with pytest.raises(ValueError, match=message):
             policy_value(inst, BeliefProfile(inst.initial_beliefs, 0), 0, 3, rule)
+
+    def test_float_decision_raises_in_estimate_value(self):
+        with pytest.raises(ValueError, match=FLOAT_DECISIONS):
+            estimate_value(mixed_dims_instance(), FLOAT_RULE, 3, 20, 0)
+
+    def test_float_decision_raises_in_policy_value(self):
+        inst = mixed_dims_instance()
+        with pytest.raises(ValueError, match=FLOAT_DECISIONS):
+            policy_value(inst, BeliefProfile(inst.initial_beliefs, 0), 0, 3, FLOAT_RULE)
 
     @pytest.mark.parametrize("project", [-1, 2])
     def test_out_of_range_decision_raises(self, project):

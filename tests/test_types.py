@@ -232,7 +232,26 @@ class TestCountDistinctRows:
     def test_fingerprint_collisions_keep_the_count_exact(self, monkeypatch, fingerprints):
         monkeypatch.setattr(types, "_row_fingerprints", fingerprints)
         rows = planted_duplicates(np.random.default_rng(7), 60, 2, 3)
+        counted = rows.copy()
+        assert count_distinct_rows(counted) == reference_count(rows)
+        # Rounded in place, but not reordered.
+        assert np.array_equal(counted, types._rounded(rows))
+
+    def test_collision_between_keys_equal_in_their_first_column(self, monkeypatch):
+        monkeypatch.setattr(types, "_row_fingerprints", lambda bits: bits[:, 0].copy())
+        rows = planted_duplicates(np.random.default_rng(9), 60, 2, 3)
+        # Every profile shares its first belief, so every row ties.
+        rows[:, 0] = rows[0, 0]
+        assert count_distinct_rows(rows.copy()) == reference_count(rows) > 1
+
+    def test_wide_level_matches_reference(self):
+        # N=12, X=30: 360 key columns, far more than any certificate has.
+        rows = planted_duplicates(np.random.default_rng(12), 300, 12, 30)
         assert count_distinct_rows(rows.copy()) == reference_count(rows)
+
+    def test_level_of_one_repeated_key(self):
+        rows = np.broadcast_to(np.array([[0.2, 0.8], [0.6, 0.4]]), (50, 2, 2)).copy()
+        assert count_distinct_rows(rows.copy()) == reference_count(rows) == 1
 
     def test_deep_leaf_level_matches_reference(self):
         # Keys of input 14's T=6 leaf level straddle rounding lines: it
