@@ -12,12 +12,13 @@ u (original profile) and u' (raised profile):
 
 ``check_bounds_suite`` first draws and classifies every ordered pair,
 keeping the raw profiles in one array, and validates all of them in one
-call.  It then works per lookahead T: one batched sweep of the
-auxiliary value covers both profiles of every sample with that T and
-gives the exact gaps, and one interval table gives the bounds.  The
-table checks every delta at once, computes the power terms
-beta^i R'(A')^i delta of all those samples together (one row per
-sample) and sums them into the three case intervals, from which each
+call.  One batched sweep of the auxiliary value then covers both
+profiles of every sample, each valued up to its own lookahead T, and
+gives the exact gaps; one interval table gives the bounds.  The table
+checks every delta at once, computes the power terms
+beta^i R'(A')^i delta of all samples together (one row per sample, up
+to the largest lookahead, with the terms past a sample's own lookahead
+zeroed) and sums them into the three case intervals, from which each
 sample takes its own case.  ``lemma2_bounds`` and ``lemma4_bounds`` are
 the table's one-row case.  The suite reports containment slack per
 sample.
@@ -67,6 +68,9 @@ class BoundSample:
 def _check_deltas(deltas: np.ndarray) -> None:
     """Reject any row of ``deltas`` (k, X) that is not the difference of
     an MLR-ordered pair of distributions."""
+    # NaN passes every comparison below, and inf - inf makes one.
+    if not np.isfinite(deltas).all():
+        raise ValueError("delta must be finite")
     if (np.abs(deltas.sum(axis=-1)) > 1e-9).any():
         raise ValueError("delta must be a difference of distributions (sum 0)")
     # FOSD tails are a necessary consequence of the MLR precondition.
@@ -91,12 +95,21 @@ def _power_terms(inst: ModelInstance, deltas: np.ndarray, n_powers: int) -> np.n
     return scales * (powers @ inst.R.values[:, None])[..., 0, 0]
 
 
-def _interval_table(inst: ModelInstance, regime: int, span: int, deltas: np.ndarray) -> np.ndarray:
+def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray) -> np.ndarray:
     """Lower and upper bound of cases 1-3 of the regime's lemma for every
-    row of ``deltas`` (k, X), over T - t = ``span`` slots: shape (k, 3, 2).
-    ``lemma2_bounds`` and ``lemma4_bounds`` give the intervals."""
+    row of ``deltas`` (k, X), row i over T - t = ``spans[i]`` slots (an
+    int applies to every row): shape (k, 3, 2).  ``lemma2_bounds`` and
+    ``lemma4_bounds`` give the intervals.
+
+    The terms of a row past its own span are +0.0.  While every span is
+    at most 6 numpy adds a row's at most 7 terms one after another, so
+    each row gets the bits of a table of its own span; longer rows are
+    summed pairwise, and may differ from it in the last bits.
+    """
     _check_deltas(deltas)
-    terms = _power_terms(inst, deltas, span)
+    spans = np.broadcast_to(spans, len(deltas))
+    terms = _power_terms(inst, deltas, int(spans.max()))
+    terms[np.arange(terms.shape[1]) > spans[:, None]] = 0.0
     r_delta = terms[:, 0]
     table = np.empty((len(deltas), 3, 2))
     lower, upper = table[..., 0], table[..., 1]  # columns: cases 1, 2, 3
@@ -181,10 +194,12 @@ def check_bounds_suite(
     pattern classified by immediate rewards; misclassified draws are
     redrawn.  The cases need a second project, so N = 1 is rejected
     before any draw.  Then validates every original and raised profile
-    in one call (``valid_belief_rows``) and evaluates per lookahead T:
-    the profiles of every sample with that T are the roots of one sweep
-    of W^u_0, which gives each sample's exact gap, and one interval
-    table gives its bounds.  Samples are returned in draw order.
+    in one call (``valid_belief_rows``).  The profiles of all samples,
+    in draw order, are the roots of one sweep of W^u_0, each valued up
+    to its sample's lookahead T, which gives each sample's exact gap;
+    nodes of different lookaheads never merge, so each gap has the bits
+    of a sweep of that lookahead's samples alone.  One interval table
+    gives every sample's bounds.  Samples are returned in draw order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -249,16 +264,11 @@ def check_bounds_suite(
     case, horizon, raised_at, first = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3:]
     every = np.arange(n_samples)
     x_low, x_high = pairs[every, 0, raised_at], pairs[every, 1, raised_at]
-    delta_w = np.empty(n_samples)
-    bounds = np.empty((n_samples, 2))
-    # Not np.unique: its first plain call imports numpy.ma (about 1 MB resident).
-    for T in sorted(set(horizon.tolist())):
-        picked = np.flatnonzero(horizon == T)
-        level = roots[picked].reshape(-1, N, X)
-        w = TreeEvaluator(inst, T).sweep(0, level, policy, first[picked].ravel())
-        delta_w[picked] = w[1::2] - w[0::2]
-        table = _interval_table(inst, regime, T, x_high[picked] - x_low[picked])
-        bounds[picked] = table[np.arange(len(picked)), case[picked]]
+    w = TreeEvaluator(inst, MAX_LOOKAHEAD).sweep(
+        0, roots.reshape(-1, N, X), policy, first.ravel(), horizon.repeat(2)
+    )
+    delta_w = w[1::2] - w[0::2]
+    bounds = _interval_table(inst, regime, horizon, x_high - x_low)[every, case]
 
     samples = []
     for (c, T, _, u, u_prime), x_lo, x_hi, gap, (lower, upper) in zip(

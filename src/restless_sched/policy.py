@@ -20,7 +20,8 @@ column by column.
 The tree is grown one level at a time as arrays of profiles
 (``TreeEvaluator.expand``), merging profiles with the same rounded key
 (``distinct_nodes``), and summed backwards.  ``TreeEvaluator.sweep``
-follows one decision per node from many root profiles at once; it gives
+follows one decision per node from many root profiles at once, each
+root up to its own horizon; it gives
 ``policy_value`` and the auxiliary value function W^u_t (take action u
 at slot t, act myopically afterwards), and the DP in ``dp`` runs the
 same kernel under every action.  ``avf_frozen``, the variant of W whose
@@ -142,15 +143,23 @@ def backup(rewards, seg, d, next_values, beta):
     return rewards + beta * acc.reshape(rewards.shape)
 
 
-def distinct_nodes(children: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge profiles (rows of ``children``) with equal rounded keys.
+def distinct_nodes(
+    children: np.ndarray, groups: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge profiles (rows of ``children``) with equal rounded keys;
+    rows in different ``groups`` (n,) of integers, if given, never
+    merge.
 
     Returns the index of each distinct profile's first occurrence, in
     order of first occurrence (the order a depth-first walk meets them),
     and for every row the position of its profile among those.
     """
+    rows = children.reshape(len(children), -1)
+    if groups is not None:
+        # An integer-valued column rounds to itself, so it only splits keys.
+        rows = np.concatenate((rows, groups[:, None]), axis=1)
     _, first, inverse = np.unique(
-        belief_row_keys(children), return_index=True, return_inverse=True
+        belief_row_keys(rows), return_index=True, return_inverse=True
     )
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -226,29 +235,44 @@ class TreeEvaluator:
         return [(int(m), float(p), tuple(c)) for m, p, c in zip(obs, d, children)]
 
     def sweep(
-        self, t: int, roots: np.ndarray, policy: PolicyRule, first: np.ndarray | None = None
+        self,
+        t: int,
+        roots: np.ndarray,
+        policy: PolicyRule,
+        first: np.ndarray | None = None,
+        horizons: np.ndarray | None = None,
     ) -> np.ndarray:
         """Value from slot t of every profile in ``roots`` (n, N, X).
 
         ``policy`` decides at every node, except that ``first`` (n,), if
-        given, is the 0-based project each root works at slot t.  Each
-        level expands only the chosen action and merges equal keys below
-        the roots, keeping the first occurrence, which is the one a
-        depth-first walk of the roots in order meets first; one backward
-        sweep then sums each node's likelihood-weighted child values in
-        observation order.
+        given, is the 0-based project each root works at slot t.  Root i
+        is valued up to slot ``horizons[i]`` (each at least t), or up to
+        the evaluator's T if ``horizons`` is not given: a node at its
+        horizon is a leaf.  Each level expands only the chosen action of
+        the nodes below their horizon and merges equal keys of the same
+        horizon below the roots, keeping the first occurrence, which is
+        the one a depth-first walk of the roots in order meets first.
+        Roots of one horizon are thus valued bit for bit as in a sweep
+        of those roots alone.  One backward sweep then sums each node's
+        likelihood-weighted child values in observation order.
         """
         level, u, levels = roots, first, []
-        for depth in range(t, self.T + 1):
+        horizon = np.full(len(roots), self.T) if horizons is None else np.asarray(horizons)
+        for depth in range(t, int(horizon.max(initial=t)) + 1):
             if u is None:
                 u = check_decisions(policy, policy.decide(depth, level), level)
             values = np.dot(level, self.R)[np.arange(len(level)), u]
-            if depth == self.T:
+            grow = np.flatnonzero(horizon > depth)
+            if not len(grow):
                 break
-            children, parent, _, _, d = self.expand(level, u[:, None])
-            kept, inverse = distinct_nodes(children)
+            children, parent, _, _, d = self.expand(level[grow], u[grow, None])
+            parent = grow[parent]
+            kept, inverse = distinct_nodes(children, horizon[parent])
             levels.append((values, parent, d, inverse))
-            level, u = children[kept], None
+            level, horizon, u = children[kept], horizon[parent[kept]], None
+        # A leaf above the deepest level gets its reward plus beta * 0.0,
+        # which leaves it as it is: np.dot sums from +0.0, so no reward
+        # is -0.0.
         for rewards, parent, d, inverse in reversed(levels):
             values = backup(rewards, parent, d, values[inverse], self.beta)
         return values

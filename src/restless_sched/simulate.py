@@ -82,12 +82,15 @@ def _inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
     Rows are nondecreasing and end in 1, so that index is the count of
     the other entries at or below the uniform.  Counting column by
     column gathers one entry per draw at a time from a single column,
-    which beats an argmax over gathered whole rows.
+    which beats an argmax over gathered whole rows.  The count is kept
+    in the narrowest unsigned type that holds it: numpy adds a bool to
+    an ``int64`` through a slow casting loop, to a ``uint8`` through a
+    fast one.
     """
-    out = np.zeros(u.shape, dtype=np.int64)
+    count = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[-1] - 1))
     for k in range(cdf.shape[-1] - 1):
-        out += cdf[:, k].take(row) <= u
-    return out
+        count += cdf[:, k].take(row) <= u
+    return count.astype(np.intp)
 
 
 def _lockstep(
@@ -132,7 +135,7 @@ def _lockstep(
         acts = check_decisions(policy, policy.decide(t, table), table)
         u = acts.take(node)
         active = base + u  # flat index of each trajectory's worked project
-        totals += scale * R[current.take(active)]
+        totals += (scale * R).take(current.take(active))
         scale *= inst.beta
 
         # Transition every chain, then the active one emits.

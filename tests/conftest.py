@@ -122,8 +122,9 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
     the same generator, each root validated as a ``BeliefProfile`` of
     ``BeliefVector``s and each sample's intervals from
     ``lemma_intervals``.  The gaps come from one sweep per lookahead of
-    the validated roots in draw order, as the suite makes them.  Returns
-    one tuple of every ``BoundSample`` field per sample."""
+    the validated roots in draw order, which the suite's one sweep over
+    all lookaheads must match bit for bit.  Returns one tuple of every
+    ``BoundSample`` field per sample."""
     from restless_sched import BeliefProfile, BeliefVector
     from restless_sched.bounds import MAX_LOOKAHEAD, SLACK_TOL
     from restless_sched.policy import TreeEvaluator, myopic_policy

@@ -71,6 +71,13 @@ class TestLemmaInputChecks:
         with pytest.raises(ValueError, match="MLR-ordered"):
             bound_fn(two_state_instance, 0, 2, np.array([0.3, -0.3]))
 
+    def test_non_finite_delta(self, small_params, bound_fn):
+        inst = gen_assumption1_instance(small_params, 3)
+        for delta in ([np.nan, 0.0, 0.0], [np.inf, -np.inf, 0.0], [0.0, np.inf, 0.0],
+                      [-np.inf, 0.0, np.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                bound_fn(inst, 0, 2, np.array(delta))
+
 
 class TestIntervalTable:
     @pytest.mark.parametrize("regime", [1, 2])
@@ -88,6 +95,20 @@ class TestIntervalTable:
                 want = lemma_intervals(inst, span, delta, regime)
                 assert bound_fn(inst, 0, span, delta) == want
                 assert [tuple(pair) for pair in row] == list(want.values())
+
+    @pytest.mark.parametrize("regime", [1, 2])
+    def test_mixed_spans_match_per_span_tables(self, small_params, regime):
+        # Rows of spans 0..6 in one table, interleaved, against one table
+        # per span: the same bits, row for row.
+        gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
+        inst = gen(small_params, 3 if regime == 1 else 1009)
+        deltas = mlr_deltas(np.random.default_rng(regime), inst, regime, 42)
+        spans = np.random.default_rng(7).permutation(np.arange(42) % 7)
+        table = _interval_table(inst, regime, spans, deltas)
+        for span in range(7):
+            picked = spans == span
+            want = _interval_table(inst, regime, span, deltas[picked])
+            np.testing.assert_array_equal(table[picked].view(np.uint64), want.view(np.uint64))
 
     def test_rejects_any_bad_row(self, small_params):
         inst = gen_assumption1_instance(small_params, 3)
@@ -270,23 +291,23 @@ class TestCheckBoundsSuite:
         sweeps = []
         sweep = TreeEvaluator.sweep
 
-        def spy(ev, t, roots, policy, first=None):
-            sweeps.append((ev.T, roots, first))
-            return sweep(ev, t, roots, policy, first)
+        def spy(ev, t, roots, policy, first=None, horizons=None):
+            sweeps.append((roots, first, horizons))
+            return sweep(ev, t, roots, policy, first, horizons)
 
         monkeypatch.setattr(TreeEvaluator, "sweep", spy)
         samples = check_bounds_suite(inst, 12, seed)
         assert [(s.case, s.T, s.u, s.u_prime) for s in samples] == PINNED_DRAWS[
             (regime, inst_seed, seed)
         ]
-        # One sweep per lookahead, holding each sample's pair in draw order.
-        assert sorted(T for T, _, _ in sweeps) == sorted({s.T for s in samples})
-        pairs = {
-            T: iter(zip(roots[0::2], roots[1::2], first[0::2], first[1::2]))
-            for T, roots, first in sweeps
-        }
-        for s in samples:
-            lo, hi, u, u_prime = next(pairs[s.T])
+        # One sweep per suite, holding each sample's pair in draw order,
+        # both profiles valued up to the sample's lookahead.
+        assert len(sweeps) == 1
+        roots, first, horizons = sweeps[0]
+        pairs = zip(roots[0::2], roots[1::2], first[0::2], first[1::2],
+                    horizons[0::2], horizons[1::2], strict=True)
+        for s, (lo, hi, u, u_prime, T_lo, T_hi) in zip(samples, pairs, strict=True):
+            assert (T_lo, T_hi) == (s.T, s.T)
             assert (u + 1, u_prime + 1) == (s.u, s.u_prime)
             changed = np.flatnonzero(np.any(lo != hi, axis=1))
             assert changed.size == 1

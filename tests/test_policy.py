@@ -202,6 +202,32 @@ class TestAuxiliarySweep:
                     want = [recursive_avf(inst, r, t, T, u) for r, u in zip(roots, first)]
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("regime", [1, 2])
+    def test_mixed_horizons_match_one_sweep_per_horizon(self, small_params, regime):
+        # Roots of horizons 0..4 interleaved in one sweep, against one
+        # sweep per horizon of that horizon's roots in the same order:
+        # the same bits.  The same profile recurs with two horizons,
+        # which must not merge, and with one horizon, which may.
+        gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
+        inst = gen(small_params, 3 if regime == 1 else 1009)
+        N, X = inst.n_projects, inst.n_states
+        rng = np.random.default_rng(regime)
+        base = np.array([x.probs for x in inst.initial_beliefs])
+        roots = np.concatenate([[base] * 4, rng.dirichlet(np.ones(X), size=(12, N))])
+        horizons = np.array([4, 2, 4, 0] + [0, 1, 2, 3, 4, 1, 3, 0, 2, 4, 3, 1])
+        first = rng.integers(0, N, len(roots))
+        for policy in (myopic_policy(inst), round_robin_policy(N)):
+            for t, given in ((0, first), (0, None), (1, None)):
+                at = np.maximum(horizons, t)
+                got = TreeEvaluator(inst, 7).sweep(t, roots, policy, given, at)
+                for T in set(at.tolist()):
+                    picked = at == T
+                    alone = TreeEvaluator(inst, T).sweep(
+                        t, roots[picked], policy, None if given is None else given[picked]
+                    )
+                    np.testing.assert_array_equal(got[picked].view(np.uint64),
+                                                  alone.view(np.uint64))
+
 
 class TestPolicyValue:
     def test_stay_policy_expected_value(self, two_state_instance):

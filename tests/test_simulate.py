@@ -273,6 +273,24 @@ class TestInverseCdf:
         u = np.array([1 - 1e-10, 0.9999999999999999])
         assert _inverse_cdf(cdf, 0, u).tolist() == [1, 1]
 
+    @pytest.mark.parametrize("X", [2, 3, 257])
+    def test_matches_argmax_reference(self, X):
+        # The first entry above each uniform, found by argmax over the
+        # whole row; uniforms include every cdf entry below 1 exactly,
+        # and rows have zero-probability states (repeated entries).
+        rng = np.random.default_rng(X)
+        pmf = rng.uniform(0.0, 1.0, (4, X))
+        pmf[rng.uniform(size=pmf.shape) < 0.3] = 0.0
+        pmf[:, 0] += 1e-3
+        cdf = _cdf(pmf / pmf.sum(axis=1, keepdims=True))
+        u = [np.concatenate(([0.0], c[c < 1.0], rng.random(50))) for c in cdf]
+        row = np.repeat(np.arange(4), [len(v) for v in u])
+        u = np.concatenate(u)
+        assert np.isin(cdf[cdf < 1.0], u).all()
+        got = _inverse_cdf(cdf, row, u)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.argmax(cdf[row] > u[:, None], axis=1))
+
 
 class TestEstimateValue:
     def test_totals_do_not_change_estimate(self, small_params):
