@@ -3,10 +3,12 @@ tree, and the certification oracle comparing the optimum against the
 myopic policy.
 
 The tree is expanded breadth first, one level of profiles at a time
-under every action, merging profiles with equal rounded keys; one
-backward sweep then yields the optimal value, the myopic value and the
-per-node agreement of the two (the exact finite-horizon POMDP backup of
-Smallwood & Sondik, Oper. Res. 1973).
+under every action, merging profiles with equal rounded keys.  The
+deepest level is not built: ``TreeEvaluator.leaves`` values and counts
+each leaf from its parent's propagated profile and one filtered row.
+One backward sweep then yields the optimal value, the myopic value and
+the per-node agreement of the two (the exact finite-horizon POMDP
+backup of Smallwood & Sondik, Oper. Res. 1973).
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .policy import (
     backup,
     check_profile,
     distinct_nodes,
+    leaf_values,
     row_max,
 )
-from .types import ModelInstance, count_distinct_rows
+from .types import ModelInstance
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -57,16 +60,13 @@ class ValueReport:
 def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int) -> ValueReport:
     """Optimal and myopic values from slot t to T of one profile.
 
-    Each level keeps the first occurrence of every rounded profile in
-    expansion order, the one a depth-first walk meets first.  The last
-    level is only counted, not merged: a leaf's value is its largest
-    immediate reward, which the myopic action attains, so every leaf
-    agrees and each child is valued from its own beliefs.  The count
-    (``count_distinct_rows``) sorts one 64-bit fingerprint per leaf, a
-    wrapping product of its key bits with one odd multiplier per column,
-    and compares leaves bit for bit where fingerprints tie; if two
-    different leaves ever share a fingerprint it counts the keys
-    themselves, so it stays exact.
+    Each level above the leaves keeps the first occurrence of every
+    rounded profile in expansion order, the one a depth-first walk
+    meets first.  The leaves are neither built nor merged: a leaf's
+    value is its largest immediate reward, which the myopic action
+    attains, so every leaf agrees, and ``TreeEvaluator.leaves`` gives
+    each leaf's values, backup segment and likelihood, and the exact
+    number of distinct leaves, from the level above.
     """
     ev = TreeEvaluator(inst, T)
     counts = [0] * (T + 1)
@@ -78,25 +78,26 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
 
     rows = np.array((beliefs,))
     sweep = []
-    for depth in range(t, T):
+    for depth in range(t, T - 1):
         count(depth, len(rows))
         every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
         children, parent, u, _, d = ev.expand(rows, every_action)
-        inverse = None
-        if depth + 1 < T:
-            first, inverse = distinct_nodes(children)
-            children = children[first]
+        first, inverse = distinct_nodes(children)
         sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
-        rows = children
-        # Free the index arrays before the next level (or the leaf count
-        # and backward sweep, after the last one) grows.
+        rows = children[first]
+        # Free the index arrays before the next level grows.
         del children, parent, u, _
-    rewards = np.dot(rows, ev.R)
-    count(T, len(rows) if T == t else count_distinct_rows(rows))
+    if t < T:
+        count(T - 1, len(rows))
+        optimal, myopic, seg, d, leaves = ev.leaves(rows)
+        sweep.append((np.dot(rows, ev.R), seg, d, None))
+        count(T, leaves)
+    else:
+        count(T, 1)
+        rewards = np.dot(rows, ev.R)
+        optimal, myopic = leaf_values(rewards.T)
+        best = _greatest_array_index(rewards)
 
-    best = myo = _greatest_array_index(rewards)
-    optimal = row_max(rewards)
-    myopic = np.take_along_axis(rewards, myo[:, None], axis=-1)[:, 0]
     agree = counts[T]
     for rewards, seg, d, inverse in reversed(sweep):
         if inverse is not None:

@@ -24,7 +24,9 @@ follows one decision per node from many root profiles at once, each
 root up to its own horizon; it gives
 ``policy_value`` and the auxiliary value function W^u_t (take action u
 at slot t, act myopically afterwards), and the DP in ``dp`` runs the
-same kernel under every action.  ``avf_frozen``, the variant of W whose
+same kernel under every action.  ``TreeEvaluator.leaves`` values and
+counts the level below one under every action without building it,
+from the same filter as ``expand``.  ``avf_frozen``, the variant of W whose
 decisions follow a reference profile, expands the evaluated profiles
 and their references side by side on the same kernel.
 """
@@ -38,7 +40,15 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidBeliefError
 from .filtering import FILTER_SUM_TOL, LIKELIHOOD_FLOOR, BeliefProfile
-from .types import ModelInstance, RewardVector, belief_key, belief_row_keys
+from .types import (
+    ModelInstance,
+    RewardVector,
+    belief_key,
+    belief_row_keys,
+    count_distinct_rows,
+    fingerprint_multipliers,
+    key_bits,
+)
 
 #: Two values within this are treated as tied.
 ARGMAX_TOL = 1e-12
@@ -85,8 +95,11 @@ def horizon_for_tolerance(beta: float, r_max: float, tol: float) -> int:
     """Smallest T with beta^(T+1) * r_max / (1 - beta) below tol."""
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must lie in [0, 1), got {beta}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not np.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
+    # Every comparison with NaN is false, so a NaN tol fails this one.
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     T = 0
     tail = beta * r_max / (1.0 - beta) if beta > 0 else 0.0
     while tail >= tol:
@@ -124,6 +137,19 @@ def _greatest_array_index(values: np.ndarray) -> np.ndarray:
     return near.argmax(axis=-1)
 
 
+def leaf_values(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal and myopic value of leaves whose immediate rewards are
+    ``rewards`` (N, ...), project axis first: the largest reward, and
+    the reward of the project ``_greatest_array_index`` picks, both
+    taken column by column."""
+    optimal = row_max(np.moveaxis(rewards, 0, -1))
+    near = optimal - ARGMAX_TOL
+    myopic = rewards[-1]
+    for r in rewards[-2::-1]:
+        myopic = np.where(r >= near, r, myopic)
+    return optimal, myopic
+
+
 def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
     """Project (1-based) with the largest immediate reward, ties to the
     lowest index."""
@@ -141,6 +167,35 @@ def backup(rewards, seg, d, next_values, beta):
     expansion order."""
     acc = np.bincount(seg, weights=d * next_values, minlength=rewards.size)
     return rewards + beta * acc.reshape(rewards.shape)
+
+
+def _same_leaves(propagated: np.ndarray, filtered: np.ndarray, a, b) -> bool:
+    """Whether each pair of children a[i], b[i] has the same key bits.
+
+    ``propagated`` (n, N, X) holds the parents' propagated key bits and
+    ``filtered`` (X, Y * N * n) the filtered rows' key bits, column c
+    being child c of ``TreeEvaluator.leaves``: parent c % n, worked
+    project c // n % N.
+    """
+    n, N, X = propagated.shape
+    pa, pb = a % n, b % n
+    ka, kb = a // n % N, b // n % N
+    fa, fb = np.take(filtered, a, axis=1), np.take(filtered, b, axis=1)
+    # Each child's row at the other child's worked project.
+    same = ka == kb
+    rows = propagated.reshape(-1, X).T
+    a_at_kb = np.where(same, fa, np.take(rows, pa * N + kb, axis=1))
+    b_at_ka = np.where(same, fb, np.take(rows, pb * N + ka, axis=1))
+    if not (np.array_equal(fa, b_at_ka) and np.array_equal(a_at_kb, fb)):
+        return False
+    far = np.flatnonzero(pa != pb)
+    if not len(far):
+        return True
+    # Children of different parents: compare whole rows.
+    rows_a, rows_b = propagated[pa[far]], propagated[pb[far]]
+    rows_a[np.arange(len(far)), ka[far]] = fa[:, far].T
+    rows_b[np.arange(len(far)), kb[far]] = fb[:, far].T
+    return bool(np.array_equal(rows_a, rows_b))
 
 
 def distinct_nodes(
@@ -186,6 +241,37 @@ class TreeEvaluator:
         self.N = inst.n_projects
         self.Y = inst.n_obs
 
+    def _propagate(self, level: np.ndarray) -> np.ndarray:
+        """A'x of every belief in ``level`` (n, N, X), C-contiguous."""
+        # A stack of matrix-vector products: merged keys, and so node
+        # counts, depend on the last bits of this form.
+        return (self.A_T @ level[..., None])[..., 0]
+
+    def _filter(self, z: np.ndarray):
+        """The filter T(x, m) of every propagated belief z = A'x in the
+        C-contiguous (K, n, X) ``z`` on every observation m.
+
+        Returns (likelihood (K, n, Y), live, filtered (X, Y, K, n)), where
+        ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``; the
+        rows of other branches are left unnormalised.  Each of the K
+        likelihood products is one (n, X) @ (X, Y) matrix product.  The
+        filter itself is elementwise, so its bits do not depend on the
+        layout, which puts the long axis last.  Each row sum adds the X
+        columns one after another, in order, never pairwise.
+        """
+        d = z @ self.B
+        live = d > LIKELIHOOD_FLOOR
+        live_t = live.transpose(2, 0, 1)
+        filtered = self.B[:, :, None, None] * z.transpose(2, 0, 1)[:, None]
+        filtered /= np.where(live, d, 1.0).transpose(2, 0, 1)
+        s = filtered.sum(axis=0)
+        drift = live_t & (np.abs(s - 1.0) > FILTER_SUM_TOL)
+        if drift.any():
+            first = s.transpose(1, 2, 0)[drift.transpose(1, 2, 0)][0]
+            raise InvalidBeliefError(f"filter output sums to {first}; mass lost beyond tolerance")
+        filtered /= np.where(live_t, s, 1.0)
+        return d, live, filtered
+
     def expand(self, level: np.ndarray, actions: np.ndarray):
         """Children of every profile in ``level`` (n, N, X) under each
         column of ``actions`` (n, K) of 0-based projects.
@@ -196,30 +282,94 @@ class TreeEvaluator:
         """
         n, K = actions.shape
         rows = np.arange(n)
-        # A'x per belief as a stack of matrix-vector products: merged keys,
-        # and so node counts, depend on the last bits of this form.
-        propagated = (self.A_T @ level[..., None])[..., 0]
-        buf = np.empty((n, K, self.Y) + level.shape[1:])
-        ds = np.empty((n, K, self.Y))
-        for k in range(K):
-            a = actions[:, k]
-            z = propagated[rows, a]
-            d = ds[:, k] = z @ self.B
-            live = d > LIKELIHOOD_FLOOR
-            filtered = self.B.T * z[:, None, :] / np.where(live, d, 1.0)[:, :, None]
-            s = filtered.sum(axis=-1)
-            drift = live & (np.abs(s - 1.0) > FILTER_SUM_TOL)
-            if drift.any():
-                raise InvalidBeliefError(
-                    f"filter output sums to {s[drift][0]}; mass lost beyond tolerance"
-                )
-            child = buf[:, k]
-            child[...] = propagated[:, None]
-            child[rows, :, a] = filtered / np.where(live, s, 1.0)[:, :, None]
-        live = ds > LIKELIHOOD_FLOOR
+        worked = actions.T
+        propagated = self._propagate(level)
+        d, live, filtered = self._filter(propagated[rows, worked])
+        children = np.empty((n, K, self.Y) + level.shape[1:])
+        children[...] = propagated[:, None, None]
+        children[rows, np.arange(K)[:, None], :, worked] = filtered.transpose(2, 3, 1, 0)
+        live = live.transpose(1, 0, 2)
         parent, column, observation = np.nonzero(live)
-        children = buf.reshape((-1,) + level.shape[1:]) if live.all() else buf[live]
-        return children, parent, column, observation, ds[live]
+        children = children.reshape((-1,) + level.shape[1:]) if live.all() else children[live]
+        return children, parent, column, observation, d.transpose(1, 0, 2)[live]
+
+    def leaves(self, level: np.ndarray):
+        """The children of every profile in ``level`` (n, N, X) under
+        every action, valued and counted as leaves without building them.
+
+        Returns (optimal, myopic, segment, likelihood, count): per live
+        child, its largest immediate reward and the tie rule's pick, its
+        flat index parent * N + action into ``np.dot(level, R)`` and its
+        likelihood; and the number of distinct ``belief_row_keys`` among
+        the children, which ``count_distinct_rows`` would return on
+        ``expand``'s children.  The children come observation-major
+        (observation, action, parent), not in ``expand``'s order, but
+        each segment's children still come in observation order, so
+        ``backup`` sums them in the same order.
+
+        A child is its parent's propagated profile with the worked row
+        replaced by a filtered row.  The passive rewards are one product
+        over the propagated rows and the worked ones one over the
+        filtered rows, each ``np.dot`` over contiguous length-X rows as
+        on built children.  A child's fingerprint, as
+        ``types._row_fingerprints`` sums it, is its parent's propagated
+        fingerprint minus the worked row's terms plus the filtered row's
+        terms.  Children that share a fingerprint are compared bit for
+        bit: under one parent only the two worked rows can differ, so
+        only children of different parents get their whole rows
+        rebuilt.  If two different children share a fingerprint, the
+        count falls back to ``count_distinct_rows`` on ``expand``'s
+        children.
+        """
+        n, N, X = level.shape
+        every = np.arange(N)
+        propagated = self._propagate(level)
+        d, live, filtered = self._filter(propagated.transpose(1, 0, 2).copy())
+        # Project j's immediate reward in child (observation, action, parent).
+        rewards = np.empty((N,) + filtered.shape[1:])
+        rewards[...] = np.dot(propagated, self.R).T[:, None, None]
+        worked = np.dot(np.ascontiguousarray(filtered.transpose(2, 3, 1, 0)), self.R)
+        rewards[every, :, every] = worked.transpose(0, 2, 1)
+        del worked
+        optimal, myopic = leaf_values(rewards)
+        del rewards
+        segment = np.broadcast_to(np.arange(n) * N + every[:, None], optimal.shape)
+        live = live.transpose(2, 0, 1)
+        leaf = None if live.all() else np.flatnonzero(live)
+        out = [a.ravel() if leaf is None else a.ravel()[leaf]
+               for a in (optimal, myopic, segment, d.transpose(2, 0, 1))]
+        count = self._count_leaves(level, key_bits(propagated), key_bits(filtered), leaf)
+        return (*out, count)
+
+    def _count_leaves(self, level, propagated, filtered, leaf) -> int:
+        """Distinct keys among the children of ``leaves``, from the key
+        bits of the parents' ``propagated`` rows (n, N, X) and of the
+        ``filtered`` rows (X, Y, N, n); ``leaf`` indexes the live
+        children, None if all are live."""
+        n, N, X = propagated.shape
+        weights = fingerprint_multipliers(N * X).reshape(N, X)
+        # Per parent and project, that row's fingerprint terms; per
+        # child, its filtered row's.
+        terms = propagated[:, :, 0] * weights[:, 0]
+        fingerprints = filtered[0] * weights[:, 0, None]
+        for x in range(1, X):
+            terms += propagated[:, :, x] * weights[:, x]
+            fingerprints += filtered[x] * weights[:, x, None]
+        # Plus the terms of the parent's other rows.
+        fingerprints += terms.sum(axis=1) - terms.T
+        fingerprints = fingerprints.ravel() if leaf is None else fingerprints.ravel()[leaf]
+        order = np.argsort(fingerprints)
+        fingerprints = fingerprints[order]
+        tie = np.flatnonzero(fingerprints[1:] == fingerprints[:-1])
+        del fingerprints
+        if len(tie):
+            a, b = order[tie], order[tie + 1]
+            if leaf is not None:
+                a, b = leaf[a], leaf[b]
+            if not _same_leaves(propagated, filtered.reshape(X, -1), a, b):
+                every_action = np.broadcast_to(np.arange(N), (n, N))
+                return count_distinct_rows(self.expand(level, every_action)[0])
+        return len(order) - len(tie)
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.

@@ -59,12 +59,23 @@ def belief_row_keys(rows: np.ndarray) -> np.ndarray:
 _BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
+def key_bits(rows: np.ndarray) -> np.ndarray:
+    """The key bits of a C-contiguous float array: ``rows`` rounded in
+    place as ``belief_key`` rounds it, viewed as uint64."""
+    return _rounded(rows, out=rows).view(np.uint64)
+
+
+def fingerprint_multipliers(n_columns: int) -> np.ndarray:
+    """The odd multipliers ``_BASE ** (j + 1)`` of key columns j."""
+    return np.cumprod(np.full(n_columns, _BASE))
+
+
 def _row_fingerprints(bits: np.ndarray) -> np.ndarray:
     """One uint64 per row of ``bits`` (n, C): equal rows get equal
-    fingerprints.  The fingerprint is the row times the odd multipliers
-    ``_BASE ** (j + 1)`` of its columns j, summed modulo 2**64, so rows
-    that differ in one column never share one."""
-    return bits @ np.cumprod(np.full(bits.shape[1], _BASE))
+    fingerprints.  The fingerprint is the row times the multipliers of
+    its columns, summed modulo 2**64, so rows that differ in one column
+    never share one."""
+    return bits @ fingerprint_multipliers(bits.shape[1])
 
 
 def count_distinct_rows(rows: np.ndarray) -> int:
@@ -79,7 +90,7 @@ def count_distinct_rows(rows: np.ndarray) -> int:
     and ``rows`` keeps its row order.
     """
     flat = rows.reshape(len(rows), -1)
-    bits = _rounded(flat, out=flat).view(np.uint64)
+    bits = key_bits(flat)
     fingerprints = _row_fingerprints(bits)
     order = np.argsort(fingerprints)
     fingerprints = fingerprints[order]

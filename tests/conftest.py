@@ -189,6 +189,111 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
     return out
 
 
+def reference_expand(ev, level: np.ndarray, actions: np.ndarray):
+    """``TreeEvaluator.expand`` as first written, with the arithmetic
+    that every report's last bits were pinned to: one action column at
+    a time, the stacked A'x, one (n, X) @ (X, Y) likelihood product per
+    column, and each filtered row summed by numpy over its contiguous X
+    axis (pairwise from 8 terms on)."""
+    from restless_sched.filtering import FILTER_SUM_TOL, LIKELIHOOD_FLOOR
+
+    n, K = actions.shape
+    rows = np.arange(n)
+    propagated = (ev.A_T @ level[..., None])[..., 0]
+    buf = np.empty((n, K, ev.Y) + level.shape[1:])
+    ds = np.empty((n, K, ev.Y))
+    for k in range(K):
+        a = actions[:, k]
+        z = propagated[rows, a]
+        d = ds[:, k] = z @ ev.B
+        live = d > LIKELIHOOD_FLOOR
+        filtered = ev.B.T * z[:, None, :] / np.where(live, d, 1.0)[:, :, None]
+        s = filtered.sum(axis=-1)
+        assert not (live & (np.abs(s - 1.0) > FILTER_SUM_TOL)).any()
+        child = buf[:, k]
+        child[...] = propagated[:, None]
+        child[rows, :, a] = filtered / np.where(live, s, 1.0)[:, :, None]
+    live = ds > LIKELIHOOD_FLOOR
+    parent, column, observation = np.nonzero(live)
+    return buf[live], parent, column, observation, ds[live]
+
+
+def reference_leaves(ev, level: np.ndarray):
+    """The leaf level below ``level`` built by ``reference_expand``
+    under every action, as the DP valued and counted it before leaves
+    were valued from their parents: (optimal, myopic, segment,
+    likelihood, observation, count) in expansion order, the values by
+    ``np.dot`` over the built children and the tie rule, the count by
+    ``count_distinct_rows``."""
+    from restless_sched.policy import _greatest_array_index, row_max
+    from restless_sched.types import count_distinct_rows
+
+    every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+    children, parent, u, obs, d = reference_expand(ev, level, every_action)
+    rewards = np.dot(children, ev.R)
+    myopic = np.take_along_axis(rewards, _greatest_array_index(rewards)[:, None], axis=-1)[:, 0]
+    count = count_distinct_rows(children)
+    return row_max(rewards), myopic, parent * ev.N + u, d, obs, count
+
+
+def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
+    """``dp._solve`` without a node budget, every level built by
+    ``reference_expand`` and the leaf level valued and counted by
+    ``reference_leaves``."""
+    from restless_sched.dp import ValueReport
+    from restless_sched.policy import (
+        ARGMAX_TOL, TreeEvaluator, _greatest_array_index, backup, distinct_nodes, row_max,
+    )
+
+    ev = TreeEvaluator(inst, T)
+    counts = [0] * (T + 1)
+    rows = np.array((tuple(beliefs),))
+    sweep = []
+    for depth in range(t, T):
+        counts[depth] = len(rows)
+        if depth + 1 == T:
+            optimal, myopic, seg, d, _, counts[T] = reference_leaves(ev, rows)
+            sweep.append((np.dot(rows, ev.R), seg, d, None))
+            break
+        every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
+        children, parent, u, _, d = reference_expand(ev, rows, every_action)
+        first, inverse = distinct_nodes(children)
+        sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
+        rows = children[first]
+    else:
+        counts[T] = 1
+        rewards = np.dot(rows, ev.R)
+        best = _greatest_array_index(rewards)
+        optimal = row_max(rewards)
+        myopic = np.take_along_axis(rewards, best[:, None], axis=-1)[:, 0]
+    agree = counts[T]
+    for rewards, seg, d, inverse in reversed(sweep):
+        if inverse is not None:
+            optimal, myopic = optimal[inverse], myopic[inverse]
+        idx = np.arange(len(rewards))
+        values = backup(rewards, seg, d, optimal, ev.beta)
+        myo = _greatest_array_index(rewards)
+        myopic = backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
+        optimal = row_max(values)
+        best = _greatest_array_index(values)
+        agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))
+    opt, myo_value = float(optimal[0]), float(myopic[0])
+    return ValueReport(
+        optimal_value=opt,
+        myopic_value=myo_value,
+        gap=opt - myo_value,
+        per_depth_node_counts=tuple(counts),
+        argmax_agreement=agree / sum(counts),
+        best_action=int(best[0]) + 1,
+        horizon=T,
+    )
+
+
+def report_bits(report) -> dict:
+    """Every field of a ``ValueReport``, floats as their exact hex form."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_json_dict().items()}
+
+
 def random_simplex(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.dirichlet(np.ones(dim))
 

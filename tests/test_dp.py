@@ -1,5 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import (
+    reference_expand,
+    reference_leaves,
+    reference_solve,
+    report_bits,
+)
 
 import restless_sched.policy as policy_module
 from restless_sched import (
@@ -9,14 +18,20 @@ from restless_sched import (
     NodeBudgetExceededError,
     certify_myopic,
     gen_assumption1_instance,
+    myopic_policy,
     optimal_value,
     policy_value,
     round_robin_policy,
     seeded_random_policy,
     stay_policy,
+    types,
 )
+from restless_sched.cli import main
 from restless_sched.filtering import filter_update, obs_likelihood, propagate
-from restless_sched.types import ModelInstance
+from restless_sched.policy import TreeEvaluator, distinct_nodes
+from restless_sched.types import ModelInstance, belief_row_keys
+
+DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
 
 
 def _successors(inst: ModelInstance, beliefs, u):
@@ -241,3 +256,168 @@ class TestCertifyMyopic:
             rep = certify_myopic(inst, 3)
             assert rep.gap >= -1e-12
             assert 0.0 <= rep.argmax_agreement <= 1.0
+
+
+def dirichlet_instance(seed: int, N: int, X: int, Y: int) -> ModelInstance:
+    """Random instance: Dirichlet rows of A and B and beliefs, sorted
+    uniform rewards, beta uniform in [0.5, 0.95]."""
+    rng = np.random.default_rng(seed)
+    A = rng.dirichlet(np.ones(X), X)
+    B = rng.dirichlet(np.ones(Y), X)
+    R = np.sort(rng.uniform(0.0, 1.0, X))
+    beta = rng.uniform(0.5, 0.95)
+    return ModelInstance(N, X, Y, A, B, R, beta, rng.dirichlet(np.ones(X), N))
+
+
+def rank_one_instance() -> ModelInstance:
+    """Every row of A is the same law, so every parent propagates to the
+    same profile and children of different parents coincide."""
+    A = np.array([[0.3, 0.5, 0.2]] * 3)
+    B = np.array([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+    x0 = [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]
+    return ModelInstance(2, 3, 2, A, B, np.array([0.0, 0.5, 1.0]), 0.8, x0)
+
+
+#: Instances whose leaf levels the leaf pass must value and count bit
+#: for bit as built children: zero-likelihood leaves, unequal N, X and
+#: Y, X=9 (numpy sums 8 or more contiguous terms pairwise, but the
+#: filter's row sums add them in order), and children of different
+#: parents that coincide.
+LEAF_INSTANCES = {
+    "absorbing": None,
+    "mixed N=4 X=2 Y=5": lambda: dirichlet_instance(41, 4, 2, 5),
+    "X=9": lambda: dirichlet_instance(9, 2, 9, 3),
+    "rank-one A": rank_one_instance,
+}
+
+
+@pytest.fixture(params=list(LEAF_INSTANCES))
+def leaf_instance(request, absorbing_instance) -> ModelInstance:
+    make = LEAF_INSTANCES[request.param]
+    return absorbing_instance if make is None else make()
+
+
+def initial_level(inst: ModelInstance, depth: int) -> np.ndarray:
+    """The DP's merged level at ``depth`` below the initial profile."""
+    ev = TreeEvaluator(inst, depth)
+    level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
+    for _ in range(depth):
+        every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+        children = ev.expand(level, every_action)[0]
+        level = children[distinct_nodes(children)[0]]
+    return level
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestLeafPass:
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_reports_match_reference(self, leaf_instance, T):
+        inst = leaf_instance
+        beliefs = [x.probs for x in inst.initial_beliefs]
+        want = reference_solve(inst, beliefs, 0, T)
+        assert report_bits(certify_myopic(inst, T)) == report_bits(want)
+        prof = BeliefProfile(inst.initial_beliefs, 0)
+        for t in (T - 1, T - 2):
+            if t >= 0:
+                want = reference_solve(inst, beliefs, t, T)
+                value, action = optimal_value(inst, prof, t, T)
+                assert (value.hex(), action) == (want.optimal_value.hex(), want.best_action)
+
+    def test_deep_input_matches_reference(self):
+        # Input 14's T=6 leaves straddle rounding lines, so its node
+        # count (137,282 with this build) depends on the last bits.
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
+        beliefs = [x.probs for x in inst.initial_beliefs]
+        want = reference_solve(inst, beliefs, 0, doc["horizon"])
+        assert report_bits(certify_myopic(inst, doc["horizon"])) == report_bits(want)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_leaves_match_built_children(self, leaf_instance, depth):
+        inst = leaf_instance
+        level = initial_level(inst, depth)
+        ev = TreeEvaluator(inst, depth + 1)
+        *got, count = ev.leaves(level.copy())
+        *want, obs, want_count = reference_leaves(ev, level)
+        # The leaf pass lists children observation-major.
+        segment = want[2]
+        order = np.lexsort((segment // ev.N, segment % ev.N, obs))
+        for g, w in zip(got, want):
+            assert same_bits(g, w[order])
+        assert count == want_count
+
+    @pytest.mark.parametrize("K", [1, 2, "every"])
+    def test_expand_matches_reference(self, leaf_instance, K):
+        inst = leaf_instance
+        level = initial_level(inst, 2)
+        ev = TreeEvaluator(inst, 3)
+        if K == "every":
+            actions = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+        else:
+            actions = np.random.default_rng(K).integers(0, ev.N, (len(level), K))
+        got = ev.expand(level, actions)
+        want = reference_expand(ev, level, actions)
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    def test_children_of_different_parents_compared_whole(self, monkeypatch):
+        inst = rank_one_instance()
+        level = initial_level(inst, 2)
+        ev = TreeEvaluator(inst, 3)
+        every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+        children, parent, _, _, _ = reference_expand(ev, level, every_action)
+        _, first, inverse = np.unique(
+            belief_row_keys(children), return_index=True, return_inverse=True
+        )
+        # Some child shares its key with a child of another parent.
+        assert (parent[first][inverse.ravel()] != parent).any()
+        fallback = []
+        monkeypatch.setattr(
+            policy_module, "count_distinct_rows", lambda rows: fallback.append(rows) or 0
+        )
+        assert ev.leaves(level)[-1] == reference_leaves(ev, level)[-1] == len(first)
+        assert not fallback
+
+    def test_fingerprint_collision_falls_back_to_exact_count(self, monkeypatch):
+        inst = dirichlet_instance(41, 4, 2, 5)
+        level = initial_level(inst, 2)
+        ev = TreeEvaluator(inst, 3)
+        want = reference_leaves(ev, level)[-1]
+        calls = []
+        count = policy_module.count_distinct_rows
+        monkeypatch.setattr(
+            policy_module, "count_distinct_rows", lambda rows: calls.append(1) or count(rows)
+        )
+        # A zero base makes every fingerprint zero: every child ties.
+        monkeypatch.setattr(types, "_BASE", np.uint64(0))
+        assert ev.leaves(level)[-1] == want
+        assert calls == [1]
+
+
+class TestGapWitnesses:
+    """Instances where the myopic policy is not optimal, so that a
+    certifier that misvalues myopic play cannot pass for one that works:
+    about 1 seed in 4 of ``dirichlet_instance`` at N = X = Y = 3 makes
+    myopic suboptimal at T=3."""
+
+    @pytest.mark.parametrize("seed", [3, 10, 29])
+    def test_gap_reported_and_checked_by_recursion(self, seed):
+        inst = dirichlet_instance(seed, 3, 3, 3)
+        rep = certify_myopic(inst, 3)
+        assert rep.gap > 1e-9
+        assert rep.argmax_agreement < 1
+        assert rep.optimal_value == pytest.approx(brute_force_optimal(inst, 3), abs=1e-10)
+        myopic = recursive_policy_value(inst, myopic_policy(inst), 3)
+        assert rep.myopic_value == pytest.approx(myopic, abs=1e-10)
+
+    def test_compare_exits_one(self, tmp_path):
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(dirichlet_instance(10, 3, 3, 3).to_json_dict()))
+        out = tmp_path / "report.json"
+        assert main(["compare", str(path), "--horizon", "3", "--out", str(out)]) == 1
+        assert json.loads(out.read_text())["gap"] > 1e-9

@@ -134,6 +134,19 @@ class TestHorizonForTolerance:
         assert 0.5 ** (T + 1) / 0.5 < 1e-6
         assert 0.5 ** T / 0.5 >= 1e-6
 
+    def test_infinite_r_max_rejected(self):
+        # The tail stays infinite, so the search used to loop forever.
+        with pytest.raises(ValueError, match="r_max"):
+            horizon_for_tolerance(0.5, float("inf"), 1e-6)
+
+    def test_nan_r_max_rejected(self):
+        with pytest.raises(ValueError, match="r_max"):
+            horizon_for_tolerance(0.5, float("nan"), 1e-6)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError, match="tol"):
+            horizon_for_tolerance(0.5, 1.0, float("nan"))
+
 
 class TestAvfEvaluate:
     def test_terminal_slot_is_immediate_reward(self, two_state_instance):
