@@ -76,8 +76,9 @@ def _sample_dims(rng: np.random.Generator, params: GeneratorParams):
     return X, Y, N, beta
 
 
-def _generate(params: GeneratorParams, seed: int, regime: int, alt_clause3: bool) -> ModelInstance:
-    """Rejection-sample an instance verified under ``regime``.  Both
+def _generate(params: GeneratorParams, seed: int, regime: int) -> ModelInstance:
+    """Rejection-sample an instance verified under ``regime``, regime 2
+    under the mirrored clause-3 reading (see module docstring).  Both
     regimes draw the same variates in the same order; only the order of
     A's mixing weights, B and the initial chain depend on the regime."""
     rng = np.random.default_rng(seed)
@@ -106,7 +107,7 @@ def _generate(params: GeneratorParams, seed: int, regime: int, alt_clause3: bool
             # Descending initial chain inside the band [A_X, A_1].
             x0 = _mixture_rows(A[-1], A[0], chain[::-1])
         inst = ModelInstance(N, X, Y, A, B, R, beta, x0)
-        report = _verify(inst, regime, alt_clause3)
+        report = _verify(inst, regime, regime == 2)
         if report.satisfied:
             assert validate_instance(inst).ok
             return inst
@@ -114,38 +115,30 @@ def _generate(params: GeneratorParams, seed: int, regime: int, alt_clause3: bool
     raise GenerationExhaustedError(params.max_attempts, f"clause {last_failure}")
 
 
-def gen_assumption1_instance(
-    params: GeneratorParams, seed: int, alt_clause3: bool = False
-) -> ModelInstance:
+def gen_assumption1_instance(params: GeneratorParams, seed: int) -> ModelInstance:
     """Rejection-sample an instance verified under the ascending regime."""
-    return _generate(params, seed, 1, alt_clause3)
+    return _generate(params, seed, 1)
 
 
-def gen_assumption2_instance(
-    params: GeneratorParams, seed: int, alt_clause3: bool = True
-) -> ModelInstance:
-    """Rejection-sample an instance verified under the descending regime.
-
-    Defaults to the mirrored clause-3 reading (see module docstring).
-    """
-    return _generate(params, seed, 2, alt_clause3)
+def gen_assumption2_instance(params: GeneratorParams, seed: int) -> ModelInstance:
+    """Rejection-sample an instance verified under the descending regime,
+    with the mirrored clause-3 reading (see module docstring)."""
+    return _generate(params, seed, 2)
 
 
-def perturb_violate(
-    inst: ModelInstance, clause_id: str, seed: int, alt_clause3: bool | None = None
-) -> ModelInstance:
+def perturb_violate(inst: ModelInstance, clause_id: str, seed: int) -> ModelInstance:
     """Minimally perturb a verified instance so one targeted clause fails.
 
-    ``clause_id`` is e.g. "1.5" or "2.3".  The result stays structurally
-    well-formed; raises CannotViolateError when the clause cannot be
-    broken at the instance's dimensions.
+    ``clause_id`` is e.g. "1.5" or "2.3".  The clause is checked under
+    the reading the generators verify: printed for regime 1, mirrored
+    for regime 2.  The result stays structurally well-formed; raises
+    CannotViolateError when the clause cannot be broken at the
+    instance's dimensions.
     """
     regime_s, _, clause_s = clause_id.partition(".")
     if regime_s not in ("1", "2") or clause_s not in ("1", "2", "3", "4", "5"):
         raise ValueError(f"clause id must look like '1.3', got {clause_id!r}")
     regime, clause = int(regime_s), int(clause_s)
-    if alt_clause3 is None:
-        alt_clause3 = regime == 2
     rng = np.random.default_rng(seed)
     X, Y, N = inst.n_states, inst.n_obs, inst.n_projects
     A = inst.A.rows.copy()
@@ -208,7 +201,7 @@ def perturb_violate(
     for cand in candidates:
         if not validate_instance(cand).ok:
             continue
-        report = _verify(cand, regime, alt_clause3)
+        report = _verify(cand, regime, regime == 2)
         failed = {c.clause for c in report.clause_results if not c.passed}
         if f"{regime}.{clause}" in failed:
             return cand

@@ -40,15 +40,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError, InvalidBeliefError
 from .filtering import FILTER_SUM_TOL, LIKELIHOOD_FLOOR, BeliefProfile
-from .types import (
-    ModelInstance,
-    RewardVector,
-    belief_key,
-    belief_row_keys,
-    count_distinct_rows,
-    fingerprint_multipliers,
-    key_bits,
-)
+from .types import ModelInstance, RewardVector, belief_key, belief_row_keys, key_bits
 
 #: Two values within this are treated as tied.
 ARGMAX_TOL = 1e-12
@@ -167,6 +159,17 @@ def backup(rewards, seg, d, next_values, beta):
     expansion order."""
     acc = np.bincount(seg, weights=d * next_values, minlength=rewards.size)
     return rewards + beta * acc.reshape(rewards.shape)
+
+
+#: Odd base whose powers weight the key columns in a leaf fingerprint.
+_BASE = np.uint64(0x9E3779B97F4A7C15)
+
+
+def fingerprint_multipliers(n_columns: int) -> np.ndarray:
+    """The odd multipliers ``_BASE ** (j + 1)`` of key columns j.  A
+    row's fingerprint is its ``key_bits`` times these, summed modulo
+    2**64, so rows that differ in one column never share one."""
+    return np.cumprod(np.full(n_columns, _BASE))
 
 
 def _same_leaves(propagated: np.ndarray, filtered: np.ndarray, a, b) -> bool:
@@ -301,8 +304,8 @@ class TreeEvaluator:
         child, its largest immediate reward and the tie rule's pick, its
         flat index parent * N + action into ``np.dot(level, R)`` and its
         likelihood; and the number of distinct ``belief_row_keys`` among
-        the children, which ``count_distinct_rows`` would return on
-        ``expand``'s children.  The children come observation-major
+        the children, the number of nodes ``distinct_nodes`` would keep
+        of ``expand``'s children.  The children come observation-major
         (observation, action, parent), not in ``expand``'s order, but
         each segment's children still come in observation order, so
         ``backup`` sums them in the same order.
@@ -311,15 +314,14 @@ class TreeEvaluator:
         replaced by a filtered row.  The passive rewards are one product
         over the propagated rows and the worked ones one over the
         filtered rows, each ``np.dot`` over contiguous length-X rows as
-        on built children.  A child's fingerprint, as
-        ``types._row_fingerprints`` sums it, is its parent's propagated
+        on built children.  A child's fingerprint (see
+        ``fingerprint_multipliers``) is its parent's propagated
         fingerprint minus the worked row's terms plus the filtered row's
         terms.  Children that share a fingerprint are compared bit for
         bit: under one parent only the two worked rows can differ, so
         only children of different parents get their whole rows
         rebuilt.  If two different children share a fingerprint, the
-        count falls back to ``count_distinct_rows`` on ``expand``'s
-        children.
+        level is built by ``expand`` and counted by ``distinct_nodes``.
         """
         n, N, X = level.shape
         every = np.arange(N)
@@ -345,7 +347,8 @@ class TreeEvaluator:
         """Distinct keys among the children of ``leaves``, from the key
         bits of the parents' ``propagated`` rows (n, N, X) and of the
         ``filtered`` rows (X, Y, N, n); ``leaf`` indexes the live
-        children, None if all are live."""
+        children, None if all are live.  ``level`` is expanded again
+        only if two different children share a fingerprint."""
         n, N, X = propagated.shape
         weights = fingerprint_multipliers(N * X).reshape(N, X)
         # Per parent and project, that row's fingerprint terms; per
@@ -368,7 +371,7 @@ class TreeEvaluator:
                 a, b = leaf[a], leaf[b]
             if not _same_leaves(propagated, filtered.reshape(X, -1), a, b):
                 every_action = np.broadcast_to(np.arange(N), (n, N))
-                return count_distinct_rows(self.expand(level, every_action)[0])
+                return len(distinct_nodes(self.expand(level, every_action)[0])[0])
         return len(order) - len(tie)
 
     # Not called by the package; the per-layer tracer in perfbench wraps

@@ -4,6 +4,11 @@ All public state/observation/project indices are 1-based, matching the
 usual statement of the scheduling model; internal numpy arrays are
 0-based.  Every type is immutable after construction and safe to share
 across threads.
+
+The module also owns the key that decides when two beliefs or profiles
+are the same: entries rounded to ``KEY_DECIMALS`` with -0.0 turned into
+0.0, read as bytes (``belief_key``), as one void scalar per profile
+(``belief_row_keys``) or as uint64 words (``key_bits``).
 """
 
 from __future__ import annotations
@@ -39,10 +44,6 @@ def _rounded(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _void_rows(flat: np.ndarray) -> np.ndarray:
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-
-
 def belief_key(probs: np.ndarray) -> bytes:
     """Hashable key for a belief, stable under sub-1e-12 float noise."""
     return _rounded(probs).tobytes()
@@ -52,60 +53,14 @@ def belief_row_keys(rows: np.ndarray) -> np.ndarray:
     """One key per leading-axis entry of ``rows`` (e.g. profiles of shape
     (n, N, X)), as void scalars whose bytes are the concatenated
     ``belief_key`` of the entry's beliefs; ``np.unique`` dedups them."""
-    return _void_rows(_rounded(rows.reshape(len(rows), -1)))
-
-
-#: Odd base whose powers weight the key columns in a fingerprint.
-_BASE = np.uint64(0x9E3779B97F4A7C15)
+    flat = _rounded(rows.reshape(len(rows), -1))
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
 def key_bits(rows: np.ndarray) -> np.ndarray:
     """The key bits of a C-contiguous float array: ``rows`` rounded in
     place as ``belief_key`` rounds it, viewed as uint64."""
     return _rounded(rows, out=rows).view(np.uint64)
-
-
-def fingerprint_multipliers(n_columns: int) -> np.ndarray:
-    """The odd multipliers ``_BASE ** (j + 1)`` of key columns j."""
-    return np.cumprod(np.full(n_columns, _BASE))
-
-
-def _row_fingerprints(bits: np.ndarray) -> np.ndarray:
-    """One uint64 per row of ``bits`` (n, C): equal rows get equal
-    fingerprints.  The fingerprint is the row times the multipliers of
-    its columns, summed modulo 2**64, so rows that differ in one column
-    never share one."""
-    return bits @ fingerprint_multipliers(bits.shape[1])
-
-
-def count_distinct_rows(rows: np.ndarray) -> int:
-    """Number of distinct ``belief_row_keys`` among ``rows``.
-
-    Rounds a C-contiguous ``rows`` in place and sorts one 64-bit
-    fingerprint of each row's key bits rather than the keys themselves.
-    Sorted neighbours that share a fingerprint are compared bit for bit,
-    column by column; if they all match, each such pair is one duplicate.
-    If any pair differs, two keys share a fingerprint and the keys
-    themselves are counted on a sorted copy, so the count stays exact
-    and ``rows`` keeps its row order.
-    """
-    flat = rows.reshape(len(rows), -1)
-    bits = key_bits(flat)
-    fingerprints = _row_fingerprints(bits)
-    order = np.argsort(fingerprints)
-    fingerprints = fingerprints[order]
-    # Sorted positions i whose row shares its fingerprint with row i + 1.
-    tie = np.flatnonzero(fingerprints[1:] == fingerprints[:-1])
-    del fingerprints
-    if len(tie):
-        above, below = order[tie], order[tie + 1]
-        if any((col[above] != col[below]).any() for col in bits.T):
-            # Two keys share a fingerprint: count the keys themselves.
-            # Not by np.unique: its first plain call imports numpy.ma,
-            # about 1 MB more resident memory for every process.
-            keys = np.sort(_void_rows(flat))
-            return int(len(keys) - np.count_nonzero(keys[1:] == keys[:-1]))
-    return len(rows) - len(tie)
 
 
 def valid_belief_rows(rows) -> np.ndarray:
@@ -236,6 +191,14 @@ class RewardVector:
         object.__setattr__(self, "values", _frozen(r))
 
 
+#: The JSON type of each field of an instance document.
+_JSON_FIELDS = {
+    "n_projects": int, "n_states": int, "n_obs": int, "beta": (int, float),
+    "A": list, "B": list, "R": list, "x0": list,
+}
+_JSON_TYPE_NAMES = {int: "an integer", (int, float): "a number", list: "an array"}
+
+
 @dataclass(frozen=True)
 class ModelInstance:
     """Full problem data for N homogeneous projects sharing one (A, B) pair."""
@@ -276,6 +239,20 @@ class ModelInstance:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ModelInstance":
+        """The instance of a ``to_json_dict`` document; a ``ValueError``
+        if ``doc`` is not a dict, lacks a field or has one of the wrong
+        JSON type."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"instance document must be an object, not {type(doc).__name__}")
+        for key, kind in _JSON_FIELDS.items():
+            if key not in doc:
+                raise ValueError(f"instance document missing key {key!r}")
+            # JSON true and false load as bool, a subclass of int.
+            if isinstance(doc[key], bool) or not isinstance(doc[key], kind):
+                raise ValueError(
+                    f"instance field {key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                    f"not {type(doc[key]).__name__}"
+                )
         try:
             return cls(
                 n_projects=doc["n_projects"],
@@ -287,8 +264,9 @@ class ModelInstance:
                 beta=doc["beta"],
                 initial_beliefs=doc["x0"],
             )
-        except KeyError as e:
-            raise ValueError(f"instance document missing key {e}") from e
+        except TypeError as e:
+            # An array holds an entry that is neither a number nor an array.
+            raise ValueError(f"instance array entry of the wrong type: {e}") from e
 
     @classmethod
     def from_json(cls, text: str) -> "ModelInstance":

@@ -224,15 +224,15 @@ def reference_leaves(ev, level: np.ndarray):
     were valued from their parents: (optimal, myopic, segment,
     likelihood, observation, count) in expansion order, the values by
     ``np.dot`` over the built children and the tie rule, the count by
-    ``count_distinct_rows``."""
+    ``np.unique`` over their keys."""
     from restless_sched.policy import _greatest_array_index, row_max
-    from restless_sched.types import count_distinct_rows
+    from restless_sched.types import belief_row_keys
 
     every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
     children, parent, u, obs, d = reference_expand(ev, level, every_action)
     rewards = np.dot(children, ev.R)
     myopic = np.take_along_axis(rewards, _greatest_array_index(rewards)[:, None], axis=-1)[:, 0]
-    count = count_distinct_rows(children)
+    count = len(np.unique(belief_row_keys(children)))
     return row_max(rewards), myopic, parent * ev.N + u, d, obs, count
 
 

@@ -65,12 +65,20 @@ class TestValidate:
         p.write_text("{not json")
         assert main(["validate", str(p)]) == 2
 
-    def test_invalid_instance_exits_2(self, tmp_path, inst_path):
+    def test_invalid_instance_exits_2(self, tmp_path, inst_path, capsys):
         doc = json.loads(open(inst_path).read())
-        doc["beta"] = 1.5
         p = tmp_path / "bad2.json"
-        p.write_text(json.dumps(doc))
-        assert main(["validate", str(p)]) == 2
+        bad = [
+            ({**doc, "beta": 1.5}, "invalid instance"),
+            ({**doc, "beta": None}, "malformed instance"),
+            ({**doc, "n_projects": None}, "malformed instance"),
+            ({**doc, "x0": 5}, "malformed instance"),
+            ([doc], "malformed instance"),
+        ]
+        for bad_doc, message in bad:
+            p.write_text(json.dumps(bad_doc))
+            assert main(["validate", str(p)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: {message} ")
 
     @pytest.mark.parametrize("command", [["validate"], ["compare", "--horizon", "2"]])
     @pytest.mark.parametrize("matrix", ["A", "B"])

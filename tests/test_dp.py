@@ -24,7 +24,6 @@ from restless_sched import (
     round_robin_policy,
     seeded_random_policy,
     stay_policy,
-    types,
 )
 from restless_sched.cli import main
 from restless_sched.filtering import filter_update, obs_likelihood, propagate
@@ -377,24 +376,32 @@ class TestLeafPass:
         # Some child shares its key with a child of another parent.
         assert (parent[first][inverse.ravel()] != parent).any()
         fallback = []
-        monkeypatch.setattr(
-            policy_module, "count_distinct_rows", lambda rows: fallback.append(rows) or 0
-        )
+        monkeypatch.setattr(policy_module, "distinct_nodes", lambda *a: fallback.append(a))
         assert ev.leaves(level)[-1] == reference_leaves(ev, level)[-1] == len(first)
         assert not fallback
 
-    def test_fingerprint_collision_falls_back_to_exact_count(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "multipliers",
+        [
+            # Every fingerprint is zero: every child ties.
+            lambda n: np.zeros(n, dtype=np.uint64),
+            # Only key column 0 counts: children that differ only in
+            # later columns tie.
+            lambda n: (np.arange(n) == 0).astype(np.uint64),
+        ],
+        ids=["zero", "column-0"],
+    )
+    def test_fingerprint_collision_falls_back_to_exact_count(self, monkeypatch, multipliers):
         inst = dirichlet_instance(41, 4, 2, 5)
         level = initial_level(inst, 2)
         ev = TreeEvaluator(inst, 3)
         want = reference_leaves(ev, level)[-1]
         calls = []
-        count = policy_module.count_distinct_rows
+        merge = policy_module.distinct_nodes
         monkeypatch.setattr(
-            policy_module, "count_distinct_rows", lambda rows: calls.append(1) or count(rows)
+            policy_module, "distinct_nodes", lambda *a: calls.append(1) or merge(*a)
         )
-        # A zero base makes every fingerprint zero: every child ties.
-        monkeypatch.setattr(types, "_BASE", np.uint64(0))
+        monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
         assert ev.leaves(level)[-1] == want
         assert calls == [1]
 

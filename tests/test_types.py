@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,18 +12,10 @@ from restless_sched import (
     TransitionMatrix,
     basis_belief,
     expected_reward,
-    types,
     validate_instance,
 )
-from restless_sched.policy import TreeEvaluator, distinct_nodes
-from restless_sched.types import (
-    belief_key,
-    belief_row_keys,
-    count_distinct_rows,
-    valid_belief_rows,
-)
-
-DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
+from restless_sched.policy import distinct_nodes
+from restless_sched.types import belief_key, belief_row_keys, valid_belief_rows
 
 
 class TestBeliefVector:
@@ -140,6 +131,28 @@ class TestModelInstance:
         with pytest.raises(ValueError):
             ModelInstance.from_json('{"n_projects": 2}')
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("beta", None, "'beta' must be a number, not NoneType"),
+            ("n_projects", None, "'n_projects' must be an integer, not NoneType"),
+            ("n_obs", 2.5, "'n_obs' must be an integer, not float"),
+            ("n_states", True, "'n_states' must be an integer, not bool"),
+            ("x0", 5, "'x0' must be an array, not int"),
+            ("A", "rows", "'A' must be an array, not str"),
+            ("R", [{}, 1.0], "array entry of the wrong type"),
+        ],
+    )
+    def test_wrongly_typed_field_raises_value_error(self, two_state_instance, field, value, message):
+        doc = two_state_instance.to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            ModelInstance.from_json_dict(doc)
+
+    def test_document_that_is_not_an_object_raises_value_error(self):
+        with pytest.raises(ValueError, match="must be an object, not list"):
+            ModelInstance.from_json("[]")
+
     def test_expected_reward(self):
         r = expected_reward(RewardVector([1.0, 3.0]), BeliefVector([0.5, 0.5]))
         assert r == pytest.approx(2.0)
@@ -203,15 +216,31 @@ def planted_duplicates(rng, n: int, N: int, X: int) -> np.ndarray:
     return distinct[rng.integers(0, len(distinct), size=n)]
 
 
+def distinct_count(rows: np.ndarray, groups: np.ndarray | None = None) -> int:
+    """The number of nodes ``distinct_nodes`` keeps of ``rows``, after
+    checking that it leaves ``rows`` as they were, lists first
+    occurrences in ascending order, and maps every row to a node with
+    the row's key."""
+    before = rows.tobytes()
+    first, inverse = distinct_nodes(rows, groups)
+    assert rows.tobytes() == before
+    assert (np.diff(first) > 0).all()
+    assert np.array_equal(belief_row_keys(rows[first][inverse]), belief_row_keys(rows))
+    return len(first)
+
+
 class TestCountDistinctRows:
+    """``distinct_nodes`` counts the distinct keys of a level: the one
+    exact key comparison, which the leaf count falls back to."""
+
     @pytest.mark.parametrize("n, N, X", [(1, 3, 3), (200, 1, 2), (200, 3, 3), (200, 3, 4)])
     def test_matches_reference_on_planted_duplicates(self, n, N, X):
         rows = planted_duplicates(np.random.default_rng(n + N * X), n, N, X)
-        assert count_distinct_rows(rows.copy()) == reference_count(rows)
+        assert distinct_count(rows) == reference_count(rows)
 
     def test_negative_zero_shares_a_key_with_zero(self):
         rows = np.array([[[0.0, 1.0]], [[-0.0, 1.0]], [[1.0, 0.0]], [[1.0, -0.0]]])
-        assert count_distinct_rows(rows.copy()) == reference_count(rows) == 2
+        assert distinct_count(rows) == reference_count(rows) == 2
 
     def test_noise_straddling_a_rounding_line_splits_the_key(self):
         # 0.3 + 0.5e-12 is halfway between two 12-decimal keys.
@@ -219,51 +248,24 @@ class TestCountDistinctRows:
         below = [line - 2e-14, line - 1e-14]
         above = [line + 1e-14, line + 2e-14]
         rows = np.array([[[x, 1.0 - x]] for x in below + above])
-        assert count_distinct_rows(rows.copy()) == reference_count(rows) == 2
-
-    @pytest.mark.parametrize(
-        "fingerprints",
-        [
-            lambda bits: np.zeros(len(bits), dtype=np.uint64),
-            lambda bits: (bits[:, 0] > bits[:, 1]).astype(np.uint64),
-        ],
-        ids=["constant", "two-valued"],
-    )
-    def test_fingerprint_collisions_keep_the_count_exact(self, monkeypatch, fingerprints):
-        monkeypatch.setattr(types, "_row_fingerprints", fingerprints)
-        rows = planted_duplicates(np.random.default_rng(7), 60, 2, 3)
-        counted = rows.copy()
-        assert count_distinct_rows(counted) == reference_count(rows)
-        # Rounded in place, but not reordered.
-        assert np.array_equal(counted, types._rounded(rows))
-
-    def test_collision_between_keys_equal_in_their_first_column(self, monkeypatch):
-        monkeypatch.setattr(types, "_row_fingerprints", lambda bits: bits[:, 0].copy())
-        rows = planted_duplicates(np.random.default_rng(9), 60, 2, 3)
-        # Every profile shares its first belief, so every row ties.
-        rows[:, 0] = rows[0, 0]
-        assert count_distinct_rows(rows.copy()) == reference_count(rows) > 1
+        assert distinct_count(rows) == reference_count(rows) == 2
 
     def test_wide_level_matches_reference(self):
         # N=12, X=30: 360 key columns, far more than any certificate has.
         rows = planted_duplicates(np.random.default_rng(12), 300, 12, 30)
-        assert count_distinct_rows(rows.copy()) == reference_count(rows)
+        assert distinct_count(rows) == reference_count(rows)
 
     def test_level_of_one_repeated_key(self):
         rows = np.broadcast_to(np.array([[0.2, 0.8], [0.6, 0.4]]), (50, 2, 2)).copy()
-        assert count_distinct_rows(rows.copy()) == reference_count(rows) == 1
+        assert distinct_count(rows) == reference_count(rows) == 1
 
-    def test_deep_leaf_level_matches_reference(self):
-        # Keys of input 14's T=6 leaf level straddle rounding lines: it
-        # held 117,674 distinct keys rather than 7**6 = 117,649.  That
-        # figure can move with the BLAS build, so compare, do not pin.
-        doc = json.loads(DEEP.read_text())
-        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
-        ev = TreeEvaluator(inst, doc["horizon"])
-        level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
-        for depth in range(ev.T):
-            every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
-            level = ev.expand(level, every_action)[0]
-            if depth + 1 < ev.T:
-                level = level[distinct_nodes(level)[0]]
-        assert count_distinct_rows(level.copy()) == reference_count(level)
+    def test_equal_keys_in_different_groups_stay_apart(self):
+        # A bound suite's sweep groups nodes by their horizon.
+        rng = np.random.default_rng(5)
+        rows = planted_duplicates(rng, 200, 3, 3)
+        groups = rng.integers(0, 3, size=len(rows))
+        keys = belief_row_keys(rows)
+        want = len({(k.tobytes(), g) for k, g in zip(keys, groups.tolist())})
+        assert reference_count(rows) < distinct_count(rows, groups) == want
+        first, inverse = distinct_nodes(rows, groups)
+        assert np.array_equal(groups[first][inverse], groups)
