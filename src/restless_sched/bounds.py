@@ -95,16 +95,25 @@ def _power_terms(inst: ModelInstance, deltas: np.ndarray, n_powers: int) -> np.n
     return scales * (powers @ inst.R.values[:, None])[..., 0, 0]
 
 
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """Each row of ``terms`` (k, w) summed left to right from +0.0, as
+    numpy sums a row of fewer than 8 terms; it sums longer rows
+    pairwise."""
+    out = np.zeros(len(terms))
+    for column in terms.T:
+        out += column
+    return out
+
+
 def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray) -> np.ndarray:
     """Lower and upper bound of cases 1-3 of the regime's lemma for every
     row of ``deltas`` (k, X), row i over T - t = ``spans[i]`` slots (an
     int applies to every row): shape (k, 3, 2).  ``lemma2_bounds`` and
     ``lemma4_bounds`` give the intervals.
 
-    The terms of a row past its own span are +0.0.  While every span is
-    at most 6 numpy adds a row's at most 7 terms one after another, so
-    each row gets the bits of a table of its own span; longer rows are
-    summed pairwise, and may differ from it in the last bits.
+    The terms of a row past its own span are +0.0, and every sum adds
+    a row's terms one after another, so each row gets the bits of a
+    table of its own span whatever the other rows' spans.
     """
     _check_deltas(deltas)
     spans = np.broadcast_to(spans, len(deltas))
@@ -116,11 +125,11 @@ def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray)
     if regime == 1:
         lower[:, 0] = r_delta
         lower[:, 1:] = 0.0
-        upper[:, 0] = upper[:, 2] = terms.sum(axis=-1)
-        upper[:, 1] = terms[:, 1:].sum(axis=-1)
+        upper[:, 0] = upper[:, 2] = _sum_in_order(terms)
+        upper[:, 1] = _sum_in_order(terms[:, 1:])
     else:
-        odd = terms[:, 1::2].sum(axis=-1)  # powers 1, 3, ..., 2*ceil(span/2)-1
-        even = terms[:, 2::2].sum(axis=-1)  # powers 2, 4, ..., 2*floor(span/2)
+        odd = _sum_in_order(terms[:, 1::2])  # powers 1, 3, ..., 2*ceil(span/2)-1
+        even = _sum_in_order(terms[:, 2::2])  # powers 2, 4, ..., 2*floor(span/2)
         lower[:, 0] = r_delta + odd
         lower[:, 1:] = odd[:, None]
         upper[:, 0] = upper[:, 2] = r_delta + even

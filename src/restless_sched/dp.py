@@ -39,6 +39,11 @@ class ValueReport:
     optimal_value: float
     myopic_value: float
     gap: float
+    #: Distinct rounded profiles per depth.  These hang on the last bits
+    #: of the arithmetic: keys round beliefs to ``KEY_DECIMALS`` = 12, so
+    #: two profiles a few ulp apart across a 1e-12 rounding line are two
+    #: nodes, and the counts can differ between BLAS or numpy builds.
+    #: The values and the gap do not, beyond their last bits.
     per_depth_node_counts: tuple[int, ...]
     #: Fraction of distinct DP nodes where the myopic action attains the max.
     argmax_agreement: float

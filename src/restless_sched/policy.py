@@ -21,14 +21,22 @@ The tree is grown one level at a time as arrays of profiles
 (``TreeEvaluator.expand``), merging profiles with the same rounded key
 (``distinct_nodes``), and summed backwards.  ``TreeEvaluator.sweep``
 follows one decision per node from many root profiles at once, each
-root up to its own horizon; it gives
-``policy_value`` and the auxiliary value function W^u_t (take action u
-at slot t, act myopically afterwards), and the DP in ``dp`` runs the
-same kernel under every action.  ``TreeEvaluator.leaves`` values and
-counts the level below one under every action without building it,
-from the same filter as ``expand``.  ``avf_frozen``, the variant of W whose
+root up to its own horizon; it gives ``policy_value`` and the
+auxiliary value function W^u_t (take action u at slot t, act
+myopically afterwards), and the DP in ``dp`` runs the same kernel
+under every action.  ``TreeEvaluator.leaves`` values and counts the
+level below one under every action without building it, from the same
+filter as ``expand``.  ``avf_frozen``, the variant of W whose
 decisions follow a reference profile, expands the evaluated profiles
 and their references side by side on the same kernel.
+
+Keys are compared through one 64-bit fingerprint per profile, the
+wrapping sum of its key bits times ``fingerprint_multipliers``: one
+sort groups equal fingerprints (``_fingerprint_runs``), and profiles
+that share one are compared bit for bit.  ``distinct_nodes`` and the
+leaf count share this step; if two different profiles share a
+fingerprint, ``distinct_nodes`` merges by ``np.unique`` over the void
+keys of ``belief_row_keys``, the one place they are still sorted.
 """
 
 from __future__ import annotations
@@ -161,7 +169,7 @@ def backup(rewards, seg, d, next_values, beta):
     return rewards + beta * acc.reshape(rewards.shape)
 
 
-#: Odd base whose powers weight the key columns in a leaf fingerprint.
+#: Odd base whose powers weight the key columns in a node fingerprint.
 _BASE = np.uint64(0x9E3779B97F4A7C15)
 
 
@@ -201,6 +209,23 @@ def _same_leaves(propagated: np.ndarray, filtered: np.ndarray, a, b) -> bool:
     return bool(np.array_equal(rows_a, rows_b))
 
 
+def _fingerprint_runs(fingerprints: np.ndarray):
+    """Sort ``fingerprints`` (n,) and find its runs of equal values.
+
+    Returns (order, head, tie): the argsort; per sorted position, whether
+    a run starts there; and the sorted positions i whose fingerprint
+    equals that at i + 1, so that rows ``order[tie]`` and
+    ``order[tie + 1]`` share a fingerprint.  Each caller compares those
+    pairs bit for bit.
+    """
+    order = np.argsort(fingerprints)
+    fingerprints = fingerprints[order]
+    head = np.empty(len(order), dtype=bool)
+    head[:1] = True
+    np.not_equal(fingerprints[1:], fingerprints[:-1], out=head[1:])
+    return order, head, np.flatnonzero(~head[1:])
+
+
 def distinct_nodes(
     children: np.ndarray, groups: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,18 +236,46 @@ def distinct_nodes(
     Returns the index of each distinct profile's first occurrence, in
     order of first occurrence (the order a depth-first walk meets them),
     and for every row the position of its profile among those.
+
+    Each row's fingerprint is its ``key_bits`` times
+    ``fingerprint_multipliers``, plus its group times one more
+    multiplier.  Rows are sorted by fingerprint, and rows that share one
+    are compared bit for bit, key and group.  If two different rows
+    share a fingerprint, the rows are merged by ``np.unique`` over
+    ``belief_row_keys`` instead.
     """
-    rows = children.reshape(len(children), -1)
+    n = len(children)
+    bits = key_bits(children.reshape(n, -1).copy())
+    weights = fingerprint_multipliers(bits.shape[1] + 1)
+    fingerprints = bits @ weights[:-1]
     if groups is not None:
-        # An integer-valued column rounds to itself, so it only splits keys.
-        rows = np.concatenate((rows, groups[:, None]), axis=1)
-    _, first, inverse = np.unique(
-        belief_row_keys(rows), return_index=True, return_inverse=True
-    )
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return first[order], rank[inverse]
+        fingerprints += groups.astype(np.uint64) * weights[-1]
+    order, head, tie = _fingerprint_runs(fingerprints)
+    del fingerprints
+    exact = True
+    if len(tie):
+        a, b = order[tie], order[tie + 1]
+        exact = np.array_equal(bits[a], bits[b]) and (
+            groups is None or np.array_equal(groups[a], groups[b])
+        )
+    # Per key, its first row; per row, its key.
+    if exact:
+        firsts = np.minimum.reduceat(order, np.flatnonzero(head))
+        key = np.empty(n, dtype=np.intp)
+        key[order] = head.cumsum() - 1
+    else:
+        rows = children.reshape(n, -1)
+        if groups is not None:
+            # An integer-valued column rounds to itself, so it only splits keys.
+            rows = np.concatenate((rows, groups[:, None]), axis=1)
+        _, firsts, key = np.unique(belief_row_keys(rows), return_index=True, return_inverse=True)
+    # The keys in order of their first rows.
+    seen = np.zeros(n, dtype=bool)
+    seen[firsts] = True
+    first = np.flatnonzero(seen)
+    rank = np.empty(n, dtype=np.intp)
+    rank[first] = np.arange(len(first))
+    return first, rank[firsts][key]
 
 
 class TreeEvaluator:
@@ -361,10 +414,8 @@ class TreeEvaluator:
         # Plus the terms of the parent's other rows.
         fingerprints += terms.sum(axis=1) - terms.T
         fingerprints = fingerprints.ravel() if leaf is None else fingerprints.ravel()[leaf]
-        order = np.argsort(fingerprints)
-        fingerprints = fingerprints[order]
-        tie = np.flatnonzero(fingerprints[1:] == fingerprints[:-1])
-        del fingerprints
+        order, head, tie = _fingerprint_runs(fingerprints)
+        del fingerprints, head
         if len(tie):
             a, b = order[tie], order[tie + 1]
             if leaf is not None:

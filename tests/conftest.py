@@ -96,7 +96,8 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
 def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
     """The case intervals of lemma 2 (regime 1) or lemma 4 (regime 2) at
     t = 0 for one delta, by a loop over the powers: terms[i] = beta^i
-    R'(A')^i delta, summed one delta at a time."""
+    R'(A')^i delta, summed one delta at a time and one term at a time,
+    left to right from 0.0."""
     A_T, R = inst.A.rows.T, inst.R.values
     delta = np.asarray(delta, dtype=float)
     if abs(delta.sum()) > 1e-9:
@@ -110,10 +111,17 @@ def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
         v = A_T @ v
         scale *= inst.beta
     r_delta = float(terms[0])
+
+    def in_order(powers) -> float:
+        total = 0.0
+        for term in powers.tolist():
+            total += term
+        return total
+
     if regime == 1:
-        full, tail = float(terms.sum()), float(terms[1:].sum())
+        full, tail = in_order(terms), in_order(terms[1:])
         return {"C1": (r_delta, full), "C2": (0.0, tail), "C3": (0.0, full)}
-    odd, even = float(terms[1::2].sum()), float(terms[2::2].sum())
+    odd, even = in_order(terms[1::2]), in_order(terms[2::2])
     return {"D1": (r_delta + odd, r_delta + even), "D2": (odd, even), "D3": (odd, r_delta + even)}
 
 
@@ -187,6 +195,34 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
         verdict = "Pass" if lower - SLACK_TOL <= gap <= upper + SLACK_TOL else "Fail"
         out.append((case, 0, T, x_low, x_high, u + 1, u_prime + 1, gap, lower, upper, verdict))
     return out
+
+
+@pytest.fixture
+def exact_merges(monkeypatch) -> list:
+    """One entry per ``belief_row_keys`` call in ``policy``: the exact
+    merge that ``distinct_nodes`` falls back to."""
+    import restless_sched.policy as policy_module
+
+    calls = []
+    keys = policy_module.belief_row_keys
+    monkeypatch.setattr(policy_module, "belief_row_keys", lambda a: calls.append(1) or keys(a))
+    return calls
+
+
+def reference_merge(rows: np.ndarray, groups: np.ndarray | None = None):
+    """``distinct_nodes`` by ``np.unique`` over ``belief_row_keys``, with
+    the groups as one more key column: each distinct key's first row in
+    order of first occurrence, and per row the position of its key."""
+    from restless_sched.types import belief_row_keys
+
+    flat = rows.reshape(len(rows), -1)
+    if groups is not None:
+        flat = np.concatenate((flat, groups[:, None]), axis=1)
+    _, first, inverse = np.unique(belief_row_keys(flat), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 def reference_expand(ev, level: np.ndarray, actions: np.ndarray):

@@ -82,8 +82,8 @@ class TestLemmaInputChecks:
 class TestIntervalTable:
     @pytest.mark.parametrize("regime", [1, 2])
     def test_rows_match_per_delta_loop(self, small_params, regime):
-        # Spans past 8 powers reach numpy's pairwise summation, which the
-        # table must round as a one-delta sum does.
+        # Spans past 6 (8 terms or more) would reach numpy's pairwise
+        # summation; the table adds the terms in order, as the loop does.
         gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
         inst = gen(small_params, 3 if regime == 1 else 1009)
         bound_fn = lemma2_bounds if regime == 1 else lemma4_bounds
@@ -109,6 +109,19 @@ class TestIntervalTable:
             picked = spans == span
             want = _interval_table(inst, regime, span, deltas[picked])
             np.testing.assert_array_equal(table[picked].view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("regime", [1, 2])
+    def test_long_spans_match_one_row_tables(self, small_params, regime):
+        # Spans 7..10 in one table of 11 columns, against each row's own
+        # table: numpy would sum a padded row of 8 or more terms pairwise.
+        gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
+        inst = gen(small_params, 3 if regime == 1 else 1009)
+        deltas = mlr_deltas(np.random.default_rng(regime + 10), inst, regime, 40)
+        spans = np.random.default_rng(8).permutation(np.arange(40) % 4 + 7)
+        table = _interval_table(inst, regime, spans, deltas)
+        for row, span, delta in zip(table, spans, deltas):
+            want = _interval_table(inst, regime, span, delta[None])[0]
+            np.testing.assert_array_equal(row.view(np.uint64), want.view(np.uint64))
 
     def test_rejects_any_bad_row(self, small_params):
         inst = gen_assumption1_instance(small_params, 3)

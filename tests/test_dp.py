@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     reference_expand,
     reference_leaves,
+    reference_merge,
     reference_solve,
     report_bits,
 )
@@ -404,6 +405,22 @@ class TestLeafPass:
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
         assert ev.leaves(level)[-1] == want
         assert calls == [1]
+
+
+class TestLevelMerge:
+    def test_deep_level_merged_without_the_exact_merge(self, exact_merges):
+        # Input 14's depth-5 level: 21,609 children of 2,401 nodes.
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
+        level = initial_level(inst, 4)
+        ev = TreeEvaluator(inst, doc["horizon"])
+        every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+        children = ev.expand(level, every_action)[0]
+        assert len(children) == 21_609
+        want = reference_merge(children)
+        first, inverse = distinct_nodes(children)
+        assert not exact_merges
+        assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
 
 
 class TestGapWitnesses:

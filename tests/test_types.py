@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import reference_merge
 
+import restless_sched.policy as policy_module
 from restless_sched import (
     BeliefVector,
     InvalidBeliefError,
@@ -230,8 +232,8 @@ def distinct_count(rows: np.ndarray, groups: np.ndarray | None = None) -> int:
 
 
 class TestCountDistinctRows:
-    """``distinct_nodes`` counts the distinct keys of a level: the one
-    exact key comparison, which the leaf count falls back to."""
+    """``distinct_nodes`` counts the distinct keys of a level; the leaf
+    count falls back to it."""
 
     @pytest.mark.parametrize("n, N, X", [(1, 3, 3), (200, 1, 2), (200, 3, 3), (200, 3, 4)])
     def test_matches_reference_on_planted_duplicates(self, n, N, X):
@@ -269,3 +271,63 @@ class TestCountDistinctRows:
         assert reference_count(rows) < distinct_count(rows, groups) == want
         first, inverse = distinct_nodes(rows, groups)
         assert np.array_equal(groups[first][inverse], groups)
+
+
+
+def fingerprint_level(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Planted duplicates whose first beliefs are all equal, so that rows
+    differ only in key columns 3 and up, and groups 0..2 for them."""
+    rng = np.random.default_rng(seed)
+    rows = planted_duplicates(rng, 200, 3, 3)
+    rows[:, 0] = rows[0, 0]
+    return rows, rng.integers(0, 3, size=len(rows))
+
+
+def column_0_multipliers(n: int) -> np.ndarray:
+    """Fingerprint multipliers that are zero past key column 0, the
+    group's included."""
+    return (np.arange(n) == 0).astype(np.uint64)
+
+
+class TestFingerprintMerge:
+    """``distinct_nodes`` sorts one fingerprint per row and compares
+    rows that share one bit for bit; a tie between different rows sends
+    the level to the exact merge over ``belief_row_keys``."""
+
+    @pytest.mark.parametrize(
+        "multipliers",
+        [lambda n: np.zeros(n, dtype=np.uint64), column_0_multipliers],
+        ids=["zero", "column-0"],
+    )
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_forced_collisions_take_the_exact_merge(
+        self, monkeypatch, exact_merges, multipliers, grouped
+    ):
+        # Every row ties: all fingerprints are zero, or all rows agree
+        # in key column 0.
+        rows, groups = fingerprint_level(3)
+        groups = groups if grouped else None
+        want = reference_merge(rows, groups)
+        monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
+        first, inverse = distinct_nodes(rows, groups)
+        assert exact_merges
+        assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_level_merged_by_fingerprints(self, exact_merges, grouped):
+        rows, groups = fingerprint_level(3)
+        groups = groups if grouped else None
+        want = reference_merge(rows, groups)
+        first, inverse = distinct_nodes(rows, groups)
+        assert not exact_merges
+        assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
+
+    def test_tie_across_groups_takes_the_exact_merge(self, monkeypatch, exact_merges):
+        # Equal keys in different groups; with the group's multiplier
+        # zeroed they share a fingerprint.
+        rows = np.broadcast_to(np.array([[0.2, 0.8], [0.6, 0.4]]), (6, 2, 2)).copy()
+        groups = np.array([0, 1, 0, 2, 1, 0])
+        monkeypatch.setattr(policy_module, "fingerprint_multipliers", column_0_multipliers)
+        first, inverse = distinct_nodes(rows, groups)
+        assert exact_merges
+        assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2, 1, 0]
