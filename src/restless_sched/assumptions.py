@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ComplexSpectrumError, NonDiagonalizableError
-from .filtering import bayes_filter
+from .filtering import filter_rows, propagate_rows
 from .orders import chain_break, obs_columns_mlr_ordered, rows_mlr_ordered
 from .spectral import discount_matrices, eigendecompose, reward_separation_check
 from .types import ModelInstance, ObservationMatrix, TransitionMatrix
@@ -72,20 +72,21 @@ def find_threshold_K(
     if regime not in (1, 2):
         raise ValueError(f"regime must be 1 or 2, got {regime}")
     A_T = A.rows.T
-    Bm = B.rows
     e = np.eye(B.n_states)
     # ``near`` is e_1 in regime 1 and e_X in regime 2; ``far`` the other.
-    near, far = (e[0], e[-1]) if regime == 1 else (e[-1], e[0])
-    z_near, z_far = A_T @ near, A_T @ far
-    zz_near = A_T @ z_near
-    ref = A_T @ z_far if alt_clause3 else zz_near
+    ends = e[[0, -1]] if regime == 1 else e[[-1, 0]]
+    # T(A'e, m) filters the two-step image (A')^2 e, which is also the
+    # reference vector: (A')^2 e_near, or (A')^2 e_far under ``alt_clause3``.
+    zz = propagate_rows(A_T, propagate_rows(A_T, ends[None]))
+    _, live, filtered = filter_rows(zz, B.rows)
+    zz_near, zz_far = zz[0]
+    ref = zz_far if alt_clause3 else zz_near
     descending = regime == 2
 
     for K in range(2, B.n_obs + 1):
-        first = bayes_filter(A_T, Bm, z_near, K - 1)
-        second = bayes_filter(A_T, Bm, z_far, K - 2)
-        if first is None or second is None:
+        if not (live[0, 0, K - 1] and live[0, 1, K - 2]):
             continue
+        first, second = filtered[:, K - 1, 0, 0], filtered[:, K - 2, 0, 1]
         # Regime 1: (A')^2 e_1 <=_r first and second <=_r ref; regime 2 reverses both.
         if all(chain_break(pair, descending) is None for pair in ((zz_near, first), (second, ref))):
             return K

@@ -32,6 +32,7 @@ import numpy as np
 
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
+from .filtering import propagate_rows
 from .generate import _mixture_rows
 from .policy import TreeEvaluator, myopic_policy
 from .types import ModelInstance, valid_belief_rows
@@ -89,7 +90,7 @@ def _power_terms(inst: ModelInstance, deltas: np.ndarray, n_powers: int) -> np.n
     powers = np.empty((k, n_powers + 1, 1, X))  # (A')^i delta as a row
     powers[:, 0, 0] = v = deltas
     for i in range(1, n_powers + 1):
-        powers[:, i, 0] = v = (inst.A.rows.T @ v[..., None])[..., 0]
+        powers[:, i, 0] = v = propagate_rows(inst.A.rows.T, v)
     # beta^i by repeated multiplication, as a running scale would have it.
     scales = np.cumprod([1.0] + [inst.beta] * n_powers)
     return scales * (powers @ inst.R.values[:, None])[..., 0, 0]

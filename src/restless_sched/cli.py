@@ -7,8 +7,10 @@ single-threaded and deterministic in its arguments, so rerunning it
 gives byte-identical artifacts; ``simulate`` prints the same estimate
 with or without ``--dump-csv``.  Exit codes: 0 success, 1 domain
 failure (regime Neither, nonzero gap, bound violation, generation
-failure), 2 usage or format error, including ``bounds`` on an instance
-with one project or no verified regime.
+failure, and in ``certify-sweep`` any seed that fails to generate or,
+with ``--violate``, no instance certified), 2 usage or format error,
+including ``bounds`` on an instance with one project or no verified
+regime.
 """
 
 from __future__ import annotations
@@ -223,13 +225,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_certify_sweep(args) -> int:
     rows = ["seed,regime,status,gap,argmax_agreement"]
-    n_pass = n_fail = 0
+    n_pass = n_fail = n_ungenerated = 0
     for seed in range(args.seed, args.seed + args.instances):
         try:
             inst = _generate_one(args, seed)
         except RestlessSchedError as e:
             rows.append(f"{seed},{args.regime},generation-failed,,")
             print(f"seed {seed}: {e}", file=sys.stderr)
+            n_ungenerated += 1
             continue
         report = certify_myopic(inst, args.horizon)
         if report.gap <= GAP_TOL:
@@ -244,8 +247,10 @@ def _cmd_certify_sweep(args) -> int:
     rows.append(f"# pass {n_pass} fail {n_fail} of {n_pass + n_fail}")
     _emit_csv(rows, args.out)
     # A violated clause removes the optimality guarantee, so gaps there
-    # are data, not failures.
-    return 0 if (n_fail == 0 or args.violate) else 1
+    # are data, not failures; a sweep that certified nothing shows nothing.
+    if args.violate:
+        return 0 if n_pass + n_fail else 1
+    return 0 if n_fail == 0 and n_ungenerated == 0 else 1
 
 
 # ---------------------------------------------------------------- parser

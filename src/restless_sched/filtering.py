@@ -5,8 +5,18 @@ The worked project's belief is updated by the HMM filter
 ``d(x, m) = 1' B(m) A'x``; every passive project propagates as
 ``A'x``.  Pure functions throughout; profiles are values.
 
-``bayes_filter`` is the one scalar filter on raw numpy arrays;
-``filter_update`` and the clause-3 threshold search both call it.
+``propagate_rows`` and ``filter_rows`` are the package's one array form
+of A'x and of T(x, m) on every observation.  The tree kernel
+(``policy.TreeEvaluator``), the clause-3 threshold search, the power
+terms of ``bounds`` and the validated one-belief steps here all call
+them, and node counts hang on their last bits.
+
+The simulator is the one exception: it propagates its history table
+with one gemm and filters only the observation that occurred.  On the
+simulate-mc workload the shared batch filter cost 4-19 %, running the
+history table on ``expand`` cost about 10 % (faster in 2 of 30 pairs),
+and the stacked A'x takes 386 us on 6,561 profiles against 15 us for
+the gemm.
 """
 
 from __future__ import annotations
@@ -54,55 +64,73 @@ class BeliefProfile:
         return tuple(x.probs for x in self.beliefs)
 
 
-def bayes_filter(A_T: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int) -> np.ndarray | None:
-    """T(x, m) with A_T = A' and 0-based observation m0, or None when its
-    likelihood d(x, m) is at most ``LIKELIHOOD_FLOOR``."""
-    z = A_T @ x
-    d = float(B[:, m0] @ z)
-    if d <= LIKELIHOOD_FLOOR:
-        return None
-    out = B[:, m0] * z / d
-    s = out.sum()
-    if abs(s - 1.0) > FILTER_SUM_TOL:
-        raise InvalidBeliefError(f"filter output sums to {s}; mass lost beyond tolerance")
-    return out / s
+def propagate_rows(A_T: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A'x of every belief x in ``rows`` (..., X), with A_T = A',
+    C-contiguous."""
+    # A stack of matrix-vector products, which round each belief as the
+    # one-vector ``A_T @ x`` does.
+    return (A_T @ rows[..., None])[..., 0]
+
+
+def filter_rows(z: np.ndarray, B: np.ndarray):
+    """The filter T(x, m) of every propagated belief z = A'x in the
+    C-contiguous (K, n, X) ``z`` on every observation m of B (X, Y).
+
+    Returns (likelihood (K, n, Y), live, filtered (X, Y, K, n)), where
+    ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``; the rows
+    of other branches are left unnormalised.  Each of the K likelihood
+    products is one (n, X) @ (X, Y) matrix product.  The filter itself
+    is elementwise, so its bits do not depend on the layout, which puts
+    the long axis last.  Each row sum adds the X columns one after
+    another, in order, never pairwise.  A live row whose sum drifts
+    from 1 by more than ``FILTER_SUM_TOL`` raises ``InvalidBeliefError``.
+    """
+    d = z @ B
+    live = d > LIKELIHOOD_FLOOR
+    live_t = live.transpose(2, 0, 1)
+    filtered = B[:, :, None, None] * z.transpose(2, 0, 1)[:, None]
+    filtered /= np.where(live, d, 1.0).transpose(2, 0, 1)
+    s = filtered.sum(axis=0)
+    drift = live_t & (np.abs(s - 1.0) > FILTER_SUM_TOL)
+    if drift.any():
+        first = s.transpose(1, 2, 0)[drift.transpose(1, 2, 0)][0]
+        raise InvalidBeliefError(f"filter output sums to {first}; mass lost beyond tolerance")
+    filtered /= np.where(live_t, s, 1.0)
+    return d, live, filtered
+
+
+def _step(A: TransitionMatrix, x: BeliefVector, B: ObservationMatrix | None = None, m: int = 1):
+    """A'x of one belief as a (1, 1, X) array, after checking that A,
+    and B with its 1-based observation m if given, fit it."""
+    if B is not None and not 1 <= m <= B.n_obs:
+        raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
+    if A.n_states != x.dim or (B is not None and B.n_states != x.dim):
+        raise DimensionMismatchError("matrix/belief dimensions differ")
+    return propagate_rows(A.rows.T, x.probs[None, None])
 
 
 def propagate(A: TransitionMatrix, x: BeliefVector) -> BeliefVector:
     """One passive Markov step: returns A'x."""
-    if A.n_states != x.dim:
-        raise DimensionMismatchError(f"A is {A.n_states}-state, belief has dim {x.dim}")
-    return BeliefVector(A.rows.T @ x.probs)
-
-
-def _check_step(A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int) -> None:
-    if not 1 <= m <= B.n_obs:
-        raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
-    if A.n_states != x.dim or B.n_states != x.dim:
-        raise DimensionMismatchError("matrix/belief dimensions differ")
+    return BeliefVector(_step(A, x)[0, 0])
 
 
 def obs_likelihood(
     A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
 ) -> float:
     """d(x, m): probability of observing m after working a project at belief x."""
-    _check_step(A, B, x, m)
-    z = A.rows.T @ x.probs
-    return float(B.rows[:, m - 1] @ z)
+    return float(filter_rows(_step(A, x, B, m), B.rows)[0][0, 0, m - 1])
 
 
 def filter_update(
     A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
 ) -> BeliefVector:
     """Bayes update T(x, m) of the worked project's belief."""
-    _check_step(A, B, x, m)
-    out = bayes_filter(A.rows.T, B.rows, x.probs, m - 1)
-    if out is None:
+    d, live, filtered = filter_rows(_step(A, x, B, m), B.rows)
+    if not live[0, 0, m - 1]:
         raise ImpossibleObservationError(
-            f"observation {m} has likelihood {obs_likelihood(A, B, x, m)}; "
-            "zero-probability branch"
+            f"observation {m} has likelihood {d[0, 0, m - 1]}; zero-probability branch"
         )
-    return BeliefVector(out)
+    return BeliefVector(filtered[:, m - 1, 0, 0])
 
 
 def step_profile(

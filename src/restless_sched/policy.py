@@ -11,11 +11,11 @@ A policy is a name plus one batch-shaped decision ``decide(t,
 beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
 calls it on the distinct histories of a slot and ``policy_value`` on
 one tree level, and both reject a decision of another shape or an
-action outside 0..N-1 (``check_decisions``).  The batch
-primitives avoid numpy's slow paths on short axes: ``immediate_rewards``
-is one matrix-vector product over the flattened beliefs, and
-``row_max``, which the tie rule and the DP use, takes the maximum
-column by column.
+action outside 0..N-1 (``check_decisions``).  Immediate rewards are
+``np.dot(beliefs, R)`` everywhere: the myopic rule decides on the same
+product that the DP values nodes with.  ``row_max``, which the tie rule
+and the DP use, takes the maximum column by column, avoiding numpy's
+slow reduction over a short last axis.
 
 The tree is grown one level at a time as arrays of profiles
 (``TreeEvaluator.expand``), merging profiles with the same rounded key
@@ -25,8 +25,9 @@ root up to its own horizon; it gives ``policy_value`` and the
 auxiliary value function W^u_t (take action u at slot t, act
 myopically afterwards), and the DP in ``dp`` runs the same kernel
 under every action.  ``TreeEvaluator.leaves`` values and counts the
-level below one under every action without building it, from the same
-filter as ``expand``.  ``avf_frozen``, the variant of W whose
+level below one under every action without building it.  Both take
+A'x and T(x, m) from ``filtering.propagate_rows`` and
+``filtering.filter_rows``.  ``avf_frozen``, the variant of W whose
 decisions follow a reference profile, expands the evaluated profiles
 and their references side by side on the same kernel.
 
@@ -46,8 +47,8 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, InvalidBeliefError
-from .filtering import FILTER_SUM_TOL, LIKELIHOOD_FLOOR, BeliefProfile
+from .exceptions import DimensionMismatchError
+from .filtering import BeliefProfile, filter_rows, propagate_rows
 from .types import ModelInstance, RewardVector, belief_key, belief_row_keys, key_bits
 
 #: Two values within this are treated as tied.
@@ -121,14 +122,6 @@ def row_max(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def immediate_rewards(level: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """R'x of every belief in ``level`` (..., X): one matrix-vector
-    product over the flattened beliefs instead of numpy's stacked
-    matmul, which loops over the leading axes."""
-    X = level.shape[-1]
-    return (level.reshape(-1, X) @ R).reshape(level.shape[:-1])
-
-
 def _greatest_array_index(values: np.ndarray) -> np.ndarray:
     """Lowest index whose value lies within ARGMAX_TOL of the largest,
     one decision per row: the last axis of ``values`` indexes the
@@ -156,7 +149,7 @@ def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
     arrays = beliefs.arrays()
     if arrays[0].size != R.values.size:
         raise DimensionMismatchError("reward/belief dimensions differ")
-    rewards = immediate_rewards(np.array((arrays,)), R.values)
+    rewards = np.dot(np.array((arrays,)), R.values)
     return int(_greatest_array_index(rewards)[0]) + 1
 
 
@@ -297,37 +290,6 @@ class TreeEvaluator:
         self.N = inst.n_projects
         self.Y = inst.n_obs
 
-    def _propagate(self, level: np.ndarray) -> np.ndarray:
-        """A'x of every belief in ``level`` (n, N, X), C-contiguous."""
-        # A stack of matrix-vector products: merged keys, and so node
-        # counts, depend on the last bits of this form.
-        return (self.A_T @ level[..., None])[..., 0]
-
-    def _filter(self, z: np.ndarray):
-        """The filter T(x, m) of every propagated belief z = A'x in the
-        C-contiguous (K, n, X) ``z`` on every observation m.
-
-        Returns (likelihood (K, n, Y), live, filtered (X, Y, K, n)), where
-        ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``; the
-        rows of other branches are left unnormalised.  Each of the K
-        likelihood products is one (n, X) @ (X, Y) matrix product.  The
-        filter itself is elementwise, so its bits do not depend on the
-        layout, which puts the long axis last.  Each row sum adds the X
-        columns one after another, in order, never pairwise.
-        """
-        d = z @ self.B
-        live = d > LIKELIHOOD_FLOOR
-        live_t = live.transpose(2, 0, 1)
-        filtered = self.B[:, :, None, None] * z.transpose(2, 0, 1)[:, None]
-        filtered /= np.where(live, d, 1.0).transpose(2, 0, 1)
-        s = filtered.sum(axis=0)
-        drift = live_t & (np.abs(s - 1.0) > FILTER_SUM_TOL)
-        if drift.any():
-            first = s.transpose(1, 2, 0)[drift.transpose(1, 2, 0)][0]
-            raise InvalidBeliefError(f"filter output sums to {first}; mass lost beyond tolerance")
-        filtered /= np.where(live_t, s, 1.0)
-        return d, live, filtered
-
     def expand(self, level: np.ndarray, actions: np.ndarray):
         """Children of every profile in ``level`` (n, N, X) under each
         column of ``actions`` (n, K) of 0-based projects.
@@ -339,8 +301,8 @@ class TreeEvaluator:
         n, K = actions.shape
         rows = np.arange(n)
         worked = actions.T
-        propagated = self._propagate(level)
-        d, live, filtered = self._filter(propagated[rows, worked])
+        propagated = propagate_rows(self.A_T, level)
+        d, live, filtered = filter_rows(propagated[rows, worked], self.B)
         children = np.empty((n, K, self.Y) + level.shape[1:])
         children[...] = propagated[:, None, None]
         children[rows, np.arange(K)[:, None], :, worked] = filtered.transpose(2, 3, 1, 0)
@@ -378,8 +340,8 @@ class TreeEvaluator:
         """
         n, N, X = level.shape
         every = np.arange(N)
-        propagated = self._propagate(level)
-        d, live, filtered = self._filter(propagated.transpose(1, 0, 2).copy())
+        propagated = propagate_rows(self.A_T, level)
+        d, live, filtered = filter_rows(propagated.transpose(1, 0, 2).copy(), self.B)
         # Project j's immediate reward in child (observation, action, parent).
         rewards = np.empty((N,) + filtered.shape[1:])
         rewards[...] = np.dot(propagated, self.R).T[:, None, None]
@@ -588,7 +550,7 @@ def myopic_policy(inst: ModelInstance) -> PolicyRule:
 
     def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
         del t
-        return _greatest_array_index(immediate_rewards(beliefs, r))
+        return _greatest_array_index(np.dot(beliefs, r))
 
     return PolicyRule("myopic", decide)
 

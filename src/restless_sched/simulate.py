@@ -15,7 +15,8 @@ and each trajectory takes its row's action.  After the observation
 draw the (node, observation) pairs that occurred, found through a
 presence array of length n_nodes*Y without sorting, become the next
 table: each child's parent profile is propagated by one matrix product
-and its worked project is filtered on the observation.  Each profile
+and its worked project is filtered on the observation, not through
+``filtering.filter_rows`` (its docstring says why).  Each profile
 goes through the same row-wise arithmetic as when every trajectory
 kept a copy of its own, so totals do not depend on how many
 trajectories share a history.  What stays per trajectory is the hidden

@@ -33,6 +33,19 @@ def small_params() -> GeneratorParams:
     return GeneratorParams()
 
 
+def reference_filter(A: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int):
+    """(d(x, m), T(x, m)) of one belief ``x`` on 0-based observation m0
+    by scalar numpy arithmetic, apart from the package's batch filter:
+    z = A'x, d = B(m)'z, T = B(m) z / d renormalised by its sum.  T is
+    None when d is at most 1e-300, an impossible observation."""
+    z = A.T @ x
+    d = float(B[:, m0] @ z)
+    if d <= 1e-300:
+        return d, None
+    out = B[:, m0] * z / d
+    return d, out / out.sum()
+
+
 def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float:
     """W^u_t by direct recursion over observation histories, with no
     memo and no merging: work u (0-based) at slot t, then at every later
@@ -328,6 +341,17 @@ def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
 def report_bits(report) -> dict:
     """Every field of a ``ValueReport``, floats as their exact hex form."""
     return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_json_dict().items()}
+
+
+def dirichlet_instance(seed: int, N: int, X: int, Y: int) -> ModelInstance:
+    """Random instance: Dirichlet rows of A and B and beliefs, sorted
+    uniform rewards, beta uniform in [0.5, 0.95]."""
+    rng = np.random.default_rng(seed)
+    A = rng.dirichlet(np.ones(X), X)
+    B = rng.dirichlet(np.ones(Y), X)
+    R = np.sort(rng.uniform(0.0, 1.0, X))
+    beta = rng.uniform(0.5, 0.95)
+    return ModelInstance(N, X, Y, A, B, R, beta, rng.dirichlet(np.ones(X), N))
 
 
 def random_simplex(rng: np.random.Generator, dim: int) -> np.ndarray:

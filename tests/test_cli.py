@@ -246,6 +246,21 @@ class TestCertifySweep:
                      "--instances", "5", "--horizon", "2",
                      "--out", str(out)]) == 0
 
+    def test_failed_generation_exits_one(self, tmp_path):
+        # One attempt per seed: seeds 0 and 2 fail to generate, seed 1 passes.
+        out = tmp_path / "sweep.csv"
+        assert main(["certify-sweep", "--regime", "1", "--seed", "0", "--instances", "3",
+                     "--max-attempts", "1", "--out", str(out)]) == 1
+        statuses = [line.split(",")[2] for line in out.read_text().splitlines()[2:-1]]
+        assert statuses == ["generation-failed", "pass", "generation-failed"]
+
+    def test_violated_sweep_that_certified_nothing_exits_one(self, tmp_path):
+        # Clause 2.5 cannot be broken on these seeds, so nothing is certified.
+        out = tmp_path / "sweep.csv"
+        assert main(["certify-sweep", "--regime", "2", "--violate", "2.5",
+                     "--instances", "2", "--out", str(out)]) == 1
+        assert out.read_text().splitlines()[-1] == "# pass 0 fail 0 of 0"
+
 
 class TestDeterminism:
     def test_rerun_byte_identical(self, inst_path, tmp_path):

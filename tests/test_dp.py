@@ -4,16 +4,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    dirichlet_instance,
     reference_expand,
+    reference_filter,
     reference_leaves,
     reference_merge,
     reference_solve,
     report_bits,
 )
 
+import restless_sched.filtering as filtering_module
 import restless_sched.policy as policy_module
 from restless_sched import (
     BeliefProfile,
+    BeliefVector,
     DimensionMismatchError,
     InvalidBeliefError,
     NodeBudgetExceededError,
@@ -27,7 +31,6 @@ from restless_sched import (
     stay_policy,
 )
 from restless_sched.cli import main
-from restless_sched.filtering import filter_update, obs_likelihood, propagate
 from restless_sched.policy import TreeEvaluator, distinct_nodes
 from restless_sched.types import ModelInstance, belief_row_keys
 
@@ -36,12 +39,13 @@ DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json
 
 def _successors(inst: ModelInstance, beliefs, u):
     """(likelihood, next beliefs) per possible observation after working u."""
-    for m in range(1, inst.n_obs + 1):
-        d = obs_likelihood(inst.A, inst.B, beliefs[u], m)
-        if d <= 0.0:
+    A, B = inst.A.rows, inst.B.rows
+    for m in range(inst.n_obs):
+        d, worked = reference_filter(A, B, beliefs[u].probs, m)
+        if worked is None:
             continue
         nxt = [
-            filter_update(inst.A, inst.B, b, m) if k == u else propagate(inst.A, b)
+            BeliefVector(worked) if k == u else BeliefVector(A.T @ b.probs)
             for k, b in enumerate(beliefs)
         ]
         yield d, nxt
@@ -172,7 +176,7 @@ class TestOptimalValue:
             assert optimal_value(inst, prof, t, 4) == optimal_value(inst, prof, 0, 4 - t)
 
     def test_filter_drift_raises(self, two_state_instance, monkeypatch):
-        monkeypatch.setattr(policy_module, "FILTER_SUM_TOL", -1.0)
+        monkeypatch.setattr(filtering_module, "FILTER_SUM_TOL", -1.0)
         prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
         with pytest.raises(InvalidBeliefError):
             optimal_value(two_state_instance, prof, 0, 1)
@@ -256,17 +260,6 @@ class TestCertifyMyopic:
             rep = certify_myopic(inst, 3)
             assert rep.gap >= -1e-12
             assert 0.0 <= rep.argmax_agreement <= 1.0
-
-
-def dirichlet_instance(seed: int, N: int, X: int, Y: int) -> ModelInstance:
-    """Random instance: Dirichlet rows of A and B and beliefs, sorted
-    uniform rewards, beta uniform in [0.5, 0.95]."""
-    rng = np.random.default_rng(seed)
-    A = rng.dirichlet(np.ones(X), X)
-    B = rng.dirichlet(np.ones(Y), X)
-    R = np.sort(rng.uniform(0.0, 1.0, X))
-    beta = rng.uniform(0.5, 0.95)
-    return ModelInstance(N, X, Y, A, B, R, beta, rng.dirichlet(np.ones(X), N))
 
 
 def rank_one_instance() -> ModelInstance:

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import restless_sched.filtering as filtering_module
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
     ImpossibleObservationError,
+    InvalidBeliefError,
     ModelInstance,
     ObservationMatrix,
     TransitionMatrix,
     basis_belief,
     filter_update,
+    find_threshold_K,
     obs_likelihood,
     propagate,
     step_profile,
@@ -101,3 +104,18 @@ class TestStepProfile:
         prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
         with pytest.raises(IndexError):
             step_profile(two_state_instance, prof, 3, 1)
+
+
+class TestDriftCheck:
+    """Every caller of ``filter_rows`` gets its drift check: with a
+    negative tolerance every live filtered row has drifted.  The DP's
+    case is ``test_dp.py::TestOptimalValue::test_filter_drift_raises``."""
+
+    @pytest.mark.parametrize("call", [
+        lambda inst: filter_update(inst.A, inst.B, inst.initial_beliefs[0], 1),
+        lambda inst: find_threshold_K(inst.A, inst.B, 1),
+    ], ids=["filter_update", "find_threshold_K"])
+    def test_drift_raises(self, two_state_instance, monkeypatch, call):
+        monkeypatch.setattr(filtering_module, "FILTER_SUM_TOL", -1.0)
+        with pytest.raises(InvalidBeliefError):
+            call(two_state_instance)

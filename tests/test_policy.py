@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import recursive_avf, recursive_avf_frozen
+from conftest import recursive_avf, recursive_avf_frozen, reference_filter
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
@@ -20,13 +20,11 @@ from restless_sched import (
     seeded_random_policy,
     stay_policy,
 )
-from restless_sched.filtering import filter_update, obs_likelihood, propagate
 from restless_sched.policy import (
     ARGMAX_TOL,
     TreeEvaluator,
     _greatest_array_index,
     horizon_for_tolerance,
-    immediate_rewards,
     row_max,
 )
 from restless_sched.types import RewardVector
@@ -112,13 +110,6 @@ class TestBatchTieRule:
         # A fresh array, not a view of the input.
         assert not np.shares_memory(row_max(values), values)
 
-    def test_immediate_rewards(self):
-        level = np.random.default_rng(2).dirichlet(np.ones(3), size=(4, 2))
-        R = np.array([0.0, 0.5, 2.0])
-        got = immediate_rewards(level, R)
-        assert got.shape == (4, 2)
-        assert np.allclose(got, level @ R, rtol=0, atol=1e-15)
-
 
 #: Profiles that do not fit the two-state, two-project fixture: one
 #: project too many, and one state too many.
@@ -156,18 +147,16 @@ class TestAvfEvaluate:
             assert avf_evaluate(two_state_instance, prof, 3, 3, u) == pytest.approx(want)
 
     def test_one_step_hand_expansion(self, two_state_instance):
-        # W^u_0 over horizon 1 unrolled by hand with the filter primitives.
+        # W^u_0 over horizon 1 unrolled by hand with the reference filter.
         inst = two_state_instance
+        A, B = inst.A.rows, inst.B.rows
         prof = BeliefProfile(inst.initial_beliefs, 0)
         u = 1
         got = avf_evaluate(inst, prof, 0, 1, u)
         want = expected_reward(inst.R, prof.beliefs[0])
-        for m in (1, 2):
-            d = obs_likelihood(inst.A, inst.B, prof.beliefs[0], m)
-            stepped = [
-                filter_update(inst.A, inst.B, prof.beliefs[0], m),
-                propagate(inst.A, prof.beliefs[1]),
-            ]
+        for m in (0, 1):
+            d, worked = reference_filter(A, B, prof.beliefs[0].probs, m)
+            stepped = [BeliefVector(worked), BeliefVector(A.T @ prof.beliefs[1].probs)]
             nxt = myopic_action(BeliefProfile(stepped, 1), inst.R)
             want += inst.beta * d * expected_reward(inst.R, stepped[nxt - 1])
         assert got == pytest.approx(want, abs=1e-12)
@@ -256,9 +245,9 @@ class TestPolicyValue:
             if t == T:
                 return v
             acc = 0.0
-            for m in (1, 2):
-                d = obs_likelihood(inst.A, inst.B, x, m)
-                acc += d * manual(t + 1, filter_update(inst.A, inst.B, x, m))
+            for m in (0, 1):
+                d, worked = reference_filter(inst.A.rows, inst.B.rows, x.probs, m)
+                acc += d * manual(t + 1, BeliefVector(worked))
             return v + inst.beta * acc
 
         got = policy_value(inst, prof, 0, T, stay_policy(1))
