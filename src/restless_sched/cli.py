@@ -10,7 +10,7 @@ failure (regime Neither, nonzero gap, bound violation, generation
 failure, and in ``certify-sweep`` any seed that fails to generate or,
 with ``--violate``, no instance certified), 2 usage or format error,
 including ``bounds`` on an instance with one project or no verified
-regime.
+regime and a ``--violate`` that names no clause of ``--regime``.
 """
 
 from __future__ import annotations
@@ -206,6 +206,20 @@ def _generator_params(args) -> GeneratorParams:
     return GeneratorParams(max_attempts=args.max_attempts)
 
 
+def _check_violate(args) -> None:
+    """Reject a ``--violate`` that does not name a clause 1 to 5 of
+    ``--regime``: breaking another regime's clause leaves the generated
+    regime intact."""
+    if args.violate is None:
+        return
+    regime, _, clause = args.violate.partition(".")
+    if regime != str(args.regime) or clause not in ("1", "2", "3", "4", "5"):
+        raise _UsageError(
+            f"--violate must name a clause {args.regime}.1 to {args.regime}.5 of "
+            f"--regime {args.regime}, got {args.violate!r}"
+        )
+
+
 def _generate_one(args, seed: int) -> ModelInstance:
     params = _generator_params(args)
     if args.regime == 1:
@@ -218,12 +232,14 @@ def _generate_one(args, seed: int) -> ModelInstance:
 
 
 def _cmd_generate(args) -> int:
+    _check_violate(args)
     inst = _generate_one(args, args.seed)
     _emit_json(inst.to_json_dict(), args.out)
     return 0
 
 
 def _cmd_certify_sweep(args) -> int:
+    _check_violate(args)
     rows = ["seed,regime,status,gap,argmax_agreement"]
     n_pass = n_fail = n_ungenerated = 0
     for seed in range(args.seed, args.seed + args.instances):
@@ -303,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("bounds", _cmd_bounds, help="sampled sensitivity-bound containment")
     p.add_argument("instance")
     p.add_argument("--samples", type=_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     p = add("simulate", _cmd_simulate, help="Monte Carlo value estimate")
     p.add_argument("instance")
@@ -315,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_gen_flags(p):
         p.add_argument("--regime", type=int, choices=(1, 2), required=True)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
         p.add_argument("--violate", metavar="CLAUSE", help="e.g. 1.5: break this clause")
         p.add_argument("--max-attempts", type=_at_least(1), default=1000)
 

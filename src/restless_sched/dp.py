@@ -99,9 +99,8 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         count(T, leaves)
     else:
         count(T, 1)
-        rewards = np.dot(rows, ev.R)
-        optimal, myopic = leaf_values(rewards.T)
-        best = _greatest_array_index(rewards)
+        values = np.dot(rows, ev.R)
+        optimal, myopic = leaf_values(values.T)
 
     agree = counts[T]
     for rewards, seg, d, inverse in reversed(sweep):
@@ -112,7 +111,6 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         myo = _greatest_array_index(rewards)
         myopic = backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
         optimal = row_max(values)
-        best = _greatest_array_index(values)
         # The myopic action agrees when its value ties the best one.
         agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))
 
@@ -123,7 +121,8 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         gap=opt - myo_value,
         per_depth_node_counts=tuple(counts),
         argmax_agreement=agree / sum(counts),
-        best_action=int(best[0]) + 1,
+        # The root's action values decide the best first action.
+        best_action=int(_greatest_array_index(values)[0]) + 1,
         horizon=T,
     )
 

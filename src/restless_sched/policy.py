@@ -31,13 +31,13 @@ A'x and T(x, m) from ``filtering.propagate_rows`` and
 decisions follow a reference profile, expands the evaluated profiles
 and their references side by side on the same kernel.
 
-Keys are compared through one 64-bit fingerprint per profile, the
-wrapping sum of its key bits times ``fingerprint_multipliers``: one
-sort groups equal fingerprints (``_fingerprint_runs``), and profiles
-that share one are compared bit for bit.  ``distinct_nodes`` and the
-leaf count share this step; if two different profiles share a
-fingerprint, ``distinct_nodes`` merges by ``np.unique`` over the void
-keys of ``belief_row_keys``, the one place they are still sorted.
+Keys are compared through one 64-bit fingerprint per row of key bits,
+the wrapping sum of its key bits times ``fingerprint_multipliers``: one
+sort groups equal fingerprints (``_fingerprint_runs``), and rows that
+share one are compared bit for bit.  ``distinct_nodes`` and the leaf
+count share this step; if two different rows share a fingerprint,
+both fall back to ``_exact_merge``, ``np.unique`` over the rows' key
+bits, the one place whole keys are still sorted.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .filtering import BeliefProfile, filter_rows, propagate_rows
-from .types import ModelInstance, RewardVector, belief_key, belief_row_keys, key_bits
+from .types import ModelInstance, RewardVector, belief_key, key_bits
 
 #: Two values within this are treated as tied.
 ARGMAX_TOL = 1e-12
@@ -219,49 +219,40 @@ def _fingerprint_runs(fingerprints: np.ndarray):
     return order, head, np.flatnonzero(~head[1:])
 
 
-def distinct_nodes(
-    children: np.ndarray, groups: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge profiles (rows of ``children``) with equal rounded keys;
-    rows in different ``groups`` (n,) of integers, if given, never
-    merge.
+def _exact_merge(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` over the rows of ``bits`` (n, k), key bits already
+    rounded: each distinct row's first occurrence, in sorted order of
+    the rows' bytes, and for every row the position of its row among
+    those."""
+    keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
+    _, firsts, key = np.unique(keys, return_index=True, return_inverse=True)
+    return firsts, key
 
-    Returns the index of each distinct profile's first occurrence, in
-    order of first occurrence (the order a depth-first walk meets them),
-    and for every row the position of its profile among those.
+
+def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the rows of ``keys`` (n, ...), each flattened to one key
+    row, with equal rounded keys.
+
+    Returns the index of each distinct row's first occurrence, in order
+    of first occurrence (the order a depth-first walk meets them), and
+    for every row the position of its key among those.
 
     Each row's fingerprint is its ``key_bits`` times
-    ``fingerprint_multipliers``, plus its group times one more
-    multiplier.  Rows are sorted by fingerprint, and rows that share one
-    are compared bit for bit, key and group.  If two different rows
-    share a fingerprint, the rows are merged by ``np.unique`` over
-    ``belief_row_keys`` instead.
+    ``fingerprint_multipliers``.  Rows are sorted by fingerprint, and
+    rows that share one are compared bit for bit.  If two different rows
+    share a fingerprint, the rows are merged by ``_exact_merge``
+    instead.
     """
-    n = len(children)
-    bits = key_bits(children.reshape(n, -1).copy())
-    weights = fingerprint_multipliers(bits.shape[1] + 1)
-    fingerprints = bits @ weights[:-1]
-    if groups is not None:
-        fingerprints += groups.astype(np.uint64) * weights[-1]
-    order, head, tie = _fingerprint_runs(fingerprints)
-    del fingerprints
-    exact = True
-    if len(tie):
-        a, b = order[tie], order[tie + 1]
-        exact = np.array_equal(bits[a], bits[b]) and (
-            groups is None or np.array_equal(groups[a], groups[b])
-        )
+    n = len(keys)
+    bits = key_bits(keys.reshape(n, -1).copy())
+    order, head, tie = _fingerprint_runs(bits @ fingerprint_multipliers(bits.shape[1]))
     # Per key, its first row; per row, its key.
-    if exact:
+    if len(tie) and not np.array_equal(bits[order[tie]], bits[order[tie + 1]]):
+        firsts, key = _exact_merge(bits)
+    else:
         firsts = np.minimum.reduceat(order, np.flatnonzero(head))
         key = np.empty(n, dtype=np.intp)
         key[order] = head.cumsum() - 1
-    else:
-        rows = children.reshape(n, -1)
-        if groups is not None:
-            # An integer-valued column rounds to itself, so it only splits keys.
-            rows = np.concatenate((rows, groups[:, None]), axis=1)
-        _, firsts, key = np.unique(belief_row_keys(rows), return_index=True, return_inverse=True)
     # The keys in order of their first rows.
     seen = np.zeros(n, dtype=bool)
     seen[firsts] = True
@@ -318,9 +309,9 @@ class TreeEvaluator:
         Returns (optimal, myopic, segment, likelihood, count): per live
         child, its largest immediate reward and the tie rule's pick, its
         flat index parent * N + action into ``np.dot(level, R)`` and its
-        likelihood; and the number of distinct ``belief_row_keys`` among
-        the children, the number of nodes ``distinct_nodes`` would keep
-        of ``expand``'s children.  The children come observation-major
+        likelihood; and the number of distinct rounded keys among the
+        children, the number of nodes ``distinct_nodes`` would keep of
+        ``expand``'s children.  The children come observation-major
         (observation, action, parent), not in ``expand``'s order, but
         each segment's children still come in observation order, so
         ``backup`` sums them in the same order.
@@ -336,7 +327,7 @@ class TreeEvaluator:
         bit: under one parent only the two worked rows can differ, so
         only children of different parents get their whole rows
         rebuilt.  If two different children share a fingerprint, the
-        level is built by ``expand`` and counted by ``distinct_nodes``.
+        level is built by ``expand`` and counted by ``_exact_merge``.
         """
         n, N, X = level.shape
         every = np.arange(N)
@@ -384,7 +375,8 @@ class TreeEvaluator:
                 a, b = leaf[a], leaf[b]
             if not _same_leaves(propagated, filtered.reshape(X, -1), a, b):
                 every_action = np.broadcast_to(np.arange(N), (n, N))
-                return len(distinct_nodes(self.expand(level, every_action)[0])[0])
+                children = self.expand(level, every_action)[0]
+                return len(_exact_merge(key_bits(children.reshape(len(children), -1)))[0])
         return len(order) - len(tie)
 
     # Not called by the package; the per-layer tracer in perfbench wraps
@@ -433,7 +425,11 @@ class TreeEvaluator:
                 break
             children, parent, _, _, d = self.expand(level[grow], u[grow, None])
             parent = grow[parent]
-            kept, inverse = distinct_nodes(children, horizon[parent])
+            # The horizon as one more key column: an integer-valued
+            # column rounds to itself, so it only splits keys.
+            n = len(children)
+            keys = np.concatenate((children.reshape(n, -1), horizon[parent, None]), axis=1)
+            kept, inverse = distinct_nodes(keys)
             levels.append((values, parent, d, inverse))
             level, horizon, u = children[kept], horizon[parent[kept]], None
         # A leaf above the deepest level gets its reward plus beta * 0.0,

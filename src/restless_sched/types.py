@@ -7,8 +7,7 @@ across threads.
 
 The module also owns the key that decides when two beliefs or profiles
 are the same: entries rounded to ``KEY_DECIMALS`` with -0.0 turned into
-0.0, read as bytes (``belief_key``), as one void scalar per profile
-(``belief_row_keys``) or as uint64 words (``key_bits``).
+0.0, read as bytes (``belief_key``) or as uint64 words (``key_bits``).
 """
 
 from __future__ import annotations
@@ -47,14 +46,6 @@ def _rounded(probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def belief_key(probs: np.ndarray) -> bytes:
     """Hashable key for a belief, stable under sub-1e-12 float noise."""
     return _rounded(probs).tobytes()
-
-
-def belief_row_keys(rows: np.ndarray) -> np.ndarray:
-    """One key per leading-axis entry of ``rows`` (e.g. profiles of shape
-    (n, N, X)), as void scalars whose bytes are the concatenated
-    ``belief_key`` of the entry's beliefs; ``np.unique`` dedups them."""
-    flat = _rounded(rows.reshape(len(rows), -1))
-    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
 def key_bits(rows: np.ndarray) -> np.ndarray:

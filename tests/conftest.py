@@ -212,26 +212,30 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 
 @pytest.fixture
 def exact_merges(monkeypatch) -> list:
-    """One entry per ``belief_row_keys`` call in ``policy``: the exact
-    merge that ``distinct_nodes`` falls back to."""
+    """One entry per ``policy._exact_merge`` call: the exact merge that
+    ``distinct_nodes`` and the leaf count fall back to."""
     import restless_sched.policy as policy_module
 
     calls = []
-    keys = policy_module.belief_row_keys
-    monkeypatch.setattr(policy_module, "belief_row_keys", lambda a: calls.append(1) or keys(a))
+    merge = policy_module._exact_merge
+    monkeypatch.setattr(policy_module, "_exact_merge", lambda a: calls.append(1) or merge(a))
     return calls
 
 
-def reference_merge(rows: np.ndarray, groups: np.ndarray | None = None):
-    """``distinct_nodes`` by ``np.unique`` over ``belief_row_keys``, with
-    the groups as one more key column: each distinct key's first row in
-    order of first occurrence, and per row the position of its key."""
-    from restless_sched.types import belief_row_keys
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void key per leading-axis entry of ``rows``: its entries
+    rounded to 12 decimals, -0.0 made 0.0, read as bytes.  Written here
+    and not taken from the package, so the references built on it do
+    not call the key code they check."""
+    flat = np.round(rows.reshape(len(rows), -1), 12) + 0.0
+    return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
-    flat = rows.reshape(len(rows), -1)
-    if groups is not None:
-        flat = np.concatenate((flat, groups[:, None]), axis=1)
-    _, first, inverse = np.unique(belief_row_keys(flat), return_index=True, return_inverse=True)
+
+def reference_merge(rows: np.ndarray):
+    """``distinct_nodes`` by ``np.unique`` over ``row_keys``: each
+    distinct key's first row in order of first occurrence, and per row
+    the position of its key."""
+    _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -275,13 +279,12 @@ def reference_leaves(ev, level: np.ndarray):
     ``np.dot`` over the built children and the tie rule, the count by
     ``np.unique`` over their keys."""
     from restless_sched.policy import _greatest_array_index, row_max
-    from restless_sched.types import belief_row_keys
 
     every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
     children, parent, u, obs, d = reference_expand(ev, level, every_action)
     rewards = np.dot(children, ev.R)
     myopic = np.take_along_axis(rewards, _greatest_array_index(rewards)[:, None], axis=-1)[:, 0]
-    count = len(np.unique(belief_row_keys(children)))
+    count = len(np.unique(row_keys(children)))
     return row_max(rewards), myopic, parent * ev.N + u, d, obs, count
 
 

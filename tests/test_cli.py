@@ -149,6 +149,10 @@ class TestCountFlags:
             (["generate", "--regime", "1"], "--max-attempts", 1, ("0",)),
             (["certify-sweep", "--regime", "1"], "--max-attempts", 1, ("0",)),
             (["certify-sweep", "--regime", "1"], "--instances", 1, ("-3", "x")),
+            # simulate masks its seed to 64 bits; these hand theirs to numpy.
+            (["generate", "--regime", "1"], "--seed", 0, ("-1",)),
+            (["certify-sweep", "--regime", "1", "--instances", "1"], "--seed", 0, ("-2",)),
+            (["bounds", inst_path], "--seed", 0, ("-1",)),
         ):
             for value in values:
                 with pytest.raises(SystemExit) as exc:
@@ -228,6 +232,19 @@ class TestGenerate:
         from restless_sched import verify_assumption1
 
         assert not verify_assumption1(inst).satisfied
+
+    @pytest.mark.parametrize("regime, clause", [
+        ("1", "1.9"), ("1", "2.3"), ("2", "1.1"), ("1", "x"), ("1", "1."), ("2", ""),
+    ])
+    def test_violate_names_a_clause_of_the_regime(self, tmp_path, capsys, regime, clause):
+        # A clause of the other regime would leave the generated one intact.
+        out = tmp_path / "g.json"
+        for argv in (["generate"], ["certify-sweep", "--instances", "3", "--horizon", "2"]):
+            assert main(argv + ["--regime", regime, "--seed", "3", "--violate", clause,
+                                "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --violate must name a clause ")
+            assert not out.exists()
 
 
 class TestCertifySweep:

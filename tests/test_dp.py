@@ -11,6 +11,7 @@ from conftest import (
     reference_merge,
     reference_solve,
     report_bits,
+    row_keys,
 )
 
 import restless_sched.filtering as filtering_module
@@ -32,7 +33,7 @@ from restless_sched import (
 )
 from restless_sched.cli import main
 from restless_sched.policy import TreeEvaluator, distinct_nodes
-from restless_sched.types import ModelInstance, belief_row_keys
+from restless_sched.types import ModelInstance
 
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
 
@@ -358,21 +359,17 @@ class TestLeafPass:
         for g, w in zip(got, want):
             assert same_bits(g, w)
 
-    def test_children_of_different_parents_compared_whole(self, monkeypatch):
+    def test_children_of_different_parents_compared_whole(self, exact_merges):
         inst = rank_one_instance()
         level = initial_level(inst, 2)
         ev = TreeEvaluator(inst, 3)
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
         children, parent, _, _, _ = reference_expand(ev, level, every_action)
-        _, first, inverse = np.unique(
-            belief_row_keys(children), return_index=True, return_inverse=True
-        )
+        _, first, inverse = np.unique(row_keys(children), return_index=True, return_inverse=True)
         # Some child shares its key with a child of another parent.
         assert (parent[first][inverse.ravel()] != parent).any()
-        fallback = []
-        monkeypatch.setattr(policy_module, "distinct_nodes", lambda *a: fallback.append(a))
         assert ev.leaves(level)[-1] == reference_leaves(ev, level)[-1] == len(first)
-        assert not fallback
+        assert not exact_merges
 
     @pytest.mark.parametrize(
         "multipliers",
@@ -385,19 +382,23 @@ class TestLeafPass:
         ],
         ids=["zero", "column-0"],
     )
-    def test_fingerprint_collision_falls_back_to_exact_count(self, monkeypatch, multipliers):
+    def test_fingerprint_collision_falls_back_to_exact_count(
+        self, monkeypatch, exact_merges, multipliers
+    ):
         inst = dirichlet_instance(41, 4, 2, 5)
         level = initial_level(inst, 2)
         ev = TreeEvaluator(inst, 3)
         want = reference_leaves(ev, level)[-1]
-        calls = []
+        # The leaf count merges the built level itself, not through
+        # distinct_nodes, whose fingerprints would tie again.
+        merges = []
         merge = policy_module.distinct_nodes
         monkeypatch.setattr(
-            policy_module, "distinct_nodes", lambda *a: calls.append(1) or merge(*a)
+            policy_module, "distinct_nodes", lambda *a: merges.append(1) or merge(*a)
         )
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
         assert ev.leaves(level)[-1] == want
-        assert calls == [1]
+        assert exact_merges == [1] and not merges
 
 
 class TestLevelMerge:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import reference_merge
+from conftest import reference_merge, row_keys
 
 import restless_sched.policy as policy_module
 from restless_sched import (
@@ -17,7 +17,7 @@ from restless_sched import (
     validate_instance,
 )
 from restless_sched.policy import distinct_nodes
-from restless_sched.types import belief_key, belief_row_keys, valid_belief_rows
+from restless_sched.types import belief_key, valid_belief_rows
 
 
 class TestBeliefVector:
@@ -208,7 +208,13 @@ class TestValidateInstance:
 
 
 def reference_count(rows: np.ndarray) -> int:
-    return len(np.unique(belief_row_keys(rows)))
+    return len(np.unique(row_keys(rows)))
+
+
+def with_groups(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """``rows`` flattened to key rows, with ``groups`` as one more key
+    column, as a bound suite's sweep adds each node's horizon."""
+    return np.concatenate((rows.reshape(len(rows), -1), groups[:, None]), axis=1)
 
 
 def planted_duplicates(rng, n: int, N: int, X: int) -> np.ndarray:
@@ -218,22 +224,21 @@ def planted_duplicates(rng, n: int, N: int, X: int) -> np.ndarray:
     return distinct[rng.integers(0, len(distinct), size=n)]
 
 
-def distinct_count(rows: np.ndarray, groups: np.ndarray | None = None) -> int:
+def distinct_count(rows: np.ndarray) -> int:
     """The number of nodes ``distinct_nodes`` keeps of ``rows``, after
     checking that it leaves ``rows`` as they were, lists first
     occurrences in ascending order, and maps every row to a node with
     the row's key."""
     before = rows.tobytes()
-    first, inverse = distinct_nodes(rows, groups)
+    first, inverse = distinct_nodes(rows)
     assert rows.tobytes() == before
     assert (np.diff(first) > 0).all()
-    assert np.array_equal(belief_row_keys(rows[first][inverse]), belief_row_keys(rows))
+    assert np.array_equal(row_keys(rows[first][inverse]), row_keys(rows))
     return len(first)
 
 
 class TestCountDistinctRows:
-    """``distinct_nodes`` counts the distinct keys of a level; the leaf
-    count falls back to it."""
+    """``distinct_nodes`` counts the distinct keys of a level."""
 
     @pytest.mark.parametrize("n, N, X", [(1, 3, 3), (200, 1, 2), (200, 3, 3), (200, 3, 4)])
     def test_matches_reference_on_planted_duplicates(self, n, N, X):
@@ -266,10 +271,10 @@ class TestCountDistinctRows:
         rng = np.random.default_rng(5)
         rows = planted_duplicates(rng, 200, 3, 3)
         groups = rng.integers(0, 3, size=len(rows))
-        keys = belief_row_keys(rows)
+        keys = row_keys(rows)
         want = len({(k.tobytes(), g) for k, g in zip(keys, groups.tolist())})
-        assert reference_count(rows) < distinct_count(rows, groups) == want
-        first, inverse = distinct_nodes(rows, groups)
+        assert reference_count(rows) < distinct_count(with_groups(rows, groups)) == want
+        first, inverse = distinct_nodes(with_groups(rows, groups))
         assert np.array_equal(groups[first][inverse], groups)
 
 
@@ -284,15 +289,15 @@ def fingerprint_level(seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def column_0_multipliers(n: int) -> np.ndarray:
-    """Fingerprint multipliers that are zero past key column 0, the
-    group's included."""
+    """Fingerprint multipliers that are zero past key column 0, a group
+    column's included."""
     return (np.arange(n) == 0).astype(np.uint64)
 
 
 class TestFingerprintMerge:
     """``distinct_nodes`` sorts one fingerprint per row and compares
     rows that share one bit for bit; a tie between different rows sends
-    the level to the exact merge over ``belief_row_keys``."""
+    the level to ``_exact_merge``."""
 
     @pytest.mark.parametrize(
         "multipliers",
@@ -306,19 +311,19 @@ class TestFingerprintMerge:
         # Every row ties: all fingerprints are zero, or all rows agree
         # in key column 0.
         rows, groups = fingerprint_level(3)
-        groups = groups if grouped else None
-        want = reference_merge(rows, groups)
+        keys = with_groups(rows, groups) if grouped else rows
+        want = reference_merge(keys)
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
-        first, inverse = distinct_nodes(rows, groups)
+        first, inverse = distinct_nodes(keys)
         assert exact_merges
         assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_level_merged_by_fingerprints(self, exact_merges, grouped):
         rows, groups = fingerprint_level(3)
-        groups = groups if grouped else None
-        want = reference_merge(rows, groups)
-        first, inverse = distinct_nodes(rows, groups)
+        keys = with_groups(rows, groups) if grouped else rows
+        want = reference_merge(keys)
+        first, inverse = distinct_nodes(keys)
         assert not exact_merges
         assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
 
@@ -328,6 +333,6 @@ class TestFingerprintMerge:
         rows = np.broadcast_to(np.array([[0.2, 0.8], [0.6, 0.4]]), (6, 2, 2)).copy()
         groups = np.array([0, 1, 0, 2, 1, 0])
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", column_0_multipliers)
-        first, inverse = distinct_nodes(rows, groups)
+        first, inverse = distinct_nodes(with_groups(rows, groups))
         assert exact_merges
         assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2, 1, 0]
