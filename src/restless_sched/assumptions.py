@@ -114,6 +114,9 @@ def _separation_result(inst: ModelInstance, regime: int) -> ClauseResult:
         return ClauseResult(clause, False, f"spectral failure: {e}")
     disc = discount_matrices(dec, inst.beta)
     sep = reward_separation_check(inst.R, disc.Q)
+    if not sep.margins.size:
+        # X = 1: there is no pair of adjacent states to separate.
+        return ClauseResult(clause, True, "no adjacent states")
     if sep.passed:
         return ClauseResult(clause, True, f"min margin {sep.margins.min():.3e}")
     return ClauseResult(

@@ -202,14 +202,15 @@ def check_bounds_suite(
     is MLR-comparable and the chain clause keeps holding), component l
     raised by mixing toward the upper anchor, and the realized (u, u')
     pattern classified by immediate rewards; misclassified draws are
-    redrawn.  The cases need a second project, so N = 1 is rejected
-    before any draw.  Then validates every original and raised profile
-    in one call (``valid_belief_rows``).  The profiles of all samples,
-    in draw order, are the roots of one sweep of W^u_0, each valued up
-    to its sample's lookahead T, which gives each sample's exact gap;
-    nodes of different lookaheads never merge, so each gap has the bits
-    of a sweep of that lookahead's samples alone.  One interval table
-    gives every sample's bounds.  Samples are returned in draw order.
+    redrawn.  The cases need a second project and a second state, so
+    N = 1 and X = 1 are rejected before any draw.  Then validates every
+    original and raised profile in one call (``valid_belief_rows``).
+    The profiles of all samples, in draw order, are the roots of one
+    sweep of W^u_0, each valued up to its sample's lookahead T, which
+    gives each sample's exact gap; nodes of different lookaheads never
+    merge, so each gap has the bits of a sweep of that lookahead's
+    samples alone.  One interval table gives every sample's bounds.
+    Samples are returned in draw order.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -218,6 +219,10 @@ def check_bounds_suite(
     N, X = inst.n_projects, inst.n_states
     if N < 2:
         raise ValueError(f"the bound cases need at least two projects, got N={N}")
+    # With one state every belief is the same, so no raised profile can
+    # change a decision.
+    if X < 2:
+        raise ValueError(f"the bound cases need at least two states, got X={X}")
     rng = np.random.default_rng(seed)
     if regime is None:
         regime = _detect_regime(inst)

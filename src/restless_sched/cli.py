@@ -165,7 +165,8 @@ def _cmd_bounds(args) -> int:
     try:
         samples = check_bounds_suite(inst, args.samples, args.seed)
     except ValueError as e:
-        # An instance the suite cannot run on: one project, or neither regime.
+        # An instance the suite cannot run on: one project, one state, or
+        # neither regime.
         raise _UsageError(str(e)) from e
     rows = ["case,t,T,slack_low,slack_high,verdict"]
     rows += [

@@ -32,12 +32,14 @@ decisions follow a reference profile, expands the evaluated profiles
 and their references side by side on the same kernel.
 
 Keys are compared through one 64-bit fingerprint per row of key bits,
-the wrapping sum of its key bits times ``fingerprint_multipliers``: one
-sort groups equal fingerprints (``_fingerprint_runs``), and rows that
-share one are compared bit for bit.  ``distinct_nodes`` and the leaf
-count share this step; if two different rows share a fingerprint,
-both fall back to ``_exact_merge``, ``np.unique`` over the rows' key
-bits, the one place whole keys are still sorted.
+the wrapping sum of its key bits times ``fingerprint_multipliers``.
+``_fingerprint_runs`` is the one grouping step: one sort of the
+fingerprints, a bit-for-bit check of the rows that share one, and, if
+two different rows do, ``_exact_merge``, ``np.unique`` over the rows'
+key bits, the one place whole keys are still sorted.  Its callers only
+say how to get key rows: ``distinct_nodes`` indexes the level's key
+bits, and the leaf count builds a leaf's key row from its parent's
+propagated key bits and its filtered row's.
 """
 
 from __future__ import annotations
@@ -173,60 +175,83 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
     return np.cumprod(np.full(n_columns, _BASE))
 
 
-def _same_leaves(propagated: np.ndarray, filtered: np.ndarray, a, b) -> bool:
-    """Whether each pair of children a[i], b[i] has the same key bits.
+def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]):
+    """Group n rows by key: ``fingerprints`` (n,) holds each row's
+    fingerprint and ``rows(i)`` returns the key bits of rows ``i``, one
+    flat row each.
 
-    ``propagated`` (n, N, X) holds the parents' propagated key bits and
-    ``filtered`` (X, Y * N * n) the filtered rows' key bits, column c
-    being child c of ``TreeEvaluator.leaves``: parent c % n, worked
-    project c // n % N.
-    """
-    n, N, X = propagated.shape
-    pa, pb = a % n, b % n
-    ka, kb = a // n % N, b // n % N
-    fa, fb = np.take(filtered, a, axis=1), np.take(filtered, b, axis=1)
-    # Each child's row at the other child's worked project.
-    same = ka == kb
-    rows = propagated.reshape(-1, X).T
-    a_at_kb = np.where(same, fa, np.take(rows, pa * N + kb, axis=1))
-    b_at_ka = np.where(same, fb, np.take(rows, pb * N + ka, axis=1))
-    if not (np.array_equal(fa, b_at_ka) and np.array_equal(a_at_kb, fb)):
-        return False
-    far = np.flatnonzero(pa != pb)
-    if not len(far):
-        return True
-    # Children of different parents: compare whole rows.
-    rows_a, rows_b = propagated[pa[far]], propagated[pb[far]]
-    rows_a[np.arange(len(far)), ka[far]] = fa[:, far].T
-    rows_b[np.arange(len(far)), kb[far]] = fb[:, far].T
-    return bool(np.array_equal(rows_a, rows_b))
-
-
-def _fingerprint_runs(fingerprints: np.ndarray):
-    """Sort ``fingerprints`` (n,) and find its runs of equal values.
-
-    Returns (order, head, tie): the argsort; per sorted position, whether
-    a run starts there; and the sorted positions i whose fingerprint
-    equals that at i + 1, so that rows ``order[tie]`` and
-    ``order[tie + 1]`` share a fingerprint.  Each caller compares those
-    pairs bit for bit.
+    Returns (order, head): an order of the rows in which equal keys are
+    adjacent, and per position of that order, whether a new key starts
+    there.  The rows are sorted by fingerprint, and each pair of
+    neighbours that share one is compared bit for bit.  If two different
+    rows share a fingerprint, the rows are grouped by ``_exact_merge``
+    of all their key bits instead.  Pass the fingerprints as a
+    temporary: they are dropped once sorted.
     """
     order = np.argsort(fingerprints)
     fingerprints = fingerprints[order]
     head = np.empty(len(order), dtype=bool)
     head[:1] = True
     np.not_equal(fingerprints[1:], fingerprints[:-1], out=head[1:])
-    return order, head, np.flatnonzero(~head[1:])
+    del fingerprints
+    tie = np.flatnonzero(~head[1:])
+    if len(tie) and not np.array_equal(rows(order[tie]), rows(order[tie + 1])):
+        # Positions of the distinct keys in byte order are exact
+        # fingerprints: their ties are all real.
+        key = _exact_merge(rows(np.arange(len(order))))
+        return _fingerprint_runs(key, key.__getitem__)
+    return order, head
 
 
-def _exact_merge(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_merge(bits: np.ndarray) -> np.ndarray:
     """``np.unique`` over the rows of ``bits`` (n, k), key bits already
-    rounded: each distinct row's first occurrence, in sorted order of
-    the rows' bytes, and for every row the position of its row among
-    those."""
+    rounded: for every row, the position of its row among the distinct
+    rows in sorted order of their bytes."""
     keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
-    _, firsts, key = np.unique(keys, return_index=True, return_inverse=True)
-    return firsts, key
+    return np.unique(keys, return_inverse=True)[1]
+
+
+def _leaf_fingerprints(propagated: np.ndarray, filtered: np.ndarray, leaf) -> np.ndarray:
+    """The fingerprint of every live child of ``_count_leaves``: its
+    parent's propagated fingerprint minus the worked row's terms plus
+    the filtered row's terms."""
+    n, N, X = propagated.shape
+    weights = fingerprint_multipliers(N * X).reshape(N, X)
+    # Per parent and project, that row's fingerprint terms; per child,
+    # its filtered row's.
+    terms = propagated[:, :, 0] * weights[:, 0]
+    fingerprints = filtered[0] * weights[:, 0, None]
+    for x in range(1, X):
+        terms += propagated[:, :, x] * weights[:, x]
+        fingerprints += filtered[x] * weights[:, x, None]
+    # Plus the terms of the parent's other rows.
+    fingerprints += terms.sum(axis=1) - terms.T
+    return fingerprints.ravel() if leaf is None else fingerprints.ravel()[leaf]
+
+
+def _count_leaves(propagated: np.ndarray, filtered: np.ndarray, leaf) -> int:
+    """Distinct keys among the children of ``TreeEvaluator.leaves``,
+    from the key bits of the parents' ``propagated`` rows (n, N, X) and
+    of the ``filtered`` rows (X, Y, N, n); ``leaf`` indexes the live
+    children, None if all are live.
+
+    Child c of the (Y, N, n) children is its parent c % n's propagated
+    rows with the row of the worked project c // n % N replaced by the
+    filtered row c, and ``_fingerprint_runs`` compares tied children as
+    rows built so.
+    """
+    n, N, X = propagated.shape
+    children = filtered.reshape(X, -1)
+
+    def rows(i: np.ndarray) -> np.ndarray:
+        # np.take gathers: fancy indexing is slower here.
+        c = i if leaf is None else np.take(leaf, i)
+        out = np.take(propagated, c % n, axis=0)
+        out.reshape(-1, X)[np.arange(len(c)) * N + c // n % N] = np.take(children, c, axis=1).T
+        return out.reshape(len(c), -1)
+
+    head = _fingerprint_runs(_leaf_fingerprints(propagated, filtered, leaf), rows)[1]
+    return int(np.count_nonzero(head))
 
 
 def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,21 +263,15 @@ def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for every row the position of its key among those.
 
     Each row's fingerprint is its ``key_bits`` times
-    ``fingerprint_multipliers``.  Rows are sorted by fingerprint, and
-    rows that share one are compared bit for bit.  If two different rows
-    share a fingerprint, the rows are merged by ``_exact_merge``
-    instead.
+    ``fingerprint_multipliers``; ``_fingerprint_runs`` groups the rows.
     """
     n = len(keys)
     bits = key_bits(keys.reshape(n, -1).copy())
-    order, head, tie = _fingerprint_runs(bits @ fingerprint_multipliers(bits.shape[1]))
+    order, head = _fingerprint_runs(bits @ fingerprint_multipliers(bits.shape[1]), bits.__getitem__)
     # Per key, its first row; per row, its key.
-    if len(tie) and not np.array_equal(bits[order[tie]], bits[order[tie + 1]]):
-        firsts, key = _exact_merge(bits)
-    else:
-        firsts = np.minimum.reduceat(order, np.flatnonzero(head))
-        key = np.empty(n, dtype=np.intp)
-        key[order] = head.cumsum() - 1
+    firsts = np.minimum.reduceat(order, np.flatnonzero(head))
+    key = np.empty(n, dtype=np.intp)
+    key[order] = head.cumsum() - 1
     # The keys in order of their first rows.
     seen = np.zeros(n, dtype=bool)
     seen[firsts] = True
@@ -320,14 +339,13 @@ class TreeEvaluator:
         replaced by a filtered row.  The passive rewards are one product
         over the propagated rows and the worked ones one over the
         filtered rows, each ``np.dot`` over contiguous length-X rows as
-        on built children.  A child's fingerprint (see
+        on built children.  The count needs only the key bits of the
+        same two pieces (``_count_leaves``): a child's fingerprint (see
         ``fingerprint_multipliers``) is its parent's propagated
         fingerprint minus the worked row's terms plus the filtered row's
-        terms.  Children that share a fingerprint are compared bit for
-        bit: under one parent only the two worked rows can differ, so
-        only children of different parents get their whole rows
-        rebuilt.  If two different children share a fingerprint, the
-        level is built by ``expand`` and counted by ``_exact_merge``.
+        terms, and ``_fingerprint_runs`` compares children that share
+        one, or groups all of them on a collision, as key rows built
+        from the same pieces.  The level is never built.
         """
         n, N, X = level.shape
         every = np.arange(N)
@@ -346,38 +364,7 @@ class TreeEvaluator:
         leaf = None if live.all() else np.flatnonzero(live)
         out = [a.ravel() if leaf is None else a.ravel()[leaf]
                for a in (optimal, myopic, segment, d.transpose(2, 0, 1))]
-        count = self._count_leaves(level, key_bits(propagated), key_bits(filtered), leaf)
-        return (*out, count)
-
-    def _count_leaves(self, level, propagated, filtered, leaf) -> int:
-        """Distinct keys among the children of ``leaves``, from the key
-        bits of the parents' ``propagated`` rows (n, N, X) and of the
-        ``filtered`` rows (X, Y, N, n); ``leaf`` indexes the live
-        children, None if all are live.  ``level`` is expanded again
-        only if two different children share a fingerprint."""
-        n, N, X = propagated.shape
-        weights = fingerprint_multipliers(N * X).reshape(N, X)
-        # Per parent and project, that row's fingerprint terms; per
-        # child, its filtered row's.
-        terms = propagated[:, :, 0] * weights[:, 0]
-        fingerprints = filtered[0] * weights[:, 0, None]
-        for x in range(1, X):
-            terms += propagated[:, :, x] * weights[:, x]
-            fingerprints += filtered[x] * weights[:, x, None]
-        # Plus the terms of the parent's other rows.
-        fingerprints += terms.sum(axis=1) - terms.T
-        fingerprints = fingerprints.ravel() if leaf is None else fingerprints.ravel()[leaf]
-        order, head, tie = _fingerprint_runs(fingerprints)
-        del fingerprints, head
-        if len(tie):
-            a, b = order[tie], order[tie + 1]
-            if leaf is not None:
-                a, b = leaf[a], leaf[b]
-            if not _same_leaves(propagated, filtered.reshape(X, -1), a, b):
-                every_action = np.broadcast_to(np.arange(N), (n, N))
-                children = self.expand(level, every_action)[0]
-                return len(_exact_merge(key_bits(children.reshape(len(children), -1)))[0])
-        return len(order) - len(tie)
+        return (*out, _count_leaves(key_bits(propagated), key_bits(filtered), leaf))
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.

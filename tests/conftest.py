@@ -213,7 +213,8 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 @pytest.fixture
 def exact_merges(monkeypatch) -> list:
     """One entry per ``policy._exact_merge`` call: the exact merge that
-    ``distinct_nodes`` and the leaf count fall back to."""
+    ``_fingerprint_runs`` falls back to for ``distinct_nodes`` and the
+    leaf count."""
     import restless_sched.policy as policy_module
 
     calls = []

@@ -186,6 +186,17 @@ class TestClauseDetails:
         inst = ModelInstance(2, 2, 2, A, [[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0], 0.4, x0)
         assert clause(verify_assumption2(inst), "2.4") == ClauseResult("2.4", not detail, detail)
 
+    @pytest.mark.parametrize("verify, regime", [(verify_assumption1, 1), (verify_assumption2, 2)])
+    def test_single_state_separation_passes_vacuously(self, verify, regime):
+        # X = 1: R is vacuously increasing and no pair of states is
+        # adjacent.
+        inst = ModelInstance(2, 1, 2, [[1.0]], [[0.5, 0.5]], [1.0], 0.9, [[1.0], [1.0]])
+        rep = verify(inst)
+        assert clause(rep, f"{regime}.5") == ClauseResult(
+            f"{regime}.5", True, "no adjacent states"
+        )
+        assert rep.regime == f"Assumption{regime}"
+
     def test_whole_report(self):
         inst = three_state(A_UNORDERED, B_UNORDERED, [[0.3, 0.3, 0.4], [0.4, 0.3, 0.3]])
         doc = verify_assumption1(inst).to_json_dict()

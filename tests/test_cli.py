@@ -56,6 +56,19 @@ class TestValidate:
         assert main(["validate", str(p), "--out", str(out)]) == 1
         assert read_json(out)["regime"] == "Neither"
 
+    def test_single_state_instance(self, tmp_path, capsys):
+        p = tmp_path / "x1.json"
+        p.write_text(json.dumps({
+            "n_projects": 2, "n_states": 1, "n_obs": 2, "A": [[1]], "B": [[0.5, 0.5]],
+            "R": [1], "beta": 0.9, "x0": [[1], [1]],
+        }))
+        out = tmp_path / "v.json"
+        assert main(["validate", str(p), "--out", str(out)]) == 0
+        doc = read_json(out)
+        assert doc["regime"] == "Assumption1"
+        assert doc["assumption1"]["clauses"][4]["detail"] == "no adjacent states"
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -180,6 +193,7 @@ class TestBounds:
                        [0.0, 1.0], 0.5, [[0.6, 0.4]]), "N=1"),
         (ModelInstance(2, 2, 2, [[0.5, 0.5], [0.5, 0.5]], [[0.6, 0.4], [0.4, 0.6]],
                        [0.0, 1.0], 0.9, [[0.9, 0.1], [0.1, 0.9]]), "neither"),
+        (ModelInstance(2, 1, 2, [[1.0]], [[0.5, 0.5]], [1.0], 0.9, [[1.0], [1.0]]), "X=1"),
     ])
     def test_unsupported_instance_is_a_usage_error(self, tmp_path, capsys, inst, message):
         p = tmp_path / "inst.json"

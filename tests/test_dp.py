@@ -372,33 +372,46 @@ class TestLeafPass:
         assert not exact_merges
 
     @pytest.mark.parametrize(
-        "multipliers",
+        "multipliers, instance",
         [
-            # Every fingerprint is zero: every child ties.
-            lambda n: np.zeros(n, dtype=np.uint64),
-            # Only key column 0 counts: children that differ only in
-            # later columns tie.
-            lambda n: (np.arange(n) == 0).astype(np.uint64),
+            pytest.param(multipliers, instance, id=name + suffix)
+            for instance, suffix in [
+                ("mixed N=4 X=2 Y=5", ""),
+                # Zero-likelihood children: the key rows of the live
+                # children are found through their live indices.
+                ("absorbing", "-absorbing"),
+            ]
+            for name, multipliers in [
+                # Every fingerprint is zero: every child ties.
+                ("zero", lambda n: np.zeros(n, dtype=np.uint64)),
+                # Only key column 0 counts: children that differ only
+                # in later columns tie.
+                ("column-0", lambda n: (np.arange(n) == 0).astype(np.uint64)),
+            ]
         ],
-        ids=["zero", "column-0"],
     )
     def test_fingerprint_collision_falls_back_to_exact_count(
-        self, monkeypatch, exact_merges, multipliers
+        self, monkeypatch, exact_merges, multipliers, instance, absorbing_instance
     ):
-        inst = dirichlet_instance(41, 4, 2, 5)
+        make = LEAF_INSTANCES[instance]
+        inst = absorbing_instance if make is None else make()
         level = initial_level(inst, 2)
         ev = TreeEvaluator(inst, 3)
         want = reference_leaves(ev, level)[-1]
-        # The leaf count merges the built level itself, not through
+        # The leaf count merges key rows built from the parents' key
+        # bits: it neither builds the level nor goes through
         # distinct_nodes, whose fingerprints would tie again.
-        merges = []
-        merge = policy_module.distinct_nodes
+        calls = []
+        merge, expand = policy_module.distinct_nodes, TreeEvaluator.expand
         monkeypatch.setattr(
-            policy_module, "distinct_nodes", lambda *a: merges.append(1) or merge(*a)
+            policy_module, "distinct_nodes", lambda *a: calls.append("merge") or merge(*a)
+        )
+        monkeypatch.setattr(
+            TreeEvaluator, "expand", lambda *a: calls.append("expand") or expand(*a)
         )
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
         assert ev.leaves(level)[-1] == want
-        assert exact_merges == [1] and not merges
+        assert exact_merges == [1] and not calls
 
 
 class TestLevelMerge:
