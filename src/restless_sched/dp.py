@@ -2,13 +2,19 @@
 tree, and the certification oracle comparing the optimum against the
 myopic policy.
 
-The tree is expanded breadth first, one level of profiles at a time
-under every action, merging profiles with equal rounded keys.  The
-deepest level is not built: ``TreeEvaluator.leaves`` values and counts
-each leaf from its parent's propagated profile and one filtered row.
-One backward sweep then yields the optimal value, the myopic value and
-the per-node agreement of the two (the exact finite-horizon POMDP
-backup of Smallwood & Sondik, Oper. Res. 1973).
+The tree is expanded breadth first, one level at a time under every
+action, merging profiles with equal rounded keys.  The projects evolve
+independently, so a level is held factored: ids (n, N) into a per-depth
+table of one-project beliefs, whose every row is propagated and
+filtered once per depth (``TreeEvaluator.next_level``).  The deepest
+level is not built: ``TreeEvaluator.leaves`` values and counts each
+leaf from its parent's ids and the next depth's table.  One backward
+sweep then yields the optimal value, the myopic value and the per-node
+agreement of the two (the exact finite-horizon POMDP backup of
+Smallwood & Sondik, Oper. Res. 1973).  Exact certificates stay
+exponential in the horizon (restless bandits are PSPACE-hard:
+Papadimitriou & Tsitsiklis, Math. Oper. Res. 1999); the tables cut the
+float work per level from the node count to the table size.
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import policy
 from .exceptions import NodeBudgetExceededError
 from .filtering import BeliefProfile
 from .policy import (
     ARGMAX_TOL,
     TreeEvaluator,
-    _greatest_array_index,
     backup,
     check_profile,
-    distinct_nodes,
     leaf_values,
     row_max,
 )
@@ -65,13 +70,16 @@ class ValueReport:
 def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int) -> ValueReport:
     """Optimal and myopic values from slot t to T of one profile.
 
-    Each level above the leaves keeps the first occurrence of every
-    rounded profile in expansion order, the one a depth-first walk
-    meets first.  The leaves are neither built nor merged: a leaf's
-    value is its largest immediate reward, which the myopic action
-    attains, so every leaf agrees, and ``TreeEvaluator.leaves`` gives
-    each leaf's values, backup segment and likelihood, and the exact
-    number of distinct leaves, from the level above.
+    A level is ``ids`` (n, N), row indices into the depth's ``table``
+    (M, X) of one-project beliefs; ``TreeEvaluator.next_level`` builds
+    the next depth's table and the children from it.  Each level above
+    the leaves keeps the first occurrence of every rounded profile in
+    expansion order, the one a depth-first walk meets first.  The
+    leaves are neither built nor merged: a leaf's value is its largest
+    immediate reward, which the myopic action attains, so every leaf
+    agrees, and ``TreeEvaluator.leaves`` gives each leaf's values,
+    backup segment and likelihood, and the exact number of distinct
+    leaves, from the level above.
     """
     ev = TreeEvaluator(inst, T)
     counts = [0] * (T + 1)
@@ -81,25 +89,22 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         if sum(counts) > node_budget:
             raise NodeBudgetExceededError(node_budget, ev.N, ev.Y, T)
 
-    rows = np.array((beliefs,))
+    table, ids = np.array(beliefs), np.arange(ev.N)[None]
     sweep = []
     for depth in range(t, T - 1):
-        count(depth, len(rows))
-        every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
-        children, parent, u, _, d = ev.expand(rows, every_action)
-        first, inverse = distinct_nodes(children)
-        sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
-        rows = children[first]
-        # Free the index arrays before the next level grows.
-        del children, parent, u, _
+        count(depth, len(ids))
+        # The 3-D np.dot gives each row the bits it has in a built level.
+        rewards = np.dot(table[None], ev.R)[0].take(ids)
+        table, ids, seg, d, inverse = ev.next_level(table, ids)
+        sweep.append((rewards, seg, d, inverse))
+    values = np.dot(table[None], ev.R)[0].take(ids)
     if t < T:
-        count(T - 1, len(rows))
-        optimal, myopic, seg, d, leaves = ev.leaves(rows)
-        sweep.append((np.dot(rows, ev.R), seg, d, None))
+        count(T - 1, len(ids))
+        optimal, myopic, seg, d, leaves = ev.leaves(table, ids)
+        sweep.append((values, seg, d, None))
         count(T, leaves)
     else:
         count(T, 1)
-        values = np.dot(rows, ev.R)
         optimal, myopic = leaf_values(values.T)
 
     agree = counts[T]
@@ -108,7 +113,8 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
             optimal, myopic = optimal[inverse], myopic[inverse]
         idx = np.arange(len(rewards))
         values = backup(rewards, seg, d, optimal, ev.beta)
-        myo = _greatest_array_index(rewards)
+        # Through the module, so that a wrapper on the tie rule sees it.
+        myo = policy._greatest_array_index(rewards)
         myopic = backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
         optimal = row_max(values)
         # The myopic action agrees when its value ties the best one.
@@ -122,7 +128,7 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         per_depth_node_counts=tuple(counts),
         argmax_agreement=agree / sum(counts),
         # The root's action values decide the best first action.
-        best_action=int(_greatest_array_index(values)[0]) + 1,
+        best_action=int(policy._greatest_array_index(values)[0]) + 1,
         horizon=T,
     )
 

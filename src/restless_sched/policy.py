@@ -17,19 +17,26 @@ product that the DP values nodes with.  ``row_max``, which the tie rule
 and the DP use, takes the maximum column by column, avoiding numpy's
 slow reduction over a short last axis.
 
-The tree is grown one level at a time as arrays of profiles
-(``TreeEvaluator.expand``), merging profiles with the same rounded key
-(``distinct_nodes``), and summed backwards.  ``TreeEvaluator.sweep``
-follows one decision per node from many root profiles at once, each
-root up to its own horizon; it gives ``policy_value`` and the
-auxiliary value function W^u_t (take action u at slot t, act
-myopically afterwards), and the DP in ``dp`` runs the same kernel
-under every action.  ``TreeEvaluator.leaves`` values and counts the
-level below one under every action without building it.  Both take
-A'x and T(x, m) from ``filtering.propagate_rows`` and
-``filtering.filter_rows``.  ``avf_frozen``, the variant of W whose
-decisions follow a reference profile, expands the evaluated profiles
-and their references side by side on the same kernel.
+The tree is grown one level at a time and summed backwards.
+``TreeEvaluator.sweep`` follows one decision per node from many root
+profiles at once, each root up to its own horizon, on built levels of
+profiles (``TreeEvaluator.expand``) merged by rounded key
+(``distinct_nodes``); it gives ``policy_value`` and the auxiliary value
+function W^u_t (take action u at slot t, act myopically afterwards).
+``avf_frozen``, the variant of W whose decisions follow a reference
+profile, expands the evaluated profiles and their references side by
+side on the same kernel.
+
+The DP in ``dp`` works every action of every node, and its levels are
+factored: projects evolve independently, so a level is ``ids`` (n, N),
+row indices into a per-depth ``table`` (M, X) of one-project beliefs.
+``TreeEvaluator.next_level`` and ``TreeEvaluator.leaves`` propagate and
+filter each table row once into the next depth's table and build the
+children by integer gathers; ``leaves`` values and counts the deepest
+level without building it.  A deep T=6 certificate filters 2,093 table
+rows where built levels filtered 58,824 project rows.  Every level
+takes A'x and T(x, m) from ``filtering.propagate_rows`` and
+``filtering.filter_rows``.
 
 Keys are compared through one 64-bit fingerprint per row of key bits,
 the wrapping sum of its key bits times ``fingerprint_multipliers``.
@@ -38,8 +45,10 @@ fingerprints, a bit-for-bit check of the rows that share one, and, if
 two different rows do, ``_exact_merge``, ``np.unique`` over the rows'
 key bits, the one place whole keys are still sorted.  Its callers only
 say how to get key rows: ``distinct_nodes`` indexes the level's key
-bits, and the leaf count builds a leaf's key row from its parent's
-propagated key bits and its filtered row's.
+bits, and the DP gathers a child's key row from its table's key bits.
+The DP's fingerprints are sums of per-row terms, so they equal the
+product over the built child's key row exactly, and a factored level
+merges bit for bit as a built one.
 """
 
 from __future__ import annotations
@@ -137,7 +146,7 @@ def leaf_values(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``rewards`` (N, ...), project axis first: the largest reward, and
     the reward of the project ``_greatest_array_index`` picks, both
     taken column by column."""
-    optimal = row_max(np.moveaxis(rewards, 0, -1))
+    optimal = row_max(rewards.transpose((*range(1, rewards.ndim), 0)))
     near = optimal - ARGMAX_TOL
     myopic = rewards[-1]
     for r in rewards[-2::-1]:
@@ -175,6 +184,12 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
     return np.cumprod(np.full(n_columns, _BASE))
 
 
+#: Tied pairs that ``_fingerprint_runs`` compares at a time: the key
+#: rows of a deep T=6 leaf level's 33,614 ties, built at once, took
+#: 2 x 2.4 MB.
+_TIE_CHUNK = 4096
+
+
 def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]):
     """Group n rows by key: ``fingerprints`` (n,) holds each row's
     fingerprint and ``rows(i)`` returns the key bits of rows ``i``, one
@@ -183,10 +198,10 @@ def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.
     Returns (order, head): an order of the rows in which equal keys are
     adjacent, and per position of that order, whether a new key starts
     there.  The rows are sorted by fingerprint, and each pair of
-    neighbours that share one is compared bit for bit.  If two different
-    rows share a fingerprint, the rows are grouped by ``_exact_merge``
-    of all their key bits instead.  Pass the fingerprints as a
-    temporary: they are dropped once sorted.
+    neighbours that share one is compared bit for bit, ``_TIE_CHUNK``
+    pairs at a time.  If two different rows share a fingerprint, the
+    rows are grouped by ``_exact_merge`` of all their key bits instead.
+    Pass the fingerprints as a temporary: they are dropped once sorted.
     """
     order = np.argsort(fingerprints)
     fingerprints = fingerprints[order]
@@ -194,12 +209,16 @@ def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.
     head[:1] = True
     np.not_equal(fingerprints[1:], fingerprints[:-1], out=head[1:])
     del fingerprints
-    tie = np.flatnonzero(~head[1:])
-    if len(tie) and not np.array_equal(rows(order[tie]), rows(order[tie + 1])):
-        # Positions of the distinct keys in byte order are exact
-        # fingerprints: their ties are all real.
-        key = _exact_merge(rows(np.arange(len(order))))
-        return _fingerprint_runs(key, key.__getitem__)
+    tie = (~head[1:]).nonzero()[0]
+    for start in range(0, len(tie), _TIE_CHUNK):
+        pairs = tie[start:start + _TIE_CHUNK]
+        # Both sides of every pair in one call: the left ones first.
+        both = rows(order.take(np.concatenate((pairs, pairs + 1))))
+        if not np.array_equal(both[:len(pairs)], both[len(pairs):]):
+            # Positions of the distinct keys in byte order are exact
+            # fingerprints: their ties are all real.
+            key = _exact_merge(rows(np.arange(len(order))))
+            return _fingerprint_runs(key, key.__getitem__)
     return order, head
 
 
@@ -211,47 +230,22 @@ def _exact_merge(bits: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_inverse=True)[1]
 
 
-def _leaf_fingerprints(propagated: np.ndarray, filtered: np.ndarray, leaf) -> np.ndarray:
-    """The fingerprint of every live child of ``_count_leaves``: its
-    parent's propagated fingerprint minus the worked row's terms plus
-    the filtered row's terms."""
-    n, N, X = propagated.shape
-    weights = fingerprint_multipliers(N * X).reshape(N, X)
-    # Per parent and project, that row's fingerprint terms; per child,
-    # its filtered row's.
-    terms = propagated[:, :, 0] * weights[:, 0]
-    fingerprints = filtered[0] * weights[:, 0, None]
-    for x in range(1, X):
-        terms += propagated[:, :, x] * weights[:, x]
-        fingerprints += filtered[x] * weights[:, x, None]
-    # Plus the terms of the parent's other rows.
-    fingerprints += terms.sum(axis=1) - terms.T
-    return fingerprints.ravel() if leaf is None else fingerprints.ravel()[leaf]
-
-
-def _count_leaves(propagated: np.ndarray, filtered: np.ndarray, leaf) -> int:
-    """Distinct keys among the children of ``TreeEvaluator.leaves``,
-    from the key bits of the parents' ``propagated`` rows (n, N, X) and
-    of the ``filtered`` rows (X, Y, N, n); ``leaf`` indexes the live
-    children, None if all are live.
-
-    Child c of the (Y, N, n) children is its parent c % n's propagated
-    rows with the row of the worked project c // n % N replaced by the
-    filtered row c, and ``_fingerprint_runs`` compares tied children as
-    rows built so.
-    """
-    n, N, X = propagated.shape
-    children = filtered.reshape(X, -1)
-
-    def rows(i: np.ndarray) -> np.ndarray:
-        # np.take gathers: fancy indexing is slower here.
-        c = i if leaf is None else np.take(leaf, i)
-        out = np.take(propagated, c % n, axis=0)
-        out.reshape(-1, X)[np.arange(len(c)) * N + c // n % N] = np.take(children, c, axis=1).T
-        return out.reshape(len(c), -1)
-
-    head = _fingerprint_runs(_leaf_fingerprints(propagated, filtered, leaf), rows)[1]
-    return int(np.count_nonzero(head))
+def _first_occurrence(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From ``_fingerprint_runs``' grouping of n rows: the index of each
+    distinct key's first row, in order of first rows, and for every row
+    the position of its key among those."""
+    n = len(order)
+    # Per key, its first row; per row, its key.
+    firsts = np.minimum.reduceat(order, head.nonzero()[0])
+    key = np.empty(n, dtype=np.intp)
+    key[order] = head.cumsum() - 1
+    # The keys in order of their first rows.
+    seen = np.zeros(n, dtype=bool)
+    seen[firsts] = True
+    first = seen.nonzero()[0]
+    rank = np.empty(n, dtype=np.intp)
+    rank[first] = np.arange(len(first))
+    return first, rank[firsts][key]
 
 
 def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,29 +259,48 @@ def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each row's fingerprint is its ``key_bits`` times
     ``fingerprint_multipliers``; ``_fingerprint_runs`` groups the rows.
     """
-    n = len(keys)
-    bits = key_bits(keys.reshape(n, -1).copy())
+    bits = key_bits(keys.reshape(len(keys), -1).copy())
     order, head = _fingerprint_runs(bits @ fingerprint_multipliers(bits.shape[1]), bits.__getitem__)
-    # Per key, its first row; per row, its key.
-    firsts = np.minimum.reduceat(order, np.flatnonzero(head))
-    key = np.empty(n, dtype=np.intp)
-    key[order] = head.cumsum() - 1
-    # The keys in order of their first rows.
-    seen = np.zeros(n, dtype=bool)
-    seen[firsts] = True
-    first = np.flatnonzero(seen)
-    rank = np.empty(n, dtype=np.intp)
-    rank[first] = np.arange(len(first))
-    return first, rank[firsts][key]
+    return _first_occurrence(order, head)
+
+
+def _child_ids(ids: np.ndarray, worked: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The table ids (k, N) of the children at flat indices ``c`` of
+    ``worked`` (n, N, Y): their parent's row of ``ids`` (n, N), with the
+    worked project's id replaced by the child's entry of ``worked``."""
+    n, N, Y = worked.shape
+    kids = ids.take(c // (N * Y), axis=0)
+    kids.put(np.arange(len(c)) * N + c // Y % N, worked.take(c))
+    return kids
+
+
+def _child_fingerprints(terms: np.ndarray, ids: np.ndarray, Y: int, live) -> np.ndarray:
+    """The fingerprint of every live child of ``TreeEvaluator._every_child``
+    from ``terms`` (M + Y*M, N), the fingerprint terms of each next-table
+    row at each project position: its parent's propagated rows' terms
+    minus the worked row's plus the filtered row's, summed modulo 2**64
+    as the product of the built child's key bits is."""
+    N = ids.shape[1]
+    M = len(terms) // (Y + 1)
+    every = np.arange(N)
+    passive = terms.take(ids * N + every)
+    # Per project position and table row, its filtered rows' terms on
+    # every observation: one gather of Y terms per (parent, action).
+    filtered = terms[M:].reshape(Y, M, N).transpose(2, 1, 0).reshape(N * M, Y)
+    fingerprints = filtered.take(ids + every * M, axis=0)
+    fingerprints += (passive.sum(axis=1, keepdims=True) - passive)[..., None]
+    return fingerprints.ravel() if live is None else fingerprints.take(live)
 
 
 class TreeEvaluator:
     """Exact expectation over the Y-ary observation tree of one instance.
 
-    Holds the matrices of one instance and horizon and the level kernel
-    (``expand``) that ``sweep``, ``avf_frozen`` and the DP run on.  All
-    internal indices are 0-based; beliefs are tuples of read-only
-    arrays, levels are arrays of shape (n, N, X).
+    Holds the matrices of one instance and horizon, the level kernel
+    (``expand``) that ``sweep`` and ``avf_frozen`` run on, and the DP's
+    factored levels (``next_level`` and ``leaves``).  All internal
+    indices are 0-based; beliefs are tuples of read-only arrays, built
+    levels are arrays of shape (n, N, X), and factored ones are ids (n,
+    N) into a table (M, X).
     """
 
     def __init__(self, inst: ModelInstance, horizon: int):
@@ -321,50 +334,115 @@ class TreeEvaluator:
         children = children.reshape((-1,) + level.shape[1:]) if live.all() else children[live]
         return children, parent, column, observation, d.transpose(1, 0, 2)[live]
 
-    def leaves(self, level: np.ndarray):
-        """The children of every profile in ``level`` (n, N, X) under
-        every action, valued and counted as leaves without building them.
+    def _every_child(self, table: np.ndarray, ids: np.ndarray):
+        """Every child of the nodes ``ids`` (n, N), row indices into the
+        depth's ``table`` (M, X) of one-project beliefs, under every
+        action, grouped by key.
+
+        Each table row is propagated and filtered on every observation
+        once, into the next depth's table: the M propagated rows, then
+        row M + m*M + i holding row i's filter on 0-based observation m.
+        A child keeps its parent's ids, the propagated rows, except the
+        worked project's, which becomes that filtered row's.
+
+        Returns (next table (M + Y*M, X), worked, live, likelihood,
+        order, head): ``worked`` (n, N, Y) holds the id of the worked
+        row of child (parent, action, observation), ``live`` the flat
+        indices of the live children into it (None if all are), in
+        ``expand``'s order, and per live child its likelihood and the
+        grouping of ``_fingerprint_runs``, which compares tied children
+        by their key rows gathered from the table's key bits.
+        """
+        M, X = table.shape
+        N = ids.shape[1]
+        propagated = propagate_rows(self.A_T, table)
+        # numpy's matmul takes a one-row likelihood product through gemv
+        # and a longer one through gemm, whose last bits can differ.  A
+        # level of n nodes has n rows per action, so a one-node level
+        # filters its rows one at a time, as a built one would.
+        z = propagated[:, None] if len(ids) == 1 else propagated[None]
+        d, live, filtered = filter_rows(z, self.B)
+        d, live = d.reshape(M, -1), live.reshape(M, -1)
+        # C order, which np.concatenate would not keep when M = 1: a
+        # strided row gets other bits from np.dot.
+        table = np.empty(((self.Y + 1) * M, X))
+        table[:M] = propagated
+        table[M:] = filtered.reshape(X, -1).T
+        worked = ids[..., None] + np.arange(M, (self.Y + 1) * M, M)
+        live = live.take(ids, axis=0)
+        live = None if live.all() else live.ravel().nonzero()[0]
+        d = d.take(ids, axis=0)
+        d = d.ravel() if live is None else d.take(live)
+        bits = key_bits(table.copy())
+
+        def rows(i: np.ndarray) -> np.ndarray:
+            kids = _child_ids(ids, worked, i if live is None else live.take(i))
+            return bits.take(kids, axis=0).reshape(len(i), -1)
+
+        # Per table row and project position, that row's fingerprint terms.
+        terms = bits @ fingerprint_multipliers(N * X).reshape(N, X).T
+        order, head = _fingerprint_runs(_child_fingerprints(terms, ids, self.Y, live), rows)
+        return table, worked, live, d, order, head
+
+    def next_level(self, table: np.ndarray, ids: np.ndarray):
+        """The DP's next level below the nodes ``ids`` (n, N) of
+        ``table`` (M, X): the children under every action, merged as
+        ``distinct_nodes`` merges ``expand``'s children, keeping each
+        key's first child in ``expand``'s order.
+
+        Returns (table, ids, segment, likelihood, inverse): the kept
+        children as ids into the next depth's table, cut to the rows
+        they use, in order; and per live child its flat index parent * N
+        + action, its likelihood and the position of its key among the
+        kept children.
+        """
+        table, worked, live, d, order, head = self._every_child(table, ids)
+        first, inverse = _first_occurrence(order, head)
+        c = np.arange(worked.size) if live is None else live
+        kids = _child_ids(ids, worked, c.take(first))
+        # Keep the table rows the kept children use, in order.
+        used = np.zeros(len(table), dtype=bool)
+        used[kids] = True
+        renumber = used.cumsum() - 1
+        return table[used], renumber.take(kids), c // self.Y, d, inverse
+
+    def leaves(self, table: np.ndarray, ids: np.ndarray):
+        """The children of the nodes ``ids`` (n, N) of ``table`` (M, X)
+        under every action, valued and counted as leaves without
+        building them.
 
         Returns (optimal, myopic, segment, likelihood, count): per live
-        child, its largest immediate reward and the tie rule's pick, its
-        flat index parent * N + action into ``np.dot(level, R)`` and its
-        likelihood; and the number of distinct rounded keys among the
-        children, the number of nodes ``distinct_nodes`` would keep of
-        ``expand``'s children.  The children come observation-major
-        (observation, action, parent), not in ``expand``'s order, but
-        each segment's children still come in observation order, so
-        ``backup`` sums them in the same order.
+        child in ``expand``'s order, its largest immediate reward and
+        the tie rule's pick, its flat index parent * N + action into
+        the level's rewards and its likelihood; and the number of
+        distinct rounded keys among the children, the number of nodes
+        ``distinct_nodes`` would keep of ``expand``'s children.
 
-        A child is its parent's propagated profile with the worked row
-        replaced by a filtered row.  The passive rewards are one product
-        over the propagated rows and the worked ones one over the
-        filtered rows, each ``np.dot`` over contiguous length-X rows as
-        on built children.  The count needs only the key bits of the
-        same two pieces (``_count_leaves``): a child's fingerprint (see
+        ``_every_child`` builds the next depth's table, and each child's
+        immediate rewards are gathered from those of its rows, one
+        ``np.dot`` over the table as over built children.  It counts the
+        children from the same table: a child's fingerprint (see
         ``fingerprint_multipliers``) is its parent's propagated
-        fingerprint minus the worked row's terms plus the filtered row's
-        terms, and ``_fingerprint_runs`` compares children that share
-        one, or groups all of them on a collision, as key rows built
-        from the same pieces.  The level is never built.
+        fingerprint minus the worked row's terms plus the filtered
+        row's, and ``_fingerprint_runs`` compares children that share
+        one, or groups all of them on a collision, by key rows gathered
+        from the table's key bits.  The level is never built.
         """
-        n, N, X = level.shape
+        table, worked, live, d, order, head = self._every_child(table, ids)
+        del order
+        N = ids.shape[1]
         every = np.arange(N)
-        propagated = propagate_rows(self.A_T, level)
-        d, live, filtered = filter_rows(propagated.transpose(1, 0, 2).copy(), self.B)
-        # Project j's immediate reward in child (observation, action, parent).
-        rewards = np.empty((N,) + filtered.shape[1:])
-        rewards[...] = np.dot(propagated, self.R).T[:, None, None]
-        worked = np.dot(np.ascontiguousarray(filtered.transpose(2, 3, 1, 0)), self.R)
-        rewards[every, :, every] = worked.transpose(0, 2, 1)
-        del worked
+        # The 3-D np.dot gives each row the bits it has in a built level.
+        table_rewards = np.dot(table[None], self.R)[0]
+        # Project j's immediate reward in child (parent, action, observation).
+        rewards = np.empty((N,) + worked.shape)
+        rewards[...] = table_rewards.take(ids).T[:, :, None, None]
+        rewards[every, :, every] = table_rewards.take(worked).transpose(1, 0, 2)
         optimal, myopic = leaf_values(rewards)
         del rewards
-        segment = np.broadcast_to(np.arange(n) * N + every[:, None], optimal.shape)
-        live = live.transpose(2, 0, 1)
-        leaf = None if live.all() else np.flatnonzero(live)
-        out = [a.ravel() if leaf is None else a.ravel()[leaf]
-               for a in (optimal, myopic, segment, d.transpose(2, 0, 1))]
-        return (*out, _count_leaves(key_bits(propagated), key_bits(filtered), leaf))
+        c = np.arange(worked.size) if live is None else live
+        out = [a.ravel() if live is None else a.take(live) for a in (optimal, myopic)]
+        return (*out, c // self.Y, d, int(np.count_nonzero(head)))
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.
@@ -400,6 +478,13 @@ class TreeEvaluator:
         Roots of one horizon are thus valued bit for bit as in a sweep
         of those roots alone.  One backward sweep then sums each node's
         likelihood-weighted child values in observation order.
+
+        A sweep builds its levels instead of factoring them as the DP
+        does: it works one action per node on levels of a few hundred
+        nodes, so the table bookkeeping costs more than it saves.  A
+        prototype id-table sweep took 318-340 us per sweep against 241
+        us on the certify-pipeline bound suites (+30 %, about +8 % of a
+        pipeline operation).
         """
         level, u, levels = roots, first, []
         horizon = np.full(len(roots), self.T) if horizons is None else np.asarray(horizons)

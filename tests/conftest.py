@@ -214,7 +214,7 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 def exact_merges(monkeypatch) -> list:
     """One entry per ``policy._exact_merge`` call: the exact merge that
     ``_fingerprint_runs`` falls back to for ``distinct_nodes`` and the
-    leaf count."""
+    DP's factored levels and leaf count."""
     import restless_sched.policy as policy_module
 
     calls = []

@@ -292,7 +292,8 @@ def leaf_instance(request, absorbing_instance) -> ModelInstance:
 
 
 def initial_level(inst: ModelInstance, depth: int) -> np.ndarray:
-    """The DP's merged level at ``depth`` below the initial profile."""
+    """The DP's merged level at ``depth`` below the initial profile,
+    built by ``expand`` and merged by ``distinct_nodes``."""
     ev = TreeEvaluator(inst, depth)
     level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
     for _ in range(depth):
@@ -300,6 +301,27 @@ def initial_level(inst: ModelInstance, depth: int) -> np.ndarray:
         children = ev.expand(level, every_action)[0]
         level = children[distinct_nodes(children)[0]]
     return level
+
+
+def initial_table(inst: ModelInstance, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DP's own (table, ids) at ``depth`` below the initial profile,
+    built by ``TreeEvaluator.next_level``."""
+    ev = TreeEvaluator(inst, depth)
+    table = np.array([x.probs for x in inst.initial_beliefs])
+    ids = np.arange(ev.N)[None]
+    for _ in range(depth):
+        table, ids = ev.next_level(table, ids)[:2]
+    return table, ids
+
+
+def factorings(inst: ModelInstance, depth: int):
+    """The level at ``depth`` as built children, and two (table, ids)
+    pairs for it: the trivial factoring of the built level, one table
+    row per project row, and the DP's own table."""
+    level = initial_level(inst, depth)
+    n, N, X = level.shape
+    trivial = level.reshape(-1, X), np.arange(n * N).reshape(n, N)
+    return level, [trivial, initial_table(inst, depth)]
 
 
 def same_bits(a, b) -> bool:
@@ -322,11 +344,33 @@ class TestLeafPass:
                 value, action = optimal_value(inst, prof, t, T)
                 assert (value.hex(), action) == (want.optimal_value.hex(), want.best_action)
 
-    def test_deep_input_matches_reference(self):
-        # Input 14's T=6 leaves straddle rounding lines, so its node
-        # count (137,282 with this build) depends on the last bits.
+    @pytest.mark.parametrize(
+        "seed, N, X, Y",
+        [
+            # One-node levels: numpy's matmul takes a one-row likelihood
+            # product through gemv, a longer one through gemm.
+            (3, 2, 9, 3),
+            # One project: np.concatenate of a one-row table and its
+            # transposed filtered rows would be F-ordered, and np.dot
+            # gives a strided row other bits.
+            (7, 1, 9, 2),
+        ],
+    )
+    def test_table_layout_keeps_the_reference_bits(self, seed, N, X, Y):
+        inst = dirichlet_instance(seed, N, X, Y)
+        beliefs = [x.probs for x in inst.initial_beliefs]
+        for T in (1, 2, 3):
+            want = reference_solve(inst, beliefs, 0, T)
+            assert report_bits(certify_myopic(inst, T)) == report_bits(want)
+
+    # Input 14's T=6 leaves straddle rounding lines, so its node count
+    # (137,282 with this build) depends on the last bits.  Input 10's
+    # depth-5 count (16,907) moved to 16,932 when rows were interned by
+    # their rounded keys.
+    @pytest.mark.parametrize("index", [10, 14])
+    def test_deep_input_matches_reference(self, index):
         doc = json.loads(DEEP.read_text())
-        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
+        inst = ModelInstance.from_json_dict(doc["instances"][index]["instance"])
         beliefs = [x.probs for x in inst.initial_beliefs]
         want = reference_solve(inst, beliefs, 0, doc["horizon"])
         assert report_bits(certify_myopic(inst, doc["horizon"])) == report_bits(want)
@@ -334,16 +378,16 @@ class TestLeafPass:
     @pytest.mark.parametrize("depth", [0, 2])
     def test_leaves_match_built_children(self, leaf_instance, depth):
         inst = leaf_instance
-        level = initial_level(inst, depth)
+        level, tables = factorings(inst, depth)
         ev = TreeEvaluator(inst, depth + 1)
-        *got, count = ev.leaves(level.copy())
-        *want, obs, want_count = reference_leaves(ev, level)
-        # The leaf pass lists children observation-major.
-        segment = want[2]
-        order = np.lexsort((segment // ev.N, segment % ev.N, obs))
-        for g, w in zip(got, want):
-            assert same_bits(g, w[order])
-        assert count == want_count
+        *want, _, want_count = reference_leaves(ev, level)
+        for table, ids in tables:
+            # The DP's table holds the built level's rows bit for bit.
+            assert same_bits(table[ids], level)
+            *got, count = ev.leaves(table.copy(), ids)
+            for g, w in zip(got, want):
+                assert same_bits(g, w)
+            assert count == want_count
 
     @pytest.mark.parametrize("K", [1, 2, "every"])
     def test_expand_matches_reference(self, leaf_instance, K):
@@ -361,14 +405,15 @@ class TestLeafPass:
 
     def test_children_of_different_parents_compared_whole(self, exact_merges):
         inst = rank_one_instance()
-        level = initial_level(inst, 2)
+        level, tables = factorings(inst, 2)
         ev = TreeEvaluator(inst, 3)
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
         children, parent, _, _, _ = reference_expand(ev, level, every_action)
         _, first, inverse = np.unique(row_keys(children), return_index=True, return_inverse=True)
         # Some child shares its key with a child of another parent.
         assert (parent[first][inverse.ravel()] != parent).any()
-        assert ev.leaves(level)[-1] == reference_leaves(ev, level)[-1] == len(first)
+        for table, ids in tables:
+            assert ev.leaves(table, ids)[-1] == reference_leaves(ev, level)[-1] == len(first)
         assert not exact_merges
 
     @pytest.mark.parametrize(
@@ -395,10 +440,10 @@ class TestLeafPass:
     ):
         make = LEAF_INSTANCES[instance]
         inst = absorbing_instance if make is None else make()
-        level = initial_level(inst, 2)
+        level, tables = factorings(inst, 2)
         ev = TreeEvaluator(inst, 3)
         want = reference_leaves(ev, level)[-1]
-        # The leaf count merges key rows built from the parents' key
+        # The leaf count merges key rows gathered from the table's key
         # bits: it neither builds the level nor goes through
         # distinct_nodes, whose fingerprints would tie again.
         calls = []
@@ -410,8 +455,9 @@ class TestLeafPass:
             TreeEvaluator, "expand", lambda *a: calls.append("expand") or expand(*a)
         )
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
-        assert ev.leaves(level)[-1] == want
-        assert exact_merges == [1] and not calls
+        for k, (table, ids) in enumerate(tables, start=1):
+            assert ev.leaves(table, ids)[-1] == want
+            assert exact_merges == [1] * k and not calls
 
 
 class TestLevelMerge:
@@ -428,6 +474,66 @@ class TestLevelMerge:
         first, inverse = distinct_nodes(children)
         assert not exact_merges
         assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
+
+    def test_deep_table_merged_as_built_children(self, exact_merges):
+        # The same level merged by the DP from its table of depth 4.
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
+        table, ids = initial_table(inst, 4)
+        ev = TreeEvaluator(inst, doc["horizon"])
+        level = table[ids]
+        assert same_bits(level, initial_level(inst, 4))
+        every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+        children, parent, u, _, d = reference_expand(ev, level, every_action)
+        want = reference_merge(children)
+        table, ids, segment, likelihood, inverse = ev.next_level(table, ids)
+        assert not exact_merges
+        assert np.array_equal(inverse, want[1])
+        assert same_bits(table[ids], children[want[0]])
+        assert np.array_equal(segment, parent * ev.N + u) and same_bits(likelihood, d)
+        # The table keeps only the rows the kept children use.
+        assert len(np.unique(ids)) == len(table)
+
+
+class TestFilterWork:
+    def test_certificate_filters_each_table_row_once(self, monkeypatch):
+        """Built levels filter every project row of every node under
+        every action: 58,824 rows for the deep base instance at T=6.
+        The DP filters each row of its per-depth tables once (2,093)."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        rows, expands = [], []
+        filter_rows = policy_module.filter_rows
+        monkeypatch.setattr(
+            policy_module,
+            "filter_rows",
+            lambda z, B: rows.append(z.shape[0] * z.shape[1]) or filter_rows(z, B),
+        )
+        expand = TreeEvaluator.expand
+        monkeypatch.setattr(
+            TreeEvaluator, "expand", lambda *a: expands.append(1) or expand(*a)
+        )
+        rep = certify_myopic(inst, doc["horizon"])
+        assert rep.per_depth_node_counts == (1, 7, 49, 343, 2401, 16807, 117649)
+        assert len(rows) == doc["horizon"] and sum(rows) < 5_000
+        assert not expands
+
+
+class TestTieRuleCalls:
+    def test_certificate_calls_the_tie_rule_through_the_policy_module(self, monkeypatch):
+        """The per-layer tracer counts the tie rule by wrapping
+        ``policy._greatest_array_index``; the DP must call it through
+        the module to be counted."""
+        inst = dirichlet_instance(10, 3, 3, 3)
+        calls = []
+        rule = policy_module._greatest_array_index
+        monkeypatch.setattr(
+            policy_module, "_greatest_array_index", lambda v: calls.append(len(v)) or rule(v)
+        )
+        rep = certify_myopic(inst, 3)
+        # One call per level above the leaves, deepest first, and one on
+        # the root's action values for the best first action.
+        assert calls == [*rep.per_depth_node_counts[-2::-1], 1]
 
 
 class TestGapWitnesses:
