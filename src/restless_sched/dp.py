@@ -6,11 +6,12 @@ The tree is expanded breadth first, one level at a time under every
 action, merging profiles with equal rounded keys.  The projects evolve
 independently, so a level is held factored: ids (n, N) into a per-depth
 table of one-project beliefs, whose every row is propagated and
-filtered once per depth (``TreeEvaluator.next_level``).  The deepest
-level is not built: ``TreeEvaluator.leaves`` values and counts each
-leaf from its parent's ids and the next depth's table.  One backward
-sweep then yields the optimal value, the myopic value and the per-node
-agreement of the two (the exact finite-horizon POMDP backup of
+filtered once per depth (``TreeEvaluator.next_level``), and whose
+nodes are merged on their rows' canonical ids packed into one integer.
+The deepest level is not built: ``TreeEvaluator.leaves`` values and
+counts each leaf from its parent's ids and the next depth's table.  One
+backward sweep then yields the optimal value, the myopic value and the
+per-node agreement of the two (the exact finite-horizon POMDP backup of
 Smallwood & Sondik, Oper. Res. 1973).  Exact certificates stay
 exponential in the horizon (restless bandits are PSPACE-hard:
 Papadimitriou & Tsitsiklis, Math. Oper. Res. 1999); the tables cut the

@@ -38,17 +38,15 @@ rows where built levels filtered 58,824 project rows.  Every level
 takes A'x and T(x, m) from ``filtering.propagate_rows`` and
 ``filtering.filter_rows``.
 
-Keys are compared through one 64-bit fingerprint per row of key bits,
-the wrapping sum of its key bits times ``fingerprint_multipliers``.
-``_fingerprint_runs`` is the one grouping step: one sort of the
-fingerprints, a bit-for-bit check of the rows that share one, and, if
-two different rows do, ``_exact_merge``, ``np.unique`` over the rows'
-key bits, the one place whole keys are still sorted.  Its callers only
-say how to get key rows: ``distinct_nodes`` indexes the level's key
-bits, and the DP gathers a child's key row from its table's key bits.
-The DP's fingerprints are sums of per-row terms, so they equal the
-product over the built child's key row exactly, and a factored level
-merges bit for bit as a built one.
+Rows of key bits are grouped by ``_fingerprint_runs``: one 64-bit
+fingerprint per row (its key bits times ``fingerprint_multipliers``,
+summed modulo 2**64), one sort, a bit-for-bit check of the rows that
+share one, and, if two different rows do, ``_exact_merge``, ``np.unique``
+over the rows.  It groups a sweep's built nodes (``distinct_nodes``) and
+each next table of the DP.  The DP keys a child by its N table rows'
+canonical ids packed into one exact integer, grouped by one sort with no
+tie check.  Every value still comes from the unrounded table rows, so a
+factored level merges bit for bit as a built one.
 """
 
 from __future__ import annotations
@@ -184,30 +182,36 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
     return np.cumprod(np.full(n_columns, _BASE))
 
 
-#: Tied pairs that ``_fingerprint_runs`` compares at a time: the key
-#: rows of a deep T=6 leaf level's 33,614 ties, built at once, took
-#: 2 x 2.4 MB.
+#: Tied pairs that ``_fingerprint_runs`` compares at a time.  The largest
+#: tie set is a deep T=8 certificate's depth-7 table: 63,349 tied pairs
+#: of its 83,032 rows, whose key rows at once would take 2 x 1.5 MB.
 _TIE_CHUNK = 4096
 
 
-def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]):
-    """Group n rows by key: ``fingerprints`` (n,) holds each row's
-    fingerprint and ``rows(i)`` returns the key bits of rows ``i``, one
-    flat row each.
-
-    Returns (order, head): an order of the rows in which equal keys are
-    adjacent, and per position of that order, whether a new key starts
-    there.  The rows are sorted by fingerprint, and each pair of
-    neighbours that share one is compared bit for bit, ``_TIE_CHUNK``
-    pairs at a time.  If two different rows share a fingerprint, the
-    rows are grouped by ``_exact_merge`` of all their key bits instead.
-    Pass the fingerprints as a temporary: they are dropped once sorted.
-    """
-    order = np.argsort(fingerprints)
-    fingerprints = fingerprints[order]
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group n rows by their integer ``keys`` (n,): (order, head), an
+    order of the rows in which equal keys are adjacent, and per position
+    of that order, whether a new key starts there."""
+    order = np.argsort(keys)
+    keys = keys[order]
     head = np.empty(len(order), dtype=bool)
     head[:1] = True
-    np.not_equal(fingerprints[1:], fingerprints[:-1], out=head[1:])
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return order, head
+
+
+def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]):
+    """Group n rows by key as ``_runs`` does: ``fingerprints`` (n,)
+    holds each row's fingerprint and ``rows(i)`` returns the key bits of
+    rows ``i``, one flat row each.
+
+    The rows are sorted by fingerprint, and each pair of neighbours that
+    share one is compared bit for bit, ``_TIE_CHUNK`` pairs at a time.
+    If two different rows share a fingerprint, the rows are grouped by
+    ``_exact_merge`` of all their key bits instead.  Pass the
+    fingerprints as a temporary: they are dropped once sorted.
+    """
+    order, head = _runs(fingerprints)
     del fingerprints
     tie = (~head[1:]).nonzero()[0]
     for start in range(0, len(tie), _TIE_CHUNK):
@@ -215,23 +219,20 @@ def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.
         # Both sides of every pair in one call: the left ones first.
         both = rows(order.take(np.concatenate((pairs, pairs + 1))))
         if not np.array_equal(both[:len(pairs)], both[len(pairs):]):
-            # Positions of the distinct keys in byte order are exact
-            # fingerprints: their ties are all real.
-            key = _exact_merge(rows(np.arange(len(order))))
-            return _fingerprint_runs(key, key.__getitem__)
+            return _runs(_exact_merge(rows(np.arange(len(order)))))
     return order, head
 
 
 def _exact_merge(bits: np.ndarray) -> np.ndarray:
-    """``np.unique`` over the rows of ``bits`` (n, k), key bits already
-    rounded: for every row, the position of its row among the distinct
-    rows in sorted order of their bytes."""
+    """``np.unique`` over the rows of ``bits`` (n, k), 64-bit key bits
+    already rounded or canonical ids: for every row, the position of its
+    row among the distinct rows in sorted order of their bytes."""
     keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
     return np.unique(keys, return_inverse=True)[1]
 
 
 def _first_occurrence(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """From ``_fingerprint_runs``' grouping of n rows: the index of each
+    """From ``_runs``' grouping of n rows: the index of each
     distinct key's first row, in order of first rows, and for every row
     the position of its key among those."""
     n = len(order)
@@ -264,32 +265,15 @@ def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _first_occurrence(order, head)
 
 
-def _child_ids(ids: np.ndarray, worked: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The table ids (k, N) of the children at flat indices ``c`` of
-    ``worked`` (n, N, Y): their parent's row of ``ids`` (n, N), with the
-    worked project's id replaced by the child's entry of ``worked``."""
-    n, N, Y = worked.shape
-    kids = ids.take(c // (N * Y), axis=0)
-    kids.put(np.arange(len(c)) * N + c // Y % N, worked.take(c))
-    return kids
-
-
-def _child_fingerprints(terms: np.ndarray, ids: np.ndarray, Y: int, live) -> np.ndarray:
-    """The fingerprint of every live child of ``TreeEvaluator._every_child``
-    from ``terms`` (M + Y*M, N), the fingerprint terms of each next-table
-    row at each project position: its parent's propagated rows' terms
-    minus the worked row's plus the filtered row's, summed modulo 2**64
-    as the product of the built child's key bits is."""
+def _child_ids(ids: np.ndarray, c: np.ndarray, M: int, Y: int) -> np.ndarray:
+    """The next table's ids (k, N) of the children at flat indices ``c``
+    (parent, action, observation) of ``ids`` (n, N) into M rows: their
+    parent's row of ``ids``, the worked project's id i replaced by
+    M + m*M + i, its row filtered on the child's observation m."""
     N = ids.shape[1]
-    M = len(terms) // (Y + 1)
-    every = np.arange(N)
-    passive = terms.take(ids * N + every)
-    # Per project position and table row, its filtered rows' terms on
-    # every observation: one gather of Y terms per (parent, action).
-    filtered = terms[M:].reshape(Y, M, N).transpose(2, 1, 0).reshape(N * M, Y)
-    fingerprints = filtered.take(ids + every * M, axis=0)
-    fingerprints += (passive.sum(axis=1, keepdims=True) - passive)[..., None]
-    return fingerprints.ravel() if live is None else fingerprints.take(live)
+    kids = ids.take(c // (N * Y), axis=0)
+    kids.put(np.arange(len(c)) * N + c // Y % N, ids.take(c // Y) + (c % Y + 1) * M)
+    return kids
 
 
 class TreeEvaluator:
@@ -337,7 +321,7 @@ class TreeEvaluator:
     def _every_child(self, table: np.ndarray, ids: np.ndarray):
         """Every child of the nodes ``ids`` (n, N), row indices into the
         depth's ``table`` (M, X) of one-project beliefs, under every
-        action, grouped by key.
+        action, with one exact integer key each.
 
         Each table row is propagated and filtered on every observation
         once, into the next depth's table: the M propagated rows, then
@@ -345,13 +329,18 @@ class TreeEvaluator:
         A child keeps its parent's ids, the propagated rows, except the
         worked project's, which becomes that filtered row's.
 
-        Returns (next table (M + Y*M, X), worked, live, likelihood,
-        order, head): ``worked`` (n, N, Y) holds the id of the worked
-        row of child (parent, action, observation), ``live`` the flat
-        indices of the live children into it (None if all are), in
-        ``expand``'s order, and per live child its likelihood and the
-        grouping of ``_fingerprint_runs``, which compares tied children
-        by their key rows gathered from the table's key bits.
+        The next table's rows are grouped by rounded key once
+        (``_fingerprint_runs``), giving each row a canonical id in
+        [0, K).  Children have equal keys exactly when their canonical
+        ids are equal position by position, so a child's key is the
+        uint64 sum_j canon[id_j] * K**j (unsigned as the fingerprints, so
+        that both take one numpy argsort), or, if K**N exceeds 2**64,
+        ``_exact_merge`` over its canonical ids.
+
+        Returns (next table (M + Y*M, X), live, likelihood, keys): the
+        flat indices (parent, action, observation) of the live children
+        in ``expand``'s order (None if all are), and per live child its
+        likelihood and key.
         """
         M, X = table.shape
         N = ids.shape[1]
@@ -368,21 +357,32 @@ class TreeEvaluator:
         table = np.empty(((self.Y + 1) * M, X))
         table[:M] = propagated
         table[M:] = filtered.reshape(X, -1).T
-        worked = ids[..., None] + np.arange(M, (self.Y + 1) * M, M)
-        live = live.take(ids, axis=0)
-        live = None if live.all() else live.ravel().nonzero()[0]
+        live = None if live.all() else live.take(ids, axis=0).ravel().nonzero()[0]
         d = d.take(ids, axis=0)
         d = d.ravel() if live is None else d.take(live)
         bits = key_bits(table.copy())
+        order, head = _fingerprint_runs(bits @ fingerprint_multipliers(X), bits.__getitem__)
+        canon = np.empty(len(order), dtype=np.uint64)
+        canon[order] = head.cumsum() - 1
+        K = int(np.count_nonzero(head))
+        if K ** N <= 2 ** 64:
+            radix = K ** np.arange(N, dtype=np.uint64)
+            passive = canon.take(ids) * radix
+            keys = self._worked(canon, ids)
+            keys *= radix[:, None]
+            keys += (passive.sum(axis=1, keepdims=True) - passive)[..., None]
+            keys = keys.ravel() if live is None else keys.take(live)
+        else:
+            c = np.arange(ids.size * self.Y) if live is None else live
+            keys = _exact_merge(canon.take(_child_ids(ids, c, M, self.Y)))
+        return table, live, d, keys
 
-        def rows(i: np.ndarray) -> np.ndarray:
-            kids = _child_ids(ids, worked, i if live is None else live.take(i))
-            return bits.take(kids, axis=0).reshape(len(i), -1)
-
-        # Per table row and project position, that row's fingerprint terms.
-        terms = bits @ fingerprint_multipliers(N * X).reshape(N, X).T
-        order, head = _fingerprint_runs(_child_fingerprints(terms, ids, self.Y, live), rows)
-        return table, worked, live, d, order, head
+    def _worked(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Per child (parent, action, observation) of the nodes ``ids``
+        (n, N), the entry of ``values`` (M + Y*M,), one per row of the
+        next depth's table, at its worked row: shape (n, N, Y)."""
+        M = len(values) // (self.Y + 1)
+        return values[M:].reshape(self.Y, M).T.take(ids, axis=0)
 
     def next_level(self, table: np.ndarray, ids: np.ndarray):
         """The DP's next level below the nodes ``ids`` (n, N) of
@@ -396,10 +396,11 @@ class TreeEvaluator:
         + action, its likelihood and the position of its key among the
         kept children.
         """
-        table, worked, live, d, order, head = self._every_child(table, ids)
-        first, inverse = _first_occurrence(order, head)
-        c = np.arange(worked.size) if live is None else live
-        kids = _child_ids(ids, worked, c.take(first))
+        M = len(table)
+        table, live, d, keys = self._every_child(table, ids)
+        first, inverse = _first_occurrence(*_runs(keys))
+        c = np.arange(ids.size * self.Y) if live is None else live
+        kids = _child_ids(ids, c.take(first), M, self.Y)
         # Keep the table rows the kept children use, in order.
         used = np.zeros(len(table), dtype=bool)
         used[kids] = True
@@ -418,31 +419,28 @@ class TreeEvaluator:
         distinct rounded keys among the children, the number of nodes
         ``distinct_nodes`` would keep of ``expand``'s children.
 
-        ``_every_child`` builds the next depth's table, and each child's
-        immediate rewards are gathered from those of its rows, one
-        ``np.dot`` over the table as over built children.  It counts the
-        children from the same table: a child's fingerprint (see
-        ``fingerprint_multipliers``) is its parent's propagated
-        fingerprint minus the worked row's terms plus the filtered
-        row's, and ``_fingerprint_runs`` compares children that share
-        one, or groups all of them on a collision, by key rows gathered
-        from the table's key bits.  The level is never built.
+        ``_every_child`` builds the next depth's table and every child's
+        exact key; the count sorts the keys in place and counts the
+        neighbours that differ, with no order.  Each child's immediate
+        rewards are gathered from those of its rows, one ``np.dot`` over
+        the table as over built children.  The level is never built.
         """
-        table, worked, live, d, order, head = self._every_child(table, ids)
-        del order
-        N = ids.shape[1]
-        every = np.arange(N)
+        table, live, d, keys = self._every_child(table, ids)
+        keys.sort()
+        count = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+        del keys
+        every = np.arange(self.N)
         # The 3-D np.dot gives each row the bits it has in a built level.
         table_rewards = np.dot(table[None], self.R)[0]
         # Project j's immediate reward in child (parent, action, observation).
-        rewards = np.empty((N,) + worked.shape)
+        rewards = np.empty((self.N,) + ids.shape + (self.Y,))
         rewards[...] = table_rewards.take(ids).T[:, :, None, None]
-        rewards[every, :, every] = table_rewards.take(worked).transpose(1, 0, 2)
+        rewards[every, :, every] = self._worked(table_rewards, ids).transpose(1, 0, 2)
         optimal, myopic = leaf_values(rewards)
         del rewards
-        c = np.arange(worked.size) if live is None else live
+        c = np.arange(ids.size * self.Y) if live is None else live
         out = [a.ravel() if live is None else a.take(live) for a in (optimal, myopic)]
-        return (*out, c // self.Y, d, int(np.count_nonzero(head)))
+        return (*out, c // self.Y, d, count)
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.

@@ -214,7 +214,8 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 def exact_merges(monkeypatch) -> list:
     """One entry per ``policy._exact_merge`` call: the exact merge that
     ``_fingerprint_runs`` falls back to for ``distinct_nodes`` and the
-    DP's factored levels and leaf count."""
+    DP's table rows, and that keys the DP's children when their packed
+    keys would not fit in 64 bits."""
     import restless_sched.policy as policy_module
 
     calls = []

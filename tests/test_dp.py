@@ -422,16 +422,17 @@ class TestLeafPass:
             pytest.param(multipliers, instance, id=name + suffix)
             for instance, suffix in [
                 ("mixed N=4 X=2 Y=5", ""),
-                # Zero-likelihood children: the key rows of the live
-                # children are found through their live indices.
+                # Zero-likelihood children: the keys of the live children
+                # are found through their live indices.
                 ("absorbing", "-absorbing"),
             ]
             for name, multipliers in [
-                # Every fingerprint is zero: every child ties.
+                # Every fingerprint is zero: every table row ties.
                 ("zero", lambda n: np.zeros(n, dtype=np.uint64)),
-                # Only key column 0 counts: children that differ only
-                # in later columns tie.
-                ("column-0", lambda n: (np.arange(n) == 0).astype(np.uint64)),
+                # Only the low three bits of key column 0 count.  On rows
+                # of two states column 0 alone would tell every two
+                # rows apart, so it is cut to let different rows tie.
+                ("column-0", lambda n: (np.arange(n) == 0).astype(np.uint64) << np.uint64(61)),
             ]
         ],
     )
@@ -442,10 +443,11 @@ class TestLeafPass:
         inst = absorbing_instance if make is None else make()
         level, tables = factorings(inst, 2)
         ev = TreeEvaluator(inst, 3)
-        want = reference_leaves(ev, level)[-1]
-        # The leaf count merges key rows gathered from the table's key
-        # bits: it neither builds the level nor goes through
-        # distinct_nodes, whose fingerprints would tie again.
+        want = reference_level(ev, level)
+        # The DP interns the next table's rows through
+        # _fingerprint_runs, which falls back to the exact merge once per
+        # level; it neither builds the level nor goes through
+        # distinct_nodes.
         calls = []
         merge, expand = policy_module.distinct_nodes, TreeEvaluator.expand
         monkeypatch.setattr(
@@ -456,8 +458,71 @@ class TestLeafPass:
         )
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
         for k, (table, ids) in enumerate(tables, start=1):
-            assert ev.leaves(table, ids)[-1] == want
-            assert exact_merges == [1] * k and not calls
+            check_level(ev, table, ids, want)
+            assert exact_merges == [1] * 2 * k and not calls
+
+
+def reference_level(ev: TreeEvaluator, level: np.ndarray):
+    """The references ``check_level`` compares the DP with, below the
+    built ``level``: ``reference_leaves``, ``reference_expand``'s
+    children under every action and their ``reference_merge``."""
+    every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+    children, parent, u, _, d = reference_expand(ev, level, every_action)
+    return reference_leaves(ev, level), (children, parent * ev.N + u, d), reference_merge(children)
+
+
+def check_level(ev: TreeEvaluator, table: np.ndarray, ids: np.ndarray, want) -> None:
+    """``leaves`` and ``next_level`` of ``table`` and ``ids`` agree bit
+    for bit with ``reference_level`` of the level they factor."""
+    (*leaves, _, count), (children, segment, d), (first, inverse) = want
+    *got, got_count = ev.leaves(table.copy(), ids)
+    for g, w in zip(got, leaves):
+        assert same_bits(g, w)
+    assert got_count == count == len(first)
+    table, ids, got_segment, got_d, got_inverse = ev.next_level(table, ids)
+    assert np.array_equal(got_inverse, inverse)
+    assert same_bits(table[ids], children[first])
+    assert np.array_equal(got_segment, segment) and same_bits(got_d, d)
+
+
+def many_projects_instance() -> ModelInstance:
+    """N=16 projects of X=2 states and Y=2 observations, each starting
+    from its own belief: a next table has at least 17 distinct rows, and
+    17**16 > 2**64, so packed child keys would overflow."""
+    A = np.array([[0.8, 0.2], [0.3, 0.7]])
+    B = np.array([[0.75, 0.25], [0.35, 0.65]])
+    x0 = [[p, 1.0 - p] for p in np.linspace(0.05, 0.95, 16)]
+    return ModelInstance(16, 2, 2, A, B, np.array([0.0, 1.0]), 0.7, x0)
+
+
+class TestPackedKeys:
+    """A child's key is its N canonical table-row ids packed into one
+    uint64 while they fit, and ``_exact_merge`` over them when not."""
+
+    def test_overflowing_keys_take_the_exact_merge(self, exact_merges):
+        inst = many_projects_instance()
+        want = reference_solve(inst, [x.probs for x in inst.initial_beliefs], 0, 2)
+        assert report_bits(certify_myopic(inst, 2)) == report_bits(want)
+        assert len(exact_merges) == 2
+        for depth in (0, 1):
+            level, tables = factorings(inst, depth)
+            ev = TreeEvaluator(inst, depth + 1)
+            want = reference_level(ev, level)
+            for table, ids in tables:
+                del exact_merges[:]
+                check_level(ev, table, ids, want)
+                assert exact_merges == [1, 1]
+
+    def test_fitting_keys_skip_the_exact_merge(self, exact_merges):
+        inst = dirichlet_instance(10, 3, 3, 3)
+        want = reference_solve(inst, [x.probs for x in inst.initial_beliefs], 0, 3)
+        assert report_bits(certify_myopic(inst, 3)) == report_bits(want)
+        level, tables = factorings(inst, 2)
+        ev = TreeEvaluator(inst, 3)
+        want = reference_level(ev, level)
+        for table, ids in tables:
+            check_level(ev, table, ids, want)
+        assert not exact_merges
 
 
 class TestLevelMerge:
@@ -517,6 +582,23 @@ class TestFilterWork:
         assert rep.per_depth_node_counts == (1, 7, 49, 343, 2401, 16807, 117649)
         assert len(rows) == doc["horizon"] and sum(rows) < 5_000
         assert not expands
+
+    def test_certificate_groups_table_rows_not_children(self, monkeypatch):
+        """Fingerprint grouping runs on the rows of the next tables
+        only (8,372 rows on the deep base instance at T=6): the children,
+        151,263 on its leaf level alone, are grouped by their packed
+        integer keys."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        rows = []
+        runs = policy_module._fingerprint_runs
+        monkeypatch.setattr(
+            policy_module,
+            "_fingerprint_runs",
+            lambda f, r: rows.append(len(f)) or runs(f, r),
+        )
+        certify_myopic(inst, doc["horizon"])
+        assert len(rows) == doc["horizon"] and sum(rows) < 10_000
 
 
 class TestTieRuleCalls:

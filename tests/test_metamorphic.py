@@ -2,10 +2,10 @@
 instance whose effect on V*, V^myo and the gap is known in closed form.
 
 Each relation is checked on the deep base instance of the benchmark
-(N = X = Y = 3, beta = 0.5) at T=6 and on three gap witnesses, where
-myopic play is not optimal, at T=3.  None of the value relations is
-exact in floating point (each reorders or rescales sums), so values
-must agree within 1e-12 relative.  A permutation of the projects maps
+(N = X = Y = 3, beta = 0.5) at T=6 and T=7 (823,543 leaves) and on
+three gap witnesses, where myopic play is not optimal, at T=3.  None of
+the value relations is exact in floating point (each reorders or
+rescales sums), so values must agree within 1e-12 relative.  A permutation of the projects maps
 the tree's nodes one to one, so its node counts must be equal.
 """
 
@@ -28,6 +28,7 @@ def _deep() -> ModelInstance:
 
 CASES = {
     "deep T=6": (_deep, 6),
+    "deep T=7": (_deep, 7),
     **{f"witness {s} T=3": ((lambda s=s: dirichlet_instance(s, 3, 3, 3)), 3) for s in (3, 10, 29)},
 }
 
