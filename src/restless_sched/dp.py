@@ -8,14 +8,15 @@ independently, so a level is held factored: ids (n, N) into a per-depth
 table of one-project beliefs, whose every row is propagated and
 filtered once per depth (``TreeEvaluator.next_level``), and whose
 nodes are merged on their rows' canonical ids packed into one integer.
-The deepest level is not built: ``TreeEvaluator.leaves`` values and
-counts each leaf from its parent's ids and the next depth's table.  One
-backward sweep then yields the optimal value, the myopic value and the
-per-node agreement of the two (the exact finite-horizon POMDP backup of
-Smallwood & Sondik, Oper. Res. 1973).  Exact certificates stay
-exponential in the horizon (restless bandits are PSPACE-hard:
-Papadimitriou & Tsitsiklis, Math. Oper. Res. 1999); the tables cut the
-float work per level from the node count to the table size.
+The deepest level is not built: ``TreeEvaluator.leaf_pass`` values the
+leaves from their parents' ids and the next depth's table, a chunk at a
+time, backs them up into their parents and counts them.  One backward
+sweep then yields the optimal value, the myopic value and the per-node
+agreement of the two (the exact finite-horizon POMDP backup of Smallwood
+& Sondik, Oper. Res. 1973).  Exact certificates stay exponential in the
+horizon (restless bandits are PSPACE-hard: Papadimitriou & Tsitsiklis,
+Math. Oper. Res. 1999); the tables cut the float work per level from the
+node count to the table size.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
     expansion order, the one a depth-first walk meets first.  The
     leaves are neither built nor merged: a leaf's value is its largest
     immediate reward, which the myopic action attains, so every leaf
-    agrees, and ``TreeEvaluator.leaves`` gives each leaf's values,
-    backup segment and likelihood, and the exact number of distinct
-    leaves, from the level above.
+    agrees, and ``TreeEvaluator.leaf_pass`` gives the leaf-parent
+    level's optimal and myopic action values, and the exact number of
+    distinct leaves, from that level, whose ``sweep`` entry has no
+    segment.
     """
     ev = TreeEvaluator(inst, T)
     counts = [0] * (T + 1)
@@ -98,11 +100,11 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
         rewards = np.dot(table[None], ev.R)[0].take(ids)
         table, ids, seg, d, inverse = ev.next_level(table, ids)
         sweep.append((rewards, seg, d, inverse))
-    values = np.dot(table[None], ev.R)[0].take(ids)
+    rewards = values = np.dot(table[None], ev.R)[0].take(ids)
     if t < T:
         count(T - 1, len(ids))
-        optimal, myopic, seg, d, leaves = ev.leaves(table, ids)
-        sweep.append((values, seg, d, None))
+        values, myopic, leaves = ev.leaf_pass(table, ids, rewards)
+        sweep.append((rewards, None, None, None))
         count(T, leaves)
     else:
         count(T, 1)
@@ -110,14 +112,13 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
 
     agree = counts[T]
     for rewards, seg, d, inverse in reversed(sweep):
-        if inverse is not None:
-            optimal, myopic = optimal[inverse], myopic[inverse]
+        if seg is not None:
+            values = backup(rewards, seg, d, optimal[inverse], ev.beta)
+            myopic = backup(rewards, seg, d, myopic[inverse], ev.beta)
         idx = np.arange(len(rewards))
-        values = backup(rewards, seg, d, optimal, ev.beta)
         # Through the module, so that a wrapper on the tie rule sees it.
         myo = policy._greatest_array_index(rewards)
-        myopic = backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
-        optimal = row_max(values)
+        optimal, myopic = row_max(values), myopic[idx, myo]
         # The myopic action agrees when its value ties the best one.
         agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))
 

@@ -30,13 +30,14 @@ side on the same kernel.
 The DP in ``dp`` works every action of every node, and its levels are
 factored: projects evolve independently, so a level is ``ids`` (n, N),
 row indices into a per-depth ``table`` (M, X) of one-project beliefs.
-``TreeEvaluator.next_level`` and ``TreeEvaluator.leaves`` propagate and
-filter each table row once into the next depth's table and build the
-children by integer gathers; ``leaves`` values and counts the deepest
-level without building it.  A deep T=6 certificate filters 2,093 table
-rows where built levels filtered 58,824 project rows.  Every level
-takes A'x and T(x, m) from ``filtering.propagate_rows`` and
-``filtering.filter_rows``.
+``TreeEvaluator.next_level`` and ``TreeEvaluator.leaf_pass`` propagate
+and filter each table row once into the next depth's table
+(``_next_table``) and key the children by integer gathers
+(``_child_keys``); ``leaf_pass`` values the deepest level a chunk at a
+time without building it, backs it up and counts it.  A deep T=6
+certificate filters 2,093 table rows where built levels filtered 58,824
+project rows.  Every level takes A'x and T(x, m) from
+``filtering.propagate_rows`` and ``filtering.filter_rows``.
 
 Rows of key bits are grouped by ``_fingerprint_runs``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
@@ -187,6 +188,10 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
 #: of its 83,032 rows, whose key rows at once would take 2 x 1.5 MB.
 _TIE_CHUNK = 4096
 
+#: Leaves that ``TreeEvaluator.leaf_pass`` values at a time, in whole
+#: parents, so that its arrays stay in the heap and cache.
+_LEAF_CHUNK = 8192
+
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group n rows by their integer ``keys`` (n,): (order, head), an
@@ -281,7 +286,7 @@ class TreeEvaluator:
 
     Holds the matrices of one instance and horizon, the level kernel
     (``expand``) that ``sweep`` and ``avf_frozen`` run on, and the DP's
-    factored levels (``next_level`` and ``leaves``).  All internal
+    factored levels (``next_level`` and ``leaf_pass``).  All internal
     indices are 0-based; beliefs are tuples of read-only arrays, built
     levels are arrays of shape (n, N, X), and factored ones are ids (n,
     N) into a table (M, X).
@@ -318,38 +323,30 @@ class TreeEvaluator:
         children = children.reshape((-1,) + level.shape[1:]) if live.all() else children[live]
         return children, parent, column, observation, d.transpose(1, 0, 2)[live]
 
-    def _every_child(self, table: np.ndarray, ids: np.ndarray):
-        """Every child of the nodes ``ids`` (n, N), row indices into the
-        depth's ``table`` (M, X) of one-project beliefs, under every
-        action, with one exact integer key each.
+    def _next_table(self, table: np.ndarray, n: int):
+        """The next depth's table below ``table`` (M, X), the rows of a
+        level of n nodes, with a canonical id per row.
 
         Each table row is propagated and filtered on every observation
         once, into the next depth's table: the M propagated rows, then
         row M + m*M + i holding row i's filter on 0-based observation m.
         A child keeps its parent's ids, the propagated rows, except the
-        worked project's, which becomes that filtered row's.
+        worked project's, which becomes that filtered row's.  The rows
+        are grouped by rounded key once (``_fingerprint_runs``), giving
+        each a canonical id in [0, K).  A dead filter gets likelihood
+        0.0 and the id of its row's first live filter, so that a dead
+        child adds nothing to a sum and its key is a live sibling's.
 
-        The next table's rows are grouped by rounded key once
-        (``_fingerprint_runs``), giving each row a canonical id in
-        [0, K).  Children have equal keys exactly when their canonical
-        ids are equal position by position, so a child's key is the
-        uint64 sum_j canon[id_j] * K**j (unsigned as the fingerprints, so
-        that both take one numpy argsort), or, if K**N exceeds 2**64,
-        ``_exact_merge`` over its canonical ids.
-
-        Returns (next table (M + Y*M, X), live, likelihood, keys): the
-        flat indices (parent, action, observation) of the live children
-        in ``expand``'s order (None if all are), and per live child its
-        likelihood and key.
+        Returns (next table (M + Y*M, X), likelihood (M, Y), live (M, Y)
+        or None if every filter is live, canonical ids, K).
         """
         M, X = table.shape
-        N = ids.shape[1]
         propagated = propagate_rows(self.A_T, table)
         # numpy's matmul takes a one-row likelihood product through gemv
         # and a longer one through gemm, whose last bits can differ.  A
         # level of n nodes has n rows per action, so a one-node level
         # filters its rows one at a time, as a built one would.
-        z = propagated[:, None] if len(ids) == 1 else propagated[None]
+        z = propagated[:, None] if n == 1 else propagated[None]
         d, live, filtered = filter_rows(z, self.B)
         d, live = d.reshape(M, -1), live.reshape(M, -1)
         # C order, which np.concatenate would not keep when M = 1: a
@@ -357,32 +354,40 @@ class TreeEvaluator:
         table = np.empty(((self.Y + 1) * M, X))
         table[:M] = propagated
         table[M:] = filtered.reshape(X, -1).T
-        live = None if live.all() else live.take(ids, axis=0).ravel().nonzero()[0]
-        d = d.take(ids, axis=0)
-        d = d.ravel() if live is None else d.take(live)
         bits = key_bits(table.copy())
         order, head = _fingerprint_runs(bits @ fingerprint_multipliers(X), bits.__getitem__)
         canon = np.empty(len(order), dtype=np.uint64)
         canon[order] = head.cumsum() - 1
-        K = int(np.count_nonzero(head))
-        if K ** N <= 2 ** 64:
-            radix = K ** np.arange(N, dtype=np.uint64)
-            passive = canon.take(ids) * radix
-            keys = self._worked(canon, ids)
-            keys *= radix[:, None]
-            keys += (passive.sum(axis=1, keepdims=True) - passive)[..., None]
-            keys = keys.ravel() if live is None else keys.take(live)
+        if live.all():
+            live = None
         else:
-            c = np.arange(ids.size * self.Y) if live is None else live
-            keys = _exact_merge(canon.take(_child_ids(ids, c, M, self.Y)))
-        return table, live, d, keys
+            d = np.where(live, d, 0.0)
+            worked = canon[M:].reshape(self.Y, M)
+            np.copyto(worked, worked[live.argmax(axis=1), np.arange(M)], where=~live.T)
+        return table, d, live, canon, int(np.count_nonzero(head))
 
-    def _worked(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Per child (parent, action, observation) of the nodes ``ids``
-        (n, N), the entry of ``values`` (M + Y*M,), one per row of the
-        next depth's table, at its worked row: shape (n, N, Y)."""
-        M = len(values) // (self.Y + 1)
-        return values[M:].reshape(self.Y, M).T.take(ids, axis=0)
+    def _child_keys(self, canon: np.ndarray, K: int, ids: np.ndarray) -> np.ndarray:
+        """One exact key per child (parent, action, observation) of the
+        nodes ``ids`` (n, N), in ``expand``'s order, from the canonical
+        ids of ``_next_table``.  Children have equal keys exactly when
+        their canonical ids are equal position by position, so a key is
+        the uint64 sum_j canon[id_j] * K**j (unsigned as the
+        fingerprints, so that both take one numpy sort), or, if K**N
+        exceeds 2**64, the row of N canonical ids, for ``_exact_merge``.
+        """
+        M, N = len(canon) // (self.Y + 1), ids.shape[1]
+        if K ** N > 2 ** 64:
+            return canon.take(_child_ids(ids, np.arange(ids.size * self.Y), M, self.Y))
+        radix = K ** np.arange(N, dtype=np.uint64)
+        passive = canon.take(ids)
+        # The parent's key with the worked term swapped, in place in the
+        # children's (n, N, Y) worked ids; the difference may wrap modulo
+        # 2**64, the key does not.
+        keys = canon[M:].reshape(self.Y, M).T.take(ids, axis=0)
+        keys -= passive[..., None]
+        keys *= radix[:, None]
+        keys += (passive @ radix)[:, None, None]
+        return keys.ravel()
 
     def next_level(self, table: np.ndarray, ids: np.ndarray):
         """The DP's next level below the nodes ``ids`` (n, N) of
@@ -397,9 +402,14 @@ class TreeEvaluator:
         kept children.
         """
         M = len(table)
-        table, live, d, keys = self._every_child(table, ids)
-        first, inverse = _first_occurrence(*_runs(keys))
-        c = np.arange(ids.size * self.Y) if live is None else live
+        table, d, live, canon, K = self._next_table(table, len(ids))
+        keys, d = self._child_keys(canon, K, ids), d.take(ids, axis=0).ravel()
+        if live is None:
+            c = np.arange(ids.size * self.Y)
+        else:
+            c = live.take(ids, axis=0).ravel().nonzero()[0]
+            keys, d = keys.take(c, axis=0), d.take(c)
+        first, inverse = _first_occurrence(*_runs(keys if keys.ndim == 1 else _exact_merge(keys)))
         kids = _child_ids(ids, c.take(first), M, self.Y)
         # Keep the table rows the kept children use, in order.
         used = np.zeros(len(table), dtype=bool)
@@ -407,40 +417,56 @@ class TreeEvaluator:
         renumber = used.cumsum() - 1
         return table[used], renumber.take(kids), c // self.Y, d, inverse
 
-    def leaves(self, table: np.ndarray, ids: np.ndarray):
-        """The children of the nodes ``ids`` (n, N) of ``table`` (M, X)
-        under every action, valued and counted as leaves without
-        building them.
+    def leaf_pass(self, table: np.ndarray, ids: np.ndarray, rewards: np.ndarray):
+        """The children of the nodes ``ids`` (n, N) of ``table`` (M, X),
+        whose immediate rewards are ``rewards`` (n, N), under every
+        action, valued, backed up and counted as leaves without building
+        them.
 
-        Returns (optimal, myopic, segment, likelihood, count): per live
-        child in ``expand``'s order, its largest immediate reward and
-        the tie rule's pick, its flat index parent * N + action into
-        the level's rewards and its likelihood; and the number of
-        distinct rounded keys among the children, the number of nodes
-        ``distinct_nodes`` would keep of ``expand``'s children.
+        Returns (optimal, myopic, count): per node and action, its reward
+        plus beta times its children's likelihood-weighted largest
+        immediate rewards, or the tie rule's picks, bit for bit as
+        ``backup`` of built leaves; and the number of distinct rounded
+        keys among the children, the nodes ``distinct_nodes`` would keep.
 
-        ``_every_child`` builds the next depth's table and every child's
-        exact key; the count sorts the keys in place and counts the
-        neighbours that differ, with no order.  Each child's immediate
-        rewards are gathered from those of its rows, one ``np.dot`` over
-        the table as over built children.  The level is never built.
+        The count sorts the keys in place, the one array as long as the
+        children, and compares neighbours ``_LEAF_CHUNK`` at a time.  The
+        values take as many children at a time, rewards gathered from one
+        ``np.dot`` over the table as over built children, summed over
+        each action's observations in order from 0.0: the terms and
+        order of ``backup``'s ``np.bincount``.
         """
-        table, live, d, keys = self._every_child(table, ids)
-        keys.sort()
-        count = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+        n, N = ids.shape
+        table, d, _, canon, K = self._next_table(table, n)
+        keys = self._child_keys(canon, K, ids)
+        if keys.ndim == 2:
+            count = int(_exact_merge(keys).max()) + 1
+        else:
+            keys.sort()
+            count = 1
+            for start in range(0, len(keys), _LEAF_CHUNK):
+                run = keys[start:start + _LEAF_CHUNK + 1]
+                count += int(np.count_nonzero(run[1:] != run[:-1]))
         del keys
-        every = np.arange(self.N)
         # The 3-D np.dot gives each row the bits it has in a built level.
-        table_rewards = np.dot(table[None], self.R)[0]
-        # Project j's immediate reward in child (parent, action, observation).
-        rewards = np.empty((self.N,) + ids.shape + (self.Y,))
-        rewards[...] = table_rewards.take(ids).T[:, :, None, None]
-        rewards[every, :, every] = self._worked(table_rewards, ids).transpose(1, 0, 2)
-        optimal, myopic = leaf_values(rewards)
-        del rewards
-        c = np.arange(ids.size * self.Y) if live is None else live
-        out = [a.ravel() if live is None else a.take(live) for a in (optimal, myopic)]
-        return (*out, c // self.Y, d, count)
+        table_rewards = np.dot(table[None], self.R)[0].reshape(self.Y + 1, -1)
+        every, step = np.arange(N), max(1, _LEAF_CHUNK // (N * self.Y))
+        values = np.empty((2, n, N))
+        for start in range(0, n, step):
+            part = ids[start:start + step]
+            # Project j's immediate reward in child (parent, action, observation).
+            leaf = np.empty((N,) + part.shape + (self.Y,))
+            leaf[...] = table_rewards[0].take(part).T[:, :, None, None]
+            leaf[every, :, every] = table_rewards[1:].take(part, axis=1).transpose(2, 1, 0)
+            terms = np.multiply(leaf_values(leaf), d.take(part, axis=0))
+            acc = values[:, start:start + step]
+            np.add(terms[..., 0], 0.0, out=acc)
+            for m in range(1, self.Y):
+                acc += terms[..., m]
+        # In place, the same terms as rewards + beta * sums.
+        values *= self.beta
+        values += rewards
+        return values[0], values[1], count
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,80 @@ def reference_filter(A: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int):
         return d, None
     out = B[:, m0] * z / d
     return d, out / out.sum()
+
+
+def exact_stochastic(rows) -> list[list[Fraction]]:
+    """Each row of ``rows`` (k, n) as exact fractions, its last entry 1
+    minus the others, so that it sums to exactly 1.  Taken as they are,
+    float rows can sum to 1 + 5.6e-17, and the exact filter's
+    normalisation then splits profiles that the model makes equal."""
+    out = []
+    for row in np.asarray(rows, dtype=float).tolist():
+        head = [Fraction(p) for p in row[:-1]]
+        out.append(head + [1 - sum(head)])
+    return out
+
+
+def exact_certificate(inst: ModelInstance, T: int):
+    """``certify_myopic`` in exact rational arithmetic, apart from the
+    package's floats: a DP over the tree of every action and every
+    observation of positive likelihood, each depth's profiles merged
+    when exactly equal.  A, B and the initial beliefs are made exactly
+    stochastic first (``exact_stochastic``); rewards and beta are the
+    floats' exact values.  The myopic action is the lowest index whose
+    reward lies within 1e-12 of the largest, as ``ARGMAX_TOL`` rules.
+
+    Returns (optimal value, myopic value, distinct profiles per depth).
+    """
+    A, B = exact_stochastic(inst.A.rows), exact_stochastic(inst.B.rows)
+    R = [Fraction(r) for r in inst.R.values.tolist()]
+    beta, tol = Fraction(inst.beta), Fraction(1e-12)
+    X, Y = inst.n_states, inst.n_obs
+    root = tuple(map(tuple, exact_stochastic([x.probs for x in inst.initial_beliefs])))
+
+    def branches(profile):
+        """Per action, (likelihood, child) per observation of positive
+        likelihood."""
+        propagated = [
+            tuple(sum(A[i][j] * x[i] for i in range(X)) for j in range(X)) for x in profile
+        ]
+        out = []
+        for u, z in enumerate(propagated):
+            out.append([])
+            for m in range(Y):
+                joint = [B[i][m] * z[i] for i in range(X)]
+                d = sum(joint)
+                if d:
+                    child = list(propagated)
+                    child[u] = tuple(p / d for p in joint)
+                    out[-1].append((d, tuple(child)))
+        return out
+
+    levels, children = [[root]], {}
+    for _ in range(T):
+        seen = {}
+        for profile in levels[-1]:
+            children[profile] = branches(profile)
+            for kids in children[profile]:
+                seen.update((child, None) for _, child in kids)
+        levels.append(list(seen))
+    optimal, myopic = {}, {}
+    for depth in range(T, -1, -1):
+        below = (optimal, myopic)
+        optimal, myopic = {}, {}
+        for profile in levels[depth]:
+            rewards = [sum(r * p for r, p in zip(R, x)) for x in profile]
+            u = next(i for i, r in enumerate(rewards) if r >= max(rewards) - tol)
+            if depth == T:
+                optimal[profile], myopic[profile] = max(rewards), rewards[u]
+                continue
+            kids = children[profile]
+            opt, myo = (
+                [r + beta * sum(d * v[c] for d, c in branch) for r, branch in zip(rewards, kids)]
+                for v in below
+            )
+            optimal[profile], myopic[profile] = max(opt), myo[u]
+    return optimal[root], myopic[root], tuple(len(level) for level in levels)
 
 
 def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float:

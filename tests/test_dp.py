@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
     dirichlet_instance,
+    exact_certificate,
     reference_expand,
     reference_filter,
     reference_leaves,
@@ -32,7 +34,7 @@ from restless_sched import (
     stay_policy,
 )
 from restless_sched.cli import main
-from restless_sched.policy import TreeEvaluator, distinct_nodes
+from restless_sched.policy import TreeEvaluator, backup, distinct_nodes
 from restless_sched.types import ModelInstance
 
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
@@ -272,13 +274,23 @@ def rank_one_instance() -> ModelInstance:
     return ModelInstance(2, 3, 2, A, B, np.array([0.0, 0.5, 1.0]), 0.8, x0)
 
 
+def silent_first_instance() -> ModelInstance:
+    """``absorbing_instance`` with its two observations swapped: the
+    zero-likelihood branch is the first observation, not the last."""
+    A = np.array([[1.0, 0.0], [0.4, 0.6]])
+    B = np.array([[0.0, 1.0], [0.7, 0.3]])
+    x0 = [np.array([1.0, 0.0]), np.array([0.5, 0.5])]
+    return ModelInstance(2, 2, 2, A, B, np.array([0.0, 1.0]), 0.9, x0)
+
+
 #: Instances whose leaf levels the leaf pass must value and count bit
-#: for bit as built children: zero-likelihood leaves, unequal N, X and
-#: Y, X=9 (numpy sums 8 or more contiguous terms pairwise, but the
-#: filter's row sums add them in order), and children of different
-#: parents that coincide.
+#: for bit as built children: zero-likelihood leaves, on the last or
+#: the first observation, unequal N, X and Y, X=9 (numpy sums 8 or more
+#: contiguous terms pairwise, but the filter's row sums add them in
+#: order), and children of different parents that coincide.
 LEAF_INSTANCES = {
     "absorbing": None,
+    "silent first": silent_first_instance,
     "mixed N=4 X=2 Y=5": lambda: dirichlet_instance(41, 4, 2, 5),
     "X=9": lambda: dirichlet_instance(9, 2, 9, 3),
     "rank-one A": rank_one_instance,
@@ -380,11 +392,11 @@ class TestLeafPass:
         inst = leaf_instance
         level, tables = factorings(inst, depth)
         ev = TreeEvaluator(inst, depth + 1)
-        *want, _, want_count = reference_leaves(ev, level)
+        *want, want_count = reference_leaf_pass(ev, level)
         for table, ids in tables:
             # The DP's table holds the built level's rows bit for bit.
             assert same_bits(table[ids], level)
-            *got, count = ev.leaves(table.copy(), ids)
+            *got, count = ev.leaf_pass(table.copy(), ids, np.dot(level, ev.R))
             for g, w in zip(got, want):
                 assert same_bits(g, w)
             assert count == want_count
@@ -413,7 +425,8 @@ class TestLeafPass:
         # Some child shares its key with a child of another parent.
         assert (parent[first][inverse.ravel()] != parent).any()
         for table, ids in tables:
-            assert ev.leaves(table, ids)[-1] == reference_leaves(ev, level)[-1] == len(first)
+            count = ev.leaf_pass(table, ids, np.dot(level, ev.R))[-1]
+            assert count == reference_leaves(ev, level)[-1] == len(first)
         assert not exact_merges
 
     @pytest.mark.parametrize(
@@ -462,21 +475,32 @@ class TestLeafPass:
             assert exact_merges == [1] * 2 * k and not calls
 
 
+def reference_leaf_pass(ev: TreeEvaluator, level: np.ndarray):
+    """The leaf pass below the built ``level``, from
+    ``reference_leaves``: the level's optimal and myopic action values
+    (n, N) by ``backup`` of the built leaves' values, and the number of
+    distinct leaves."""
+    optimal, myopic, segment, d, _, count = reference_leaves(ev, level)
+    rewards = np.dot(level, ev.R)
+    return (*(backup(rewards, segment, d, v, ev.beta) for v in (optimal, myopic)), count)
+
+
 def reference_level(ev: TreeEvaluator, level: np.ndarray):
     """The references ``check_level`` compares the DP with, below the
-    built ``level``: ``reference_leaves``, ``reference_expand``'s
+    built ``level``: ``reference_leaf_pass``, ``reference_expand``'s
     children under every action and their ``reference_merge``."""
     every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
     children, parent, u, _, d = reference_expand(ev, level, every_action)
-    return reference_leaves(ev, level), (children, parent * ev.N + u, d), reference_merge(children)
+    leaf_pass = reference_leaf_pass(ev, level)
+    return leaf_pass, (children, parent * ev.N + u, d), reference_merge(children)
 
 
 def check_level(ev: TreeEvaluator, table: np.ndarray, ids: np.ndarray, want) -> None:
-    """``leaves`` and ``next_level`` of ``table`` and ``ids`` agree bit
-    for bit with ``reference_level`` of the level they factor."""
-    (*leaves, _, count), (children, segment, d), (first, inverse) = want
-    *got, got_count = ev.leaves(table.copy(), ids)
-    for g, w in zip(got, leaves):
+    """``leaf_pass`` and ``next_level`` of ``table`` and ``ids`` agree
+    bit for bit with ``reference_level`` of the level they factor."""
+    (*values, count), (children, segment, d), (first, inverse) = want
+    *got, got_count = ev.leaf_pass(table.copy(), ids, np.dot(table[ids], ev.R))
+    for g, w in zip(got, values):
         assert same_bits(g, w)
     assert got_count == count == len(first)
     table, ids, got_segment, got_d, got_inverse = ev.next_level(table, ids)
@@ -523,6 +547,53 @@ class TestPackedKeys:
         for table, ids in tables:
             check_level(ev, table, ids, want)
         assert not exact_merges
+
+
+class TestLeafChunks:
+    """The leaf pass values its nodes ``policy._LEAF_CHUNK`` children at
+    a time, in whole parents; where the chunks split the nodes must not
+    move a bit of the values or the count."""
+
+    @pytest.mark.parametrize("instance", [*LEAF_INSTANCES, "many projects"])
+    def test_chunks_match_one_chunk(self, monkeypatch, exact_merges, instance, absorbing_instance):
+        make = {**LEAF_INSTANCES, "many projects": many_projects_instance}[instance]
+        inst = absorbing_instance if make is None else make()
+        table, ids = initial_table(inst, 2)
+        ev = TreeEvaluator(inst, 3)
+        rewards = np.dot(table[ids], ev.R)
+        n = len(ids)
+        uneven = next(k for k in range(2, n + 1) if n % k)
+        got = []
+        # One chunk, one parent per chunk, and chunks that do not divide
+        # the nodes evenly.
+        for parents in (n, 1, uneven):
+            monkeypatch.setattr(policy_module, "_LEAF_CHUNK", parents * ev.N * ev.Y)
+            del exact_merges[:]
+            got.append(ev.leaf_pass(table.copy(), ids, rewards))
+            # Keys that do not fit in 64 bits take one exact merge per
+            # pass, whatever the chunks.
+            assert len(exact_merges) == (instance == "many projects")
+        (*want, want_count), *chunked = got
+        for *values, count in chunked:
+            assert all(same_bits(g, w) for g, w in zip(values, want))
+            assert count == want_count
+
+
+class TestLeafMemory:
+    def test_deep_certificate_memory(self):
+        """The leaf pass holds the leaf-parent level's values and one key
+        per leaf, not four arrays per leaf: the deep base instance's T=7
+        certificate peaked at 76.3 MiB of traced memory when it did."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        tracemalloc.start()
+        try:
+            rep = certify_myopic(inst, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(rep.per_depth_node_counts) == 960_800
+        assert peak < 48 * 2**20
 
 
 class TestLevelMerge:
@@ -616,6 +687,49 @@ class TestTieRuleCalls:
         # One call per level above the leaves, deepest first, and one on
         # the root's action values for the best first action.
         assert calls == [*rep.per_depth_node_counts[-2::-1], 1]
+
+
+class TestExactOracle:
+    """``certify_myopic`` against ``conftest.exact_certificate``, the same
+    certificate in exact rational arithmetic: values within 1e-12, the
+    sign of the gap, and the distinct profiles per depth, which says
+    that rounding keys to ``KEY_DECIMALS`` merged exactly the profiles
+    that are equal."""
+
+    @pytest.mark.parametrize(
+        "instance, T",
+        [
+            # The deep base instance, whose exact gap is 0.
+            ("deep", 4),
+            # Gap witnesses: myopic play is not optimal.
+            (3, 3),
+            (10, 3),
+            (29, 3),
+            # Zero-likelihood branches; children of different parents
+            # that coincide.
+            ("absorbing", 4),
+            ("rank-one A", 4),
+        ],
+    )
+    def test_certificate_matches_exact_dp(self, instance, T, absorbing_instance):
+        if instance == "deep":
+            doc = json.loads(DEEP.read_text())
+            inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        elif instance == "absorbing":
+            inst = absorbing_instance
+        elif isinstance(instance, str):
+            inst = LEAF_INSTANCES[instance]()
+        else:
+            inst = dirichlet_instance(instance, 3, 3, 3)
+        rep = certify_myopic(inst, T)
+        optimal, myopic, counts = exact_certificate(inst, T)
+        assert rep.optimal_value == pytest.approx(float(optimal), rel=1e-12, abs=1e-12)
+        assert rep.myopic_value == pytest.approx(float(myopic), rel=1e-12, abs=1e-12)
+        if optimal == myopic:
+            assert abs(rep.gap) <= 1e-12
+        else:
+            assert optimal > myopic and rep.gap > 1e-12
+        assert rep.per_depth_node_counts == counts
 
 
 class TestGapWitnesses:
