@@ -24,6 +24,17 @@ states, the random draws, the rewards and the row index.  A decision
 of the wrong shape raises ``ValueError``, one outside 0..N-1
 ``IndexError``, and a negative horizon ``ValueError``.
 
+A call allocates one workspace (``_Workspace``), sized to its first
+block, and every block and slot works in views of it through ``out=``
+arguments, so no slot maps fresh memory for its per-trajectory arrays.
+It holds the hidden states (current and next), each trajectory's
+history row, action, worked project, gathered index and observation,
+and one set of draw buffers (uniforms, gathered cdf thresholds,
+comparison mask and count) that the initial-state, state and
+observation draws share.  The totals of every block go into views of
+one array of length n_traj.  Only arrays the size of the history table
+are still allocated per slot.
+
 RNG contract: a call draws from one ``np.random.default_rng(seed)``;
 its blocks of up to ``_BLOCK`` trajectories take turns, and each draws
 first every initial state, then per slot every project's next state
@@ -32,7 +43,8 @@ distribution (last entry pinned to 1) against one uniform.  Results are
 therefore deterministic in (instance, policy, T, n_traj, seed):
 ``estimate_value`` gives the same mean and standard error with or
 without ``return_totals``, and ``sample_trajectory`` is the engine with
-one trajectory.
+one trajectory.  The workspace decides only where results are written,
+not which uniforms are drawn, in what order, or how they are compared.
 """
 
 from __future__ import annotations
@@ -75,7 +87,16 @@ def _cdf(pmf: np.ndarray) -> np.ndarray:
     return cdf / cdf[..., -1:]
 
 
-def _inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
+def _inverse_cdf(
+    cdf: np.ndarray,
+    row,
+    u: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    threshold: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
+    count: np.ndarray | None = None,
+) -> np.ndarray:
     """Categorical draws by inversion: for each uniform in ``u`` (in
     [0, 1)), the 0-based index of the first entry above it in the cdf
     row ``cdf[row]``; ``row`` broadcasts against ``u``.
@@ -87,75 +108,156 @@ def _inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
     in the narrowest unsigned type that holds it: numpy adds a bool to
     an ``int64`` through a slow casting loop, to a ``uint8`` through a
     fast one.
+
+    The keyword arguments are optional buffers, so that a caller drawing
+    every slot allocates nothing: ``threshold`` (float, ``row``'s shape)
+    for the gathered column, ``mask`` (bool) and ``count`` (an unsigned
+    type that holds the count), both ``u``'s shape, and ``out`` (any
+    integer array of ``u``'s shape) for the draws.  Without ``out`` the
+    draws are returned as a new ``intp`` array.  ``row`` must be in
+    range: the gather wraps instead of checking, because a checked
+    ``take`` copies its ``out`` first.
     """
-    count = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[-1] - 1))
+    if count is None:
+        count = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[-1] - 1))
+    else:
+        count.fill(0)
     for k in range(cdf.shape[-1] - 1):
-        count += cdf[:, k].take(row) <= u
-    return count.astype(np.intp)
+        below = np.less_equal(cdf[:, k].take(row, out=threshold, mode="wrap"), u, out=mask)
+        np.add(count, below, out=count)
+    if out is None:
+        return count.astype(np.intp)
+    np.copyto(out, count)
+    return out
+
+
+class _Workspace:
+    """The lockstep engine's per-trajectory buffers for blocks of up to
+    ``size`` trajectories, allocated once per call and reused by every
+    block and slot through views.
+
+    The draw buffers (uniforms, gathered thresholds, mask and count) are
+    flat arrays of ``size * N`` entries shared by the initial-state
+    draw (viewed as (N, n)), the state draw (flat, in (n, N) order) and
+    the observation draw (the first n entries); the threshold buffer
+    also carries each slot's rewards.
+    ``states`` holds the current and the next hidden states, which swap
+    roles each slot.  ``traj`` has one column per trajectory and five
+    rows: its history row, action, worked project's flat index, a
+    gathered index (a state, then the history key) and observation.
+    ``base`` is the constant flat offset of each trajectory's states.
+    """
+
+    def __init__(self, inst: ModelInstance, size: int):
+        N = inst.n_projects
+        flat = size * N
+        self.uniform = np.empty(flat)
+        self.threshold = np.empty(flat)
+        self.mask = np.empty(flat, dtype=bool)
+        self.count = np.empty(flat, dtype=np.min_scalar_type(max(inst.n_states, inst.n_obs) - 1))
+        self.states = np.empty((2, flat), dtype=np.intp)
+        self.traj = np.empty((5, size), dtype=np.intp)
+        self.base = np.arange(size) * N
+
+
+def _check_horizon(T: int) -> None:
+    if T < 0:
+        raise ValueError(f"horizon T must be >= 0, got {T}")
 
 
 def _lockstep(
     inst: ModelInstance,
     policy: PolicyRule,
     T: int,
-    n_traj: int,
     rng: np.random.Generator,
+    work: _Workspace,
+    totals: np.ndarray,
     record=None,
-) -> np.ndarray:
-    """The engine: discounted total reward of each of n_traj trajectories
-    over slots 0..T, simulated in lockstep.
+) -> None:
+    """The engine: writes into ``totals`` the discounted total reward of
+    each of its len(totals) trajectories over slots 0..T (T >= 0),
+    simulated in lockstep in views of ``work``, whose size must be at
+    least that.
 
-    ``record``, when given, is called once per slot with the hidden
-    states (n_traj, N), the actions (n_traj,) and the active projects'
-    observations (n_traj,), all 0-based.  Otherwise nothing is kept
-    across slots but the history table, each trajectory's node in it,
-    the states and the totals.
+    ``record``, when given, is called once per slot with the slot, the
+    hidden states (n, N), the actions (n,) and the active projects'
+    observations (n,), all 0-based.  They are views of the workspace,
+    overwritten by the next slot, so a recorder copies what it keeps.
+    Otherwise nothing is kept across slots but the history table, each
+    trajectory's node in it, the states and the totals.
+
+    Every gather into the workspace uses ``take(out=, mode="wrap")``, the
+    fastest mode that writes straight into ``out``; its indices are in
+    range by construction (``check_decisions`` checks the policy's).  An
+    index out of range would not raise but wrap, one period at a time.
     """
-    if T < 0:
-        raise ValueError(f"horizon T must be >= 0, got {T}")
     N, X, Y = inst.n_projects, inst.n_states, inst.n_obs
     A = inst.A.rows
     B_T = inst.B.rows.T.copy()  # row m: each state's likelihood of observation m
     R = inst.R.values
-    base = np.arange(n_traj) * N
     row_item = np.dtype((np.void, X * A.itemsize))
+    n = len(totals)
+    # States and the state draw's buffers are flat (n * N,) views, read
+    # as (n, N) in C order; the observation draw uses their first n
+    # entries.
+    current, nxt = work.states[:, : n * N]
+    uniform, threshold, mask, count = (
+        b[: n * N] for b in (work.uniform, work.threshold, work.mask, work.count)
+    )
+    uniform_n, threshold_n, mask_n, count_n = (b[:n] for b in (uniform, threshold, mask, count))
+    node, action, active, gather, obs = work.traj[:, :n]
+    base = work.base[:n]
 
     # ``table`` holds one belief profile per distinct observation history
     # and ``node`` each trajectory's row in it; at slot 0 every
     # trajectory shares the empty history.
-    x0 = np.stack([x.probs for x in inst.initial_beliefs])  # (N, X)
+    x0 = np.array([x.probs for x in inst.initial_beliefs])  # (N, X)
     table = x0[None].copy()
-    node = np.zeros(n_traj, dtype=np.int64)
+    node.fill(0)
     a_cdf = _cdf(A)
     b_cdf = _cdf(inst.B.rows)
-    current = _inverse_cdf(_cdf(x0), np.arange(N), rng.random((N, n_traj)).T)  # (n_traj, N)
+    # Project j's initial states invert row j of the (N, n) uniforms.
+    _inverse_cdf(
+        _cdf(x0), np.arange(N)[:, None], rng.random(out=uniform.reshape(N, n)),
+        out=current.reshape(n, N).T, threshold=threshold[:N].reshape(N, 1),
+        mask=mask.reshape(N, n), count=count.reshape(N, n),
+    )
 
-    totals = np.zeros(n_traj)
+    totals.fill(0.0)
     scale = 1.0
     for t in range(T + 1):
-        acts = check_decisions(policy, policy.decide(t, table), table)
-        u = acts.take(node)
-        active = base + u  # flat index of each trajectory's worked project
-        totals += (scale * R).take(current.take(active))
+        # ``take`` writes into an intp ``out`` only from an intp source.
+        acts = check_decisions(policy, policy.decide(t, table), table).astype(np.intp, copy=False)
+        u = acts.take(node, out=action, mode="wrap")
+        np.add(base, u, out=active)  # flat index of each trajectory's worked project
+        state = current.take(active, out=gather, mode="wrap")
+        # The rewards pass through the threshold buffer, free until the draws.
+        np.add(totals, (scale * R).take(state, out=threshold_n, mode="wrap"), out=totals)
         scale *= inst.beta
 
         # Transition every chain, then the active one emits.
-        nxt = _inverse_cdf(a_cdf, current, rng.random((n_traj, N)))
-        obs = _inverse_cdf(b_cdf, nxt.take(active), rng.random(n_traj))
+        _inverse_cdf(
+            a_cdf, current, rng.random(out=uniform), out=nxt,
+            threshold=threshold, mask=mask, count=count,
+        )
+        _inverse_cdf(
+            b_cdf, nxt.take(active, out=gather, mode="wrap"), rng.random(out=uniform_n), out=obs,
+            threshold=threshold_n, mask=mask_n, count=count_n,
+        )
         if record is not None:
-            record(current, u, obs)
+            record(t, current.reshape(n, N), u, obs)
 
         if t < T:
             # The (node, observation) pairs that occurred are the next
             # slot's histories, numbered in the order of their keys; a
             # scatter numbers them faster than a cumsum of ``seen``.
-            key = node * Y + obs
+            key = np.add(np.multiply(node, Y, out=gather), obs, out=gather)
             seen = np.zeros(len(table) * Y, dtype=bool)
             seen[key] = True
             pairs = seen.nonzero()[0]
-            rank = np.empty(len(seen), dtype=np.int64)
+            rank = np.empty(len(seen), dtype=np.intp)
             rank[pairs] = np.arange(len(pairs))
-            node = rank.take(key)
+            rank.take(key, out=node, mode="wrap")
             parent = pairs // Y
             seen_obs = pairs - parent * Y
             # Propagate each child's parent profile (each row x -> A' x),
@@ -171,8 +273,7 @@ def _lockstep(
             # assigns the rows of a float array element by element.
             np.put(child.view(row_item), worked, (num / total[:, None]).view(row_item))
             table = child.reshape(-1, N, X)
-        current = nxt
-    return totals
+        current, nxt = nxt, current
 
 
 def sample_trajectory(
@@ -186,12 +287,19 @@ def sample_trajectory(
     silently and their beliefs are propagated.  This is the lockstep
     engine with one trajectory.
     """
-    slots = []
+    _check_horizon(T)
+    states = np.empty((inst.n_projects, T + 1), dtype=np.intp)
+    actions = np.empty(T + 1, dtype=np.intp)
+    observations = np.empty(T + 1, dtype=np.intp)
+
+    def record(t, current, u, obs):
+        states[:, t] = current[0]
+        actions[t] = u[0]
+        observations[t] = obs[0]
+
     rng = np.random.default_rng(seed & _SEED_MASK)
-    totals = _lockstep(inst, policy, T, 1, rng, record=lambda *arrays: slots.append(arrays))
-    states = np.stack([s[0] for s, _, _ in slots], axis=1)
-    actions = np.array([u[0] for _, u, _ in slots])
-    observations = np.array([m[0] for _, _, m in slots])
+    totals = np.empty(1)
+    _lockstep(inst, policy, T, rng, _Workspace(inst, 1), totals, record)
     rewards = inst.R.values[states[actions, np.arange(T + 1)]]
     return Trajectory(states + 1, actions + 1, observations + 1, rewards, float(totals[0]))
 
@@ -200,12 +308,15 @@ def _estimate_batched(
     inst: ModelInstance, policy: PolicyRule, T: int, n_traj: int, seed: int
 ) -> np.ndarray:
     """Discounted total reward of each of n_traj trajectories, simulated
-    in consecutive lockstep blocks that draw from one generator."""
+    in consecutive lockstep blocks that draw from one generator and share
+    one workspace."""
+    _check_horizon(T)
     rng = np.random.default_rng(seed & _SEED_MASK)
-    return np.concatenate([
-        _lockstep(inst, policy, T, min(_BLOCK, n_traj - start), rng)
-        for start in range(0, n_traj, _BLOCK)
-    ])
+    totals = np.empty(n_traj)
+    work = _Workspace(inst, min(_BLOCK, n_traj))
+    for start in range(0, n_traj, _BLOCK):
+        _lockstep(inst, policy, T, rng, work, totals[start : start + _BLOCK])
+    return totals
 
 
 def estimate_value(

@@ -1,3 +1,7 @@
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,9 @@ from restless_sched import (
     stay_policy,
 )
 from restless_sched.simulate import _BLOCK, _cdf, _inverse_cdf
+
+#: The deep base instance (X=Y=N=3), which perfbench's simulate-mc runs at T=8.
+DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "simulate.json"
 
 
 def deterministic_instance() -> ModelInstance:
@@ -94,6 +101,46 @@ def reference_totals(inst, policy, T, n_traj, seed):
     return np.concatenate(blocks)
 
 
+def reference_trajectory(inst, policy, T, seed):
+    """``reference_totals`` for one trajectory, recording each slot as it
+    goes: the hidden states (N, T+1), actions (T+1,) and observations
+    (T+1,), all 0-based, and the discounted total."""
+    rng = np.random.default_rng(seed)
+    N, X = inst.n_projects, inst.n_states
+    A, B, R = inst.A.rows, inst.B.rows, inst.R.values
+    x0 = np.stack([x.probs for x in inst.initial_beliefs])
+
+    def cdf(pmf):
+        c = np.cumsum(pmf, axis=-1)
+        return c / c[..., -1:]
+
+    def draw(c, row, u):
+        out = np.zeros(u.shape, dtype=np.int64)
+        for k in range(c.shape[-1] - 1):
+            out += c[row, k] <= u
+        return out
+
+    beliefs = x0[None].copy()
+    current = draw(cdf(x0), np.arange(N), rng.random((N, 1)).T)[0]
+    states, actions, observations = [], [], []
+    total, scale = 0.0, 1.0
+    for t in range(T + 1):
+        u = policy.decide(t, beliefs)[0]
+        total += scale * R[current[u]]
+        scale *= inst.beta
+        nxt = draw(cdf(A), current, rng.random((1, N))[0])
+        obs = draw(cdf(B), nxt[u], rng.random(1))[0]
+        states.append(current)
+        actions.append(u)
+        observations.append(obs)
+        if t < T:
+            beliefs = beliefs @ A
+            num = beliefs[0, u] * B[:, obs]
+            beliefs[0, u] = num / num.sum()
+        current = nxt
+    return np.array(states).T, np.array(actions), np.array(observations), total
+
+
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("seed", [5, 2024])
     def test_totals_bit_identical_across_a_block_boundary(self, seed):
@@ -117,6 +164,39 @@ class TestEngineMatchesReference:
         for policy in all_policies(inst):
             _, _, totals = estimate_value(inst, policy, T, n_traj, 9, return_totals=True)
             assert np.array_equal(totals, reference_totals(inst, policy, T, n_traj, 9))
+
+    # At _BLOCK the one block fills the workspace; at 2 * _BLOCK + 1 the
+    # last block is a one-trajectory view of it.
+    @pytest.mark.parametrize("n_traj", [_BLOCK, 2 * _BLOCK + 1])
+    def test_totals_bit_identical_at_block_multiples(self, n_traj):
+        inst = mixed_dims_instance()
+        for policy in (myopic_policy(inst), seeded_random_policy(2, 4)):
+            _, _, totals = estimate_value(inst, policy, 3, n_traj, 17, return_totals=True)
+            assert np.array_equal(totals, reference_totals(inst, policy, 3, n_traj, 17))
+
+    def test_consecutive_calls_identical(self):
+        # Nothing a call leaves behind reaches the next one.
+        inst = zero_likelihood_instance()
+        policy = myopic_policy(inst)
+        first = estimate_value(inst, policy, 4, _BLOCK + 5, 3, return_totals=True)
+        estimate_value(inst, policy, 6, 700, 8)
+        second = estimate_value(inst, policy, 4, _BLOCK + 5, 3, return_totals=True)
+        assert first[:2] == second[:2]
+        assert np.array_equal(first[2], second[2])
+
+    @pytest.mark.parametrize("make", [mixed_dims_instance, zero_likelihood_instance])
+    def test_sample_trajectory_records_every_slot(self, make):
+        # Each slot's record must be that slot's, not a view of buffers
+        # the next slot overwrites.
+        inst = make()
+        for policy in all_policies(inst):
+            for seed in range(6):
+                tr = sample_trajectory(inst, policy, 7, seed)
+                states, actions, observations, total = reference_trajectory(inst, policy, 7, seed)
+                assert np.array_equal(tr.states, states + 1)
+                assert np.array_equal(tr.actions, actions + 1)
+                assert np.array_equal(tr.observations, observations + 1)
+                assert tr.discounted_total == total
 
     def test_myopic_decisions_vary(self):
         # The comparison above means something only if the myopic policy
@@ -290,6 +370,25 @@ class TestInverseCdf:
         got = _inverse_cdf(cdf, row, u)
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, np.argmax(cdf[row] > u[:, None], axis=1))
+
+
+class TestWorkspaceMemory:
+    def test_deep_batch_memory(self):
+        """One workspace serves every block and slot of a call: 400,000
+        trajectories of the deep instance at T=8 peaked at 11.4 MiB of
+        traced memory with fresh temporaries per slot, 13.4 MiB with
+        draw buffers shared by the draws, and 18.7 MiB with one buffer
+        per role."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instance"])
+        tracemalloc.start()
+        try:
+            mean, _ = estimate_value(inst, myopic_policy(inst), 8, 400_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(mean)
+        assert peak < 16 * 2**20
 
 
 class TestEstimateValue:
