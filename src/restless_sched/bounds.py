@@ -12,16 +12,19 @@ u (original profile) and u' (raised profile):
 
 ``check_bounds_suite`` first draws and classifies every ordered pair,
 keeping the raw profiles in one array, and validates all of them in one
-call.  One batched sweep of the auxiliary value then covers both
-profiles of every sample, each valued up to its own lookahead T, and
-gives the exact gaps; one interval table gives the bounds.  The table
-checks every delta at once, computes the power terms
-beta^i R'(A')^i delta of all samples together (one row per sample, up
-to the largest lookahead, with the terms past a sample's own lookahead
-zeroed) and sums them into the three case intervals, from which each
-sample takes its own case.  ``lemma2_bounds`` and ``lemma4_bounds`` are
-the table's one-row case.  The suite reports containment slack per
-sample.
+call.  Draws run on Python floats: each costs its generator calls, a
+few float operations and one call of the myopic rule.  An instance
+whose A has equal first and last rows is rejected before any draw,
+since every profile would be the same point.  One batched sweep of the
+auxiliary value then covers both profiles of every sample, each valued
+up to its own lookahead T, and gives the exact gaps; one interval
+table gives the bounds.  The table checks every delta at once,
+computes the power terms beta^i R'(A')^i delta of all samples together
+(one row per sample, up to the largest lookahead, with the terms past
+a sample's own lookahead zeroed) and sums them into the three case
+intervals, from which each sample takes its own case.
+``lemma2_bounds`` and ``lemma4_bounds`` are the table's one-row case.
+The suite reports containment slack per sample.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import propagate_rows
-from .generate import _mixture_rows
 from .policy import TreeEvaluator, myopic_policy
 from .types import ModelInstance, valid_belief_rows
 
@@ -202,9 +204,14 @@ def check_bounds_suite(
     is MLR-comparable and the chain clause keeps holding), component l
     raised by mixing toward the upper anchor, and the realized (u, u')
     pattern classified by immediate rewards; misclassified draws are
-    redrawn.  The cases need a second project and a second state, so
-    N = 1 and X = 1 are rejected before any draw.  Then validates every
-    original and raised profile in one call (``valid_belief_rows``).
+    redrawn.  A draw makes its generator calls (lookahead, N weights,
+    the slot l of case 3, the mixing weight alpha), builds both profiles
+    on Python floats and classifies them with one ``policy.decide``
+    call, the myopic tie rule.  The cases need a second project, a
+    second state and distinct extreme rows of A (equal rows make every
+    profile the same point), so N = 1, X = 1 and A[0] == A[-1] are
+    rejected before any draw.  Then validates every original and raised
+    profile in one call (``valid_belief_rows``).
     The profiles of all samples, in draw order, are the roots of one
     sweep of W^u_0, each valued up to its sample's lookahead T, which
     gives each sample's exact gap; nodes of different lookaheads never
@@ -223,12 +230,16 @@ def check_bounds_suite(
     # change a decision.
     if X < 2:
         raise ValueError(f"the bound cases need at least two states, got X={X}")
-    rng = np.random.default_rng(seed)
     if regime is None:
         regime = _detect_regime(inst)
+    # Profiles are drawn on the segment between these rows; equal rows
+    # make it one point, as one state does.
+    if np.array_equal(inst.A.rows[0], inst.A.rows[-1]):
+        raise ValueError("the bound cases need distinct first and last rows of A")
+    rng = np.random.default_rng(seed)
     prefix = "C" if regime == 1 else "D"
     policy = myopic_policy(inst)
-    low, high = inst.A.rows[-1], inst.A.rows[0]
+    low, high = inst.A.rows[-1].tolist(), inst.A.rows[0].tolist()
     if regime == 1:
         low, high = high, low
     pairs = np.empty((n_samples, 2, N, X))  # the original and raised profile per sample
@@ -236,28 +247,33 @@ def check_bounds_suite(
 
     for k in range(n_samples):
         want = k % 3 + 1  # 1 -> C1/D1, 2 -> C2/D2, 3 -> C3/D3
-        pair = pairs[k]
         for _ in range(200):
             T = int(rng.integers(0, MAX_LOOKAHEAD + 1))
-            weights = rng.uniform(0.0, 1.0, N)
+            # rng.random(N) draws the bits of rng.uniform(0.0, 1.0, N).
+            weights = rng.random(N).tolist()
+            # max/min and list.index pick the first extreme, as np.argmax
+            # and np.argmin do.
             if want == 1:
-                l = int(np.argmax(weights))
+                l = weights.index(max(weights))
             elif want == 2:
-                l = int(np.argmin(weights))
+                l = weights.index(min(weights))
             else:
                 # Duplicate the top belief into a higher slot l so the
                 # original profile tie-breaks away from l.
-                j = int(np.argmax(weights))
+                j = weights.index(max(weights))
                 if j == N - 1:
                     continue
                 l = int(rng.integers(j + 1, N))
                 weights[l] = weights[j]
-            pair[0] = _mixture_rows(low, high, weights)
+            # Entry by entry the two products and one sum of
+            # generate._mixture_rows, so the profiles keep its bits.
+            profile = [[(1.0 - w) * a + w * b for a, b in zip(low, high)] for w in weights]
             alpha = rng.uniform(0.02, 0.2) if want == 2 else rng.uniform(0.05, 0.9)
-            pair[1] = pair[0]
-            pair[1, l] = (1 - alpha) * pair[0, l] + alpha * high
+            raised = list(profile)
+            raised[l] = [(1 - alpha) * x + alpha * h for x, h in zip(profile[l], high)]
+            pairs[k] = profile, raised
 
-            u, u_prime = policy.decide(0, pair).tolist()
+            u, u_prime = policy.decide(0, pairs[k]).tolist()
             if u_prime == l and u == l:
                 realized = 1
             elif u_prime != l and u != l and u_prime == u:

@@ -9,8 +9,9 @@ with or without ``--dump-csv``.  Exit codes: 0 success, 1 domain
 failure (regime Neither, nonzero gap, bound violation, generation
 failure, and in ``certify-sweep`` any seed that fails to generate or,
 with ``--violate``, no instance certified), 2 usage or format error,
-including ``bounds`` on an instance with one project or no verified
-regime and a ``--violate`` that names no clause of ``--regime``.
+including ``bounds`` on an instance with one project, one state,
+equal first and last rows of A or no verified regime and a
+``--violate`` that names no clause of ``--regime``.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def _cmd_bounds(args) -> int:
     try:
         samples = check_bounds_suite(inst, args.samples, args.seed)
     except ValueError as e:
-        # An instance the suite cannot run on: one project, one state, or
-        # neither regime.
+        # An instance the suite cannot run on: one project, one state,
+        # equal first and last rows of A, or neither regime.
         raise _UsageError(str(e)) from e
     rows = ["case,t,T,slack_low,slack_high,verdict"]
     rows += [

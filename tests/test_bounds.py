@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import lemma_intervals, per_sample_bounds_suite, recursive_avf
+import restless_sched.bounds as bounds_module
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
     GeneratorParams,
+    IncomparablePairError,
     ModelInstance,
     avf_evaluate,
     check_bounds_suite,
@@ -13,6 +15,7 @@ from restless_sched import (
     gen_assumption2_instance,
     lemma2_bounds,
     lemma4_bounds,
+    stay_policy,
 )
 from restless_sched.bounds import _interval_table
 from restless_sched.policy import TreeEvaluator
@@ -254,6 +257,30 @@ class TestCheckBoundsSuite:
         for regime in (None, 1, 2):
             with pytest.raises(ValueError, match="N=1"):
                 check_bounds_suite(inst, 30, 0, regime=regime)
+
+    def test_equal_extreme_rows_rejected(self, monkeypatch):
+        # A rank-one A verifies as Assumption 1, but every profile on the
+        # segment between its equal extreme rows is the same point, so no
+        # case can be realized; nothing is drawn.
+        A = np.array([[0.3, 0.5, 0.2]] * 3)
+        B = np.array([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]])
+        inst = ModelInstance(2, 3, 2, A, B, np.array([0.0, 0.5, 1.0]), 0.8, [A[0], A[0]])
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for regime in (None, 1, 2):
+            with pytest.raises(ValueError, match="distinct first and last rows of A"):
+                check_bounds_suite(inst, 30, 0, regime=regime)
+
+    @pytest.mark.parametrize("regime, gen, case", [
+        (1, gen_assumption1_instance, "C3"),
+        (2, gen_assumption2_instance, "D3"),
+    ])
+    def test_unrealized_case_gives_up_after_200_draws(self, small_params, monkeypatch,
+                                                      regime, gen, case):
+        # A rule that always works project 0 never gives u' = l != u.
+        inst = gen(small_params, 3 if regime == 1 else 1009)
+        monkeypatch.setattr(bounds_module, "myopic_policy", lambda inst: stay_policy(1))
+        with pytest.raises(IncomparablePairError, match=f"case {case} in 200 draws"):
+            check_bounds_suite(inst, 3, 0, regime=regime)
 
     @pytest.mark.parametrize("regime", [1, 2])
     @pytest.mark.parametrize("N", [2, 3])

@@ -194,6 +194,10 @@ class TestBounds:
         (ModelInstance(2, 2, 2, [[0.5, 0.5], [0.5, 0.5]], [[0.6, 0.4], [0.4, 0.6]],
                        [0.0, 1.0], 0.9, [[0.9, 0.1], [0.1, 0.9]]), "neither"),
         (ModelInstance(2, 1, 2, [[1.0]], [[0.5, 0.5]], [1.0], 0.9, [[1.0], [1.0]]), "X=1"),
+        # Rank-one A: verifies as Assumption 1, but its extreme rows are equal.
+        (ModelInstance(2, 3, 2, [[0.3, 0.5, 0.2]] * 3, [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]],
+                       [0.0, 0.5, 1.0], 0.8, [[0.3, 0.5, 0.2]] * 2),
+         "distinct first and last rows of A"),
     ])
     def test_unsupported_instance_is_a_usage_error(self, tmp_path, capsys, inst, message):
         p = tmp_path / "inst.json"
