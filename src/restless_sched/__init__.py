@@ -50,7 +50,6 @@ from .orders import (
 from .policy import (
     PolicyRule,
     avf_evaluate,
-    avf_frozen,
     myopic_action,
     myopic_policy,
     policy_value,
@@ -65,7 +64,6 @@ from .spectral import (
     discount_matrices,
     eigendecompose,
     reward_separation_check,
-    series_difference_oracle,
 )
 from .types import (
     BeliefVector,
@@ -74,8 +72,6 @@ from .types import (
     RewardVector,
     TransitionMatrix,
     ValidationReport,
-    basis_belief,
-    expected_reward,
     validate_instance,
 )
 
@@ -109,14 +105,11 @@ __all__ = [
     "ValidationReport",
     "ValueReport",
     "avf_evaluate",
-    "avf_frozen",
-    "basis_belief",
     "certify_myopic",
     "check_bounds_suite",
     "discount_matrices",
     "eigendecompose",
     "estimate_value",
-    "expected_reward",
     "filter_update",
     "find_threshold_K",
     "fosd_compare",
@@ -138,7 +131,6 @@ __all__ = [
     "round_robin_policy",
     "sample_trajectory",
     "seeded_random_policy",
-    "series_difference_oracle",
     "sort_by_mlr",
     "stay_policy",
     "step_profile",

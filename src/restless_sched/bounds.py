@@ -14,8 +14,10 @@ u (original profile) and u' (raised profile):
 keeping the raw profiles in one array, and validates all of them in one
 call.  Draws run on Python floats: each costs its generator calls, a
 few float operations and one call of the myopic rule.  An instance
-whose A has equal first and last rows is rejected before any draw,
-since every profile would be the same point.  One batched sweep of the
+whose first and last rows of A have immediate rewards within
+``ARGMAX_TOL`` is rejected before any draw: every drawn belief would
+then tie on reward, so no raised profile could change the myopic
+action.  One batched sweep of the
 auxiliary value then covers both profiles of every sample, each valued
 up to its own lookahead T, and gives the exact gaps; one interval
 table gives the bounds.  The table checks every delta at once,
@@ -36,7 +38,7 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import propagate_rows
-from .policy import TreeEvaluator, myopic_policy
+from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy
 from .types import ModelInstance, valid_belief_rows
 
 #: Containment checked with this additive slack.
@@ -208,8 +210,9 @@ def check_bounds_suite(
     the slot l of case 3, the mixing weight alpha), builds both profiles
     on Python floats and classifies them with one ``policy.decide``
     call, the myopic tie rule.  The cases need a second project, a
-    second state and distinct extreme rows of A (equal rows make every
-    profile the same point), so N = 1, X = 1 and A[0] == A[-1] are
+    second state and extreme rows of A whose immediate rewards differ
+    by more than ``ARGMAX_TOL`` (otherwise every drawn belief ties on
+    reward), so N = 1, X = 1 and |R'A[0] - R'A[-1]| <= ARGMAX_TOL are
     rejected before any draw.  Then validates every original and raised
     profile in one call (``valid_belief_rows``).
     The profiles of all samples, in draw order, are the roots of one
@@ -232,10 +235,15 @@ def check_bounds_suite(
         raise ValueError(f"the bound cases need at least two states, got X={X}")
     if regime is None:
         regime = _detect_regime(inst)
-    # Profiles are drawn on the segment between these rows; equal rows
-    # make it one point, as one state does.
-    if np.array_equal(inst.A.rows[0], inst.A.rows[-1]):
-        raise ValueError("the bound cases need distinct first and last rows of A")
+    # Profiles are drawn on the segment between these rows, so the
+    # reward of every drawn belief lies between theirs; equal rows are
+    # the special case of equal rewards.
+    spread = float(inst.R.values @ (inst.A.rows[0] - inst.A.rows[-1]))
+    if abs(spread) <= ARGMAX_TOL:
+        raise ValueError(
+            "the bound cases need distinct first and last rows of A whose immediate "
+            f"rewards differ by more than {ARGMAX_TOL}"
+        )
     rng = np.random.default_rng(seed)
     prefix = "C" if regime == 1 else "D"
     policy = myopic_policy(inst)

@@ -69,8 +69,9 @@ class ValueReport:
         }
 
 
-def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int) -> ValueReport:
-    """Optimal and myopic values from slot t to T of one profile.
+def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> ValueReport:
+    """Optimal and myopic values of one profile over T slots after the
+    current one (depths 0..T).
 
     A level is ``ids`` (n, N), row indices into the depth's ``table``
     (M, X) of one-project beliefs; ``TreeEvaluator.next_level`` builds
@@ -94,14 +95,14 @@ def _solve(inst: ModelInstance, beliefs: tuple, t: int, T: int, node_budget: int
 
     table, ids = np.array(beliefs), np.arange(ev.N)[None]
     sweep = []
-    for depth in range(t, T - 1):
+    for depth in range(T - 1):
         count(depth, len(ids))
         # The 3-D np.dot gives each row the bits it has in a built level.
         rewards = np.dot(table[None], ev.R)[0].take(ids)
         table, ids, seg, d, inverse = ev.next_level(table, ids)
         sweep.append((rewards, seg, d, inverse))
     rewards = values = np.dot(table[None], ev.R)[0].take(ids)
-    if t < T:
+    if T > 0:
         count(T - 1, len(ids))
         values, myopic, leaves = ev.leaf_pass(table, ids, rewards)
         sweep.append((rewards, None, None, None))
@@ -147,7 +148,9 @@ def optimal_value(
     Ties are broken toward the lowest project index within ARGMAX_TOL.
     """
     check_profile(inst, profile, t, T)
-    report = _solve(inst, profile.arrays(), t, T, node_budget)
+    # The DP never reads the slot: values from t to T are those of T - t
+    # slots.
+    report = _solve(inst, profile.arrays(), T - t, node_budget)
     return report.optimal_value, report.best_action
 
 
@@ -160,4 +163,4 @@ def certify_myopic(
     profile; reports the gap and per-node argmax agreement."""
     profile = BeliefProfile(inst.initial_beliefs, 0)
     check_profile(inst, profile, 0, T)
-    return _solve(inst, profile.arrays(), 0, T, node_budget)
+    return _solve(inst, profile.arrays(), T, node_budget)

@@ -23,9 +23,6 @@ profiles at once, each root up to its own horizon, on built levels of
 profiles (``TreeEvaluator.expand``) merged by rounded key
 (``distinct_nodes``); it gives ``policy_value`` and the auxiliary value
 function W^u_t (take action u at slot t, act myopically afterwards).
-``avf_frozen``, the variant of W whose decisions follow a reference
-profile, expands the evaluated profiles and their references side by
-side on the same kernel.
 
 The DP in ``dp`` works every action of every node, and its levels are
 factored: projects evolve independently, so a level is ``ids`` (n, N),
@@ -39,15 +36,17 @@ certificate filters 2,093 table rows where built levels filtered 58,824
 project rows.  Every level takes A'x and T(x, m) from
 ``filtering.propagate_rows`` and ``filtering.filter_rows``.
 
-Rows of key bits are grouped by ``_fingerprint_runs``: one 64-bit
+Rows are grouped by rounded key in ``_group_rows``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
 summed modulo 2**64), one sort, a bit-for-bit check of the rows that
 share one, and, if two different rows do, ``_exact_merge``, ``np.unique``
 over the rows.  It groups a sweep's built nodes (``distinct_nodes``) and
 each next table of the DP.  The DP keys a child by its N table rows'
-canonical ids packed into one exact integer, grouped by one sort with no
-tie check.  Every value still comes from the unrounded table rows, so a
-factored level merges bit for bit as a built one.
+canonical ids packed into one exact integer, or, where that integer
+would pass 2**64, by the rank of its id row (``_exact_merge``); either
+key is grouped by one sort with no tie check.  Every value still comes
+from the unrounded table rows, so a factored level merges bit for bit
+as a built one.
 """
 
 from __future__ import annotations
@@ -183,7 +182,7 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
     return np.cumprod(np.full(n_columns, _BASE))
 
 
-#: Tied pairs that ``_fingerprint_runs`` compares at a time.  The largest
+#: Tied pairs that ``_group_rows`` compares at a time.  The largest
 #: tie set is a deep T=8 certificate's depth-7 table: 63,349 tied pairs
 #: of its 83,032 rows, whose key rows at once would take 2 x 1.5 MB.
 _TIE_CHUNK = 4096
@@ -205,26 +204,26 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, head
 
 
-def _fingerprint_runs(fingerprints: np.ndarray, rows: Callable[[np.ndarray], np.ndarray]):
-    """Group n rows by key as ``_runs`` does: ``fingerprints`` (n,)
-    holds each row's fingerprint and ``rows(i)`` returns the key bits of
-    rows ``i``, one flat row each.
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of ``rows`` (n, k) by rounded key as ``_runs``
+    does, rounding them in place with ``key_bits``.
 
-    The rows are sorted by fingerprint, and each pair of neighbours that
-    share one is compared bit for bit, ``_TIE_CHUNK`` pairs at a time.
-    If two different rows share a fingerprint, the rows are grouped by
-    ``_exact_merge`` of all their key bits instead.  Pass the
-    fingerprints as a temporary: they are dropped once sorted.
+    Each row's fingerprint is its key bits times
+    ``fingerprint_multipliers``, summed modulo 2**64.  The rows are
+    sorted by fingerprint, and each pair of neighbours that share one is
+    compared bit for bit, ``_TIE_CHUNK`` pairs at a time.  If two
+    different rows share a fingerprint, the rows are grouped by
+    ``_exact_merge`` of all their key bits instead.
     """
-    order, head = _runs(fingerprints)
-    del fingerprints
+    bits = key_bits(rows)
+    order, head = _runs(bits @ fingerprint_multipliers(bits.shape[1]))
     tie = (~head[1:]).nonzero()[0]
     for start in range(0, len(tie), _TIE_CHUNK):
         pairs = tie[start:start + _TIE_CHUNK]
-        # Both sides of every pair in one call: the left ones first.
-        both = rows(order.take(np.concatenate((pairs, pairs + 1))))
+        # Both sides of every pair in one gather: the left ones first.
+        both = bits[order.take(np.concatenate((pairs, pairs + 1)))]
         if not np.array_equal(both[:len(pairs)], both[len(pairs):]):
-            return _runs(_exact_merge(rows(np.arange(len(order)))))
+            return _runs(_exact_merge(bits))
     return order, head
 
 
@@ -262,12 +261,9 @@ def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of first occurrence (the order a depth-first walk meets them), and
     for every row the position of its key among those.
 
-    Each row's fingerprint is its ``key_bits`` times
-    ``fingerprint_multipliers``; ``_fingerprint_runs`` groups the rows.
+    ``_group_rows`` groups a rounded copy of the rows.
     """
-    bits = key_bits(keys.reshape(len(keys), -1).copy())
-    order, head = _fingerprint_runs(bits @ fingerprint_multipliers(bits.shape[1]), bits.__getitem__)
-    return _first_occurrence(order, head)
+    return _first_occurrence(*_group_rows(keys.reshape(len(keys), -1).copy()))
 
 
 def _child_ids(ids: np.ndarray, c: np.ndarray, M: int, Y: int) -> np.ndarray:
@@ -285,11 +281,11 @@ class TreeEvaluator:
     """Exact expectation over the Y-ary observation tree of one instance.
 
     Holds the matrices of one instance and horizon, the level kernel
-    (``expand``) that ``sweep`` and ``avf_frozen`` run on, and the DP's
-    factored levels (``next_level`` and ``leaf_pass``).  All internal
-    indices are 0-based; beliefs are tuples of read-only arrays, built
-    levels are arrays of shape (n, N, X), and factored ones are ids (n,
-    N) into a table (M, X).
+    (``expand``) that ``sweep`` runs on, and the DP's factored levels
+    (``next_level`` and ``leaf_pass``).  All internal indices are
+    0-based; beliefs are tuples of read-only arrays, built levels are
+    arrays of shape (n, N, X), and factored ones are ids (n, N) into a
+    table (M, X).
     """
 
     def __init__(self, inst: ModelInstance, horizon: int):
@@ -332,7 +328,7 @@ class TreeEvaluator:
         row M + m*M + i holding row i's filter on 0-based observation m.
         A child keeps its parent's ids, the propagated rows, except the
         worked project's, which becomes that filtered row's.  The rows
-        are grouped by rounded key once (``_fingerprint_runs``), giving
+        are grouped by rounded key once (``_group_rows``), giving
         each a canonical id in [0, K).  A dead filter gets likelihood
         0.0 and the id of its row's first live filter, so that a dead
         child adds nothing to a sum and its key is a live sibling's.
@@ -354,8 +350,7 @@ class TreeEvaluator:
         table = np.empty(((self.Y + 1) * M, X))
         table[:M] = propagated
         table[M:] = filtered.reshape(X, -1).T
-        bits = key_bits(table.copy())
-        order, head = _fingerprint_runs(bits @ fingerprint_multipliers(X), bits.__getitem__)
+        order, head = _group_rows(table.copy())
         canon = np.empty(len(order), dtype=np.uint64)
         canon[order] = head.cumsum() - 1
         if live.all():
@@ -373,11 +368,13 @@ class TreeEvaluator:
         their canonical ids are equal position by position, so a key is
         the uint64 sum_j canon[id_j] * K**j (unsigned as the
         fingerprints, so that both take one numpy sort), or, if K**N
-        exceeds 2**64, the row of N canonical ids, for ``_exact_merge``.
+        exceeds 2**64, the rank of the child's row of N canonical ids
+        among the distinct rows (``_exact_merge``).
         """
         M, N = len(canon) // (self.Y + 1), ids.shape[1]
         if K ** N > 2 ** 64:
-            return canon.take(_child_ids(ids, np.arange(ids.size * self.Y), M, self.Y))
+            rows = canon.take(_child_ids(ids, np.arange(ids.size * self.Y), M, self.Y))
+            return _exact_merge(rows)
         radix = K ** np.arange(N, dtype=np.uint64)
         passive = canon.take(ids)
         # The parent's key with the worked term swapped, in place in the
@@ -408,8 +405,8 @@ class TreeEvaluator:
             c = np.arange(ids.size * self.Y)
         else:
             c = live.take(ids, axis=0).ravel().nonzero()[0]
-            keys, d = keys.take(c, axis=0), d.take(c)
-        first, inverse = _first_occurrence(*_runs(keys if keys.ndim == 1 else _exact_merge(keys)))
+            keys, d = keys.take(c), d.take(c)
+        first, inverse = _first_occurrence(*_runs(keys))
         kids = _child_ids(ids, c.take(first), M, self.Y)
         # Keep the table rows the kept children use, in order.
         used = np.zeros(len(table), dtype=bool)
@@ -439,14 +436,11 @@ class TreeEvaluator:
         n, N = ids.shape
         table, d, _, canon, K = self._next_table(table, n)
         keys = self._child_keys(canon, K, ids)
-        if keys.ndim == 2:
-            count = int(_exact_merge(keys).max()) + 1
-        else:
-            keys.sort()
-            count = 1
-            for start in range(0, len(keys), _LEAF_CHUNK):
-                run = keys[start:start + _LEAF_CHUNK + 1]
-                count += int(np.count_nonzero(run[1:] != run[:-1]))
+        keys.sort()
+        count = 1
+        for start in range(0, len(keys), _LEAF_CHUNK):
+            run = keys[start:start + _LEAF_CHUNK + 1]
+            count += int(np.count_nonzero(run[1:] != run[:-1]))
         del keys
         # The 3-D np.dot gives each row the bits it has in a built level.
         table_rewards = np.dot(table[None], self.R)[0].reshape(self.Y + 1, -1)
@@ -573,59 +567,6 @@ def avf_evaluate(
     check_profile(inst, profile, t, T)
     _check_first_action(profile, first_action)
     return TreeEvaluator(inst, T).avf(t, profile.arrays(), first_action - 1)
-
-
-def avf_frozen(
-    inst: ModelInstance,
-    profile: BeliefProfile,
-    t: int,
-    T: int,
-    first_action: int,
-    reference: BeliefProfile,
-) -> float:
-    """Auxiliary value with continuation decisions frozen to a reference.
-
-    After the first action, each branch's decision is the myopic choice
-    computed from ``reference`` evolved along the same action/observation
-    history, not from the evaluated profile.  With reference == profile
-    this equals ``avf_evaluate``; the point of the frozen form is that
-    the value becomes linear in any single component of the profile, so
-    the basis decomposition W(x) = sum_i x^(n)(i) W(x with e_i in slot n)
-    holds exactly (the self-referencing form breaks it whenever a basis
-    substitution flips a downstream myopic choice).
-
-    Each level expands the evaluated profiles and their references under
-    the same actions; nothing is merged, and one backward pass sums each
-    node's likelihood-weighted child values in observation order.
-    """
-    check_profile(inst, profile, t, T)
-    check_profile(inst, reference, t, T)
-    _check_first_action(profile, first_action)
-    ev = TreeEvaluator(inst, T)
-    decide = myopic_policy(inst).decide
-    cur, ref = np.array((profile.arrays(),)), np.array((reference.arrays(),))
-    u = np.array([first_action - 1])
-    levels = []
-    for depth in range(t, T + 1):
-        values = np.dot(cur, ev.R)[np.arange(len(cur)), u]
-        if depth == T:
-            break
-        children, parent, _, obs, d = ev.expand(cur, u[:, None])
-        ref_children, ref_parent, _, ref_obs, _ = ev.expand(ref, u[:, None])
-        # Line each reference child up with the evaluated child of the
-        # same parent and observation.  Where the reference rules out a
-        # branch the evaluated profile reaches, the evaluated child is
-        # its own reference.
-        at = np.full(len(cur) * ev.Y, -1)
-        at[parent * ev.Y + obs] = np.arange(len(parent))
-        into = at[ref_parent * ev.Y + ref_obs]
-        ref = children.copy()
-        ref[into[into >= 0]] = ref_children[into >= 0]
-        levels.append((values, parent, d))
-        cur, u = children, decide(depth + 1, ref)
-    for rewards, parent, d in reversed(levels):
-        values = backup(rewards, parent, d, values, ev.beta)
-    return float(values[0])
 
 
 def policy_value(

@@ -92,10 +92,10 @@ def _inverse_cdf(
     row,
     u: np.ndarray,
     *,
-    out: np.ndarray | None = None,
-    threshold: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-    count: np.ndarray | None = None,
+    out: np.ndarray,
+    threshold: np.ndarray,
+    mask: np.ndarray,
+    count: np.ndarray,
 ) -> np.ndarray:
     """Categorical draws by inversion: for each uniform in ``u`` (in
     [0, 1)), the 0-based index of the first entry above it in the cdf
@@ -109,24 +109,18 @@ def _inverse_cdf(
     an ``int64`` through a slow casting loop, to a ``uint8`` through a
     fast one.
 
-    The keyword arguments are optional buffers, so that a caller drawing
+    The keyword arguments are the caller's buffers, so that drawing
     every slot allocates nothing: ``threshold`` (float, ``row``'s shape)
     for the gathered column, ``mask`` (bool) and ``count`` (an unsigned
     type that holds the count), both ``u``'s shape, and ``out`` (any
-    integer array of ``u``'s shape) for the draws.  Without ``out`` the
-    draws are returned as a new ``intp`` array.  ``row`` must be in
-    range: the gather wraps instead of checking, because a checked
-    ``take`` copies its ``out`` first.
+    integer array of ``u``'s shape), which receives and returns the
+    draws.  ``row`` must be in range: the gather wraps instead of
+    checking, because a checked ``take`` copies its ``out`` first.
     """
-    if count is None:
-        count = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[-1] - 1))
-    else:
-        count.fill(0)
+    count.fill(0)
     for k in range(cdf.shape[-1] - 1):
         below = np.less_equal(cdf[:, k].take(row, out=threshold, mode="wrap"), u, out=mask)
         np.add(count, below, out=count)
-    if out is None:
-        return count.astype(np.intp)
     np.copyto(out, count)
     return out
 

@@ -18,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ComplexSpectrumError, NonDiagonalizableError
-from .types import BeliefVector, RewardVector, TransitionMatrix
+from .types import RewardVector, TransitionMatrix
 
 IMAG_TOL = 1e-9
 UNIT_EIG_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
-SERIES_TERMS_CAP = 10_000
-#: Floor on |lambda_2| when sizing a truncated series.
-SERIES_EIG_FLOOR = 1e-6
 #: Slack allowed in each reward-separation margin.
 SEPARATION_TOL = 1e-10
 
@@ -111,40 +108,6 @@ def discount_matrices(dec: SpectralDecomposition, beta: float) -> DiscountMatric
     Upsilon = np.diag(ups)
     Q = dec.V @ Upsilon @ dec.V_inv
     return DiscountMatrices(Upsilon=Upsilon, Q=Q)
-
-
-def default_series_terms(beta: float, lam2: float) -> int:
-    """Truncation length so the geometric tail falls below 1e-12."""
-    base = beta * max(abs(lam2), SERIES_EIG_FLOOR)
-    if base <= 0.0:
-        return 1
-    n = math.ceil(math.log(1e-12) / math.log(base))
-    return max(1, min(n, SERIES_TERMS_CAP))
-
-
-def series_difference_oracle(
-    R: RewardVector,
-    A: TransitionMatrix,
-    beta: float,
-    x1: BeliefVector,
-    x2: BeliefVector,
-    n_terms: int,
-) -> float:
-    """Direct accumulation of R' sum_{i=1..n} (beta A')^i (x1 - x2).
-
-    Brute-force reference that the closed form R' Q' (x1 - x2) is checked
-    against; deliberately avoids the eigendecomposition.
-    """
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
-    A_T = A.rows.T
-    delta = x1.probs - x2.probs
-    total = 0.0
-    v = delta
-    for _ in range(n_terms):
-        v = beta * (A_T @ v)
-        total += float(R.values @ v)
-    return total
 
 
 @dataclass(frozen=True)

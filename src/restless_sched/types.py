@@ -114,15 +114,6 @@ class BeliefVector:
         return f"BeliefVector({self.probs.tolist()})"
 
 
-def basis_belief(i: int, dim: int) -> BeliefVector:
-    """Degenerate belief e_i (1-based): all mass on state ``i``."""
-    if not 1 <= i <= dim:
-        raise IndexError(f"state index {i} out of range 1..{dim}")
-    p = np.zeros(dim)
-    p[i - 1] = 1.0
-    return BeliefVector(p)
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Row-stochastic matrix; row i is the transition law out of state i."""
@@ -262,15 +253,6 @@ class ModelInstance:
     @classmethod
     def from_json(cls, text: str) -> "ModelInstance":
         return cls.from_json_dict(json.loads(text))
-
-
-def expected_reward(R: RewardVector, x: BeliefVector) -> float:
-    """Immediate expected reward R'x of working a project with belief x."""
-    if R.values.size != x.dim:
-        raise DimensionMismatchError(
-            f"reward dim {R.values.size} != belief dim {x.dim}"
-        )
-    return float(R.values @ x.probs)
 
 
 @dataclass(frozen=True)

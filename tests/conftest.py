@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,37 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
     return value + inst.beta * acc
 
 
+#: Longest series that ``default_series_terms`` sizes.
+SERIES_TERMS_CAP = 10_000
+#: Floor on |lambda_2| when sizing a truncated series.
+SERIES_EIG_FLOOR = 1e-6
+
+
+def default_series_terms(beta: float, lam2: float) -> int:
+    """Truncation length so the geometric tail falls below 1e-12."""
+    base = beta * max(abs(lam2), SERIES_EIG_FLOOR)
+    if base <= 0.0:
+        return 1
+    n = math.ceil(math.log(1e-12) / math.log(base))
+    return max(1, min(n, SERIES_TERMS_CAP))
+
+
+def series_difference_oracle(R, A, beta: float, x1, x2, n_terms: int) -> float:
+    """Direct accumulation of R' sum_{i=1..n} (beta A')^i (x1 - x2) for
+    a ``RewardVector``, a ``TransitionMatrix`` and two ``BeliefVector``s.
+
+    Brute-force reference that the closed form R' Q' (x1 - x2) is checked
+    against; deliberately avoids the eigendecomposition.
+    """
+    A_T = A.rows.T
+    total = 0.0
+    v = x1.probs - x2.probs
+    for _ in range(n_terms):
+        v = beta * (A_T @ v)
+        total += float(R.values @ v)
+    return total
+
+
 def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
     """The case intervals of lemma 2 (regime 1) or lemma 4 (regime 2) at
     t = 0 for one delta, by a loop over the powers: terms[i] = beta^i
@@ -289,9 +321,10 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 @pytest.fixture
 def exact_merges(monkeypatch) -> list:
     """One entry per ``policy._exact_merge`` call: the exact merge that
-    ``_fingerprint_runs`` falls back to for ``distinct_nodes`` and the
-    DP's table rows, and that keys the DP's children when their packed
-    keys would not fit in 64 bits."""
+    ``_group_rows`` falls back to for ``distinct_nodes`` and the DP's
+    table rows on a fingerprint collision, and that ranks the DP's
+    children's id rows when their packed keys would not fit in 64
+    bits."""
     import restless_sched.policy as policy_module
 
     calls = []

@@ -13,8 +13,8 @@ import pytest
 
 import restless_sched as rs
 from restless_sched.cli import main as cli_main
-from restless_sched.spectral import default_series_terms
 
+from conftest import default_series_terms, recursive_avf_frozen, series_difference_oracle
 from test_dp import brute_force_optimal
 
 GAP_TOL = 1e-9
@@ -118,7 +118,7 @@ def test_criterion_4_series_identity():
         x2 = rs.BeliefVector(rng.dirichlet(np.ones(X)))
         lam2 = max(abs(dec.eigenvalues[1:])) if X > 1 else 0.0
         n_terms = default_series_terms(beta, lam2)
-        truncated = rs.series_difference_oracle(R, A, beta, x1, x2, n_terms)
+        truncated = series_difference_oracle(R, A, beta, x1, x2, n_terms)
         closed = float(R.values @ disc.Q.T @ (x1.probs - x2.probs))
         worst = max(worst, abs(truncated - closed))
         done += 1
@@ -136,14 +136,13 @@ def test_criterion_5_decomposability():
         T = int(rng.integers(0, 4))
         u = int(rng.integers(1, inst.n_projects + 1))
         n = int(rng.integers(0, inst.n_projects))
-        lhs = rs.avf_frozen(inst, prof, 0, T, u, prof)
-        rhs = 0.0
         base = [b.probs.copy() for b in prof.beliefs]
+        lhs = recursive_avf_frozen(inst, base, base, 0, T, u - 1)
+        rhs = 0.0
         for i in range(inst.n_states):
             sub = [b.copy() for b in base]
             sub[n] = np.eye(inst.n_states)[i]
-            p2 = rs.BeliefProfile([rs.BeliefVector(b) for b in sub], 0)
-            rhs += base[n][i] * rs.avf_frozen(inst, p2, 0, T, u, prof)
+            rhs += base[n][i] * recursive_avf_frozen(inst, sub, base, 0, T, u - 1)
         worst = max(worst, abs(lhs - rhs))
         done += 1
     ok = worst <= DECOMP_TOL

@@ -16,6 +16,7 @@ from restless_sched import (
     lemma2_bounds,
     lemma4_bounds,
     stay_policy,
+    verify_assumption1,
 )
 from restless_sched.bounds import _interval_table
 from restless_sched.policy import TreeEvaluator
@@ -268,6 +269,22 @@ class TestCheckBoundsSuite:
         monkeypatch.setattr(np.random, "default_rng", None)
         for regime in (None, 1, 2):
             with pytest.raises(ValueError, match="distinct first and last rows of A"):
+                check_bounds_suite(inst, 30, 0, regime=regime)
+
+    def test_constant_reward_rejected(self, monkeypatch):
+        # A constant R still verifies as Assumption 1, but every drawn
+        # belief then ties on immediate reward, so case C3 (u' = l != u)
+        # can never be realized; the suite refuses before any draw.
+        gen = gen_assumption1_instance(GeneratorParams(), 3)
+        inst = ModelInstance(
+            gen.n_projects, gen.n_states, gen.n_obs, gen.A, gen.B,
+            np.ones(gen.n_states), gen.beta, gen.initial_beliefs,
+        )
+        assert verify_assumption1(inst).regime == "Assumption1"
+        assert not np.array_equal(inst.A.rows[0], inst.A.rows[-1])
+        monkeypatch.setattr(np.random, "default_rng", None)
+        for regime in (None, 1, 2):
+            with pytest.raises(ValueError, match="immediate rewards differ"):
                 check_bounds_suite(inst, 30, 0, regime=regime)
 
     @pytest.mark.parametrize("regime, gen, case", [

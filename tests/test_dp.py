@@ -32,12 +32,15 @@ from restless_sched import (
     round_robin_policy,
     seeded_random_policy,
     stay_policy,
+    verify_assumption1,
 )
 from restless_sched.cli import main
 from restless_sched.policy import TreeEvaluator, backup, distinct_nodes
 from restless_sched.types import ModelInstance
 
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
+#: The deep base instance (N = X = Y = 3), as the simulate-mc workload holds it.
+DEEP_BASE = DEEP.parent / "simulate.json"
 
 
 def _successors(inst: ModelInstance, beliefs, u):
@@ -458,7 +461,7 @@ class TestLeafPass:
         ev = TreeEvaluator(inst, 3)
         want = reference_level(ev, level)
         # The DP interns the next table's rows through
-        # _fingerprint_runs, which falls back to the exact merge once per
+        # _group_rows, which falls back to the exact merge once per
         # level; it neither builds the level nor goes through
         # distinct_nodes.
         calls = []
@@ -519,9 +522,38 @@ def many_projects_instance() -> ModelInstance:
     return ModelInstance(16, 2, 2, A, B, np.array([0.0, 1.0]), 0.7, x0)
 
 
+def verified_many_projects_instance() -> ModelInstance:
+    """The deep base instance with N=9 projects, project i starting at
+    (1 - w_i) A[0] + w_i A[-1] for w = linspace(0.1, 0.9, 9): on the
+    segment between the extreme rows, so it verifies as Assumption 1.
+    The next table below depth 2 has 243 distinct rows, and 243**9 >
+    2**64, so packed child keys overflow from there on."""
+    base = ModelInstance.from_json_dict(json.loads(DEEP_BASE.read_text())["instance"])
+    A = base.A.rows
+    x0 = [(1 - w) * A[0] + w * A[-1] for w in np.linspace(0.1, 0.9, 9)]
+    return ModelInstance(9, base.n_states, base.n_obs, base.A, base.B, base.R, base.beta, x0)
+
+
 class TestPackedKeys:
     """A child's key is its N canonical table-row ids packed into one
-    uint64 while they fit, and ``_exact_merge`` over them when not."""
+    uint64 while they fit, and the rank of its id row among the distinct
+    ones (``_exact_merge``) when not."""
+
+    def test_verified_instance_overflows_in_both_passes(self, exact_merges, monkeypatch):
+        inst = verified_many_projects_instance()
+        assert verify_assumption1(inst).regime == "Assumption1"
+        shapes = []
+        monkeypatch.setattr(
+            policy_module, "_exact_merge",
+            lambda a, merge=policy_module._exact_merge: shapes.append(a.shape) or merge(a),
+        )
+        rep = certify_myopic(inst, 4)
+        assert rep.per_depth_node_counts == (1, 19, 361, 6859, 130321)
+        assert rep.gap == 0.0 and rep.best_action == 9
+        assert rep.optimal_value == rep.myopic_value == 3.5372748022877536
+        # Once in next_level (depth 2's children) and once in leaf_pass.
+        assert shapes == [(9747, 9), (185193, 9)]
+        assert exact_merges == [1, 1]
 
     def test_overflowing_keys_take_the_exact_merge(self, exact_merges):
         inst = many_projects_instance()
@@ -662,11 +694,11 @@ class TestFilterWork:
         doc = json.loads(DEEP.read_text())
         inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
         rows = []
-        runs = policy_module._fingerprint_runs
+        group = policy_module._group_rows
         monkeypatch.setattr(
             policy_module,
-            "_fingerprint_runs",
-            lambda f, r: rows.append(len(f)) or runs(f, r),
+            "_group_rows",
+            lambda r: rows.append(len(r)) or group(r),
         )
         certify_myopic(inst, doc["horizon"])
         assert len(rows) == doc["horizon"] and sum(rows) < 10_000

@@ -10,7 +10,6 @@ from restless_sched import (
     ModelInstance,
     ObservationMatrix,
     TransitionMatrix,
-    basis_belief,
     filter_update,
     find_threshold_K,
     obs_likelihood,
@@ -24,7 +23,7 @@ B = ObservationMatrix([[0.99, 0.01], [0.01, 0.99]])
 
 class TestPropagate:
     def test_basis_vector(self):
-        z = propagate(A, basis_belief(1, 2))
+        z = propagate(A, BeliefVector([1.0, 0.0]))
         assert np.allclose(z.probs, [0.9, 0.1])
 
     def test_stationary_point(self):
@@ -47,17 +46,17 @@ class TestObsLikelihood:
 
     def test_hand_value(self):
         # z = A'e_1 = (0.9, 0.1); d(e_1, 2) = 0.9*0.01 + 0.1*0.99 = 0.108.
-        assert obs_likelihood(A, B, basis_belief(1, 2), 2) == pytest.approx(0.108)
+        assert obs_likelihood(A, B, BeliefVector([1.0, 0.0]), 2) == pytest.approx(0.108)
 
     def test_bad_index(self):
         with pytest.raises(IndexError):
-            obs_likelihood(A, B, basis_belief(1, 2), 3)
+            obs_likelihood(A, B, BeliefVector([1.0, 0.0]), 3)
 
 
 class TestFilterUpdate:
     def test_hand_posterior(self):
         # T(e_1, 2) = (0.9*0.01, 0.1*0.99)/0.108 = (1/12, 11/12).
-        post = filter_update(A, B, basis_belief(1, 2), 2)
+        post = filter_update(A, B, BeliefVector([1.0, 0.0]), 2)
         assert np.allclose(post.probs, [1 / 12, 11 / 12])
 
     def test_identity_observation_pins_state(self):

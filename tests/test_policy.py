@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import recursive_avf, recursive_avf_frozen, reference_filter
+from conftest import recursive_avf, reference_filter
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
     DimensionMismatchError,
     ModelInstance,
     avf_evaluate,
-    avf_frozen,
-    expected_reward,
     gen_assumption1_instance,
     gen_assumption2_instance,
     myopic_action,
@@ -143,7 +141,7 @@ class TestAvfEvaluate:
     def test_terminal_slot_is_immediate_reward(self, two_state_instance):
         prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
         for u in (1, 2):
-            want = expected_reward(two_state_instance.R, prof.beliefs[u - 1])
+            want = float(two_state_instance.R.values @ prof.beliefs[u - 1].probs)
             assert avf_evaluate(two_state_instance, prof, 3, 3, u) == pytest.approx(want)
 
     def test_one_step_hand_expansion(self, two_state_instance):
@@ -153,12 +151,12 @@ class TestAvfEvaluate:
         prof = BeliefProfile(inst.initial_beliefs, 0)
         u = 1
         got = avf_evaluate(inst, prof, 0, 1, u)
-        want = expected_reward(inst.R, prof.beliefs[0])
+        want = float(inst.R.values @ prof.beliefs[0].probs)
         for m in (0, 1):
             d, worked = reference_filter(A, B, prof.beliefs[0].probs, m)
             stepped = [BeliefVector(worked), BeliefVector(A.T @ prof.beliefs[1].probs)]
             nxt = myopic_action(BeliefProfile(stepped, 1), inst.R)
-            want += inst.beta * d * expected_reward(inst.R, stepped[nxt - 1])
+            want += inst.beta * d * float(inst.R.values @ stepped[nxt - 1].probs)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_beta_zero_collapses_to_immediate(self, two_state_instance):
@@ -168,7 +166,7 @@ class TestAvfEvaluate:
         )
         prof = BeliefProfile(inst0.initial_beliefs, 0)
         got = avf_evaluate(inst0, prof, 0, 4, 2)
-        assert got == pytest.approx(expected_reward(inst0.R, prof.beliefs[1]))
+        assert got == pytest.approx(float(inst0.R.values @ prof.beliefs[1].probs))
 
     def test_bad_action_raises(self, two_state_instance):
         prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
@@ -241,7 +239,7 @@ class TestPolicyValue:
         T = 3
 
         def manual(t, x):
-            v = expected_reward(inst.R, x)
+            v = float(inst.R.values @ x.probs)
             if t == T:
                 return v
             acc = 0.0
@@ -289,78 +287,9 @@ class TestSlotAndHorizonChecks:
         calls = (
             lambda t, T: policy_value(inst, prof, t, T, myopic_policy(inst)),
             lambda t, T: avf_evaluate(inst, prof, t, T, 1),
-            lambda t, T: avf_frozen(inst, prof, t, T, 1, prof),
             lambda t, T: optimal_value(inst, prof, t, T),
         )
         for call in calls:
             for t, T in ((-2, 1), (-1, 0), (0, -1)):
                 with pytest.raises(ValueError):
                     call(t, T)
-
-
-class TestAvfFrozen:
-    def test_self_reference_matches_avf(self, two_state_instance):
-        inst = two_state_instance
-        prof = BeliefProfile(inst.initial_beliefs, 0)
-        for u in (1, 2):
-            a = avf_evaluate(inst, prof, 0, 3, u)
-            b = avf_frozen(inst, prof, 0, 3, u, prof)
-            assert a == pytest.approx(b, abs=1e-12)
-
-    def test_basis_decomposition_exact(self, two_state_instance):
-        # With continuation decisions frozen to the original profile the
-        # value is linear in each component, so the basis expansion is
-        # exact; re-deriving decisions per substituted profile breaks it.
-        inst = two_state_instance
-        beliefs = [np.array([0.55, 0.45]), np.array([0.25, 0.75])]
-        prof = BeliefProfile([BeliefVector(b) for b in beliefs], 0)
-        for u in (1, 2):
-            for n in (0, 1):
-                lhs = avf_frozen(inst, prof, 0, 3, u, prof)
-                rhs = 0.0
-                for i in range(2):
-                    sub = list(beliefs)
-                    sub[n] = np.eye(2)[i]
-                    p2 = BeliefProfile([BeliefVector(b) for b in sub], 0)
-                    rhs += beliefs[n][i] * avf_frozen(inst, p2, 0, 3, u, prof)
-                assert lhs == pytest.approx(rhs, abs=1e-9)
-
-    def test_matches_memo_free_recursion(self, small_params, absorbing_instance):
-        # References apart from the profiles in both regimes.  On the
-        # absorbing instance a belief on state 1 rules out observation 2:
-        # a reference there cannot follow a branch the profile reaches
-        # (the profile is its own reference below it), and the reverse.
-        rng = np.random.default_rng(6)
-        on_1, mixed = [1.0, 0.0], [0.5, 0.5]
-        cases = [
-            (absorbing_instance, [mixed, mixed], [on_1, on_1]),
-            (absorbing_instance, [on_1, mixed], [mixed, on_1]),
-            (absorbing_instance, [on_1, on_1], [mixed, [0.2, 0.8]]),
-        ]
-        for inst in (
-            gen_assumption1_instance(small_params, 3),
-            gen_assumption2_instance(small_params, 1009),
-        ):
-            drawn = rng.dirichlet(np.ones(inst.n_states), size=(3, inst.n_projects))
-            base = [x.probs for x in inst.initial_beliefs]
-            cases += [(inst, drawn[0], drawn[1]), (inst, base, drawn[2])]
-        for inst, beliefs, reference in cases:
-            prof, ref = BeliefProfile(beliefs), BeliefProfile(reference)
-            for T in (0, 1, 3):
-                for t in range(T + 1):
-                    for u in range(inst.n_projects):
-                        got = avf_frozen(inst, prof, t, T, u + 1, ref)
-                        want = recursive_avf_frozen(
-                            inst, prof.arrays(), ref.arrays(), t, T, u
-                        )
-                        assert got == pytest.approx(want, rel=0, abs=1e-12)
-
-    def test_profile_and_reference_must_fit_instance(self, two_state_instance):
-        inst = two_state_instance
-        fit = BeliefProfile(inst.initial_beliefs, 0)
-        for beliefs in MISFITS:
-            misfit = BeliefProfile(beliefs, 0)
-            with pytest.raises(DimensionMismatchError):
-                avf_frozen(inst, misfit, 0, 2, 1, misfit)
-            with pytest.raises(DimensionMismatchError):
-                avf_frozen(inst, fit, 0, 2, 1, misfit)

@@ -331,13 +331,24 @@ class TestSampleTrajectory:
         assert set(np.unique(tr.observations)) <= set(range(1, inst.n_obs + 1))
 
 
+def inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
+    """``_inverse_cdf`` into freshly allocated buffers: ``intp`` draws."""
+    return _inverse_cdf(
+        cdf, row, u,
+        out=np.empty(u.shape, dtype=np.intp),
+        threshold=np.empty(np.shape(row)),
+        mask=np.empty(u.shape, dtype=bool),
+        count=np.empty(u.shape, dtype=np.min_scalar_type(cdf.shape[-1] - 1)),
+    )
+
+
 class TestInverseCdf:
     def test_explicit_uniforms(self):
         cdf = _cdf(np.array([[0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]))
         u = np.array([0.0, 0.2499, 0.25, 0.7499, 0.75, 0.999999])
-        assert _inverse_cdf(cdf, 0, u).tolist() == [0, 0, 1, 1, 2, 2]
-        assert _inverse_cdf(cdf, 1, u).tolist() == [2] * 6
-        assert _inverse_cdf(cdf, np.array([1, 0]), np.array([0.5, 0.5])).tolist() == [2, 1]
+        assert inverse_cdf(cdf, 0, u).tolist() == [0, 0, 1, 1, 2, 2]
+        assert inverse_cdf(cdf, 1, u).tolist() == [2] * 6
+        assert inverse_cdf(cdf, np.array([1, 0]), np.array([0.5, 0.5])).tolist() == [2, 1]
 
     def test_top_of_short_distribution(self):
         # Validation accepts rows summing to 1 within 1e-9; a uniform
@@ -346,12 +357,12 @@ class TestInverseCdf:
         assert np.cumsum(pmf)[-1] < 1 - 1e-10
         cdf = _cdf(pmf)
         assert cdf[0, -1] == 1.0
-        assert _inverse_cdf(cdf, 0, np.array([1 - 1e-10])).tolist() == [1]
+        assert inverse_cdf(cdf, 0, np.array([1 - 1e-10])).tolist() == [1]
 
     def test_trailing_zero_probability_never_drawn(self):
         cdf = _cdf(np.array([[0.5, 0.5 - 1e-9, 0.0]]))
         u = np.array([1 - 1e-10, 0.9999999999999999])
-        assert _inverse_cdf(cdf, 0, u).tolist() == [1, 1]
+        assert inverse_cdf(cdf, 0, u).tolist() == [1, 1]
 
     @pytest.mark.parametrize("X", [2, 3, 257])
     def test_matches_argmax_reference(self, X):
@@ -367,7 +378,7 @@ class TestInverseCdf:
         row = np.repeat(np.arange(4), [len(v) for v in u])
         u = np.concatenate(u)
         assert np.isin(cdf[cdf < 1.0], u).all()
-        got = _inverse_cdf(cdf, row, u)
+        got = inverse_cdf(cdf, row, u)
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, np.argmax(cdf[row] > u[:, None], axis=1))
 

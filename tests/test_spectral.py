@@ -9,11 +9,9 @@ from restless_sched import (
     discount_matrices,
     eigendecompose,
     reward_separation_check,
-    series_difference_oracle,
 )
-from restless_sched.spectral import default_series_terms
 
-from conftest import random_stochastic
+from conftest import default_series_terms, random_stochastic, series_difference_oracle
 
 A2 = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])  # eigenvalues 1, 0.7
 

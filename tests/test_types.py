@@ -12,8 +12,6 @@ from restless_sched import (
     ObservationMatrix,
     RewardVector,
     TransitionMatrix,
-    basis_belief,
-    expected_reward,
     validate_instance,
 )
 from restless_sched.policy import distinct_nodes
@@ -47,10 +45,6 @@ class TestBeliefVector:
         b = BeliefVector([0.3 + 1e-14, 0.7 - 1e-14])
         assert a == b
         assert hash(a) == hash(b)
-
-    def test_basis_belief_one_based(self):
-        e2 = basis_belief(2, 3)
-        assert np.array_equal(e2.probs, [0.0, 1.0, 0.0])
 
     def test_belief_key_negative_zero_normalized(self):
         assert belief_key(np.array([0.0, 1.0])) == belief_key(np.array([-0.0, 1.0]))
@@ -154,10 +148,6 @@ class TestModelInstance:
     def test_document_that_is_not_an_object_raises_value_error(self):
         with pytest.raises(ValueError, match="must be an object, not list"):
             ModelInstance.from_json("[]")
-
-    def test_expected_reward(self):
-        r = expected_reward(RewardVector([1.0, 3.0]), BeliefVector([0.5, 0.5]))
-        assert r == pytest.approx(2.0)
 
 
 class TestValidateInstance:
