@@ -10,8 +10,9 @@ failure (regime Neither, nonzero gap, bound violation, generation
 failure, and in ``certify-sweep`` any seed that fails to generate or,
 with ``--violate``, no instance certified), 2 usage or format error,
 including ``bounds`` on an instance with one project, one state,
-equal first and last rows of A or no verified regime and a
-``--violate`` that names no clause of ``--regime``.
+first and last rows of A whose immediate rewards R'A[0] and R'A[-1]
+lie within ``ARGMAX_TOL`` (equal rows or a constant R) or no verified
+regime, and a ``--violate`` that names no clause of ``--regime``.
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ def _cmd_bounds(args) -> int:
         samples = check_bounds_suite(inst, args.samples, args.seed)
     except ValueError as e:
         # An instance the suite cannot run on: one project, one state,
-        # equal first and last rows of A, or neither regime.
+        # first and last rows of A with immediate rewards within
+        # ARGMAX_TOL (equal rows or a constant R), or neither regime.
         raise _UsageError(str(e)) from e
     rows = ["case,t,T,slack_low,slack_high,verdict"]
     rows += [

@@ -10,10 +10,12 @@ filtered once per depth (``TreeEvaluator.next_level``), and whose
 nodes are merged on their rows' canonical ids packed into one integer.
 The deepest level is not built: ``TreeEvaluator.leaf_pass`` values the
 leaves from their parents' ids and the next depth's table, a chunk at a
-time, backs them up into their parents and counts them.  One backward
-sweep then yields the optimal value, the myopic value and the per-node
-agreement of the two (the exact finite-horizon POMDP backup of Smallwood
-& Sondik, Oper. Res. 1973).  Exact certificates stay exponential in the
+time, backs them up into their parents and counts them.  A dead
+(zero-likelihood) child is its first live sibling at likelihood 0.0
+(``filtering.filter_rows``).  One backward sweep then yields the
+optimal value, the myopic value and the per-node agreement of the two
+(the exact finite-horizon POMDP backup of Smallwood & Sondik, Oper.
+Res. 1973).  Exact certificates stay exponential in the
 horizon (restless bandits are PSPACE-hard: Papadimitriou & Tsitsiklis,
 Math. Oper. Res. 1999); the tables cut the float work per level from the
 node count to the table size.

@@ -9,7 +9,8 @@ The worked project's belief is updated by the HMM filter
 of A'x and of T(x, m) on every observation.  The tree kernel
 (``policy.TreeEvaluator``), the clause-3 threshold search, the power
 terms of ``bounds`` and the validated one-belief steps here all call
-them, and node counts hang on their last bits.
+them, and node counts hang on their last bits.  ``filter_rows`` is
+also the tree kernels' one zero-likelihood rule (see there).
 
 The simulator is the one exception: it propagates its history table
 with one gemm and filters only the observation that occurred.  On the
@@ -77,13 +78,16 @@ def filter_rows(z: np.ndarray, B: np.ndarray):
     C-contiguous (K, n, X) ``z`` on every observation m of B (X, Y).
 
     Returns (likelihood (K, n, Y), live, filtered (X, Y, K, n)), where
-    ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``; the rows
-    of other branches are left unnormalised.  Each of the K likelihood
-    products is one (n, X) @ (X, Y) matrix product.  The filter itself
-    is elementwise, so its bits do not depend on the layout, which puts
-    the long axis last.  Each row sum adds the X columns one after
-    another, in order, never pairwise.  A live row whose sum drifts
-    from 1 by more than ``FILTER_SUM_TOL`` raises ``InvalidBeliefError``.
+    ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``.  A dead
+    branch's row is its first live sibling's, so a tree kernel that
+    weights it by 0.0 merges it into that node and adds nothing to a
+    sum.  Each of the K likelihood products is one (n, X) @ (X, Y)
+    matrix product.
+    The filter itself is elementwise, so its bits do not depend on the
+    layout, which puts the long axis last.  Each row sum adds the X
+    columns one after another, in order, never pairwise.  A live row
+    whose sum drifts from 1 by more than ``FILTER_SUM_TOL`` raises
+    ``InvalidBeliefError``.
     """
     d = z @ B
     live = d > LIKELIHOOD_FLOOR
@@ -96,6 +100,9 @@ def filter_rows(z: np.ndarray, B: np.ndarray):
         first = s.transpose(1, 2, 0)[drift.transpose(1, 2, 0)][0]
         raise InvalidBeliefError(f"filter output sums to {first}; mass lost beyond tolerance")
     filtered /= np.where(live_t, s, 1.0)
+    if not live.all():
+        sibling = np.take_along_axis(filtered, live_t.argmax(axis=0)[None, None], axis=1)
+        np.copyto(filtered, sibling, where=~live_t)
     return d, live, filtered
 
 

@@ -34,7 +34,9 @@ and filter each table row once into the next depth's table
 time without building it, backs it up and counts it.  A deep T=6
 certificate filters 2,093 table rows where built levels filtered 58,824
 project rows.  Every level takes A'x and T(x, m) from
-``filtering.propagate_rows`` and ``filtering.filter_rows``.
+``filtering.propagate_rows`` and ``filtering.filter_rows``, and keeps
+all Y children of a worked node: a dead (zero-likelihood) one is its
+first live sibling (``filter_rows``) at likelihood 0.0.
 
 Rows are grouped by rounded key in ``_group_rows``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
@@ -182,11 +184,6 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
     return np.cumprod(np.full(n_columns, _BASE))
 
 
-#: Tied pairs that ``_group_rows`` compares at a time.  The largest
-#: tie set is a deep T=8 certificate's depth-7 table: 63,349 tied pairs
-#: of its 83,032 rows, whose key rows at once would take 2 x 1.5 MB.
-_TIE_CHUNK = 4096
-
 #: Leaves that ``TreeEvaluator.leaf_pass`` values at a time, in whole
 #: parents, so that its arrays stay in the heap and cache.
 _LEAF_CHUNK = 8192
@@ -210,20 +207,16 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each row's fingerprint is its key bits times
     ``fingerprint_multipliers``, summed modulo 2**64.  The rows are
-    sorted by fingerprint, and each pair of neighbours that share one is
-    compared bit for bit, ``_TIE_CHUNK`` pairs at a time.  If two
-    different rows share a fingerprint, the rows are grouped by
-    ``_exact_merge`` of all their key bits instead.
+    sorted by fingerprint, and every pair of neighbours that share one
+    is compared bit for bit.  If two different rows share a fingerprint,
+    the rows are grouped by ``_exact_merge`` of all their key bits
+    instead.
     """
     bits = key_bits(rows)
     order, head = _runs(bits @ fingerprint_multipliers(bits.shape[1]))
     tie = (~head[1:]).nonzero()[0]
-    for start in range(0, len(tie), _TIE_CHUNK):
-        pairs = tie[start:start + _TIE_CHUNK]
-        # Both sides of every pair in one gather: the left ones first.
-        both = bits[order.take(np.concatenate((pairs, pairs + 1)))]
-        if not np.array_equal(both[:len(pairs)], both[len(pairs):]):
-            return _runs(_exact_merge(bits))
+    if not np.array_equal(bits[order.take(tie)], bits[order.take(tie + 1)]):
+        return _runs(_exact_merge(bits))
     return order, head
 
 
@@ -299,25 +292,20 @@ class TreeEvaluator:
         self.Y = inst.n_obs
 
     def expand(self, level: np.ndarray, actions: np.ndarray):
-        """Children of every profile in ``level`` (n, N, X) under each
-        column of ``actions`` (n, K) of 0-based projects.
+        """Children of every profile in ``level`` (n, N, X) when each works
+        its 0-based project in ``actions`` (n,).
 
-        Returns (children, parent, column, observation, likelihood): one
-        entry per child, ordered by parent, then action column, then
-        0-based observation; zero-likelihood branches are skipped.
+        Returns (children, likelihood): one entry per child, ordered by
+        parent, then 0-based observation.  A zero-likelihood child is its
+        first live sibling (``filter_rows``) at likelihood 0.0.
         """
-        n, K = actions.shape
-        rows = np.arange(n)
-        worked = actions.T
+        rows = np.arange(len(level))
         propagated = propagate_rows(self.A_T, level)
-        d, live, filtered = filter_rows(propagated[rows, worked], self.B)
-        children = np.empty((n, K, self.Y) + level.shape[1:])
-        children[...] = propagated[:, None, None]
-        children[rows, np.arange(K)[:, None], :, worked] = filtered.transpose(2, 3, 1, 0)
-        live = live.transpose(1, 0, 2)
-        parent, column, observation = np.nonzero(live)
-        children = children.reshape((-1,) + level.shape[1:]) if live.all() else children[live]
-        return children, parent, column, observation, d.transpose(1, 0, 2)[live]
+        d, live, filtered = filter_rows(propagated[rows, actions][None], self.B)
+        children = np.empty((len(level), self.Y) + level.shape[1:])
+        children[...] = propagated[:, None]
+        children[rows, :, actions] = filtered[:, :, 0].T
+        return children.reshape((-1,) + level.shape[1:]), np.where(live, d, 0.0).ravel()
 
     def _next_table(self, table: np.ndarray, n: int):
         """The next depth's table below ``table`` (M, X), the rows of a
@@ -329,12 +317,12 @@ class TreeEvaluator:
         A child keeps its parent's ids, the propagated rows, except the
         worked project's, which becomes that filtered row's.  The rows
         are grouped by rounded key once (``_group_rows``), giving
-        each a canonical id in [0, K).  A dead filter gets likelihood
-        0.0 and the id of its row's first live filter, so that a dead
-        child adds nothing to a sum and its key is a live sibling's.
+        each a canonical id in [0, K).  A dead filter's row is its first
+        live sibling's (``filter_rows``), so it shares that row's id, and
+        its likelihood is 0.0.
 
-        Returns (next table (M + Y*M, X), likelihood (M, Y), live (M, Y)
-        or None if every filter is live, canonical ids, K).
+        Returns (next table (M + Y*M, X), likelihood (M, Y), canonical
+        ids, K).
         """
         M, X = table.shape
         propagated = propagate_rows(self.A_T, table)
@@ -344,7 +332,6 @@ class TreeEvaluator:
         # filters its rows one at a time, as a built one would.
         z = propagated[:, None] if n == 1 else propagated[None]
         d, live, filtered = filter_rows(z, self.B)
-        d, live = d.reshape(M, -1), live.reshape(M, -1)
         # C order, which np.concatenate would not keep when M = 1: a
         # strided row gets other bits from np.dot.
         table = np.empty(((self.Y + 1) * M, X))
@@ -353,13 +340,7 @@ class TreeEvaluator:
         order, head = _group_rows(table.copy())
         canon = np.empty(len(order), dtype=np.uint64)
         canon[order] = head.cumsum() - 1
-        if live.all():
-            live = None
-        else:
-            d = np.where(live, d, 0.0)
-            worked = canon[M:].reshape(self.Y, M)
-            np.copyto(worked, worked[live.argmax(axis=1), np.arange(M)], where=~live.T)
-        return table, d, live, canon, int(np.count_nonzero(head))
+        return table, np.where(live, d, 0.0).reshape(M, -1), canon, int(np.count_nonzero(head))
 
     def _child_keys(self, canon: np.ndarray, K: int, ids: np.ndarray) -> np.ndarray:
         """One exact key per child (parent, action, observation) of the
@@ -394,25 +375,20 @@ class TreeEvaluator:
 
         Returns (table, ids, segment, likelihood, inverse): the kept
         children as ids into the next depth's table, cut to the rows
-        they use, in order; and per live child its flat index parent * N
-        + action, its likelihood and the position of its key among the
+        they use, in order; and per child its flat index parent * N +
+        action, its likelihood and the position of its key among the
         kept children.
         """
         M = len(table)
-        table, d, live, canon, K = self._next_table(table, len(ids))
-        keys, d = self._child_keys(canon, K, ids), d.take(ids, axis=0).ravel()
-        if live is None:
-            c = np.arange(ids.size * self.Y)
-        else:
-            c = live.take(ids, axis=0).ravel().nonzero()[0]
-            keys, d = keys.take(c), d.take(c)
-        first, inverse = _first_occurrence(*_runs(keys))
-        kids = _child_ids(ids, c.take(first), M, self.Y)
+        table, d, canon, K = self._next_table(table, len(ids))
+        first, inverse = _first_occurrence(*_runs(self._child_keys(canon, K, ids)))
+        kids = _child_ids(ids, first, M, self.Y)
         # Keep the table rows the kept children use, in order.
         used = np.zeros(len(table), dtype=bool)
         used[kids] = True
         renumber = used.cumsum() - 1
-        return table[used], renumber.take(kids), c // self.Y, d, inverse
+        segment = np.arange(ids.size).repeat(self.Y)
+        return table[used], renumber.take(kids), segment, d.take(ids, axis=0).ravel(), inverse
 
     def leaf_pass(self, table: np.ndarray, ids: np.ndarray, rewards: np.ndarray):
         """The children of the nodes ``ids`` (n, N) of ``table`` (M, X),
@@ -431,10 +407,11 @@ class TreeEvaluator:
         values take as many children at a time, rewards gathered from one
         ``np.dot`` over the table as over built children, summed over
         each action's observations in order from 0.0: the terms and
-        order of ``backup``'s ``np.bincount``.
+        order of ``backup``'s ``np.bincount``.  A dead leaf is its first
+        live sibling at likelihood 0.0.
         """
         n, N = ids.shape
-        table, d, _, canon, K = self._next_table(table, n)
+        table, d, canon, K = self._next_table(table, n)
         keys = self._child_keys(canon, K, ids)
         keys.sort()
         count = 1
@@ -472,8 +449,8 @@ class TreeEvaluator:
     def branches(self, beliefs: tuple, u: int):
         """(0-based observation, likelihood, stepped beliefs) per possible
         observation after working project u (0-based)."""
-        children, _, _, obs, d = self.expand(np.array((beliefs,)), np.array([[u]]))
-        return [(int(m), float(p), tuple(c)) for m, p, c in zip(obs, d, children)]
+        children, d = self.expand(np.array((beliefs,)), np.array([u]))
+        return [(m, float(p), tuple(c)) for m, (p, c) in enumerate(zip(d, children)) if p > 0]
 
     def sweep(
         self,
@@ -513,8 +490,8 @@ class TreeEvaluator:
             grow = np.flatnonzero(horizon > depth)
             if not len(grow):
                 break
-            children, parent, _, _, d = self.expand(level[grow], u[grow, None])
-            parent = grow[parent]
+            children, d = self.expand(level[grow], u[grow])
+            parent = grow.repeat(self.Y)
             # The horizon as one more key column: an integer-valued
             # column rounds to itself, so it only splits keys.
             n = len(children)
@@ -606,7 +583,12 @@ def round_robin_policy(n_projects: int) -> PolicyRule:
 
 
 def seeded_random_policy(n_projects: int, seed: int) -> PolicyRule:
-    """Belief-blind pseudo-random choice, deterministic in (seed, slot)."""
+    """Belief-blind pseudo-random choice, deterministic in (seed, slot).
+    Fewer than one project or a negative seed raises ``ValueError``."""
+    if n_projects < 1:
+        raise ValueError(f"n_projects must be >= 1, got {n_projects}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
         pick = int(np.random.default_rng((seed, t)).integers(n_projects))

@@ -452,6 +452,12 @@ def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
     )
 
 
+def same_bits(a, b) -> bool:
+    """Whether ``a`` and ``b`` hold the same dtype and bytes."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
 def report_bits(report) -> dict:
     """Every field of a ``ValueReport``, floats as their exact hex form."""
     return {k: v.hex() if isinstance(v, float) else v for k, v in report.to_json_dict().items()}

@@ -14,6 +14,7 @@ from conftest import (
     reference_solve,
     report_bits,
     row_keys,
+    same_bits,
 )
 
 import restless_sched.filtering as filtering_module
@@ -308,12 +309,12 @@ def leaf_instance(request, absorbing_instance) -> ModelInstance:
 
 def initial_level(inst: ModelInstance, depth: int) -> np.ndarray:
     """The DP's merged level at ``depth`` below the initial profile,
-    built by ``expand`` and merged by ``distinct_nodes``."""
+    built by ``reference_expand`` and merged by ``distinct_nodes``."""
     ev = TreeEvaluator(inst, depth)
     level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
     for _ in range(depth):
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
-        children = ev.expand(level, every_action)[0]
+        children = reference_expand(ev, level, every_action)[0]
         level = children[distinct_nodes(children)[0]]
     return level
 
@@ -337,12 +338,6 @@ def factorings(inst: ModelInstance, depth: int):
     n, N, X = level.shape
     trivial = level.reshape(-1, X), np.arange(n * N).reshape(n, N)
     return level, [trivial, initial_table(inst, depth)]
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 class TestLeafPass:
@@ -404,19 +399,24 @@ class TestLeafPass:
                 assert same_bits(g, w)
             assert count == want_count
 
-    @pytest.mark.parametrize("K", [1, 2, "every"])
-    def test_expand_matches_reference(self, leaf_instance, K):
+    @pytest.mark.parametrize("seed", [1, 2, "every"])
+    def test_expand_matches_reference(self, leaf_instance, seed):
+        """Random actions from ``seed``, or, for "every", each node once
+        per project, working it."""
         inst = leaf_instance
         level = initial_level(inst, 2)
         ev = TreeEvaluator(inst, 3)
-        if K == "every":
-            actions = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
+        if seed == "every":
+            level, actions = level.repeat(ev.N, axis=0), np.tile(np.arange(ev.N), len(level))
         else:
-            actions = np.random.default_rng(K).integers(0, ev.N, (len(level), K))
-        got = ev.expand(level, actions)
-        want = reference_expand(ev, level, actions)
-        for g, w in zip(got, want):
-            assert same_bits(g, w)
+            actions = np.random.default_rng(seed).integers(0, ev.N, len(level))
+        got_children, got_d = ev.expand(level, actions)
+        children, parent, _, obs, d = reference_expand(ev, level, actions[:, None])
+        live, dead, sibling = live_and_dead(parent, obs, ev.Y, len(got_d))
+        assert same_bits(got_children[live], children) and same_bits(got_d[live], d)
+        # A dead child is its first live sibling at likelihood 0.0.
+        assert same_bits(got_children[dead], got_children[sibling])
+        assert same_bits(got_d[dead], np.zeros(len(dead)))
 
     def test_children_of_different_parents_compared_whole(self, exact_merges):
         inst = rank_one_instance()
@@ -493,23 +493,39 @@ def reference_level(ev: TreeEvaluator, level: np.ndarray):
     built ``level``: ``reference_leaf_pass``, ``reference_expand``'s
     children under every action and their ``reference_merge``."""
     every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
-    children, parent, u, _, d = reference_expand(ev, level, every_action)
+    children, parent, u, obs, d = reference_expand(ev, level, every_action)
     leaf_pass = reference_leaf_pass(ev, level)
-    return leaf_pass, (children, parent * ev.N + u, d), reference_merge(children)
+    return leaf_pass, (children, parent * ev.N + u, obs, d), reference_merge(children)
+
+
+def live_and_dead(segment: np.ndarray, obs: np.ndarray, Y: int, n_children: int):
+    """Split ``n_children`` children, Y per segment in observation order,
+    by the reference's live children (``segment``, ``obs``): the live
+    ones' indices, the dead ones', and per dead child its first live
+    sibling's index."""
+    live = segment * Y + obs
+    dead = np.setdiff1d(np.arange(n_children), live)
+    return live, dead, live[np.searchsorted(segment, dead // Y)]
 
 
 def check_level(ev: TreeEvaluator, table: np.ndarray, ids: np.ndarray, want) -> None:
     """``leaf_pass`` and ``next_level`` of ``table`` and ``ids`` agree
-    bit for bit with ``reference_level`` of the level they factor."""
-    (*values, count), (children, segment, d), (first, inverse) = want
+    bit for bit with ``reference_level`` of the level they factor; a
+    dead child of ``next_level`` has likelihood 0.0 and its first live
+    sibling's key."""
+    (*values, count), (children, segment, obs, d), (first, inverse) = want
     *got, got_count = ev.leaf_pass(table.copy(), ids, np.dot(table[ids], ev.R))
     for g, w in zip(got, values):
         assert same_bits(g, w)
     assert got_count == count == len(first)
     table, ids, got_segment, got_d, got_inverse = ev.next_level(table, ids)
-    assert np.array_equal(got_inverse, inverse)
+    live, dead, sibling = live_and_dead(segment, obs, ev.Y, len(got_d))
+    assert np.array_equal(got_inverse[live], inverse)
     assert same_bits(table[ids], children[first])
-    assert np.array_equal(got_segment, segment) and same_bits(got_d, d)
+    assert np.array_equal(got_segment[live], segment) and same_bits(got_d[live], d)
+    assert np.array_equal(got_segment[dead], got_segment[sibling])
+    assert same_bits(got_d[dead], np.zeros(len(dead)))
+    assert np.array_equal(got_inverse[dead], got_inverse[sibling])
 
 
 def many_projects_instance() -> ModelInstance:
@@ -636,7 +652,7 @@ class TestLevelMerge:
         level = initial_level(inst, 4)
         ev = TreeEvaluator(inst, doc["horizon"])
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
-        children = ev.expand(level, every_action)[0]
+        children = reference_expand(ev, level, every_action)[0]
         assert len(children) == 21_609
         want = reference_merge(children)
         first, inverse = distinct_nodes(children)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import same_bits
 
 import restless_sched.filtering as filtering_module
 from restless_sched import (
@@ -118,3 +119,44 @@ class TestDriftCheck:
         monkeypatch.setattr(filtering_module, "FILTER_SUM_TOL", -1.0)
         with pytest.raises(InvalidBeliefError):
             call(two_state_instance)
+
+
+class TestDeadBranches:
+    """``filter_rows`` is the tree kernels' one zero-likelihood rule: a
+    dead branch's filtered row is its first live sibling's, bit for bit,
+    while the live rows and every likelihood stay as the filter made
+    them."""
+
+    @pytest.mark.parametrize("B", [
+        # absorbing_instance: state 1 never emits observation 2.
+        [[1.0, 0.0], [0.3, 0.7]],
+        # Its observations swapped: the dead branch comes first.
+        [[0.0, 1.0], [0.7, 0.3]],
+        # test_simulate.zero_likelihood_instance: each state has one
+        # observation it cannot emit.
+        [[0.6, 0.4, 0.0], [0.0, 0.5, 0.5], [0.2, 0.0, 0.8]],
+    ], ids=["absorbing", "silent-first", "zero-likelihood"])
+    def test_dead_row_is_first_live_sibling(self, B):
+        B = np.array(B)
+        X, Y = B.shape
+        rng = np.random.default_rng(5)
+        # Every point mass, each with a dead branch, and mixtures, which
+        # have none; two leading blocks, as the DP's filter passes them.
+        z = np.concatenate((np.eye(X), rng.dirichlet(np.ones(X), 3)))
+        z = np.stack((z, z[::-1]))
+        d, live, filtered = filtering_module.filter_rows(z, B)
+        assert same_bits(d, z @ B)
+        assert not live.all() and live.any(axis=-1).all()
+        for k, i in np.ndindex(*z.shape[:2]):
+            first = live[k, i].argmax()
+            for m in range(Y):
+                got = filtered[:, m, k, i]
+                if not live[k, i, m]:
+                    assert same_bits(got, filtered[:, first, k, i])
+                    continue
+                # The filter's own operations, row sum in order.
+                want = B[:, m] * z[k, i] / d[k, i, m]
+                s = want[0]
+                for w in want[1:]:
+                    s += w
+                assert same_bits(got, want / s)

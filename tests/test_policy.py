@@ -279,6 +279,12 @@ class TestPolicyValue:
             p2.decide(t, beliefs).tolist() for t in range(10)
         ]
 
+    @pytest.mark.parametrize("n_projects, seed, value", [(3, -1, "-1"), (0, 7, "0"), (-2, 7, "-2")])
+    def test_seeded_random_rejects_bad_arguments(self, n_projects, seed, value):
+        # At construction, not at the first decision inside numpy.
+        with pytest.raises(ValueError, match=f"got {value}$"):
+            seeded_random_policy(n_projects, seed)
+
 
 class TestSlotAndHorizonChecks:
     def test_negative_slot_rejected(self, two_state_instance):
