@@ -38,7 +38,7 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import propagate_rows
-from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy
+from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy, row_sum
 from .types import ModelInstance, valid_belief_rows
 
 #: Containment checked with this additive slack.
@@ -100,16 +100,6 @@ def _power_terms(inst: ModelInstance, deltas: np.ndarray, n_powers: int) -> np.n
     return scales * (powers @ inst.R.values[:, None])[..., 0, 0]
 
 
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    """Each row of ``terms`` (k, w) summed left to right from +0.0, as
-    numpy sums a row of fewer than 8 terms; it sums longer rows
-    pairwise."""
-    out = np.zeros(len(terms))
-    for column in terms.T:
-        out += column
-    return out
-
-
 def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray) -> np.ndarray:
     """Lower and upper bound of cases 1-3 of the regime's lemma for every
     row of ``deltas`` (k, X), row i over T - t = ``spans[i]`` slots (an
@@ -117,12 +107,14 @@ def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray)
     ``lemma4_bounds`` give the intervals.
 
     The terms of a row past its own span are +0.0, and every sum adds
-    a row's terms one after another, so each row gets the bits of a
-    table of its own span whatever the other rows' spans.
+    a row's terms left to right from +0.0 (``row_sum``), so each row
+    gets the bits of a table of its own span whatever the other rows'
+    spans.  Powers 0-2 are always computed, so that every sum has a
+    term.
     """
     _check_deltas(deltas)
     spans = np.broadcast_to(spans, len(deltas))
-    terms = _power_terms(inst, deltas, int(spans.max()))
+    terms = _power_terms(inst, deltas, max(2, int(spans.max())))
     terms[np.arange(terms.shape[1]) > spans[:, None]] = 0.0
     r_delta = terms[:, 0]
     table = np.empty((len(deltas), 3, 2))
@@ -130,11 +122,11 @@ def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray)
     if regime == 1:
         lower[:, 0] = r_delta
         lower[:, 1:] = 0.0
-        upper[:, 0] = upper[:, 2] = _sum_in_order(terms)
-        upper[:, 1] = _sum_in_order(terms[:, 1:])
+        upper[:, 0] = upper[:, 2] = row_sum(terms)
+        upper[:, 1] = row_sum(terms[:, 1:])
     else:
-        odd = _sum_in_order(terms[:, 1::2])  # powers 1, 3, ..., 2*ceil(span/2)-1
-        even = _sum_in_order(terms[:, 2::2])  # powers 2, 4, ..., 2*floor(span/2)
+        odd = row_sum(terms[:, 1::2])  # powers 1, 3, ..., 2*ceil(span/2)-1
+        even = row_sum(terms[:, 2::2])  # powers 2, 4, ..., 2*floor(span/2)
         lower[:, 0] = r_delta + odd
         lower[:, 1:] = odd[:, None]
         upper[:, 0] = upper[:, 2] = r_delta + even

@@ -15,14 +15,16 @@ action outside 0..N-1 (``check_decisions``).  Immediate rewards are
 ``np.dot(beliefs, R)`` everywhere: the myopic rule decides on the same
 product that the DP values nodes with.  ``row_max``, which the tie rule
 and the DP use, takes the maximum column by column, avoiding numpy's
-slow reduction over a short last axis.
+slow reduction over a short last axis; ``row_sum`` sums one the same
+way, left to right from +0.0, where numpy would sum 8 or more terms
+pairwise.
 
 The tree is grown one level at a time and summed backwards.
 ``TreeEvaluator.sweep`` follows one decision per node from many root
 profiles at once, each root up to its own horizon, on built levels of
-profiles (``TreeEvaluator.expand``) merged by rounded key
-(``distinct_nodes``); it gives ``policy_value`` and the auxiliary value
-function W^u_t (take action u at slot t, act myopically afterwards).
+profiles (``TreeEvaluator.expand``) merged by rounded key; it gives
+``policy_value`` and the auxiliary value function W^u_t (take action u
+at slot t, act myopically afterwards).
 
 The DP in ``dp`` works every action of every node, and its levels are
 factored: projects evolve independently, so a level is ``ids`` (n, N),
@@ -42,13 +44,12 @@ Rows are grouped by rounded key in ``_group_rows``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
 summed modulo 2**64), one sort, a bit-for-bit check of the rows that
 share one, and, if two different rows do, ``_exact_merge``, ``np.unique``
-over the rows.  It groups a sweep's built nodes (``distinct_nodes``) and
-each next table of the DP.  The DP keys a child by its N table rows'
-canonical ids packed into one exact integer, or, where that integer
-would pass 2**64, by the rank of its id row (``_exact_merge``); either
-key is grouped by one sort with no tie check.  Every value still comes
-from the unrounded table rows, so a factored level merges bit for bit
-as a built one.
+over the rows.  It groups a sweep's built nodes and each next table of
+the DP.  The DP keys a child by its N table rows' canonical ids packed
+into one exact integer, or, where that integer would pass 2**64, by the
+rank of its id row (``_exact_merge``); either key is grouped by one
+sort with no tie check.  Every value still comes from the unrounded
+table rows, so a factored level merges bit for bit as a built one.
 """
 
 from __future__ import annotations
@@ -130,6 +131,16 @@ def row_max(values: np.ndarray) -> np.ndarray:
     out = np.maximum(values[..., 0], values[..., -1])
     for k in range(1, values.shape[-1] - 1):
         np.maximum(out, values[..., k], out=out)
+    return out
+
+
+def row_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum along the last axis (at least one entry), into ``out`` if
+    given, added column by column from +0.0, where ``values.sum(axis=-1)``
+    adds 8 or more terms pairwise.  A lone -0.0 sums to +0.0."""
+    out = np.add(values[..., 0], 0.0, out=out)
+    for k in range(1, values.shape[-1]):
+        out += values[..., k]
     return out
 
 
@@ -246,19 +257,6 @@ def _first_occurrence(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, 
     return first, rank[firsts][key]
 
 
-def distinct_nodes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge the rows of ``keys`` (n, ...), each flattened to one key
-    row, with equal rounded keys.
-
-    Returns the index of each distinct row's first occurrence, in order
-    of first occurrence (the order a depth-first walk meets them), and
-    for every row the position of its key among those.
-
-    ``_group_rows`` groups a rounded copy of the rows.
-    """
-    return _first_occurrence(*_group_rows(keys.reshape(len(keys), -1).copy()))
-
-
 def _child_ids(ids: np.ndarray, c: np.ndarray, M: int, Y: int) -> np.ndarray:
     """The next table's ids (k, N) of the children at flat indices ``c``
     (parent, action, observation) of ``ids`` (n, N) into M rows: their
@@ -370,8 +368,8 @@ class TreeEvaluator:
     def next_level(self, table: np.ndarray, ids: np.ndarray):
         """The DP's next level below the nodes ``ids`` (n, N) of
         ``table`` (M, X): the children under every action, merged as
-        ``distinct_nodes`` merges ``expand``'s children, keeping each
-        key's first child in ``expand``'s order.
+        ``sweep`` merges ``expand``'s children, keeping each key's first
+        child in ``expand``'s order.
 
         Returns (table, ids, segment, likelihood, inverse): the kept
         children as ids into the next depth's table, cut to the rows
@@ -400,15 +398,15 @@ class TreeEvaluator:
         plus beta times its children's likelihood-weighted largest
         immediate rewards, or the tie rule's picks, bit for bit as
         ``backup`` of built leaves; and the number of distinct rounded
-        keys among the children, the nodes ``distinct_nodes`` would keep.
+        keys among the children, the nodes a merge would keep.
 
         The count sorts the keys in place, the one array as long as the
         children, and compares neighbours ``_LEAF_CHUNK`` at a time.  The
         values take as many children at a time, rewards gathered from one
-        ``np.dot`` over the table as over built children, summed over
-        each action's observations in order from 0.0: the terms and
-        order of ``backup``'s ``np.bincount``.  A dead leaf is its first
-        live sibling at likelihood 0.0.
+        ``np.dot`` over the table as over built children, each action's
+        observations summed by ``row_sum``: the terms and order of
+        ``backup``'s ``np.bincount``.  A dead leaf is its first live
+        sibling at likelihood 0.0.
         """
         n, N = ids.shape
         table, d, canon, K = self._next_table(table, n)
@@ -430,10 +428,7 @@ class TreeEvaluator:
             leaf[...] = table_rewards[0].take(part).T[:, :, None, None]
             leaf[every, :, every] = table_rewards[1:].take(part, axis=1).transpose(2, 1, 0)
             terms = np.multiply(leaf_values(leaf), d.take(part, axis=0))
-            acc = values[:, start:start + step]
-            np.add(terms[..., 0], 0.0, out=acc)
-            for m in range(1, self.Y):
-                acc += terms[..., m]
+            row_sum(terms, out=values[:, start:start + step])
         # In place, the same terms as rewards + beta * sums.
         values *= self.beta
         values += rewards
@@ -493,10 +488,11 @@ class TreeEvaluator:
             children, d = self.expand(level[grow], u[grow])
             parent = grow.repeat(self.Y)
             # The horizon as one more key column: an integer-valued
-            # column rounds to itself, so it only splits keys.
+            # column rounds to itself, so it only splits keys.  The keys
+            # are a fresh array, which ``_group_rows`` rounds in place.
             n = len(children)
             keys = np.concatenate((children.reshape(n, -1), horizon[parent, None]), axis=1)
-            kept, inverse = distinct_nodes(keys)
+            kept, inverse = _first_occurrence(*_group_rows(keys))
             levels.append((values, parent, d, inverse))
             level, horizon, u = children[kept], horizon[parent[kept]], None
         # A leaf above the deepest level gets its reward plus beta * 0.0,
@@ -517,9 +513,13 @@ class TreeEvaluator:
 
 
 def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -> None:
-    """Reject a negative horizon or slot, a slot past the horizon, and a
-    profile whose number of projects or belief dimension differs from
-    the instance's."""
+    """Reject a slot or horizon that is not an integer (``TypeError``), a
+    negative horizon or slot, a slot past the horizon, and a profile
+    whose number of projects or belief dimension differs from the
+    instance's."""
+    for name, value in (("t", t), ("T", T)):
+        if not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
     if T < 0:
         raise ValueError(f"horizon T must be >= 0, got {T}")
     if not 0 <= t <= T:
@@ -571,12 +571,19 @@ def _constant(project: int, beliefs: np.ndarray) -> np.ndarray:
 
 
 def stay_policy(project: int) -> PolicyRule:
-    """Always work one fixed project (1-based)."""
+    """Always work one fixed project (1-based).  A project below 1 raises
+    ``ValueError``; one above N is only known at a decision, which
+    raises ``IndexError`` (``check_decisions``)."""
+    if project < 1:
+        raise ValueError(f"project must be >= 1, got {project}")
     return PolicyRule(f"stay-{project}", lambda t, beliefs: _constant(project - 1, beliefs))
 
 
 def round_robin_policy(n_projects: int) -> PolicyRule:
-    """Cycle through projects in index order."""
+    """Cycle through projects in index order.  Fewer than one project
+    raises ``ValueError``."""
+    if n_projects < 1:
+        raise ValueError(f"n_projects must be >= 1, got {n_projects}")
     return PolicyRule(
         "round-robin", lambda t, beliefs: _constant(t % n_projects, beliefs)
     )

@@ -56,7 +56,7 @@ import numpy as np
 # ``step_profile`` is unused here; the per-layer tracer in perfbench
 # wraps ``simulate.step_profile`` by name.
 from .filtering import step_profile  # noqa: F401
-from .policy import PolicyRule, check_decisions
+from .policy import PolicyRule, check_decisions, row_sum
 from .types import ModelInstance
 
 _SEED_MASK = (1 << 64) - 1
@@ -259,10 +259,7 @@ def _lockstep(
             child = np.matmul(table.take(parent, axis=0).reshape(-1, X), A)
             worked = np.arange(len(parent)) * N + acts.take(parent)
             num = child.take(worked, axis=0) * B_T.take(seen_obs, axis=0)
-            # Summed column by column: the order numpy sums a short row in.
-            total = num[:, 0].copy()
-            for k in range(1, X):
-                total += num[:, k]
+            total = row_sum(num)
             # Each worked row is written as one X-float item: numpy
             # assigns the rows of a float array element by element.
             np.put(child.view(row_item), worked, (num / total[:, None]).view(row_item))

@@ -321,10 +321,9 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 @pytest.fixture
 def exact_merges(monkeypatch) -> list:
     """One entry per ``policy._exact_merge`` call: the exact merge that
-    ``_group_rows`` falls back to for ``distinct_nodes`` and the DP's
-    table rows on a fingerprint collision, and that ranks the DP's
-    children's id rows when their packed keys would not fit in 64
-    bits."""
+    ``_group_rows`` falls back to for a sweep's nodes and the DP's table
+    rows on a fingerprint collision, and that ranks the DP's children's
+    id rows when their packed keys would not fit in 64 bits."""
     import restless_sched.policy as policy_module
 
     calls = []
@@ -342,10 +341,21 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
+def group_merge(rows: np.ndarray):
+    """The rows of ``rows`` (n, ...), each flattened to one key row,
+    merged as ``TreeEvaluator.sweep`` merges a level: ``_group_rows``
+    on a copy, which it rounds in place, then ``_first_occurrence``.
+    Returns each distinct key's first row in order of first occurrence,
+    and per row the position of its key among those."""
+    from restless_sched.policy import _first_occurrence, _group_rows
+
+    return _first_occurrence(*_group_rows(rows.reshape(len(rows), -1).copy()))
+
+
 def reference_merge(rows: np.ndarray):
-    """``distinct_nodes`` by ``np.unique`` over ``row_keys``: each
-    distinct key's first row in order of first occurrence, and per row
-    the position of its key."""
+    """``group_merge`` by ``np.unique`` over ``row_keys``: each distinct
+    key's first row in order of first occurrence, and per row the
+    position of its key."""
     _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -401,11 +411,11 @@ def reference_leaves(ev, level: np.ndarray):
 
 def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
     """``dp._solve`` without a node budget, every level built by
-    ``reference_expand`` and the leaf level valued and counted by
-    ``reference_leaves``."""
+    ``reference_expand`` and merged by ``reference_merge``, and the leaf
+    level valued and counted by ``reference_leaves``."""
     from restless_sched.dp import ValueReport
     from restless_sched.policy import (
-        ARGMAX_TOL, TreeEvaluator, _greatest_array_index, backup, distinct_nodes, row_max,
+        ARGMAX_TOL, TreeEvaluator, _greatest_array_index, backup, row_max,
     )
 
     ev = TreeEvaluator(inst, T)
@@ -420,7 +430,7 @@ def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
             break
         every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
         children, parent, u, _, d = reference_expand(ev, rows, every_action)
-        first, inverse = distinct_nodes(children)
+        first, inverse = reference_merge(children)
         sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
         rows = children[first]
     else:

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     dirichlet_instance,
     exact_certificate,
+    group_merge,
     reference_expand,
     reference_filter,
     reference_leaves,
@@ -36,7 +37,7 @@ from restless_sched import (
     verify_assumption1,
 )
 from restless_sched.cli import main
-from restless_sched.policy import TreeEvaluator, backup, distinct_nodes
+from restless_sched.policy import TreeEvaluator, backup
 from restless_sched.types import ModelInstance
 
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
@@ -309,13 +310,13 @@ def leaf_instance(request, absorbing_instance) -> ModelInstance:
 
 def initial_level(inst: ModelInstance, depth: int) -> np.ndarray:
     """The DP's merged level at ``depth`` below the initial profile,
-    built by ``reference_expand`` and merged by ``distinct_nodes``."""
+    built by ``reference_expand`` and merged by ``group_merge``."""
     ev = TreeEvaluator(inst, depth)
     level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
     for _ in range(depth):
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
         children = reference_expand(ev, level, every_action)[0]
-        level = children[distinct_nodes(children)[0]]
+        level = children[group_merge(children)[0]]
     return level
 
 
@@ -462,13 +463,9 @@ class TestLeafPass:
         want = reference_level(ev, level)
         # The DP interns the next table's rows through
         # _group_rows, which falls back to the exact merge once per
-        # level; it neither builds the level nor goes through
-        # distinct_nodes.
+        # level; it never builds the level.
         calls = []
-        merge, expand = policy_module.distinct_nodes, TreeEvaluator.expand
-        monkeypatch.setattr(
-            policy_module, "distinct_nodes", lambda *a: calls.append("merge") or merge(*a)
-        )
+        expand = TreeEvaluator.expand
         monkeypatch.setattr(
             TreeEvaluator, "expand", lambda *a: calls.append("expand") or expand(*a)
         )
@@ -655,7 +652,7 @@ class TestLevelMerge:
         children = reference_expand(ev, level, every_action)[0]
         assert len(children) == 21_609
         want = reference_merge(children)
-        first, inverse = distinct_nodes(children)
+        first, inverse = group_merge(children)
         assert not exact_merges
         assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import recursive_avf, reference_filter
+from conftest import recursive_avf, reference_filter, same_bits
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
     DimensionMismatchError,
     ModelInstance,
     avf_evaluate,
+    certify_myopic,
     gen_assumption1_instance,
     gen_assumption2_instance,
     myopic_action,
@@ -24,6 +25,7 @@ from restless_sched.policy import (
     _greatest_array_index,
     horizon_for_tolerance,
     row_max,
+    row_sum,
 )
 from restless_sched.types import RewardVector
 
@@ -107,6 +109,44 @@ class TestBatchTieRule:
         assert self.check(values).tolist() == [0, 0]
         # A fresh array, not a view of the input.
         assert not np.shares_memory(row_max(values), values)
+
+
+class TestRowSum:
+    """``row_sum`` against a left fold from 0.0 on Python floats."""
+
+    @staticmethod
+    def left_fold(values) -> list:
+        out = []
+        for row in values.reshape(-1, values.shape[-1]).tolist():
+            total = 0.0
+            for v in row:
+                total += v
+            out.append(total)
+        return out
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_bits_of_a_left_fold(self, width):
+        # Magnitudes spread over 16 decades, so the order of the sum
+        # shows in the last bits.
+        rng = np.random.default_rng(width)
+        values = rng.standard_normal((3, 200, width)) * 10.0 ** rng.integers(-8, 8, (3, 200, width))
+        want = np.array(self.left_fold(values)).reshape(values.shape[:-1])
+        got = row_sum(values)
+        assert got.shape == values.shape[:-1]
+        assert same_bits(got, want)
+        # Into a view of a larger buffer, as the leaf pass sums.
+        buffer = np.empty((2,) + values.shape[:-1])
+        out = buffer[1]
+        assert row_sum(values, out=out) is out
+        assert same_bits(buffer[1], want)
+        if width >= 8:
+            # numpy sums 8 or more contiguous terms pairwise.
+            assert not same_bits(values.sum(axis=-1), want)
+
+    def test_lone_negative_zero_sums_to_positive_zero(self):
+        got = row_sum(np.array([[-0.0], [-0.0], [2.0]]))
+        assert same_bits(got, np.array([0.0, 0.0, 2.0]))
+        assert same_bits(row_sum(np.array([[-0.0, -0.0]])), np.array([0.0]))
 
 
 #: Profiles that do not fit the two-state, two-project fixture: one
@@ -285,6 +325,18 @@ class TestPolicyValue:
         with pytest.raises(ValueError, match=f"got {value}$"):
             seeded_random_policy(n_projects, seed)
 
+    @pytest.mark.parametrize("n_projects", [0, -1])
+    def test_round_robin_rejects_fewer_than_one_project(self, n_projects):
+        # At construction: 0 would divide by zero at the first decision,
+        # and -1 would work project 1 every slot.
+        with pytest.raises(ValueError, match=f"got {n_projects}$"):
+            round_robin_policy(n_projects)
+
+    @pytest.mark.parametrize("project", [0, -1])
+    def test_stay_rejects_a_project_below_one(self, project):
+        with pytest.raises(ValueError, match=f"got {project}$"):
+            stay_policy(project)
+
 
 class TestSlotAndHorizonChecks:
     def test_negative_slot_rejected(self, two_state_instance):
@@ -299,3 +351,22 @@ class TestSlotAndHorizonChecks:
             for t, T in ((-2, 1), (-1, 0), (0, -1)):
                 with pytest.raises(ValueError):
                     call(t, T)
+
+    def test_non_integer_slot_or_horizon_rejected(self, two_state_instance):
+        # Unchecked, the sweep would value a float T as its floor, and
+        # the DP would fail deep inside on its per-depth count list.
+        inst = two_state_instance
+        prof = BeliefProfile(inst.initial_beliefs, 0)
+        calls = (
+            lambda t, T: policy_value(inst, prof, t, T, myopic_policy(inst)),
+            lambda t, T: avf_evaluate(inst, prof, t, T, 1),
+            lambda t, T: optimal_value(inst, prof, t, T),
+            lambda t, T: certify_myopic(inst, T) if t == 0 else optimal_value(inst, prof, t, T),
+        )
+        for call in calls:
+            for t, T, name, shown in ((0, 2.5, "T", "2.5"), (0, 2.0, "T", "2.0"),
+                                      (1.0, 2, "t", "1.0"), (0, np.float64(2.0), "T", "2.0")):
+                with pytest.raises(TypeError, match=f"^{name} must be an integer, got .*{shown}"):
+                    call(t, T)
+            # Python and numpy integers stay accepted.
+            assert call(np.int64(0), np.int32(2)) == call(0, 2)

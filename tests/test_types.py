@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import reference_merge, row_keys
+from conftest import group_merge, reference_merge, row_keys
 
 import restless_sched.policy as policy_module
 from restless_sched import (
@@ -14,7 +14,6 @@ from restless_sched import (
     TransitionMatrix,
     validate_instance,
 )
-from restless_sched.policy import distinct_nodes
 from restless_sched.types import belief_key, valid_belief_rows
 
 
@@ -215,20 +214,17 @@ def planted_duplicates(rng, n: int, N: int, X: int) -> np.ndarray:
 
 
 def distinct_count(rows: np.ndarray) -> int:
-    """The number of nodes ``distinct_nodes`` keeps of ``rows``, after
-    checking that it leaves ``rows`` as they were, lists first
-    occurrences in ascending order, and maps every row to a node with
-    the row's key."""
-    before = rows.tobytes()
-    first, inverse = distinct_nodes(rows)
-    assert rows.tobytes() == before
+    """The number of nodes ``group_merge`` keeps of ``rows``, after
+    checking that it lists first occurrences in ascending order and maps
+    every row to a node with the row's key."""
+    first, inverse = group_merge(rows)
     assert (np.diff(first) > 0).all()
     assert np.array_equal(row_keys(rows[first][inverse]), row_keys(rows))
     return len(first)
 
 
 class TestCountDistinctRows:
-    """``distinct_nodes`` counts the distinct keys of a level."""
+    """``group_merge`` counts the distinct keys of a level."""
 
     @pytest.mark.parametrize("n, N, X", [(1, 3, 3), (200, 1, 2), (200, 3, 3), (200, 3, 4)])
     def test_matches_reference_on_planted_duplicates(self, n, N, X):
@@ -264,7 +260,7 @@ class TestCountDistinctRows:
         keys = row_keys(rows)
         want = len({(k.tobytes(), g) for k, g in zip(keys, groups.tolist())})
         assert reference_count(rows) < distinct_count(with_groups(rows, groups)) == want
-        first, inverse = distinct_nodes(with_groups(rows, groups))
+        first, inverse = group_merge(with_groups(rows, groups))
         assert np.array_equal(groups[first][inverse], groups)
 
 
@@ -285,7 +281,7 @@ def column_0_multipliers(n: int) -> np.ndarray:
 
 
 class TestFingerprintMerge:
-    """``distinct_nodes`` sorts one fingerprint per row and compares
+    """``_group_rows`` sorts one fingerprint per row and compares
     rows that share one bit for bit; a tie between different rows sends
     the level to ``_exact_merge``."""
 
@@ -304,7 +300,7 @@ class TestFingerprintMerge:
         keys = with_groups(rows, groups) if grouped else rows
         want = reference_merge(keys)
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
-        first, inverse = distinct_nodes(keys)
+        first, inverse = group_merge(keys)
         assert exact_merges
         assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
 
@@ -313,7 +309,7 @@ class TestFingerprintMerge:
         rows, groups = fingerprint_level(3)
         keys = with_groups(rows, groups) if grouped else rows
         want = reference_merge(keys)
-        first, inverse = distinct_nodes(keys)
+        first, inverse = group_merge(keys)
         assert not exact_merges
         assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
 
@@ -323,6 +319,6 @@ class TestFingerprintMerge:
         rows = np.broadcast_to(np.array([[0.2, 0.8], [0.6, 0.4]]), (6, 2, 2)).copy()
         groups = np.array([0, 1, 0, 2, 1, 0])
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", column_0_multipliers)
-        first, inverse = distinct_nodes(with_groups(rows, groups))
+        first, inverse = group_merge(with_groups(rows, groups))
         assert exact_merges
         assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2, 1, 0]
