@@ -31,33 +31,24 @@ from .exceptions import (
     NonDiagonalizableError,
     RestlessSchedError,
 )
-from .filtering import BeliefProfile, filter_update, obs_likelihood, propagate, step_profile
+from .filtering import BeliefProfile, filter_update, propagate, step_profile
 from .generate import (
     GeneratorParams,
     gen_assumption1_instance,
     gen_assumption2_instance,
     perturb_violate,
 )
-from .orders import (
-    OrderVerdict,
-    Relation,
-    fosd_compare,
-    mlr_compare,
-    obs_columns_mlr_ordered,
-    rows_mlr_ordered,
-    sort_by_mlr,
-)
+from .orders import sort_by_mlr
 from .policy import (
     PolicyRule,
     avf_evaluate,
-    myopic_action,
     myopic_policy,
     policy_value,
     round_robin_policy,
     seeded_random_policy,
     stay_policy,
 )
-from .simulate import Trajectory, estimate_value, sample_trajectory
+from .simulate import estimate_value
 from .spectral import (
     DiscountMatrices,
     SpectralDecomposition,
@@ -94,13 +85,10 @@ __all__ = [
     "NodeBudgetExceededError",
     "NonDiagonalizableError",
     "ObservationMatrix",
-    "OrderVerdict",
     "PolicyRule",
-    "Relation",
     "RestlessSchedError",
     "RewardVector",
     "SpectralDecomposition",
-    "Trajectory",
     "TransitionMatrix",
     "ValidationReport",
     "ValueReport",
@@ -112,24 +100,17 @@ __all__ = [
     "estimate_value",
     "filter_update",
     "find_threshold_K",
-    "fosd_compare",
     "gen_assumption1_instance",
     "gen_assumption2_instance",
     "lemma2_bounds",
     "lemma4_bounds",
-    "mlr_compare",
-    "myopic_action",
     "myopic_policy",
-    "obs_columns_mlr_ordered",
-    "obs_likelihood",
     "optimal_value",
     "perturb_violate",
     "policy_value",
     "propagate",
     "reward_separation_check",
-    "rows_mlr_ordered",
     "round_robin_policy",
-    "sample_trajectory",
     "seeded_random_policy",
     "sort_by_mlr",
     "stay_policy",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import ComplexSpectrumError, NonDiagonalizableError
 from .filtering import filter_rows, propagate_rows
-from .orders import chain_break, obs_columns_mlr_ordered, rows_mlr_ordered
+from .orders import chain_break, column_break
 from .spectral import discount_matrices, eigendecompose, reward_separation_check
 from .types import ModelInstance, ObservationMatrix, TransitionMatrix
 
@@ -126,14 +126,14 @@ def _separation_result(inst: ModelInstance, regime: int) -> ClauseResult:
 
 def _verify(inst: ModelInstance, regime: int, alt_clause3: bool) -> AssumptionReport:
     direction = "ascending" if regime == 1 else "descending"
-    rows = rows_mlr_ordered(inst.A, direction).witness
-    cols = obs_columns_mlr_ordered(inst.B).witness
+    k = chain_break(inst.A.rows, regime == 2)
+    cols = column_break(inst.B)
     K = find_threshold_K(inst.A, inst.B, regime, alt_clause3)
     results = (
         ClauseResult(
             f"{regime}.1",
-            rows is None,
-            "" if rows is None else f"rows {rows} break the {direction} MLR order",
+            k is None,
+            "" if k is None else f"rows {(k + 1, k + 2)} break the {direction} MLR order",
         ),
         ClauseResult(
             f"{regime}.2",

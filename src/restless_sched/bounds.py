@@ -38,7 +38,7 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import propagate_rows
-from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy, row_sum
+from .policy import ARGMAX_TOL, TreeEvaluator, check_integer, myopic_policy, row_sum
 from .types import ModelInstance, valid_belief_rows
 
 #: Containment checked with this additive slack.
@@ -214,6 +214,7 @@ def check_bounds_suite(
     samples alone.  One interval table gives every sample's bounds.
     Samples are returned in draw order.
     """
+    check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if regime not in (None, 1, 2):

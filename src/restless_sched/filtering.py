@@ -121,13 +121,6 @@ def propagate(A: TransitionMatrix, x: BeliefVector) -> BeliefVector:
     return BeliefVector(_step(A, x)[0, 0])
 
 
-def obs_likelihood(
-    A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
-) -> float:
-    """d(x, m): probability of observing m after working a project at belief x."""
-    return float(filter_rows(_step(A, x, B, m), B.rows)[0][0, 0, m - 1])
-
-
 def filter_update(
     A: TransitionMatrix, B: ObservationMatrix, x: BeliefVector, m: int
 ) -> BeliefVector:

@@ -61,7 +61,7 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .filtering import BeliefProfile, filter_rows, propagate_rows
-from .types import ModelInstance, RewardVector, belief_key, key_bits
+from .types import ModelInstance, belief_key, key_bits
 
 #: Two values within this are treated as tied.
 ARGMAX_TOL = 1e-12
@@ -163,16 +163,6 @@ def leaf_values(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for r in rewards[-2::-1]:
         myopic = np.where(r >= near, r, myopic)
     return optimal, myopic
-
-
-def myopic_action(beliefs: BeliefProfile, R: RewardVector) -> int:
-    """Project (1-based) with the largest immediate reward, ties to the
-    lowest index."""
-    arrays = beliefs.arrays()
-    if arrays[0].size != R.values.size:
-        raise DimensionMismatchError("reward/belief dimensions differ")
-    rewards = np.dot(np.array((arrays,)), R.values)
-    return int(_greatest_array_index(rewards)[0]) + 1
 
 
 def backup(rewards, seg, d, next_values, beta):
@@ -512,14 +502,20 @@ class TreeEvaluator:
         return float(self.sweep(t, np.array((beliefs,)), policy)[0])
 
 
+def check_integer(name: str, value) -> None:
+    """Reject a count, slot or horizon that is neither a Python nor a
+    numpy integer with a ``TypeError`` naming the argument."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -> None:
     """Reject a slot or horizon that is not an integer (``TypeError``), a
     negative horizon or slot, a slot past the horizon, and a profile
     whose number of projects or belief dimension differs from the
     instance's."""
-    for name, value in (("t", t), ("T", T)):
-        if not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+    check_integer("t", t)
+    check_integer("T", T)
     if T < 0:
         raise ValueError(f"horizon T must be >= 0, got {T}")
     if not 0 <= t <= T:

@@ -22,7 +22,8 @@ kept a copy of its own, so totals do not depend on how many
 trajectories share a history.  What stays per trajectory is the hidden
 states, the random draws, the rewards and the row index.  A decision
 of the wrong shape raises ``ValueError``, one outside 0..N-1
-``IndexError``, and a negative horizon ``ValueError``.
+``IndexError``, a horizon or trajectory count that is not an integer
+``TypeError``, and a negative horizon ``ValueError``.
 
 A call allocates one workspace (``_Workspace``), sized to its first
 block, and every block and slot works in views of it through ``out=``
@@ -40,40 +41,27 @@ its blocks of up to ``_BLOCK`` trajectories take turns, and each draws
 first every initial state, then per slot every project's next state
 and the active project's observation, each by inverting a cumulative
 distribution (last entry pinned to 1) against one uniform.  Results are
-therefore deterministic in (instance, policy, T, n_traj, seed):
+therefore deterministic in (instance, policy, T, n_traj, seed), and
 ``estimate_value`` gives the same mean and standard error with or
-without ``return_totals``, and ``sample_trajectory`` is the engine with
-one trajectory.  The workspace decides only where results are written,
-not which uniforms are drawn, in what order, or how they are compared.
+without ``return_totals``.  The workspace decides only where results
+are written, not which uniforms are drawn, in what order, or how they
+are compared.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 # ``step_profile`` is unused here; the per-layer tracer in perfbench
 # wraps ``simulate.step_profile`` by name.
 from .filtering import step_profile  # noqa: F401
-from .policy import PolicyRule, check_decisions, row_sum
+from .policy import PolicyRule, check_decisions, check_integer, row_sum
 from .types import ModelInstance
 
 _SEED_MASK = (1 << 64) - 1
 #: Trajectories simulated together: bounds the engine's working memory
 #: whatever n_traj is.
 _BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One rollout; all state/observation/action labels are 1-based."""
-
-    states: np.ndarray  # (N, T+1) hidden states
-    actions: np.ndarray  # (T+1,)
-    observations: np.ndarray  # (T+1,) emitted by the active project
-    rewards: np.ndarray  # (T+1,)
-    discounted_total: float
 
 
 def _cdf(pmf: np.ndarray) -> np.ndarray:
@@ -155,6 +143,7 @@ class _Workspace:
 
 
 def _check_horizon(T: int) -> None:
+    check_integer("T", T)
     if T < 0:
         raise ValueError(f"horizon T must be >= 0, got {T}")
 
@@ -166,19 +155,12 @@ def _lockstep(
     rng: np.random.Generator,
     work: _Workspace,
     totals: np.ndarray,
-    record=None,
 ) -> None:
     """The engine: writes into ``totals`` the discounted total reward of
     each of its len(totals) trajectories over slots 0..T (T >= 0),
     simulated in lockstep in views of ``work``, whose size must be at
-    least that.
-
-    ``record``, when given, is called once per slot with the slot, the
-    hidden states (n, N), the actions (n,) and the active projects'
-    observations (n,), all 0-based.  They are views of the workspace,
-    overwritten by the next slot, so a recorder copies what it keeps.
-    Otherwise nothing is kept across slots but the history table, each
-    trajectory's node in it, the states and the totals.
+    least that.  Nothing is kept across slots but the history table,
+    each trajectory's node in it, the states and the totals.
 
     Every gather into the workspace uses ``take(out=, mode="wrap")``, the
     fastest mode that writes straight into ``out``; its indices are in
@@ -238,9 +220,6 @@ def _lockstep(
             b_cdf, nxt.take(active, out=gather, mode="wrap"), rng.random(out=uniform_n), out=obs,
             threshold=threshold_n, mask=mask_n, count=count_n,
         )
-        if record is not None:
-            record(t, current.reshape(n, N), u, obs)
-
         if t < T:
             # The (node, observation) pairs that occurred are the next
             # slot's histories, numbered in the order of their keys; a
@@ -265,34 +244,6 @@ def _lockstep(
             np.put(child.view(row_item), worked, (num / total[:, None]).view(row_item))
             table = child.reshape(-1, N, X)
         current, nxt = nxt, current
-
-
-def sample_trajectory(
-    inst: ModelInstance, policy: PolicyRule, T: int, seed: int
-) -> Trajectory:
-    """Roll the hidden chains forward for slots 0..T under the policy.
-
-    At each slot the policy sees the current belief profile and picks a
-    project; that project earns R(s), transitions, and emits an
-    observation which updates its belief.  Passive projects transition
-    silently and their beliefs are propagated.  This is the lockstep
-    engine with one trajectory.
-    """
-    _check_horizon(T)
-    states = np.empty((inst.n_projects, T + 1), dtype=np.intp)
-    actions = np.empty(T + 1, dtype=np.intp)
-    observations = np.empty(T + 1, dtype=np.intp)
-
-    def record(t, current, u, obs):
-        states[:, t] = current[0]
-        actions[t] = u[0]
-        observations[t] = obs[0]
-
-    rng = np.random.default_rng(seed & _SEED_MASK)
-    totals = np.empty(1)
-    _lockstep(inst, policy, T, rng, _Workspace(inst, 1), totals, record)
-    rewards = inst.R.values[states[actions, np.arange(T + 1)]]
-    return Trajectory(states + 1, actions + 1, observations + 1, rewards, float(totals[0]))
 
 
 def _estimate_batched(
@@ -320,6 +271,7 @@ def estimate_value(
 ):
     """Sample mean and standard error of the discounted total reward,
     and with ``return_totals`` also the per-trajectory totals."""
+    check_integer("n_traj", n_traj)
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
     totals = _estimate_batched(inst, policy, T, n_traj, seed)

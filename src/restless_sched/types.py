@@ -151,12 +151,6 @@ class ObservationMatrix:
     def n_obs(self) -> int:
         return self.rows.shape[1]
 
-    def column(self, m: int) -> np.ndarray:
-        """The m-th column (1-based), i.e. the diagonal of the likelihood matrix."""
-        if not 1 <= m <= self.n_obs:
-            raise IndexError(f"observation index {m} out of range 1..{self.n_obs}")
-        return self.rows[:, m - 1]
-
 
 @dataclass(frozen=True)
 class RewardVector:

@@ -462,6 +462,40 @@ def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
     )
 
 
+def mlr_ge(x1, x2) -> bool:
+    """Whether belief x1 >=_r x2, by the package's one MLR predicate,
+    ``orders._mlr_witness``."""
+    from restless_sched.orders import _mlr_witness
+
+    return _mlr_witness(x1.probs, x2.probs) is None
+
+
+def fosd_ge(x1, x2) -> bool:
+    """Whether belief x1 >=_st x2: no tail sum of x1 falls more than
+    ``ORDER_TOL`` below the same tail sum of x2."""
+    from restless_sched.orders import ORDER_TOL
+
+    tail1, tail2 = np.cumsum(x1.probs[::-1]), np.cumsum(x2.probs[::-1])
+    return bool(np.all(tail1 >= tail2 - ORDER_TOL))
+
+
+def myopic_pick(profile, R) -> int:
+    """The 1-based project the myopic tie rule works on one profile:
+    ``policy._greatest_array_index`` of its immediate rewards."""
+    from restless_sched.policy import _greatest_array_index
+
+    return int(_greatest_array_index(np.dot(np.array((profile.arrays(),)), R.values))[0]) + 1
+
+
+def obs_likelihood(A, B, x, m: int) -> float:
+    """d(x, m): the likelihood of 1-based observation m after working a
+    project at belief x, from ``filtering.filter_rows`` on the checked
+    one-belief step that ``filter_update`` takes."""
+    from restless_sched.filtering import _step, filter_rows
+
+    return float(filter_rows(_step(A, x, B, m), B.rows)[0][0, 0, m - 1])
+
+
 def same_bits(a, b) -> bool:
     """Whether ``a`` and ``b`` hold the same dtype and bytes."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)

@@ -250,6 +250,16 @@ class TestCheckBoundsSuite:
             with pytest.raises(ValueError, match="n_samples"):
                 check_bounds_suite(inst, n_samples, 0)
 
+    def test_non_integer_sample_count_rejected(self, small_params):
+        inst = gen_assumption1_instance(small_params, 3)
+        with pytest.raises(TypeError, match="^n_samples must be an integer, got 3.5"):
+            check_bounds_suite(inst, 3.5, 0)
+        # Python and numpy integers stay accepted.
+        got, want = check_bounds_suite(inst, np.int64(3), 0), check_bounds_suite(inst, 3, 0)
+        assert [(s.case, s.T, s.delta_w, s.lower, s.upper) for s in got] == [
+            (s.case, s.T, s.delta_w, s.lower, s.upper) for s in want
+        ]
+
     def test_one_project_rejected(self, monkeypatch):
         # Cases 2 and 3 need a project other than l; nothing is drawn.
         inst = ModelInstance(1, 2, 2, [[0.9, 0.1], [0.2, 0.8]], [[0.99, 0.01], [0.01, 0.99]],

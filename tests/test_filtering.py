@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import same_bits
+from conftest import obs_likelihood, same_bits
 
 import restless_sched.filtering as filtering_module
 from restless_sched import (
@@ -13,7 +13,6 @@ from restless_sched import (
     TransitionMatrix,
     filter_update,
     find_threshold_K,
-    obs_likelihood,
     propagate,
     step_profile,
 )

@@ -66,10 +66,10 @@ class TestGenAssumption2:
             assert validate_instance(inst).ok
 
     def test_rows_descending(self, small_params):
-        from restless_sched import rows_mlr_ordered
+        from restless_sched.orders import chain_break
 
         inst = gen_assumption2_instance(small_params, 201)
-        assert rows_mlr_ordered(inst.A, "descending").ge
+        assert chain_break(inst.A.rows, descending=True) is None
 
     def test_seed_determinism(self, small_params):
         a = gen_assumption2_instance(small_params, 7)

@@ -3,18 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fosd_ge, mlr_ge
 from restless_sched import (
     BeliefVector,
     IncomparablePairError,
     ObservationMatrix,
-    Relation,
     TransitionMatrix,
-    fosd_compare,
-    mlr_compare,
-    obs_columns_mlr_ordered,
-    rows_mlr_ordered,
     sort_by_mlr,
 )
+from restless_sched.orders import _mlr_witness, chain_break, column_break
 
 simplex3 = st.lists(
     st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3
@@ -29,92 +26,87 @@ def tilt_up(x: np.ndarray, s: float) -> np.ndarray:
 
 class TestMlrCompare:
     def test_basic_ge(self):
-        v = mlr_compare(BeliefVector([0.2, 0.8]), BeliefVector([0.5, 0.5]))
-        assert v.relation is Relation.GREATER_OR_EQUAL
-        assert v.ge and not v.le
+        x1, x2 = BeliefVector([0.2, 0.8]), BeliefVector([0.5, 0.5])
+        assert mlr_ge(x1, x2)
+        assert not mlr_ge(x2, x1)
 
     def test_equal(self):
-        v = mlr_compare(BeliefVector([0.4, 0.6]), BeliefVector([0.4, 0.6]))
-        assert v.relation is Relation.EQUAL
-        assert v.ge and v.le
+        x = BeliefVector([0.4, 0.6])
+        assert mlr_ge(x, x)
 
     def test_incomparable_with_witness(self):
         # Ratios 1.6, 0.4, 1.6: not monotone either way.
-        x1 = BeliefVector([0.4, 0.2, 0.4])
-        x2 = BeliefVector([0.25, 0.5, 0.25])
-        v = mlr_compare(x1, x2)
-        assert v.relation is Relation.INCOMPARABLE
-        assert v.witness is not None
+        x1 = np.array([0.4, 0.2, 0.4])
+        x2 = np.array([0.25, 0.5, 0.25])
+        assert _mlr_witness(x1, x2) == (2, 1)
+        assert _mlr_witness(x2, x1) == (3, 2)
 
     def test_zero_entries_no_division(self):
-        v = mlr_compare(BeliefVector([0.0, 1.0]), BeliefVector([1.0, 0.0]))
-        assert v.relation is Relation.GREATER_OR_EQUAL
+        x1, x2 = BeliefVector([0.0, 1.0]), BeliefVector([1.0, 0.0])
+        assert mlr_ge(x1, x2)
+        assert not mlr_ge(x2, x1)
 
     def test_two_state_always_comparable(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            a, b = rng.dirichlet([1, 1]), rng.dirichlet([1, 1])
-            v = mlr_compare(BeliefVector(a), BeliefVector(b))
-            assert v.relation is not Relation.INCOMPARABLE
+            a, b = BeliefVector(rng.dirichlet([1, 1])), BeliefVector(rng.dirichlet([1, 1]))
+            assert mlr_ge(a, b) or mlr_ge(b, a)
 
     @given(simplex3, st.floats(min_value=0.0, max_value=3.0))
     @settings(max_examples=200, deadline=None)
     def test_tilted_always_ge(self, x, s):
-        v = mlr_compare(BeliefVector(tilt_up(x, s)), BeliefVector(x))
-        assert v.ge
+        assert mlr_ge(BeliefVector(tilt_up(x, s)), BeliefVector(x))
 
 
 class TestFosdCompare:
     def test_tail_dominance(self):
-        v = fosd_compare(BeliefVector([0.1, 0.9]), BeliefVector([0.3, 0.7]))
-        assert v.ge
+        assert fosd_ge(BeliefVector([0.1, 0.9]), BeliefVector([0.3, 0.7]))
 
     @given(simplex3, simplex3)
     @settings(max_examples=200, deadline=None)
     def test_mlr_implies_fosd(self, a, b):
-        mv = mlr_compare(BeliefVector(a), BeliefVector(b))
-        if mv.ge:
-            assert fosd_compare(BeliefVector(a), BeliefVector(b)).ge
-        if mv.le:
-            assert fosd_compare(BeliefVector(a), BeliefVector(b)).le
+        a, b = BeliefVector(a), BeliefVector(b)
+        if mlr_ge(a, b):
+            assert fosd_ge(a, b)
+        if mlr_ge(b, a):
+            assert fosd_ge(b, a)
 
     def test_fosd_not_mlr(self):
         # FOSD-ordered but MLR-incomparable (ratios 0.5, 1.1, 1.0).
         a = BeliefVector([0.1, 0.5, 0.4])
         b = BeliefVector([0.05, 0.55, 0.4])
-        assert fosd_compare(b, a).ge
-        assert mlr_compare(b, a).relation is Relation.INCOMPARABLE
+        assert fosd_ge(b, a)
+        assert not mlr_ge(b, a) and not mlr_ge(a, b)
 
 
 class TestMatrixOrders:
     def test_ascending_rows(self):
         A = TransitionMatrix([[0.9, 0.1], [0.2, 0.8]])
-        assert rows_mlr_ordered(A, "ascending").le
-        assert rows_mlr_ordered(A, "descending").relation is Relation.INCOMPARABLE
+        assert chain_break(A.rows) is None
+        assert chain_break(A.rows, descending=True) == 0
 
     def test_descending_rows(self):
         A = TransitionMatrix([[0.2, 0.8], [0.9, 0.1]])
-        assert rows_mlr_ordered(A, "descending").ge
+        assert chain_break(A.rows, descending=True) is None
 
     def test_witness_names_adjacent_pair(self):
         A = TransitionMatrix(
             [[0.7, 0.2, 0.1], [0.2, 0.3, 0.5], [0.5, 0.3, 0.2]]
         )
-        v = rows_mlr_ordered(A, "ascending")
-        assert v.relation is Relation.INCOMPARABLE
-        assert v.witness == (2, 3)
+        # The 0-based link 1: rows (2, 3).
+        assert chain_break(A.rows) == 1
 
     def test_obs_columns_ordered(self):
         B = ObservationMatrix([[0.9, 0.1], [0.2, 0.8]])
-        assert obs_columns_mlr_ordered(B).le
+        assert column_break(B) is None
 
     def test_obs_columns_unordered(self):
         B = ObservationMatrix([[0.1, 0.9], [0.8, 0.2]])
-        assert obs_columns_mlr_ordered(B).relation is Relation.INCOMPARABLE
+        assert column_break(B) == (2, 1)
 
     def test_flat_columns_trivially_ordered(self):
         B = ObservationMatrix([[0.4, 0.6], [0.4, 0.6]])
-        assert obs_columns_mlr_ordered(B).le
+        assert column_break(B) is None
 
 
 class TestSortByMlr:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import recursive_avf, reference_filter, same_bits
+from conftest import myopic_pick, recursive_avf, reference_filter, same_bits
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
@@ -11,7 +11,6 @@ from restless_sched import (
     certify_myopic,
     gen_assumption1_instance,
     gen_assumption2_instance,
-    myopic_action,
     myopic_policy,
     optimal_value,
     policy_value,
@@ -38,21 +37,21 @@ def reference_tie_rule(row) -> int:
 class TestMyopicAction:
     def test_picks_mlr_greatest(self):
         prof = BeliefProfile([[0.6, 0.4], [0.2, 0.8]], 0)
-        assert myopic_action(prof, RewardVector([0.0, 1.0])) == 2
+        assert myopic_pick(prof, RewardVector([0.0, 1.0])) == 2
 
     def test_tie_breaks_lowest_index(self):
         prof = BeliefProfile([[0.5, 0.5], [0.5, 0.5]], 0)
-        assert myopic_action(prof, RewardVector([0.0, 1.0])) == 1
+        assert myopic_pick(prof, RewardVector([0.0, 1.0])) == 1
 
     def test_fosd_fallback_when_mlr_incomparable(self):
         # MLR-incomparable pair, FOSD-ordered: second dominates.
         prof = BeliefProfile([[0.1, 0.5, 0.4], [0.05, 0.55, 0.4]], 0)
-        assert myopic_action(prof, RewardVector([0.0, 1.0, 2.0])) == 2
+        assert myopic_pick(prof, RewardVector([0.0, 1.0, 2.0])) == 2
 
     def test_incomparable_in_mlr_and_fosd(self):
         # Neither order ranks the pair; the immediate rewards 1.0 and 1.1 do.
         prof = BeliefProfile([[0.2, 0.6, 0.2], [0.3, 0.3, 0.4]], 0)
-        assert myopic_action(prof, RewardVector([0.0, 1.0, 2.0])) == 2
+        assert myopic_pick(prof, RewardVector([0.0, 1.0, 2.0])) == 2
 
     def test_batch_decide_matches_myopic_action(self, small_params):
         inst = gen_assumption1_instance(small_params, 2)
@@ -67,7 +66,7 @@ class TestMyopicAction:
         got = myopic_policy(inst).decide(0, stack)
         want = [reference_tie_rule([float(inst.R.values @ x) for x in row]) for row in stack]
         assert got.tolist() == want
-        assert [myopic_action(BeliefProfile(row), inst.R) - 1 for row in stack] == want
+        assert [myopic_pick(BeliefProfile(row), inst.R) - 1 for row in stack] == want
         assert np.all(got[:10] == 0)
         assert np.all(got[10:20] == 1)
 
@@ -195,7 +194,7 @@ class TestAvfEvaluate:
         for m in (0, 1):
             d, worked = reference_filter(A, B, prof.beliefs[0].probs, m)
             stepped = [BeliefVector(worked), BeliefVector(A.T @ prof.beliefs[1].probs)]
-            nxt = myopic_action(BeliefProfile(stepped, 1), inst.R)
+            nxt = myopic_pick(BeliefProfile(stepped, 1), inst.R)
             want += inst.beta * d * float(inst.R.values @ stepped[nxt - 1].probs)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -294,7 +293,7 @@ class TestPolicyValue:
     def test_myopic_policy_value_matches_avf(self, two_state_instance):
         inst = two_state_instance
         prof = BeliefProfile(inst.initial_beliefs, 0)
-        u = myopic_action(prof, inst.R)
+        u = myopic_pick(prof, inst.R)
         assert policy_value(inst, prof, 0, 3, myopic_policy(inst)) == pytest.approx(
             avf_evaluate(inst, prof, 0, 3, u), abs=1e-12
         )

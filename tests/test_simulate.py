@@ -15,7 +15,6 @@ from restless_sched import (
     myopic_policy,
     policy_value,
     round_robin_policy,
-    sample_trajectory,
     seeded_random_policy,
     stay_policy,
 )
@@ -101,46 +100,6 @@ def reference_totals(inst, policy, T, n_traj, seed):
     return np.concatenate(blocks)
 
 
-def reference_trajectory(inst, policy, T, seed):
-    """``reference_totals`` for one trajectory, recording each slot as it
-    goes: the hidden states (N, T+1), actions (T+1,) and observations
-    (T+1,), all 0-based, and the discounted total."""
-    rng = np.random.default_rng(seed)
-    N, X = inst.n_projects, inst.n_states
-    A, B, R = inst.A.rows, inst.B.rows, inst.R.values
-    x0 = np.stack([x.probs for x in inst.initial_beliefs])
-
-    def cdf(pmf):
-        c = np.cumsum(pmf, axis=-1)
-        return c / c[..., -1:]
-
-    def draw(c, row, u):
-        out = np.zeros(u.shape, dtype=np.int64)
-        for k in range(c.shape[-1] - 1):
-            out += c[row, k] <= u
-        return out
-
-    beliefs = x0[None].copy()
-    current = draw(cdf(x0), np.arange(N), rng.random((N, 1)).T)[0]
-    states, actions, observations = [], [], []
-    total, scale = 0.0, 1.0
-    for t in range(T + 1):
-        u = policy.decide(t, beliefs)[0]
-        total += scale * R[current[u]]
-        scale *= inst.beta
-        nxt = draw(cdf(A), current, rng.random((1, N))[0])
-        obs = draw(cdf(B), nxt[u], rng.random(1))[0]
-        states.append(current)
-        actions.append(u)
-        observations.append(obs)
-        if t < T:
-            beliefs = beliefs @ A
-            num = beliefs[0, u] * B[:, obs]
-            beliefs[0, u] = num / num.sum()
-        current = nxt
-    return np.array(states).T, np.array(actions), np.array(observations), total
-
-
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("seed", [5, 2024])
     def test_totals_bit_identical_across_a_block_boundary(self, seed):
@@ -184,28 +143,14 @@ class TestEngineMatchesReference:
         assert first[:2] == second[:2]
         assert np.array_equal(first[2], second[2])
 
-    @pytest.mark.parametrize("make", [mixed_dims_instance, zero_likelihood_instance])
-    def test_sample_trajectory_records_every_slot(self, make):
-        # Each slot's record must be that slot's, not a view of buffers
-        # the next slot overwrites.
-        inst = make()
-        for policy in all_policies(inst):
-            for seed in range(6):
-                tr = sample_trajectory(inst, policy, 7, seed)
-                states, actions, observations, total = reference_trajectory(inst, policy, 7, seed)
-                assert np.array_equal(tr.states, states + 1)
-                assert np.array_equal(tr.actions, actions + 1)
-                assert np.array_equal(tr.observations, observations + 1)
-                assert tr.discounted_total == total
-
     def test_myopic_decisions_vary(self):
-        # The comparison above means something only if the myopic policy
+        # The comparisons above mean something only if the myopic policy
         # works both projects.
         inst = mixed_dims_instance()
-        actions = np.concatenate([
-            sample_trajectory(inst, myopic_policy(inst), 5, s).actions for s in range(20)
-        ])
-        assert set(actions.tolist()) == {1, 2}
+        policy, calls = myopic_policy(inst), []
+        estimate_value(inst, spy_rule(policy, calls), 10, 40, 31)
+        decisions = np.concatenate([policy.decide(t, beliefs) for t, beliefs in calls])
+        assert set(decisions.tolist()) == {0, 1}
 
 
 def constant_rule(project: int) -> PolicyRule:
@@ -260,8 +205,6 @@ class TestRejectedInput:
         with pytest.raises(ValueError, match=message):
             estimate_value(inst, rule, 3, 20, 0)
         with pytest.raises(ValueError, match=message):
-            sample_trajectory(inst, rule, 3, 0)
-        with pytest.raises(ValueError, match=message):
             policy_value(inst, BeliefProfile(inst.initial_beliefs, 0), 0, 3, rule)
 
     def test_float_decision_raises_in_estimate_value(self):
@@ -279,56 +222,25 @@ class TestRejectedInput:
         rule = constant_rule(project)
         with pytest.raises(IndexError, match=f"chose project {project + 1} of 2"):
             estimate_value(inst, rule, 3, 100, 0)
-        with pytest.raises(IndexError, match=f"chose project {project + 1} of 2"):
-            sample_trajectory(inst, rule, 3, 0)
 
     def test_negative_horizon_raises(self):
         inst = mixed_dims_instance()
         pol = myopic_policy(inst)
         with pytest.raises(ValueError, match="horizon"):
             estimate_value(inst, pol, -1, 100, 0)
-        with pytest.raises(ValueError, match="horizon"):
-            sample_trajectory(inst, pol, -1, 0)
 
+    @pytest.mark.parametrize("T, n_traj, shown", [(2.5, 100, "T"), (3, 100.0, "n_traj")])
+    def test_non_integer_horizon_or_count_raises(self, T, n_traj, shown):
+        inst = mixed_dims_instance()
+        with pytest.raises(TypeError, match=f"^{shown} must be an integer"):
+            estimate_value(inst, myopic_policy(inst), T, n_traj, 0)
 
-class TestSampleTrajectory:
-    def test_identity_chain_constant(self):
-        inst = deterministic_instance()
-        tr = sample_trajectory(inst, stay_policy(2), 4, 0)
-        assert np.all(tr.states[0] == 1)
-        assert np.all(tr.states[1] == 2)
-        # Observing project 2 always reads its (constant) state.
-        assert np.all(tr.observations == 2)
-        assert np.all(tr.rewards == 1.0)
-
-    def test_discounted_total_identity(self, small_params):
-        inst = gen_assumption1_instance(small_params, 2)
-        tr = sample_trajectory(inst, myopic_policy(inst), 6, 9)
-        manual = sum(inst.beta ** t * tr.rewards[t] for t in range(7))
-        assert tr.discounted_total == pytest.approx(manual, abs=1e-12)
-
-    def test_beta_zero(self):
-        inst = deterministic_instance()
-        inst0 = ModelInstance(2, 2, 2, inst.A, inst.B, inst.R, 0.0, inst.initial_beliefs)
-        tr = sample_trajectory(inst0, stay_policy(1), 5, 3)
-        assert tr.discounted_total == pytest.approx(tr.rewards[0])
-
-    def test_seed_replay_bit_identical(self, small_params):
-        inst = gen_assumption1_instance(small_params, 2)
-        a = sample_trajectory(inst, myopic_policy(inst), 8, 123)
-        b = sample_trajectory(inst, myopic_policy(inst), 8, 123)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.observations, b.observations)
-        assert a.discounted_total == b.discounted_total
-
-    def test_shapes(self, small_params):
-        inst = gen_assumption1_instance(small_params, 2)
-        T = 5
-        tr = sample_trajectory(inst, myopic_policy(inst), T, 1)
-        assert tr.states.shape == (inst.n_projects, T + 1)
-        assert tr.actions.shape == (T + 1,)
-        assert set(np.unique(tr.actions)) <= set(range(1, inst.n_projects + 1))
-        assert set(np.unique(tr.observations)) <= set(range(1, inst.n_obs + 1))
+    def test_numpy_integer_horizon_and_count_accepted(self):
+        inst = mixed_dims_instance()
+        pol = myopic_policy(inst)
+        assert estimate_value(inst, pol, np.int64(3), np.int32(100), 0) == estimate_value(
+            inst, pol, 3, 100, 0
+        )
 
 
 def inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
@@ -445,19 +357,38 @@ class TestEstimateValue:
         m2, s2 = estimate_value(inst, pol, 5, 20000, 2)
         assert abs(m1 - m2) <= 6.0 * max(s1, s2)
 
+    def test_beta_zero_counts_only_slot_0(self):
+        # The horizon-0 run draws a prefix of the horizon-5 run's
+        # uniforms, and with beta = 0 every later slot adds 0.0.
+        inst = mixed_dims_instance()
+        inst0 = ModelInstance(2, 3, 4, inst.A, inst.B, inst.R, 0.0, inst.initial_beliefs)
+        pol = myopic_policy(inst0)
+        totals = estimate_value(inst0, pol, 5, 300, 3, return_totals=True)[2]
+        first = estimate_value(inst0, pol, 0, 300, 3, return_totals=True)[2]
+        assert np.array_equal(totals, first)
+        assert set(totals.tolist()) <= set(inst.R.values.tolist())
+
     def test_passive_marginal_matches_propagation(self, small_params):
-        # Empirical state distribution of a never-worked project after t
-        # steps must match (A')^t x0 within multinomial noise.
-        inst = gen_assumption1_instance(small_params, 2)
-        n, t_check = 20000, 3
-        counts = np.zeros(inst.n_states)
-        pol = stay_policy(1)
-        for i in range(n):
-            tr = sample_trajectory(inst, pol, t_check, 5000 + i)
-            counts[tr.states[-1, t_check] - 1] += 1
-        expect = inst.initial_beliefs[-1].probs.copy()
-        for _ in range(t_check):
-            expect = inst.A.rows.T @ expect
-        emp = counts / n
-        sigma = np.sqrt(expect * (1 - expect) / n)
-        assert np.all(np.abs(emp - expect) <= 3.5 * sigma + 1e-12)
+        # A hidden chain moves by A whether its project is worked or not,
+        # so project j's slot-T state follows (A')^T x0_j within
+        # multinomial noise.  With R = 0..X-1 and one block, the horizon
+        # T-1 run draws a prefix of the horizon-T run's uniforms, so a
+        # trajectory's two totals differ by beta^T times its worked
+        # project's slot-T state.
+        gen = gen_assumption1_instance(small_params, 2)
+        X = gen.n_states
+        inst = ModelInstance(
+            gen.n_projects, X, gen.n_obs, gen.A, gen.B, np.arange(X, dtype=float), gen.beta,
+            gen.initial_beliefs,
+        )
+        n, T = 20000, 3
+        for j, x0 in enumerate(inst.initial_beliefs, start=1):
+            pol = stay_policy(j)
+            last = estimate_value(inst, pol, T, n, 5000, return_totals=True)[2]
+            before = estimate_value(inst, pol, T - 1, n, 5000, return_totals=True)[2]
+            state = (last - before) / inst.beta ** T
+            assert np.allclose(state, np.rint(state), rtol=0.0, atol=1e-6)
+            emp = np.bincount(np.rint(state).astype(int), minlength=X) / n
+            expect = np.linalg.matrix_power(inst.A.rows.T, T) @ x0.probs
+            sigma = np.sqrt(expect * (1 - expect) / n)
+            assert np.all(np.abs(emp - expect) <= 3.5 * sigma + 1e-12)

@@ -9,7 +9,6 @@ from restless_sched import (
     BeliefVector,
     InvalidBeliefError,
     ModelInstance,
-    ObservationMatrix,
     RewardVector,
     TransitionMatrix,
     validate_instance,
@@ -103,10 +102,6 @@ class TestMatrices:
     def test_nonsquare_rejected(self):
         with pytest.raises(Exception):
             TransitionMatrix([[0.5, 0.5]])
-
-    def test_observation_column_one_based(self):
-        B = ObservationMatrix([[0.8, 0.2], [0.3, 0.7]])
-        assert np.allclose(B.column(2), [0.2, 0.7])
 
     def test_reward_rejects_nonfinite(self):
         with pytest.raises(Exception):
