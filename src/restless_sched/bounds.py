@@ -217,6 +217,9 @@ def check_bounds_suite(
     check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if regime not in (None, 1, 2):
         raise ValueError(f"regime must be None, 1 or 2, got {regime!r}")
     N, X = inst.n_projects, inst.n_states

@@ -33,9 +33,15 @@ row indices into a per-depth ``table`` (M, X) of one-project beliefs.
 and filter each table row once into the next depth's table
 (``_next_table``) and key the children by integer gathers
 (``_child_keys``); ``leaf_pass`` values the deepest level a chunk at a
-time without building it, backs it up and counts it.  A deep T=6
-certificate filters 2,093 table rows where built levels filtered 58,824
-project rows.  Every level takes A'x and T(x, m) from
+time without building it, backs it up and counts it.  Both key the
+children observation-major, and ``leaf_pass`` values them so, each
+array (Y, N, parents) with whole parents last: numpy runs an operation
+that broadcasts over a short last axis a few elements at a time.  A
+leaf's largest reward is the larger of its worked project's and the
+largest passive reward of its parent's other projects; only leaves
+whose runner-up lies within ``ARGMAX_TOL`` of it go through the tie
+rule (``leaf_values``).  A deep T=6 certificate filters 2,093 table
+rows where built levels filtered 58,824 project rows.  Every level takes A'x and T(x, m) from
 ``filtering.propagate_rows`` and ``filtering.filter_rows``, and keeps
 all Y children of a worked node: a dead (zero-likelihood) one is its
 first live sibling (``filter_rows``) at likelihood 0.0.
@@ -156,7 +162,12 @@ def leaf_values(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Optimal and myopic value of leaves whose immediate rewards are
     ``rewards`` (N, ...), project axis first: the largest reward, and
     the reward of the project ``_greatest_array_index`` picks, both
-    taken column by column."""
+    taken column by column.
+
+    The DP's one leaf tie rule: a horizon-0 certificate values its root
+    with it, and ``TreeEvaluator.leaf_pass`` the leaves whose two
+    largest rewards lie within ARGMAX_TOL.  Elsewhere the pick is the
+    largest reward."""
     optimal = row_max(rewards.transpose((*range(1, rewards.ndim), 0)))
     near = optimal - ARGMAX_TOL
     myopic = rewards[-1]
@@ -188,6 +199,24 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
 #: Leaves that ``TreeEvaluator.leaf_pass`` values at a time, in whole
 #: parents, so that its arrays stay in the heap and cache.
 _LEAF_CHUNK = 8192
+
+
+def _top_two_others(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """From ``rewards`` (N, n), N projects' rewards in n profiles: per
+    project and profile, the largest and the second largest reward of
+    the other projects (-inf where there are fewer), each (N, n)."""
+    rows, (first, second) = list(rewards), np.full((2,) + rewards.shape, -np.inf)
+    for a, (top, runner) in enumerate(zip(first, second)):
+        rest = rows[:a] + rows[a + 1:]
+        if not rest:
+            continue
+        np.maximum(rest[0], rest[-1], out=top)
+        if len(rest) > 1:
+            np.minimum(rest[0], rest[-1], out=runner)
+        for r in rest[1:-1]:
+            np.maximum(runner, np.minimum(top, r), out=runner)
+            np.maximum(top, r, out=top)
+    return first, second
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,29 +359,36 @@ class TreeEvaluator:
         canon[order] = head.cumsum() - 1
         return table, np.where(live, d, 0.0).reshape(M, -1), canon, int(np.count_nonzero(head))
 
-    def _child_keys(self, canon: np.ndarray, K: int, ids: np.ndarray) -> np.ndarray:
-        """One exact key per child (parent, action, observation) of the
-        nodes ``ids`` (n, N), in ``expand``'s order, from the canonical
-        ids of ``_next_table``.  Children have equal keys exactly when
-        their canonical ids are equal position by position, so a key is
-        the uint64 sum_j canon[id_j] * K**j (unsigned as the
+    def _child_keys(self, canon: np.ndarray, K: int, columns: np.ndarray) -> np.ndarray:
+        """One exact key per child of the n nodes whose ids are
+        ``columns`` (N, n), one row per project, from the canonical ids
+        of ``_next_table``.  The keys are ordered by observation, then
+        action, then parent: each (observation, action) pair's keys are
+        one run over whole parents.  Children have equal keys exactly
+        when their canonical ids are equal position by position, so a
+        key is the uint64 sum_j canon[id_j] * K**j (unsigned as the
         fingerprints, so that both take one numpy sort), or, if K**N
         exceeds 2**64, the rank of the child's row of N canonical ids
         among the distinct rows (``_exact_merge``).
+
+        Every operand of the (Y, N, n) keys is a whole (N, n) block or
+        one K**action per action: numpy runs an operation that
+        broadcasts over a short last axis a few elements at a time.
         """
-        M, N = len(canon) // (self.Y + 1), ids.shape[1]
+        (N, n), Y = columns.shape, self.Y
+        M = len(canon) // (Y + 1)
         if K ** N > 2 ** 64:
-            rows = canon.take(_child_ids(ids, np.arange(ids.size * self.Y), M, self.Y))
-            return _exact_merge(rows)
-        radix = K ** np.arange(N, dtype=np.uint64)
-        passive = canon.take(ids)
-        # The parent's key with the worked term swapped, in place in the
-        # children's (n, N, Y) worked ids; the difference may wrap modulo
-        # 2**64, the key does not.
-        keys = canon[M:].reshape(self.Y, M).T.take(ids, axis=0)
-        keys -= passive[..., None]
-        keys *= radix[:, None]
-        keys += (passive @ radix)[:, None, None]
+            kids = _child_ids(columns.T, np.arange(columns.size * Y), M, Y)
+            return _exact_merge(canon.take(kids)).reshape(n, N, Y).T.ravel()
+        radix = K ** np.arange(N, dtype=np.uint64)[:, None]
+        # Per action and node, the node's key less the action's term; the
+        # difference may wrap modulo 2**64, a child's key does not.
+        rest = canon.take(columns)
+        rest *= radix
+        np.subtract(np.add.reduce(rest, axis=0), rest, out=rest)
+        keys = canon[M:].reshape(Y, M).take(columns, axis=1)
+        keys *= radix
+        keys += rest
         return keys.ravel()
 
     def next_level(self, table: np.ndarray, ids: np.ndarray):
@@ -367,9 +403,12 @@ class TreeEvaluator:
         action, its likelihood and the position of its key among the
         kept children.
         """
-        M = len(table)
-        table, d, canon, K = self._next_table(table, len(ids))
-        first, inverse = _first_occurrence(*_runs(self._child_keys(canon, K, ids)))
+        (n, N), M = ids.shape, len(table)
+        table, d, canon, K = self._next_table(table, n)
+        keys = self._child_keys(canon, K, np.ascontiguousarray(ids.T))
+        # In expansion order: by parent, then action, then observation.
+        keys = keys.reshape(self.Y, N, n).T.ravel()
+        first, inverse = _first_occurrence(*_runs(keys))
         kids = _child_ids(ids, first, M, self.Y)
         # Keep the table rows the kept children use, in order.
         used = np.zeros(len(table), dtype=bool)
@@ -388,41 +427,85 @@ class TreeEvaluator:
         plus beta times its children's likelihood-weighted largest
         immediate rewards, or the tie rule's picks, bit for bit as
         ``backup`` of built leaves; and the number of distinct rounded
-        keys among the children, the nodes a merge would keep.
+        keys among the children, the nodes a merge would keep.  Where no
+        leaf ties, ``myopic`` is ``optimal`` itself.
 
-        The count sorts the keys in place, the one array as long as the
-        children, and compares neighbours ``_LEAF_CHUNK`` at a time.  The
-        values take as many children at a time, rewards gathered from one
-        ``np.dot`` over the table as over built children, each action's
-        observations summed by ``row_sum``: the terms and order of
-        ``backup``'s ``np.bincount``.  A dead leaf is its first live
-        sibling at likelihood 0.0.
+        The count sorts the keys of ``_child_keys`` in place, the one
+        array as long as the children, and compares neighbours
+        ``_LEAF_CHUNK`` at a time.  The values take as many children at
+        a time, in whole parents, each array shaped (Y, N, parents) like
+        the keys, so that every operation runs over whole parents.  A
+        leaf's rewards are its worked project's and the passive ones of
+        its parent, all from one ``np.dot`` over the table as over built
+        children.  Its largest is the larger of the worked reward and
+        the largest passive reward of the other projects, which
+        ``np.maximum`` takes exactly; the tie rule picks that reward too
+        unless the runner-up, the smaller of those two or the others'
+        second largest (``_top_two_others``), lies within ARGMAX_TOL of
+        it.  Only the actions with such a leaf go through
+        ``leaf_values``.  Each action's Y observations are summed by
+        ``row_sum``: the terms and order of ``backup``'s
+        ``np.bincount``.  A dead leaf is its first live sibling at
+        likelihood 0.0.
         """
-        n, N = ids.shape
+        (n, N), Y = ids.shape, self.Y
+        columns = np.ascontiguousarray(ids.T)
         table, d, canon, K = self._next_table(table, n)
-        keys = self._child_keys(canon, K, ids)
+        # The 3-D np.dot gives each row the bits it has in a built level.
+        rows = np.dot(table[None], self.R)[0].reshape(Y + 1, -1)
+        # Per observation and table row, the worked project's reward and
+        # the likelihood, gathered together; the table is not needed
+        # past its rewards.
+        passive, worked = rows[0], np.concatenate((rows[1:], d.T)).reshape(2, Y, -1)
+        del table, d
+        keys = self._child_keys(canon, K, columns)
         keys.sort()
         count = 1
         for start in range(0, len(keys), _LEAF_CHUNK):
             run = keys[start:start + _LEAF_CHUNK + 1]
             count += int(np.count_nonzero(run[1:] != run[:-1]))
-        del keys
-        # The 3-D np.dot gives each row the bits it has in a built level.
-        table_rewards = np.dot(table[None], self.R)[0].reshape(self.Y + 1, -1)
-        every, step = np.arange(N), max(1, _LEAF_CHUNK // (N * self.Y))
-        values = np.empty((2, n, N))
+        del keys, run
+        first, second = _top_two_others(passive.take(columns))
+        step = max(1, _LEAF_CHUNK // (N * Y))
+        optimal, near = np.empty((N, n)), np.empty((N, n), dtype=bool)
+        # One chunk's gathered rewards and likelihoods, best rewards and
+        # tie bars, in one buffer that every chunk reuses.
+        scratch = np.empty(4 * Y * N * min(step, n))
         for start in range(0, n, step):
-            part = ids[start:start + step]
-            # Project j's immediate reward in child (parent, action, observation).
-            leaf = np.empty((N,) + part.shape + (self.Y,))
-            leaf[...] = table_rewards[0].take(part).T[:, :, None, None]
-            leaf[every, :, every] = table_rewards[1:].take(part, axis=1).transpose(2, 1, 0)
-            terms = np.multiply(leaf_values(leaf), d.take(part, axis=0))
-            row_sum(terms, out=values[:, start:start + step])
+            part = np.s_[:, start:start + step]
+            cols, top = columns[part], first[part]
+            buf = scratch[:4 * Y * cols.size].reshape(4, Y, *cols.shape)
+            reward, d_part, best, bar = buf
+            worked.take(cols, axis=2, out=buf[:2], mode="wrap")
+            np.maximum(reward, top, out=best)
+            np.subtract(best, ARGMAX_TOL, out=bar)
+            # The runner-up: the smaller of the worked reward and the
+            # others' largest, or the others' second largest.
+            np.minimum(reward, top, out=reward)
+            np.maximum(reward, second[part], out=reward)
+            np.logical_or.reduce(reward >= bar, axis=0, out=near[part])
+            best *= d_part
+            row_sum(best.transpose(1, 2, 0), out=optimal[part])
         # In place, the same terms as rewards + beta * sums.
-        values *= self.beta
-        values += rewards
-        return values[0], values[1], count
+        optimal = optimal.T
+        optimal *= self.beta
+        optimal += rewards
+        # Only where the best leaf reward has a runner-up within
+        # ARGMAX_TOL can the tie rule pick another project's reward.
+        if not near.any():
+            return optimal, optimal, count
+        myopic = optimal.copy()
+        action, parent = near.nonzero()
+        for start in range(0, len(parent), step * N):
+            p, a = parent[start:start + step * N], action[start:start + step * N]
+            reward, d_part = worked.take(ids[p, a], axis=2).transpose(0, 2, 1)
+            # Project j's immediate reward in child (pair, observation).
+            leaf = np.empty((N, len(p), Y))
+            leaf[...] = passive.take(columns[:, p])[:, :, None]
+            leaf[a, np.arange(len(p))] = reward
+            terms = leaf_values(leaf)[1] * d_part
+            myopic[p, a] = row_sum(terms) * self.beta + rewards[p, a]
+        return optimal, myopic, count
 
     # Not called by the package; the per-layer tracer in perfbench wraps
     # ``TreeEvaluator.profile_key`` by name.
@@ -503,9 +586,11 @@ class TreeEvaluator:
 
 
 def check_integer(name: str, value) -> None:
-    """Reject a count, slot or horizon that is neither a Python nor a
-    numpy integer with a ``TypeError`` naming the argument."""
-    if not isinstance(value, (int, np.integer)):
+    """Reject a count, slot, horizon or seed that is neither a Python nor
+    a numpy integer with a ``TypeError`` naming the argument.  A bool is
+    rejected too, though ``isinstance(True, int)`` holds: True would run
+    as 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 

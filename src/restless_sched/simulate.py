@@ -253,7 +253,8 @@ def _estimate_batched(
     in consecutive lockstep blocks that draw from one generator and share
     one workspace."""
     _check_horizon(T)
-    rng = np.random.default_rng(seed & _SEED_MASK)
+    # As a Python int: a numpy one cannot hold the mask.
+    rng = np.random.default_rng(int(seed) & _SEED_MASK)
     totals = np.empty(n_traj)
     work = _Workspace(inst, min(_BLOCK, n_traj))
     for start in range(0, n_traj, _BLOCK):
@@ -270,10 +271,12 @@ def estimate_value(
     return_totals: bool = False,
 ):
     """Sample mean and standard error of the discounted total reward,
-    and with ``return_totals`` also the per-trajectory totals."""
+    and with ``return_totals`` also the per-trajectory totals.  A seed
+    must be an integer; a negative one is taken modulo 2**64."""
     check_integer("n_traj", n_traj)
     if n_traj < 2:
         raise ValueError(f"n_traj must be >= 2, got {n_traj}")
+    check_integer("seed", seed)
     totals = _estimate_batched(inst, policy, T, n_traj, seed)
     mean = float(totals.mean())
     stderr = float(totals.std(ddof=1) / np.sqrt(n_traj))

@@ -260,6 +260,26 @@ class TestCheckBoundsSuite:
             (s.case, s.T, s.delta_w, s.lower, s.upper) for s in want
         ]
 
+    def test_bool_sample_count_rejected(self, small_params):
+        # isinstance(True, int) holds: unchecked, True failed inside numpy.
+        inst = gen_assumption1_instance(small_params, 3)
+        for n_samples in (True, np.True_):
+            with pytest.raises(TypeError, match="^n_samples must be an integer, got "):
+                check_bounds_suite(inst, n_samples, 0)
+
+    def test_bad_seed_rejected(self, small_params):
+        inst = gen_assumption1_instance(small_params, 3)
+        for seed in (0.5, 2.0, True):
+            with pytest.raises(TypeError, match=f"^seed must be an integer, got {seed}$"):
+                check_bounds_suite(inst, 3, seed)
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            check_bounds_suite(inst, 3, -1)
+        # Python and numpy integers stay accepted.
+        got, want = check_bounds_suite(inst, 3, np.int64(4)), check_bounds_suite(inst, 3, 4)
+        assert [(s.case, s.T, s.delta_w, s.lower, s.upper) for s in got] == [
+            (s.case, s.T, s.delta_w, s.lower, s.upper) for s in want
+        ]
+
     def test_one_project_rejected(self, monkeypatch):
         # Cases 2 and 3 need a project other than l; nothing is drawn.
         inst = ModelInstance(1, 2, 2, [[0.9, 0.1], [0.2, 0.8]], [[0.99, 0.01], [0.01, 0.99]],

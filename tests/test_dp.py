@@ -231,6 +231,13 @@ class TestCertifyMyopic:
         with pytest.raises(ValueError, match="horizon"):
             certify_myopic(two_state_instance, -1)
 
+    def test_bool_horizon_rejected(self, two_state_instance):
+        # isinstance(True, int) holds: unchecked, True ran a horizon-1
+        # certificate.
+        for T in (True, np.True_):
+            with pytest.raises(TypeError, match="^T must be an integer, got "):
+                certify_myopic(two_state_instance, T)
+
     def test_report_fields(self, small_params):
         inst = gen_assumption1_instance(small_params, 1)
         rep = certify_myopic(inst, 2)
@@ -594,6 +601,14 @@ class TestPackedKeys:
         assert not exact_merges
 
 
+def chunk_splits(n: int) -> tuple[int, ...]:
+    """Parents per leaf-pass chunk for a level of n nodes: one chunk,
+    one parent per chunk, and, where some size does not divide n,
+    chunks that do not divide the nodes evenly."""
+    uneven = next((k for k in range(2, n + 1) if n % k), None)
+    return (n, 1) if uneven is None else (n, 1, uneven)
+
+
 class TestLeafChunks:
     """The leaf pass values its nodes ``policy._LEAF_CHUNK`` children at
     a time, in whole parents; where the chunks split the nodes must not
@@ -606,12 +621,8 @@ class TestLeafChunks:
         table, ids = initial_table(inst, 2)
         ev = TreeEvaluator(inst, 3)
         rewards = np.dot(table[ids], ev.R)
-        n = len(ids)
-        uneven = next(k for k in range(2, n + 1) if n % k)
         got = []
-        # One chunk, one parent per chunk, and chunks that do not divide
-        # the nodes evenly.
-        for parents in (n, 1, uneven):
+        for parents in chunk_splits(len(ids)):
             monkeypatch.setattr(policy_module, "_LEAF_CHUNK", parents * ev.N * ev.Y)
             del exact_merges[:]
             got.append(ev.leaf_pass(table.copy(), ids, rewards))
@@ -622,6 +633,84 @@ class TestLeafChunks:
         for *values, count in chunked:
             assert all(same_bits(g, w) for g, w in zip(values, want))
             assert count == want_count
+
+
+def tied_projects_instance(N: int, gap: float = 0.0) -> ModelInstance:
+    """The deep base instance with N projects that all start from its
+    first belief, project j's moved by j * gap of mass from the worst
+    state to the best one: passive projects that are never worked keep
+    rewards that tie exactly (gap 0) or lie about 1e-14 apart."""
+    base = ModelInstance.from_json_dict(json.loads(DEEP_BASE.read_text())["instance"])
+    x = base.initial_beliefs[0].probs
+    shift = np.zeros_like(x)
+    shift[0], shift[-1] = -1.0, 1.0
+    x0 = [x + j * gap * shift for j in range(N)]
+    return ModelInstance(N, base.n_states, base.n_obs, base.A, base.B, base.R, base.beta, x0)
+
+
+def worked_tie_instance() -> ModelInstance:
+    """Two static projects (A = I) whose rewards lie far apart, the
+    second starting where the first's belief goes on observation 0: a
+    leaf's worked reward ties the other project's passive one, while no
+    two passive rewards of its parent tie."""
+    B = np.array([[0.7, 0.3], [0.2, 0.8]])
+    x = np.array([0.5, 0.5])
+    y = x * B[:, 0] / (x @ B[:, 0])
+    return ModelInstance(2, 2, 2, np.eye(2), B, np.array([0.0, 1.0]), 0.9, [x, y])
+
+
+#: Leaf levels with leaves whose two largest immediate rewards lie within
+#: ARGMAX_TOL, the only leaves the leaf pass takes through the tie rule
+#: (``leaf_values``), and the same without a second project.
+TIE_INSTANCES = {
+    "equal N=3": lambda: tied_projects_instance(3),
+    "equal N=2": lambda: tied_projects_instance(2),
+    "near N=3": lambda: tied_projects_instance(3, 1e-14),
+    "near N=2": lambda: tied_projects_instance(2, 1e-14),
+    "worked ties passive": worked_tie_instance,
+    "N=1": lambda: tied_projects_instance(1),
+}
+
+
+class TestLeafTies:
+    @pytest.mark.parametrize("instance", list(TIE_INSTANCES))
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_near_ties_match_reference(self, monkeypatch, exact_merges, instance, depth):
+        inst = TIE_INSTANCES[instance]()
+        level, tables = factorings(inst, depth)
+        ev = TreeEvaluator(inst, depth + 1)
+        *want, want_count = reference_leaf_pass(ev, level)
+        rewards = np.dot(level, ev.R)
+        if instance == "near N=3" and depth:
+            # The tie rule picks the lower project's smaller reward.
+            assert not same_bits(*want)
+        if instance == "worked ties passive":
+            assert (np.abs(rewards[:, 0] - rewards[:, 1]) > 1e-3).all()
+        ties = []
+        rule = policy_module.leaf_values
+        monkeypatch.setattr(
+            policy_module, "leaf_values", lambda r: ties.append(r.shape[1]) or rule(r)
+        )
+        for table, ids in tables:
+            for parents in chunk_splits(len(ids)):
+                monkeypatch.setattr(policy_module, "_LEAF_CHUNK", parents * ev.N * ev.Y)
+                del ties[:]
+                *got, count = ev.leaf_pass(table.copy(), ids, rewards)
+                assert all(same_bits(g, w) for g, w in zip(got, want))
+                assert count == want_count
+                # The tie branch ran, on near-tie actions only; with one
+                # project no leaf has a runner-up.
+                assert (sum(ties) > 0) == (ev.N > 1)
+                assert sum(ties) < ids.size or depth == 0
+        assert not exact_merges
+
+    def test_tied_projects_certificate(self):
+        """The deep base instance with every x0 row equal, whose T=6
+        certificate CI runs through ``compare``, matches the reference
+        at T=4."""
+        inst = tied_projects_instance(3)
+        want = reference_solve(inst, [x.probs for x in inst.initial_beliefs], 0, 4)
+        assert report_bits(certify_myopic(inst, 4)) == report_bits(want)
 
 
 class TestLeafMemory:
@@ -639,6 +728,27 @@ class TestLeafMemory:
             tracemalloc.stop()
         assert sum(rep.per_depth_node_counts) == 960_800
         assert peak < 48 * 2**20
+
+    def test_deep_leaf_pass_memory(self):
+        """The deep base instance's T=6 leaf pass holds one count key per
+        leaf, and besides it no array as long as the leaves: its traced
+        peak stays below the keys, (2, n, N) values and one chunk's four
+        scratch arrays.  Keeping the keys through the values, as it did,
+        peaked at 3.09 MB against this bound's 2.28 MB."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        table, ids = initial_table(inst, 5)
+        ev = TreeEvaluator(inst, 6)
+        rewards = np.dot(table[None], ev.R)[0].take(ids)
+        (n, N), Y = ids.shape, ev.Y
+        tracemalloc.start()
+        try:
+            count = ev.leaf_pass(table, ids, rewards)[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (n, count) == (16_807, 117_649)
+        assert peak < 8 * (Y * n * N + 2 * n * N + 4 * policy_module._LEAF_CHUNK)
 
 
 class TestLevelMerge:

@@ -242,6 +242,32 @@ class TestRejectedInput:
             inst, pol, 3, 100, 0
         )
 
+    # isinstance(True, int) holds: unchecked, True ran a horizon-1
+    # estimate.
+    @pytest.mark.parametrize(
+        "T, n_traj, shown", [(True, 100, "T"), (np.True_, 100, "T"), (3, True, "n_traj")]
+    )
+    def test_bool_horizon_or_count_raises(self, T, n_traj, shown):
+        inst = mixed_dims_instance()
+        with pytest.raises(TypeError, match=f"^{shown} must be an integer, got .*True_?$"):
+            estimate_value(inst, myopic_policy(inst), T, n_traj, 0)
+
+    @pytest.mark.parametrize("seed, shown", [(0.5, "0.5"), (2.0, "2.0"), (True, "True")])
+    def test_non_integer_seed_raises(self, seed, shown):
+        inst = mixed_dims_instance()
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {shown}$"):
+            estimate_value(inst, myopic_policy(inst), 3, 100, seed)
+
+    def test_numpy_and_negative_seeds_accepted(self):
+        """A numpy integer seed draws as the Python int of its value, and
+        a negative seed is taken modulo 2**64, as ``simulate --seed``
+        accepts any int."""
+        inst = mixed_dims_instance()
+        pol = myopic_policy(inst)
+        for seed, same in ((np.int64(5), 5), (np.uint64(7), 7), (np.int32(-3), 2**64 - 3),
+                           (-1, 2**64 - 1)):
+            assert estimate_value(inst, pol, 3, 100, seed) == estimate_value(inst, pol, 3, 100, same)
+
 
 def inverse_cdf(cdf: np.ndarray, row, u: np.ndarray) -> np.ndarray:
     """``_inverse_cdf`` into freshly allocated buffers: ``intp`` draws."""
