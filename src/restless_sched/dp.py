@@ -15,10 +15,11 @@ time, backs them up into their parents and counts them.  A dead
 (``filtering.filter_rows``).  One backward sweep then yields the
 optimal value, the myopic value and the per-node agreement of the two
 (the exact finite-horizon POMDP backup of Smallwood & Sondik, Oper.
-Res. 1973).  Exact certificates stay exponential in the
-horizon (restless bandits are PSPACE-hard: Papadimitriou & Tsitsiklis,
-Math. Oper. Res. 1999); the tables cut the float work per level from the
-node count to the table size.
+Res. 1973), each level by ``policy.backup`` on (n, N, Y) blocks of its
+children.  Exact certificates stay exponential in the horizon (restless
+bandits are PSPACE-hard: Papadimitriou & Tsitsiklis, Math. Oper. Res.
+1999); the tables cut the float work per level from the node count to
+the table size.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .policy import (
     TreeEvaluator,
     backup,
     check_profile,
-    leaf_values,
     row_max,
 )
 from .types import ModelInstance
@@ -84,8 +84,9 @@ def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> Val
     immediate reward, which the myopic action attains, so every leaf
     agrees, and ``TreeEvaluator.leaf_pass`` gives the leaf-parent
     level's optimal and myopic action values, and the exact number of
-    distinct leaves, from that level, whose ``sweep`` entry has no
-    segment.
+    distinct leaves, from that level; at T=0 the root is its own leaf.
+    Every level, deepest first, then takes the same step: ``backup``
+    from the level below, if any, then its best and myopic values.
     """
     ev = TreeEvaluator(inst, T)
     counts = [0] * (T + 1)
@@ -101,23 +102,22 @@ def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> Val
         count(depth, len(ids))
         # The 3-D np.dot gives each row the bits it has in a built level.
         rewards = np.dot(table[None], ev.R)[0].take(ids)
-        table, ids, seg, d, inverse = ev.next_level(table, ids)
-        sweep.append((rewards, seg, d, inverse))
-    rewards = values = np.dot(table[None], ev.R)[0].take(ids)
+        table, ids, d, inverse = ev.next_level(table, ids)
+        sweep.append((rewards, d, inverse))
+    # The leaf-parent level, or at T=0 the root as its own leaf.
+    count(len(sweep), len(ids))
+    rewards = values = myopic = np.dot(table[None], ev.R)[0].take(ids)
+    agree = 0
     if T > 0:
-        count(T - 1, len(ids))
-        values, myopic, leaves = ev.leaf_pass(table, ids, rewards)
-        sweep.append((rewards, None, None, None))
-        count(T, leaves)
-    else:
-        count(T, 1)
-        optimal, myopic = leaf_values(values.T)
+        # Every leaf agrees.
+        values, myopic, agree = ev.leaf_pass(table, ids, rewards)
+        count(T, agree)
 
-    agree = counts[T]
-    for rewards, seg, d, inverse in reversed(sweep):
-        if seg is not None:
-            values = backup(rewards, seg, d, optimal[inverse], ev.beta)
-            myopic = backup(rewards, seg, d, myopic[inverse], ev.beta)
+    for depth in range(len(sweep), -1, -1):
+        if depth < len(sweep):
+            rewards, d, inverse = sweep[depth]
+            values = backup(rewards, d, optimal[inverse], ev.beta)
+            myopic = backup(rewards, d, myopic[inverse], ev.beta)
         idx = np.arange(len(rewards))
         # Through the module, so that a wrapper on the tie rule sees it.
         myo = policy._greatest_array_index(rewards)

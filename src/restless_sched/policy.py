@@ -5,7 +5,8 @@ The myopic rule works the project with the largest immediate reward
 R'x, ties (within ``ARGMAX_TOL``) going to the lowest index.  Rewards
 are strictly increasing, so this is also the MLR-greatest project
 wherever the profile is MLR-ordered, in either regime.  The same tie
-rule picks the DP's best action.
+rule, whose one body is ``_greatest_array_index``, picks the DP's
+actions.
 
 A policy is a name plus one batch-shaped decision ``decide(t,
 beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
@@ -19,7 +20,8 @@ slow reduction over a short last axis; ``row_sum`` sums one the same
 way, left to right from +0.0, where numpy would sum 8 or more terms
 pairwise.
 
-The tree is grown one level at a time and summed backwards.
+The tree is grown one level at a time and summed backwards, each level
+by ``backup`` on (..., Y) blocks of its children.
 ``TreeEvaluator.sweep`` follows one decision per node from many root
 profiles at once, each root up to its own horizon, on built levels of
 profiles (``TreeEvaluator.expand``) merged by rounded key; it gives
@@ -40,11 +42,11 @@ that broadcasts over a short last axis a few elements at a time.  A
 leaf's largest reward is the larger of its worked project's and the
 largest passive reward of its parent's other projects; only leaves
 whose runner-up lies within ``ARGMAX_TOL`` of it go through the tie
-rule (``leaf_values``).  A deep T=6 certificate filters 2,093 table
-rows where built levels filtered 58,824 project rows.  Every level takes A'x and T(x, m) from
-``filtering.propagate_rows`` and ``filtering.filter_rows``, and keeps
-all Y children of a worked node: a dead (zero-likelihood) one is its
-first live sibling (``filter_rows``) at likelihood 0.0.
+rule.  A deep T=6 certificate filters 2,093 table rows where built
+levels filtered 58,824 project rows.  Every level takes A'x and T(x, m)
+from ``filtering.propagate_rows`` and ``filtering.filter_rows``, and
+keeps all Y children of a worked node: a dead (zero-likelihood) one is
+its first live sibling (``filter_rows``) at likelihood 0.0.
 
 Rows are grouped by rounded key in ``_group_rows``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
@@ -158,31 +160,12 @@ def _greatest_array_index(values: np.ndarray) -> np.ndarray:
     return near.argmax(axis=-1)
 
 
-def leaf_values(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal and myopic value of leaves whose immediate rewards are
-    ``rewards`` (N, ...), project axis first: the largest reward, and
-    the reward of the project ``_greatest_array_index`` picks, both
-    taken column by column.
-
-    The DP's one leaf tie rule: a horizon-0 certificate values its root
-    with it, and ``TreeEvaluator.leaf_pass`` the leaves whose two
-    largest rewards lie within ARGMAX_TOL.  Elsewhere the pick is the
-    largest reward."""
-    optimal = row_max(rewards.transpose((*range(1, rewards.ndim), 0)))
-    near = optimal - ARGMAX_TOL
-    myopic = rewards[-1]
-    for r in rewards[-2::-1]:
-        myopic = np.where(r >= near, r, myopic)
-    return optimal, myopic
-
-
-def backup(rewards, seg, d, next_values, beta):
+def backup(rewards, d, next_values, beta):
     """Values of one level, shaped like ``rewards``: immediate reward plus
-    the discounted likelihood-weighted values of the children, child c
-    counting toward the flat index ``seg[c]`` of ``rewards``, summed in
-    expansion order."""
-    acc = np.bincount(seg, weights=d * next_values, minlength=rewards.size)
-    return rewards + beta * acc.reshape(rewards.shape)
+    beta times the likelihood-weighted values of the children, ``d`` and
+    ``next_values`` shaped like ``rewards`` with a trailing axis of Y
+    observations, summed in observation order by ``row_sum``."""
+    return rewards + beta * row_sum(d * next_values)
 
 
 #: Odd base whose powers weight the key columns in a node fingerprint.
@@ -397,11 +380,11 @@ class TreeEvaluator:
         ``sweep`` merges ``expand``'s children, keeping each key's first
         child in ``expand``'s order.
 
-        Returns (table, ids, segment, likelihood, inverse): the kept
-        children as ids into the next depth's table, cut to the rows
-        they use, in order; and per child its flat index parent * N +
-        action, its likelihood and the position of its key among the
-        kept children.
+        Returns (table, ids, likelihood, inverse): the kept children as
+        ids into the next depth's table, cut to the rows they use, in
+        order; and per child, each (n, N, Y) by (parent, action,
+        observation), its likelihood and the position of its key among
+        the kept children.
         """
         (n, N), M = ids.shape, len(table)
         table, d, canon, K = self._next_table(table, n)
@@ -414,8 +397,7 @@ class TreeEvaluator:
         used = np.zeros(len(table), dtype=bool)
         used[kids] = True
         renumber = used.cumsum() - 1
-        segment = np.arange(ids.size).repeat(self.Y)
-        return table[used], renumber.take(kids), segment, d.take(ids, axis=0).ravel(), inverse
+        return table[used], renumber.take(kids), d.take(ids, axis=0), inverse.reshape(n, N, -1)
 
     def leaf_pass(self, table: np.ndarray, ids: np.ndarray, rewards: np.ndarray):
         """The children of the nodes ``ids`` (n, N) of ``table`` (M, X),
@@ -442,11 +424,11 @@ class TreeEvaluator:
         ``np.maximum`` takes exactly; the tie rule picks that reward too
         unless the runner-up, the smaller of those two or the others'
         second largest (``_top_two_others``), lies within ARGMAX_TOL of
-        it.  Only the actions with such a leaf go through
-        ``leaf_values``.  Each action's Y observations are summed by
-        ``row_sum``: the terms and order of ``backup``'s
-        ``np.bincount``.  A dead leaf is its first live sibling at
-        likelihood 0.0.
+        it.  Only the actions with such a leaf go through the tie rule,
+        ``_greatest_array_index`` over each leaf's N rewards, and
+        ``backup`` of the picks.  Each action's Y observations are
+        summed by ``row_sum`` in observation order, as ``backup`` sums
+        them.  A dead leaf is its first live sibling at likelihood 0.0.
         """
         (n, N), Y = ids.shape, self.Y
         columns = np.ascontiguousarray(ids.T)
@@ -499,12 +481,12 @@ class TreeEvaluator:
         for start in range(0, len(parent), step * N):
             p, a = parent[start:start + step * N], action[start:start + step * N]
             reward, d_part = worked.take(ids[p, a], axis=2).transpose(0, 2, 1)
-            # Project j's immediate reward in child (pair, observation).
-            leaf = np.empty((N, len(p), Y))
-            leaf[...] = passive.take(columns[:, p])[:, :, None]
-            leaf[a, np.arange(len(p))] = reward
-            terms = leaf_values(leaf)[1] * d_part
-            myopic[p, a] = row_sum(terms) * self.beta + rewards[p, a]
+            # Per pair and observation, each project's immediate reward.
+            leaf = np.empty((len(p), Y, N))
+            leaf[...] = passive.take(ids[p])[:, None]
+            leaf[np.arange(len(p)), :, a] = reward
+            pick = np.take_along_axis(leaf, _greatest_array_index(leaf)[..., None], -1)[..., 0]
+            myopic[p, a] = backup(rewards[p, a], d_part, pick, self.beta)
         return optimal, myopic, count
 
     # Not called by the package; the per-layer tracer in perfbench wraps
@@ -566,13 +548,12 @@ class TreeEvaluator:
             n = len(children)
             keys = np.concatenate((children.reshape(n, -1), horizon[parent, None]), axis=1)
             kept, inverse = _first_occurrence(*_group_rows(keys))
-            levels.append((values, parent, d, inverse))
+            levels.append((values, grow, d.reshape(-1, self.Y), inverse.reshape(-1, self.Y)))
             level, horizon, u = children[kept], horizon[parent[kept]], None
-        # A leaf above the deepest level gets its reward plus beta * 0.0,
-        # which leaves it as it is: np.dot sums from +0.0, so no reward
-        # is -0.0.
-        for rewards, parent, d, inverse in reversed(levels):
-            values = backup(rewards, parent, d, values[inverse], self.beta)
+        # A node at its horizon keeps its reward; the others are backed up.
+        for rewards, grow, d, inverse in reversed(levels):
+            rewards[grow] = backup(rewards[grow], d, values[inverse], self.beta)
+            values = rewards
         return values
 
     def avf(self, t: int, beliefs: tuple, u: int) -> float:
@@ -586,10 +567,10 @@ class TreeEvaluator:
 
 
 def check_integer(name: str, value) -> None:
-    """Reject a count, slot, horizon or seed that is neither a Python nor
-    a numpy integer with a ``TypeError`` naming the argument.  A bool is
-    rejected too, though ``isinstance(True, int)`` holds: True would run
-    as 1."""
+    """Reject a count, slot, horizon, seed, project or action that is
+    neither a Python nor a numpy integer with a ``TypeError`` naming the
+    argument.  A bool is rejected too, though ``isinstance(True, int)``
+    holds: True would run as 1."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
@@ -614,6 +595,7 @@ def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -
 
 
 def _check_first_action(profile: BeliefProfile, first_action: int) -> None:
+    check_integer("first_action", first_action)
     if not 1 <= first_action <= profile.n_projects:
         raise IndexError(f"project {first_action} out of range 1..{profile.n_projects}")
 
@@ -652,17 +634,21 @@ def _constant(project: int, beliefs: np.ndarray) -> np.ndarray:
 
 
 def stay_policy(project: int) -> PolicyRule:
-    """Always work one fixed project (1-based).  A project below 1 raises
-    ``ValueError``; one above N is only known at a decision, which
-    raises ``IndexError`` (``check_decisions``)."""
+    """Always work one fixed project (1-based).  A project that is not
+    an integer raises ``TypeError`` and one below 1 ``ValueError``; one
+    above N is only known at a decision, which raises ``IndexError``
+    (``check_decisions``)."""
+    check_integer("project", project)
     if project < 1:
         raise ValueError(f"project must be >= 1, got {project}")
     return PolicyRule(f"stay-{project}", lambda t, beliefs: _constant(project - 1, beliefs))
 
 
 def round_robin_policy(n_projects: int) -> PolicyRule:
-    """Cycle through projects in index order.  Fewer than one project
-    raises ``ValueError``."""
+    """Cycle through projects in index order.  A count that is not an
+    integer raises ``TypeError``, and fewer than one project
+    ``ValueError``."""
+    check_integer("n_projects", n_projects)
     if n_projects < 1:
         raise ValueError(f"n_projects must be >= 1, got {n_projects}")
     return PolicyRule(
@@ -672,7 +658,10 @@ def round_robin_policy(n_projects: int) -> PolicyRule:
 
 def seeded_random_policy(n_projects: int, seed: int) -> PolicyRule:
     """Belief-blind pseudo-random choice, deterministic in (seed, slot).
-    Fewer than one project or a negative seed raises ``ValueError``."""
+    A count or seed that is not an integer raises ``TypeError``, and
+    fewer than one project or a negative seed ``ValueError``."""
+    check_integer("n_projects", n_projects)
+    check_integer("seed", seed)
     if n_projects < 1:
         raise ValueError(f"n_projects must be >= 1, got {n_projects}")
     if seed < 0:

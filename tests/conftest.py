@@ -409,13 +409,49 @@ def reference_leaves(ev, level: np.ndarray):
     return row_max(rewards), myopic, parent * ev.N + u, d, obs, count
 
 
+def segment_backup(rewards, segment, d, next_values, beta):
+    """Values of one level, shaped like ``rewards``, without
+    ``policy.backup``: child c adds ``d[c] * next_values[c]`` to the flat
+    index ``segment[c]`` of ``rewards``, in child order from +0.0
+    (``np.bincount``)."""
+    acc = np.bincount(segment, weights=d * next_values, minlength=rewards.size)
+    return rewards + beta * acc.reshape(rewards.shape)
+
+
+def reference_sweep(inst: ModelInstance, beliefs, t: int, T: int, policy, first=None) -> float:
+    """``TreeEvaluator.sweep`` of one root from slot t to T: each level
+    built by ``reference_expand`` under the policy's decisions, or the
+    0-based ``first`` action at slot t, merged by ``reference_merge``
+    and backed up by ``segment_backup``."""
+    from restless_sched.policy import TreeEvaluator
+
+    ev = TreeEvaluator(inst, T)
+    rows = np.array((tuple(beliefs),))
+    u = None if first is None else np.array([first])
+    levels = []
+    for depth in range(t, T + 1):
+        if u is None:
+            u = policy.decide(depth, rows)
+        rewards = np.dot(rows, ev.R)[np.arange(len(rows)), u]
+        if depth == T:
+            break
+        children, parent, _, _, d = reference_expand(ev, rows, u[:, None])
+        kept, inverse = reference_merge(children)
+        levels.append((rewards, parent, d, inverse))
+        rows, u = children[kept], None
+    values = rewards
+    for rewards, parent, d, inverse in reversed(levels):
+        values = segment_backup(rewards, parent, d, values[inverse], ev.beta)
+    return float(values[0])
+
+
 def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
     """``dp._solve`` without a node budget, every level built by
     ``reference_expand`` and merged by ``reference_merge``, and the leaf
     level valued and counted by ``reference_leaves``."""
     from restless_sched.dp import ValueReport
     from restless_sched.policy import (
-        ARGMAX_TOL, TreeEvaluator, _greatest_array_index, backup, row_max,
+        ARGMAX_TOL, TreeEvaluator, _greatest_array_index, row_max,
     )
 
     ev = TreeEvaluator(inst, T)
@@ -444,9 +480,9 @@ def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
         if inverse is not None:
             optimal, myopic = optimal[inverse], myopic[inverse]
         idx = np.arange(len(rewards))
-        values = backup(rewards, seg, d, optimal, ev.beta)
+        values = segment_backup(rewards, seg, d, optimal, ev.beta)
         myo = _greatest_array_index(rewards)
-        myopic = backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
+        myopic = segment_backup(rewards, seg, d, myopic, ev.beta)[idx, myo]
         optimal = row_max(values)
         best = _greatest_array_index(values)
         agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))

@@ -13,9 +13,11 @@ from conftest import (
     reference_leaves,
     reference_merge,
     reference_solve,
+    reference_sweep,
     report_bits,
     row_keys,
     same_bits,
+    segment_backup,
 )
 
 import restless_sched.filtering as filtering_module
@@ -26,6 +28,7 @@ from restless_sched import (
     DimensionMismatchError,
     InvalidBeliefError,
     NodeBudgetExceededError,
+    avf_evaluate,
     certify_myopic,
     gen_assumption1_instance,
     myopic_policy,
@@ -37,7 +40,7 @@ from restless_sched import (
     verify_assumption1,
 )
 from restless_sched.cli import main
-from restless_sched.policy import TreeEvaluator, backup
+from restless_sched.policy import TreeEvaluator
 from restless_sched.types import ModelInstance
 
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "deep.json"
@@ -349,7 +352,8 @@ def factorings(inst: ModelInstance, depth: int):
 
 
 class TestLeafPass:
-    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    # T=0 values the root as its own leaf through the same per-level step.
+    @pytest.mark.parametrize("T", [0, 1, 2, 3, 4])
     def test_reports_match_reference(self, leaf_instance, T):
         inst = leaf_instance
         beliefs = [x.probs for x in inst.initial_beliefs]
@@ -482,14 +486,31 @@ class TestLeafPass:
             assert exact_merges == [1] * 2 * k and not calls
 
 
+class TestSweepBackup:
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_policy_values_match_reference(self, leaf_instance, T):
+        """``policy_value`` and ``avf_evaluate`` back a sweep's levels up
+        bit for bit as built levels summed by segment in child order."""
+        inst = leaf_instance
+        beliefs = [x.probs for x in inst.initial_beliefs]
+        prof = BeliefProfile(inst.initial_beliefs, 0)
+        N = inst.n_projects
+        for policy in (myopic_policy(inst), round_robin_policy(N), seeded_random_policy(N, 3)):
+            want = reference_sweep(inst, beliefs, 0, T, policy)
+            assert policy_value(inst, prof, 0, T, policy).hex() == want.hex()
+        for u in range(N):
+            want = reference_sweep(inst, beliefs, 0, T, myopic_policy(inst), first=u)
+            assert avf_evaluate(inst, prof, 0, T, u + 1).hex() == want.hex()
+
+
 def reference_leaf_pass(ev: TreeEvaluator, level: np.ndarray):
     """The leaf pass below the built ``level``, from
     ``reference_leaves``: the level's optimal and myopic action values
-    (n, N) by ``backup`` of the built leaves' values, and the number of
-    distinct leaves."""
+    (n, N) by ``segment_backup`` of the built leaves' values, and the
+    number of distinct leaves."""
     optimal, myopic, segment, d, _, count = reference_leaves(ev, level)
     rewards = np.dot(level, ev.R)
-    return (*(backup(rewards, segment, d, v, ev.beta) for v in (optimal, myopic)), count)
+    return (*(segment_backup(rewards, segment, d, v, ev.beta) for v in (optimal, myopic)), count)
 
 
 def reference_level(ev: TreeEvaluator, level: np.ndarray):
@@ -499,7 +520,7 @@ def reference_level(ev: TreeEvaluator, level: np.ndarray):
     every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
     children, parent, u, obs, d = reference_expand(ev, level, every_action)
     leaf_pass = reference_leaf_pass(ev, level)
-    return leaf_pass, (children, parent * ev.N + u, obs, d), reference_merge(children)
+    return leaf_pass, (children, parent, u, obs, d), reference_merge(children)
 
 
 def live_and_dead(segment: np.ndarray, obs: np.ndarray, Y: int, n_children: int):
@@ -514,20 +535,23 @@ def live_and_dead(segment: np.ndarray, obs: np.ndarray, Y: int, n_children: int)
 
 def check_level(ev: TreeEvaluator, table: np.ndarray, ids: np.ndarray, want) -> None:
     """``leaf_pass`` and ``next_level`` of ``table`` and ``ids`` agree
-    bit for bit with ``reference_level`` of the level they factor; a
-    dead child of ``next_level`` has likelihood 0.0 and its first live
-    sibling's key."""
-    (*values, count), (children, segment, obs, d), (first, inverse) = want
+    bit for bit with ``reference_level`` of the level they factor: each
+    live child's likelihood and key at its (parent, action,
+    observation); a dead child of ``next_level`` has likelihood 0.0 and
+    its first live sibling's key."""
+    (*values, count), (children, parent, u, obs, d), (first, inverse) = want
     *got, got_count = ev.leaf_pass(table.copy(), ids, np.dot(table[ids], ev.R))
     for g, w in zip(got, values):
         assert same_bits(g, w)
     assert got_count == count == len(first)
-    table, ids, got_segment, got_d, got_inverse = ev.next_level(table, ids)
-    live, dead, sibling = live_and_dead(segment, obs, ev.Y, len(got_d))
-    assert np.array_equal(got_inverse[live], inverse)
+    n = len(ids)
+    table, ids, got_d, got_inverse = ev.next_level(table, ids)
+    assert got_d.shape == got_inverse.shape == (n, ev.N, ev.Y)
+    assert same_bits(got_d[parent, u, obs], d)
+    assert np.array_equal(got_inverse[parent, u, obs], inverse)
     assert same_bits(table[ids], children[first])
-    assert np.array_equal(got_segment[live], segment) and same_bits(got_d[live], d)
-    assert np.array_equal(got_segment[dead], got_segment[sibling])
+    _, dead, sibling = live_and_dead(parent * ev.N + u, obs, ev.Y, got_d.size)
+    got_d, got_inverse = got_d.ravel(), got_inverse.ravel()
     assert same_bits(got_d[dead], np.zeros(len(dead)))
     assert np.array_equal(got_inverse[dead], got_inverse[sibling])
 
@@ -661,7 +685,7 @@ def worked_tie_instance() -> ModelInstance:
 
 #: Leaf levels with leaves whose two largest immediate rewards lie within
 #: ARGMAX_TOL, the only leaves the leaf pass takes through the tie rule
-#: (``leaf_values``), and the same without a second project.
+#: (``_greatest_array_index``), and the same without a second project.
 TIE_INSTANCES = {
     "equal N=3": lambda: tied_projects_instance(3),
     "equal N=2": lambda: tied_projects_instance(2),
@@ -686,10 +710,12 @@ class TestLeafTies:
             assert not same_bits(*want)
         if instance == "worked ties passive":
             assert (np.abs(rewards[:, 0] - rewards[:, 1]) > 1e-3).all()
+        # The leaf pass calls the tie rule only in its tie branch, once
+        # per chunk of (pair, observation, project) leaf rewards.
         ties = []
-        rule = policy_module.leaf_values
+        rule = policy_module._greatest_array_index
         monkeypatch.setattr(
-            policy_module, "leaf_values", lambda r: ties.append(r.shape[1]) or rule(r)
+            policy_module, "_greatest_array_index", lambda r: ties.append(len(r)) or rule(r)
         )
         for table, ids in tables:
             for parents in chunk_splits(len(ids)):
@@ -703,6 +729,17 @@ class TestLeafTies:
                 assert (sum(ties) > 0) == (ev.N > 1)
                 assert sum(ties) < ids.size or depth == 0
         assert not exact_merges
+
+    @pytest.mark.parametrize("instance", list(TIE_INSTANCES))
+    def test_root_as_its_own_leaf_matches_reference(self, instance):
+        """At T=0 the root takes the step of every other level: its best
+        reward, and the tie rule's pick among near ties."""
+        inst = TIE_INSTANCES[instance]()
+        want = reference_solve(inst, [x.probs for x in inst.initial_beliefs], 0, 0)
+        assert report_bits(certify_myopic(inst, 0)) == report_bits(want)
+        if instance.startswith("near"):
+            # The tie rule picks the lower project's smaller reward.
+            assert want.myopic_value < want.optimal_value
 
     def test_tied_projects_certificate(self):
         """The deep base instance with every x0 row equal, whose T=6
@@ -775,13 +812,17 @@ class TestLevelMerge:
         level = table[ids]
         assert same_bits(level, initial_level(inst, 4))
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
-        children, parent, u, _, d = reference_expand(ev, level, every_action)
+        children, parent, u, obs, d = reference_expand(ev, level, every_action)
         want = reference_merge(children)
-        table, ids, segment, likelihood, inverse = ev.next_level(table, ids)
+        n = len(ids)
+        table, ids, likelihood, inverse = ev.next_level(table, ids)
         assert not exact_merges
-        assert np.array_equal(inverse, want[1])
+        assert likelihood.shape == inverse.shape == (n, ev.N, ev.Y)
+        # Every child is live, so the reference has one per entry.
+        assert len(d) == likelihood.size
+        assert same_bits(likelihood[parent, u, obs], d)
+        assert np.array_equal(inverse[parent, u, obs], want[1])
         assert same_bits(table[ids], children[want[0]])
-        assert np.array_equal(segment, parent * ev.N + u) and same_bits(likelihood, d)
         # The table keeps only the rows the kept children use.
         assert len(np.unique(ids)) == len(table)
 

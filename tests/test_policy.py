@@ -212,6 +212,18 @@ class TestAvfEvaluate:
         with pytest.raises(IndexError):
             avf_evaluate(two_state_instance, prof, 0, 2, 3)
 
+    @pytest.mark.parametrize("u", [1.5, 1.0, True])
+    def test_non_integer_action_raises(self, two_state_instance, u):
+        # 1.5 failed inside numpy's indexing, and True ran as action 1.
+        prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
+        with pytest.raises(TypeError, match="first_action must be an integer"):
+            avf_evaluate(two_state_instance, prof, 0, 2, u)
+
+    def test_numpy_integer_action_accepted(self, two_state_instance):
+        prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
+        got = avf_evaluate(two_state_instance, prof, 0, 2, np.int64(2))
+        assert got == avf_evaluate(two_state_instance, prof, 0, 2, 2)
+
     def test_profile_must_fit_instance(self, two_state_instance):
         for beliefs in MISFITS:
             with pytest.raises(DimensionMismatchError):
@@ -335,6 +347,35 @@ class TestPolicyValue:
     def test_stay_rejects_a_project_below_one(self, project):
         with pytest.raises(ValueError, match=f"got {project}$"):
             stay_policy(project)
+
+    # Each of these ran another policy: stay-1.5 worked project 1,
+    # round-robin over 2.5 projects worked 0, 1, 2, 0, 1, 0, ..., and
+    # random over 2.5 projects never picked project 3.
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            pytest.param(lambda: stay_policy(1.5), "project", id="stay-1.5"),
+            pytest.param(lambda: stay_policy(True), "project", id="stay-True"),
+            pytest.param(lambda: round_robin_policy(2.5), "n_projects", id="round-robin-2.5"),
+            pytest.param(lambda: round_robin_policy(True), "n_projects", id="round-robin-True"),
+            pytest.param(lambda: seeded_random_policy(2.5, 1), "n_projects", id="random-2.5"),
+            pytest.param(lambda: seeded_random_policy(True, 1), "n_projects", id="random-True"),
+            pytest.param(lambda: seeded_random_policy(3, 1.0), "seed", id="random-seed-1.0"),
+            pytest.param(lambda: seeded_random_policy(3, True), "seed", id="random-seed-True"),
+        ],
+    )
+    def test_non_integer_project_or_count_rejected(self, make, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            make()
+
+    def test_numpy_integer_project_and_count_accepted(self, two_state_instance):
+        beliefs = np.array([BeliefProfile(two_state_instance.initial_beliefs, 0).arrays()])
+        assert stay_policy(np.int64(2)).decide(0, beliefs).tolist() == [1]
+        assert round_robin_policy(np.int32(2)).decide(3, beliefs).tolist() == [1]
+        p1, p2 = seeded_random_policy(np.int64(2), np.uint8(7)), seeded_random_policy(2, 7)
+        assert [p1.decide(t, beliefs).tolist() for t in range(10)] == [
+            p2.decide(t, beliefs).tolist() for t in range(10)
+        ]
 
 
 class TestSlotAndHorizonChecks:
