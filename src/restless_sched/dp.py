@@ -7,7 +7,9 @@ action, merging profiles with equal rounded keys.  The projects evolve
 independently, so a level is held factored: ids (n, N) into a per-depth
 table of one-project beliefs, whose every row is propagated and
 filtered once per depth (``TreeEvaluator.next_level``), and whose
-nodes are merged on their rows' canonical ids packed into one integer.
+nodes are merged on their rows' canonical ids packed into one integer,
+by one in-place sort of uint64 words that hold each key above its
+child's position in expansion order.
 The deepest level is not built: ``TreeEvaluator.leaf_pass`` values the
 leaves from their parents' ids and the next depth's table, a chunk at a
 time, backs them up into their parents and counts them.  A dead
@@ -16,7 +18,8 @@ time, backs them up into their parents and counts them.  A dead
 optimal value, the myopic value and the per-node agreement of the two
 (the exact finite-horizon POMDP backup of Smallwood & Sondik, Oper.
 Res. 1973), each level by ``policy.backup`` on (n, N, Y) blocks of its
-children.  Exact certificates stay exponential in the horizon (restless
+children's values, gathered by ``take`` as every row gather of the DP
+is.  Exact certificates stay exponential in the horizon (restless
 bandits are PSPACE-hard: Papadimitriou & Tsitsiklis, Math. Oper. Res.
 1999); the tables cut the float work per level from the node count to
 the table size.
@@ -116,14 +119,15 @@ def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> Val
     for depth in range(len(sweep), -1, -1):
         if depth < len(sweep):
             rewards, d, inverse = sweep[depth]
-            values = backup(rewards, d, optimal[inverse], ev.beta)
-            myopic = backup(rewards, d, myopic[inverse], ev.beta)
-        idx = np.arange(len(rewards))
+            values = backup(rewards, d, optimal.take(inverse), ev.beta)
+            myopic = backup(rewards, d, myopic.take(inverse), ev.beta)
         # Through the module, so that a wrapper on the tie rule sees it.
-        myo = policy._greatest_array_index(rewards)
-        optimal, myopic = row_max(values), myopic[idx, myo]
+        # Each node's myopic action as a flat index into the (n, N)
+        # action values.
+        myo = policy._greatest_array_index(rewards) + np.arange(0, rewards.size, ev.N)
+        optimal, myopic = row_max(values), myopic.take(myo)
         # The myopic action agrees when its value ties the best one.
-        agree += int(np.count_nonzero(values[idx, myo] >= optimal - ARGMAX_TOL))
+        agree += int(np.count_nonzero(values.take(myo) >= optimal - ARGMAX_TOL))
 
     opt, myo_value = float(optimal[0]), float(myopic[0])
     return ValueReport(

@@ -53,11 +53,16 @@ fingerprint per row (its key bits times ``fingerprint_multipliers``,
 summed modulo 2**64), one sort, a bit-for-bit check of the rows that
 share one, and, if two different rows do, ``_exact_merge``, ``np.unique``
 over the rows.  It groups a sweep's built nodes and each next table of
-the DP.  The DP keys a child by its N table rows' canonical ids packed
-into one exact integer, or, where that integer would pass 2**64, by the
-rank of its id row (``_exact_merge``); either key is grouped by one
-sort with no tie check.  Every value still comes from the unrounded
-table rows, so a factored level merges bit for bit as a built one.
+the DP, by ``np.argsort``: on a sweep's levels of a few hundred rows,
+packing positions beside the keys costs more than it saves.  The DP
+keys a child by its N table rows' canonical ids packed into one exact
+integer, or, where that integer would pass 2**64, by the rank of its id
+row (``_exact_merge``).  ``next_level`` merges the children with one
+in-place sort of uint64 words, each key shifted above its child's
+position in expansion order (``_merge_children``), and ``leaf_pass``
+counts them with one in-place sort of the keys; neither needs a tie
+check.  Every value still comes from the unrounded table rows, so a
+factored level merges bit for bit as a built one.
 """
 
 from __future__ import annotations
@@ -228,7 +233,8 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bits = key_bits(rows)
     order, head = _runs(bits @ fingerprint_multipliers(bits.shape[1]))
     tie = (~head[1:]).nonzero()[0]
-    if not np.array_equal(bits[order.take(tie)], bits[order.take(tie + 1)]):
+    tied = order.take(tie)
+    if not np.array_equal(bits.take(tied, axis=0), bits.take(order.take(tie + 1), axis=0)):
         return _runs(_exact_merge(bits))
     return order, head
 
@@ -259,14 +265,75 @@ def _first_occurrence(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, 
     return first, rank[firsts][key]
 
 
+def _merge_children(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge the children whose exact integer ``keys`` (Y, N, n) are laid
+    out by observation, then action, then parent, keeping each key's
+    first child in expansion order: by parent, then action, then
+    observation.
+
+    Each key is shifted above its child's expansion position, which
+    takes b = ceil(log2(n*N*Y)) bits, into one uint64 word, and the
+    words are sorted in place: equal keys form runs, and each run's head
+    holds its key's first child.  Keys that fit in 64 bits but not
+    beside their positions are ranked exactly first (``np.unique``).
+    uint64 ``keys`` are packed and sorted in place.
+
+    Returns (first, inverse): the positions of the kept children in
+    ascending order, and per child, (n, N, Y) by (parent, action,
+    observation), the position of its key among the kept children.
+    """
+    Y, N, n = keys.shape
+    size = keys.size
+    width = (size - 1).bit_length()
+    if int(keys.max()) >> (64 - width):
+        keys = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    # Every operand is uint64: numpy promotes uint64 with intp to
+    # float64, which numpy 1.24 cannot shift.
+    shift = np.uint64(width)
+    words = keys.astype(np.uint64, copy=False)
+    words <<= shift
+    # Each child's position in expansion order, laid out as the keys.
+    words |= np.arange(size, dtype=np.uint64).reshape(n, N, Y).T
+    words = words.ravel()
+    words.sort()
+    # One scratch array as long as the children holds the sorted keys,
+    # then per position the number of kept children before it, then per
+    # sorted child the number of heads after the first up to it (the
+    # run of its key), then per child its key's rank.
+    scratch = words >> shift
+    head = np.empty(size, dtype=bool)
+    head[0] = True
+    np.not_equal(scratch[1:], scratch[:-1], out=head[1:])
+    words &= np.uint64((1 << width) - 1)
+    position = words.view(np.int64)
+    scratch = scratch.view(np.int64)
+    scratch[0] = 0
+    # Per key, in key order, its first child, and that child's place
+    # among the kept children.
+    heads = position[head]
+    kept = np.zeros(size, dtype=bool)
+    kept[heads] = True
+    np.add.accumulate(kept[:-1], dtype=np.int64, out=scratch[1:])
+    rank = scratch.take(heads)
+    np.add.accumulate(head[1:], dtype=np.int64, out=scratch[1:])
+    scratch[position] = rank.take(scratch)
+    return kept.nonzero()[0], scratch.reshape(n, N, Y)
+
+
 def _child_ids(ids: np.ndarray, c: np.ndarray, M: int, Y: int) -> np.ndarray:
     """The next table's ids (k, N) of the children at flat indices ``c``
     (parent, action, observation) of ``ids`` (n, N) into M rows: their
     parent's row of ``ids``, the worked project's id i replaced by
     M + m*M + i, its row filtered on the child's observation m."""
     N = ids.shape[1]
-    kids = ids.take(c // (N * Y), axis=0)
-    kids.put(np.arange(len(c)) * N + c // Y % N, ids.take(c // Y) + (c % Y + 1) * M)
+    # Floor division by a scalar is vectorised, the remainder is not.
+    pair = c // Y
+    parent = pair // N
+    kids = ids.take(parent, axis=0)
+    # Per child, the flat index of its worked project in ``kids``.
+    worked = np.arange(0, kids.size, N) - parent * N
+    worked += pair
+    kids.put(worked, ids.take(pair) + (c - pair * Y + 1) * M)
     return kids
 
 
@@ -380,6 +447,11 @@ class TreeEvaluator:
         ``sweep`` merges ``expand``'s children, keeping each key's first
         child in ``expand``'s order.
 
+        The children's keys (``_child_keys``) are merged by one in-place
+        sort of packed (key, position) words (``_merge_children``),
+        which are freed before the kept children's ids are decoded from
+        their positions (``_child_ids``).
+
         Returns (table, ids, likelihood, inverse): the kept children as
         ids into the next depth's table, cut to the rows they use, in
         order; and per child, each (n, N, Y) by (parent, action,
@@ -389,15 +461,15 @@ class TreeEvaluator:
         (n, N), M = ids.shape, len(table)
         table, d, canon, K = self._next_table(table, n)
         keys = self._child_keys(canon, K, np.ascontiguousarray(ids.T))
-        # In expansion order: by parent, then action, then observation.
-        keys = keys.reshape(self.Y, N, n).T.ravel()
-        first, inverse = _first_occurrence(*_runs(keys))
+        first, inverse = _merge_children(keys.reshape(self.Y, N, n))
+        del keys
         kids = _child_ids(ids, first, M, self.Y)
         # Keep the table rows the kept children use, in order.
         used = np.zeros(len(table), dtype=bool)
         used[kids] = True
         renumber = used.cumsum() - 1
-        return table[used], renumber.take(kids), d.take(ids, axis=0), inverse.reshape(n, N, -1)
+        table = table.take(used.nonzero()[0], axis=0)
+        return table, renumber.take(kids), d.take(ids, axis=0), inverse
 
     def leaf_pass(self, table: np.ndarray, ids: np.ndarray, rewards: np.ndarray):
         """The children of the nodes ``ids`` (n, N) of ``table`` (M, X),
@@ -405,9 +477,10 @@ class TreeEvaluator:
         action, valued, backed up and counted as leaves without building
         them.
 
-        Returns (optimal, myopic, count): per node and action, its reward
-        plus beta times its children's likelihood-weighted largest
-        immediate rewards, or the tie rule's picks, bit for bit as
+        Returns (optimal, myopic, count): per node and action, (n, N) in
+        C order, its reward plus beta times its children's
+        likelihood-weighted largest immediate rewards, or the tie rule's
+        picks, bit for bit as
         ``backup`` of built leaves; and the number of distinct rounded
         keys among the children, the nodes a merge would keep.  Where no
         leaf ties, ``myopic`` is ``optimal`` itself.
@@ -468,9 +541,12 @@ class TreeEvaluator:
             np.logical_or.reduce(reward >= bar, axis=0, out=near[part])
             best *= d_part
             row_sum(best.transpose(1, 2, 0), out=optimal[part])
-        # In place, the same terms as rewards + beta * sums.
-        optimal = optimal.T
-        optimal *= self.beta
+        # The others' rewards are not needed past the chunks; freed, they
+        # make room for the C-order values.
+        del first, second, top
+        # The same terms as rewards + beta * sums, in C order, so that
+        # the DP picks each node's myopic value with one flat ``take``.
+        optimal = np.multiply(optimal.T, self.beta, order="C")
         optimal += rewards
         # Only where the best leaf reward has a runner-up within
         # ARGMAX_TOL can the tie rule pick another project's reward.

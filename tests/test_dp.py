@@ -385,11 +385,12 @@ class TestLeafPass:
             want = reference_solve(inst, beliefs, 0, T)
             assert report_bits(certify_myopic(inst, T)) == report_bits(want)
 
-    # Input 14's T=6 leaves straddle rounding lines, so its node count
-    # (137,282 with this build) depends on the last bits.  Input 10's
-    # depth-5 count (16,907) moved to 16,932 when rows were interned by
-    # their rounded keys.
-    @pytest.mark.parametrize("index", [10, 14])
+    # Inputs 14's and 16's T=6 leaves straddle rounding lines, so their
+    # leaf counts (117,674 with this build, where most inputs count
+    # 117,649) depend on the last bits.  Input 10's depth-5 count
+    # (16,907) moved to 16,932 when rows were interned by their rounded
+    # keys.  Twelve of the 49 inputs take about 0.7 s.
+    @pytest.mark.parametrize("index", [0, 4, 10, 14, 16, 19, 23, 28, 33, 38, 43, 47])
     def test_deep_input_matches_reference(self, index):
         doc = json.loads(DEEP.read_text())
         inst = ModelInstance.from_json_dict(doc["instances"][index]["instance"])
@@ -623,6 +624,96 @@ class TestPackedKeys:
         for table, ids in tables:
             check_level(ev, table, ids, want)
         assert not exact_merges
+
+
+def reference_children_merge(keys: np.ndarray):
+    """``np.unique`` over the children's ``keys`` (Y, N, n) or key rows
+    (Y, N, n, k), read in expansion order (parent, action, observation):
+    the kept children's flat positions in ascending order, and per child
+    (n, N, Y) the position of its key among them."""
+    Y, N, n = keys.shape[:3]
+    rows = keys.transpose(2, 1, 0, *range(3, keys.ndim)).reshape(n * N * Y, -1)
+    _, index, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(index), dtype=np.intp)
+    rank[np.argsort(index)] = np.arange(len(index))
+    return np.sort(index), rank[inverse.ravel()].reshape(n, N, Y)
+
+
+def reference_child_ids(ids: np.ndarray, M: int, Y: int) -> np.ndarray:
+    """Every child's ids (n, N, Y, N) into the next table of M + Y*M
+    rows, by (parent, action, observation): its parent's ids, the worked
+    project's id i replaced by M + m*M + i."""
+    n, N = ids.shape
+    kids = np.broadcast_to(ids[:, None, None], (n, N, Y, N)).copy()
+    a = np.arange(N)
+    kids[:, a, :, a] = ids.T[..., None] + M * (1 + np.arange(Y))
+    return kids
+
+
+def check_merge(keys: np.ndarray) -> None:
+    """``_merge_children`` of ``keys`` (Y, N, n), which it packs and
+    sorts in place, agrees with ``reference_children_merge``."""
+    first, inverse = policy_module._merge_children(keys.copy())
+    want_first, want_inverse = reference_children_merge(keys)
+    assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+
+
+class TestPackedMerge:
+    """``_merge_children`` sorts each child's key packed above its
+    position in one uint64 word.  Its branches against ``np.unique``:
+    exact ranks, packed keys that fit beside their positions, and packed
+    keys that fit in 64 bits only alone, which are ranked first."""
+
+    def test_exact_rank_keys(self, exact_merges):
+        # Depth 2 of the N=9 instance: 243**9 > 2**64, so the children
+        # are keyed by the ranks of their rows of canonical ids.
+        inst = verified_many_projects_instance()
+        table, ids = initial_table(inst, 2)
+        ev = TreeEvaluator(inst, 3)
+        (n, N), M, Y = ids.shape, len(table), ev.Y
+        _, _, canon, K = ev._next_table(table, n)
+        assert K ** N > 2 ** 64
+        keys = ev._child_keys(canon, K, np.ascontiguousarray(ids.T)).reshape(Y, N, n)
+        assert exact_merges == [1]
+        first, inverse = policy_module._merge_children(keys.copy())
+        # The reference merges the children's rows of canonical ids.
+        kids = reference_child_ids(ids, M, Y)
+        want_first, want_inverse = reference_children_merge(canon[kids].transpose(2, 1, 0, 3))
+        assert np.array_equal(first, want_first) and np.array_equal(inverse, want_inverse)
+        got = policy_module._child_ids(ids, first, M, Y)
+        assert np.array_equal(got, kids.reshape(-1, N)[want_first])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_keys_that_fit_only_alone_are_ranked_first(self, seed):
+        # 3 x 2 x 700 children take 13 position bits, so keys from 2**60
+        # up fit in 64 bits but not beside their positions.  Keys that
+        # differ only in their top bits would merge if those were cut.
+        rng = np.random.default_rng(seed)
+        small = rng.integers(0, 900, (3, 2, 700)).astype(np.uint64)
+        assert 2 ** 60 << (small.size - 1).bit_length() > 2 ** 64
+        for keys in (small, small + np.uint64(2 ** 60), small << np.uint64(54)):
+            check_merge(keys)
+
+    def test_deep_level_keys_shifted_past_their_positions(self):
+        # The packed keys of input 14's depth-4 level, as they are and
+        # moved into the top bits, merge alike.
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
+        table, ids = initial_table(inst, 4)
+        ev = TreeEvaluator(inst, 6)
+        (n, N), Y = ids.shape, ev.Y
+        _, _, canon, K = ev._next_table(table, n)
+        keys = ev._child_keys(canon, K, np.ascontiguousarray(ids.T)).reshape(Y, N, n)
+        assert keys.size == 21_609
+        shifted = keys << np.uint64(64 - int(keys.max()).bit_length())
+        assert int(shifted.max()) << (keys.size - 1).bit_length() >= 2 ** 64
+        check_merge(keys)
+        check_merge(shifted)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 1), (1, 3, 2), (3, 3, 5)])
+    def test_small_levels(self, shape):
+        keys = np.random.default_rng(0).integers(0, 3, shape).astype(np.uint64)
+        check_merge(keys)
 
 
 def chunk_splits(n: int) -> tuple[int, ...]:
