@@ -112,9 +112,10 @@ def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> Val
     rewards = values = myopic = np.dot(table[None], ev.R)[0].take(ids)
     agree = 0
     if T > 0:
-        # Every leaf agrees.
-        values, myopic, agree = ev.leaf_pass(table, ids, rewards)
-        count(T, agree)
+        # Every leaf agrees.  The leaf pass refuses an over-budget
+        # request as soon as it has counted the leaves, before it values
+        # them.
+        values, myopic, agree = ev.leaf_pass(table, ids, rewards, lambda n: count(T, n))
 
     for depth in range(len(sweep), -1, -1):
         if depth < len(sweep):

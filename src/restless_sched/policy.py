@@ -42,11 +42,17 @@ that broadcasts over a short last axis a few elements at a time.  A
 leaf's largest reward is the larger of its worked project's and the
 largest passive reward of its parent's other projects; only leaves
 whose runner-up lies within ``ARGMAX_TOL`` of it go through the tie
-rule.  A deep T=6 certificate filters 2,093 table rows where built
-levels filtered 58,824 project rows.  Every level takes A'x and T(x, m)
-from ``filtering.propagate_rows`` and ``filtering.filter_rows``, and
-keeps all Y children of a worked node: a dead (zero-likelihood) one is
-its first live sibling (``filter_rows``) at likelihood 0.0.
+rule.  ``leaf_pass`` works in one scratch per thread
+(``_leaf_scratch``, a ``threading.local``) that outlives the
+certificate, up to ``_LEAF_KEEP_BYTES`` (64 MiB: a deep T=7 pass keeps
+about 11 MB, a T=8 one takes 81 MB and frees it), so that a repeated
+certificate maps no fresh pages for its leaves; no array it returns
+aliases the scratch.  A deep T=6 certificate filters 2,093 table rows
+where built levels filtered 58,824 project rows.  Every level takes
+A'x and T(x, m) from ``filtering.propagate_rows`` and
+``filtering.filter_rows``, and keeps all Y children of a worked node: a
+dead (zero-likelihood) one is its first live sibling (``filter_rows``)
+at likelihood 0.0.
 
 Rows are grouped by rounded key in ``_group_rows``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
@@ -67,6 +73,7 @@ factored level merges bit for bit as a built one.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,19 +195,48 @@ def fingerprint_multipliers(n_columns: int) -> np.ndarray:
 #: parents, so that its arrays stay in the heap and cache.
 _LEAF_CHUNK = 8192
 
+#: The largest scratch, in bytes, that ``_leaf_scratch`` keeps between
+#: calls: a deep T=7 leaf pass takes about 11 MB, a T=8 one 81 MB.
+_LEAF_KEEP_BYTES = 64 << 20
 
-def _top_two_others(rewards: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+#: Per thread, the leaf pass's kept scratch (``_leaf_scratch``).
+_LEAF_SCRATCH = threading.local()
+
+
+def _leaf_scratch(nbytes: int) -> np.ndarray:
+    """``nbytes`` bytes of working memory for ``TreeEvaluator.leaf_pass``
+    in this thread, as a uint8 array.
+
+    Up to ``_LEAF_KEEP_BYTES`` the bytes come from one buffer per thread
+    that outlives the call and grows to the largest request, so a
+    repeated pass touches no fresh pages; a larger request gets a fresh
+    array, freed with the call.  The contents are garbage, and the next
+    request in the thread may overwrite them.
+    """
+    if nbytes > _LEAF_KEEP_BYTES:
+        return np.empty(nbytes, dtype=np.uint8)
+    kept = getattr(_LEAF_SCRATCH, "buffer", None)
+    if kept is None or len(kept) < nbytes:
+        # The old buffer goes first, so the two are never held at once.
+        _LEAF_SCRATCH.buffer = kept = None
+        kept = _LEAF_SCRATCH.buffer = np.empty(nbytes, dtype=np.uint8)
+    return kept[:nbytes]
+
+
+def _top_two_others(rewards: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """From ``rewards`` (N, n), N projects' rewards in n profiles: per
     project and profile, the largest and the second largest reward of
-    the other projects (-inf where there are fewer), each (N, n)."""
-    rows, (first, second) = list(rewards), np.full((2,) + rewards.shape, -np.inf)
+    the other projects (-inf where there are fewer), each (N, n), the
+    two halves of ``out`` (2, N, n)."""
+    rows, (first, second) = list(rewards), out
     for a, (top, runner) in enumerate(zip(first, second)):
         rest = rows[:a] + rows[a + 1:]
-        if not rest:
+        if len(rest) < 2:
+            top[...] = rest[0] if rest else -np.inf
+            runner.fill(-np.inf)
             continue
         np.maximum(rest[0], rest[-1], out=top)
-        if len(rest) > 1:
-            np.minimum(rest[0], rest[-1], out=runner)
+        np.minimum(rest[0], rest[-1], out=runner)
         for r in rest[1:-1]:
             np.maximum(runner, np.minimum(top, r), out=runner)
             np.maximum(top, r, out=top)
@@ -409,7 +445,9 @@ class TreeEvaluator:
         canon[order] = head.cumsum() - 1
         return table, np.where(live, d, 0.0).reshape(M, -1), canon, int(np.count_nonzero(head))
 
-    def _child_keys(self, canon: np.ndarray, K: int, columns: np.ndarray) -> np.ndarray:
+    def _child_keys(
+        self, canon: np.ndarray, K: int, columns: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """One exact key per child of the n nodes whose ids are
         ``columns`` (N, n), one row per project, from the canonical ids
         of ``_next_table``.  The keys are ordered by observation, then
@@ -417,28 +455,36 @@ class TreeEvaluator:
         one run over whole parents.  Children have equal keys exactly
         when their canonical ids are equal position by position, so a
         key is the uint64 sum_j canon[id_j] * K**j (unsigned as the
-        fingerprints, so that both take one numpy sort), or, if K**N
-        exceeds 2**64, the rank of the child's row of N canonical ids
-        among the distinct rows (``_exact_merge``).
+        fingerprints, so that both take one numpy sort), written into
+        ``out`` (Y, N, n) if given, or, if K**N exceeds 2**64, the rank
+        of the child's row of N canonical ids among the distinct rows
+        (``_exact_merge``), a fresh array.
 
-        Every operand of the (Y, N, n) keys is a whole (N, n) block or
-        one K**action per action: numpy runs an operation that
-        broadcasts over a short last axis a few elements at a time.
+        A child's key is its parent's plus the worked project's change
+        of term.  Every operand of the (Y, N, n) keys is a whole
+        (N, n) block, one K**action per action or one parent key per
+        node: numpy runs an operation that broadcasts over a short last
+        axis a few elements at a time.
         """
         (N, n), Y = columns.shape, self.Y
         M = len(canon) // (Y + 1)
         if K ** N > 2 ** 64:
             kids = _child_ids(columns.T, np.arange(columns.size * Y), M, Y)
             return _exact_merge(canon.take(kids)).reshape(n, N, Y).T.ravel()
-        radix = K ** np.arange(N, dtype=np.uint64)[:, None]
-        # Per action and node, the node's key less the action's term; the
-        # difference may wrap modulo 2**64, a child's key does not.
-        rest = canon.take(columns)
-        rest *= radix
-        np.subtract(np.add.reduce(rest, axis=0), rest, out=rest)
-        keys = canon[M:].reshape(Y, M).take(columns, axis=1)
-        keys *= radix
-        keys += rest
+        radix = K ** np.arange(N, dtype=np.uint64)
+        # Per node, its key; per observation and table row, a filtered
+        # row's canonical id less the propagated row's.  Both may wrap
+        # modulo 2**64, a child's key does not.
+        parent, term = canon.take(columns[0]), np.empty(n, dtype=np.uint64)
+        for j in range(1, N):
+            canon.take(columns[j], out=term, mode="wrap")
+            term *= radix[j]
+            parent += term
+        change = canon[M:].reshape(Y, M) - canon[:M]
+        # mode="wrap" writes straight into ``out``; "raise" would buffer.
+        keys = change.take(columns, axis=1, out=out, mode="wrap")
+        keys *= radix[:, None]
+        keys += parent
         return keys.ravel()
 
     def next_level(self, table: np.ndarray, ids: np.ndarray):
@@ -471,7 +517,13 @@ class TreeEvaluator:
         table = table.take(used.nonzero()[0], axis=0)
         return table, renumber.take(kids), d.take(ids, axis=0), inverse
 
-    def leaf_pass(self, table: np.ndarray, ids: np.ndarray, rewards: np.ndarray):
+    def leaf_pass(
+        self,
+        table: np.ndarray,
+        ids: np.ndarray,
+        rewards: np.ndarray,
+        on_count: Callable[[int], None] | None = None,
+    ):
         """The children of the nodes ``ids`` (n, N) of ``table`` (M, X),
         whose immediate rewards are ``rewards`` (n, N), under every
         action, valued, backed up and counted as leaves without building
@@ -483,7 +535,22 @@ class TreeEvaluator:
         picks, bit for bit as
         ``backup`` of built leaves; and the number of distinct rounded
         keys among the children, the nodes a merge would keep.  Where no
-        leaf ties, ``myopic`` is ``optimal`` itself.
+        leaf ties, ``myopic`` is ``optimal`` itself.  Both are fresh
+        arrays.  ``on_count``, if given, is called with the count as
+        soon as it is known, before any value is computed, and may raise
+        to refuse the request (``dp`` checks its node budget so); it
+        must not start another leaf pass in the same thread.
+
+        Every buffer whose size scales with the n*N node actions, but
+        the returned values, lives in one per-thread scratch
+        (``_leaf_scratch``) that outlives the call, so that a repeated
+        pass maps no fresh pages:
+        the ids by column, whose place one chunk's buffers take once
+        they are spent; the keys, whose place the passive rewards by
+        column and the others' top two rewards take once they are
+        counted, the values then taking the passive rewards' place; and
+        the tie flags.  A scratch above ``_LEAF_KEEP_BYTES`` is freed
+        with the call.  Nothing returned aliases it.
 
         The count sorts the keys of ``_child_keys`` in place, the one
         array as long as the children, and compares neighbours
@@ -504,7 +571,6 @@ class TreeEvaluator:
         them.  A dead leaf is its first live sibling at likelihood 0.0.
         """
         (n, N), Y = ids.shape, self.Y
-        columns = np.ascontiguousarray(ids.T)
         table, d, canon, K = self._next_table(table, n)
         # The 3-D np.dot gives each row the bits it has in a built level.
         rows = np.dot(table[None], self.R)[0].reshape(Y + 1, -1)
@@ -513,23 +579,35 @@ class TreeEvaluator:
         # past its rewards.
         passive, worked = rows[0], np.concatenate((rows[1:], d.T)).reshape(2, Y, -1)
         del table, d
-        keys = self._child_keys(canon, K, columns)
+        block, step = N * n, max(1, _LEAF_CHUNK // (N * Y))
+        # The kept scratch, in three slots: 8-byte words for the ids by
+        # column, then one chunk's buffers; words for the keys, then the
+        # passive rewards by column (then the values) and the others' top
+        # two rewards; a byte per node and action for the tie flags.
+        lead = max(block, 4 * Y * N * min(step, n))
+        held = _leaf_scratch(8 * (lead + max(Y, 3) * block) + block)
+        columns = held[:8 * block].view(np.intp).reshape(N, n)
+        work, near = held[8 * lead:-block], held[-block:].view(bool).reshape(N, n)
+        np.copyto(columns, ids.T)
+        keys = work[:8 * Y * block].view(np.uint64).reshape(Y, N, n)
+        keys = self._child_keys(canon, K, columns, out=keys)
+        del canon
         keys.sort()
         count = 1
         for start in range(0, len(keys), _LEAF_CHUNK):
             run = keys[start:start + _LEAF_CHUNK + 1]
             count += int(np.count_nonzero(run[1:] != run[:-1]))
         del keys, run
-        first, second = _top_two_others(passive.take(columns))
-        step = max(1, _LEAF_CHUNK // (N * Y))
-        optimal, near = np.empty((N, n)), np.empty((N, n), dtype=bool)
-        # One chunk's gathered rewards and likelihoods, best rewards and
-        # tie bars, in one buffer that every chunk reuses.
-        scratch = np.empty(4 * Y * N * min(step, n))
+        if on_count is not None:
+            on_count(count)
+        values = work[:24 * block].view(np.float64).reshape(3, N, n)
+        optimal = passive.take(columns, out=values[0], mode="wrap")
+        first, second = _top_two_others(optimal, out=values[1:])
+        chunk = held[:8 * lead].view(np.float64)
         for start in range(0, n, step):
             part = np.s_[:, start:start + step]
-            cols, top = columns[part], first[part]
-            buf = scratch[:4 * Y * cols.size].reshape(4, Y, *cols.shape)
+            cols, top = ids[start:start + step].T, first[part]
+            buf = chunk[:4 * Y * cols.size].reshape(4, Y, *cols.shape)
             reward, d_part, best, bar = buf
             worked.take(cols, axis=2, out=buf[:2], mode="wrap")
             np.maximum(reward, top, out=best)
@@ -541,12 +619,12 @@ class TreeEvaluator:
             np.logical_or.reduce(reward >= bar, axis=0, out=near[part])
             best *= d_part
             row_sum(best.transpose(1, 2, 0), out=optimal[part])
-        # The others' rewards are not needed past the chunks; freed, they
-        # make room for the C-order values.
-        del first, second, top
         # The same terms as rewards + beta * sums, in C order, so that
         # the DP picks each node's myopic value with one flat ``take``.
-        optimal = np.multiply(optimal.T, self.beta, order="C")
+        # Copied first, the transpose takes no ufunc buffer beside the
+        # scratch.
+        optimal = optimal.T.copy()
+        optimal *= self.beta
         optimal += rewards
         # Only where the best leaf reward has a runner-up within
         # ARGMAX_TOL can the tie rule pick another project's reward.

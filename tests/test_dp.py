@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -841,13 +843,39 @@ class TestLeafTies:
         assert report_bits(certify_myopic(inst, 4)) == report_bits(want)
 
 
+def release_leaf_scratch() -> None:
+    """Drop this thread's kept leaf-pass scratch, so that the next leaf
+    pass allocates it again."""
+    vars(policy_module._LEAF_SCRATCH).clear()
+
+
+def kept_leaf_scratch() -> np.ndarray | None:
+    """This thread's kept leaf-pass scratch, if any."""
+    return getattr(policy_module._LEAF_SCRATCH, "buffer", None)
+
+
+def deep_leaf_parents():
+    """The deep base instance's T=6 evaluator and its leaf-parent level:
+    (ev, table, ids, rewards)."""
+    doc = json.loads(DEEP.read_text())
+    inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+    table, ids = initial_table(inst, 5)
+    ev = TreeEvaluator(inst, 6)
+    return ev, table, ids, np.dot(table[None], ev.R)[0].take(ids)
+
+
 class TestLeafMemory:
+    """The two traced peaks start from a released leaf-pass scratch, so
+    that they count its allocation: a warm one would pass without
+    measuring."""
+
     def test_deep_certificate_memory(self):
         """The leaf pass holds the leaf-parent level's values and one key
         per leaf, not four arrays per leaf: the deep base instance's T=7
         certificate peaked at 76.3 MiB of traced memory when it did."""
         doc = json.loads(DEEP.read_text())
         inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        release_leaf_scratch()
         tracemalloc.start()
         try:
             rep = certify_myopic(inst, 7)
@@ -863,12 +891,9 @@ class TestLeafMemory:
         peak stays below the keys, (2, n, N) values and one chunk's four
         scratch arrays.  Keeping the keys through the values, as it did,
         peaked at 3.09 MB against this bound's 2.28 MB."""
-        doc = json.loads(DEEP.read_text())
-        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
-        table, ids = initial_table(inst, 5)
-        ev = TreeEvaluator(inst, 6)
-        rewards = np.dot(table[None], ev.R)[0].take(ids)
+        ev, table, ids, rewards = deep_leaf_parents()
         (n, N), Y = ids.shape, ev.Y
+        release_leaf_scratch()
         tracemalloc.start()
         try:
             count = ev.leaf_pass(table, ids, rewards)[-1]
@@ -876,7 +901,115 @@ class TestLeafMemory:
         finally:
             tracemalloc.stop()
         assert (n, count) == (16_807, 117_649)
+        assert kept_leaf_scratch() is not None
         assert peak < 8 * (Y * n * N + 2 * n * N + 4 * policy_module._LEAF_CHUNK)
+
+    def test_scratch_above_the_keep_bound_is_not_kept(self, monkeypatch):
+        """A deep T=6 leaf pass takes about 1.66 MB of scratch; under a
+        keep bound of 1.5 MB its certificate leaves nothing kept, and its
+        report keeps its bits."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        want = report_bits(certify_myopic(inst, 6))
+        assert len(kept_leaf_scratch()) > 1_500_000
+        release_leaf_scratch()
+        monkeypatch.setattr(policy_module, "_LEAF_KEEP_BYTES", 1_500_000)
+        assert report_bits(certify_myopic(inst, 6)) == want
+        assert kept_leaf_scratch() is None
+
+
+class TestLeafScratch:
+    """The leaf pass keeps its working buffers per thread between calls;
+    nothing it returns may alias them, and reuse must not move a bit."""
+
+    def test_nothing_returned_aliases_the_scratch(self):
+        ev, table, ids, rewards = deep_leaf_parents()
+        optimal, myopic, _ = ev.leaf_pass(table, ids, rewards)
+        kept = kept_leaf_scratch()
+        assert not np.shares_memory(optimal, kept) and not np.shares_memory(myopic, kept)
+        # The tie branch's myopic values are a copy of their own.
+        inst = tied_projects_instance(3)
+        table, ids = initial_table(inst, 3)
+        ev = TreeEvaluator(inst, 4)
+        optimal, myopic, _ = ev.leaf_pass(table, ids, np.dot(table[None], ev.R)[0].take(ids))
+        assert myopic is not optimal
+        kept = kept_leaf_scratch()
+        assert not np.shares_memory(optimal, kept) and not np.shares_memory(myopic, kept)
+        doc = json.loads(DEEP.read_text())
+        deep = ModelInstance.from_json_dict(doc["instances"][3]["instance"])
+        for rep in (certify_myopic(deep, 6), certify_myopic(inst, 4)):
+            kept = kept_leaf_scratch()
+            assert not any(np.shares_memory(np.asarray(v), kept) for v in vars(rep).values())
+
+    def test_regrown_scratch_keeps_reports(self):
+        """T=6, then T=7, then T=6 again in one thread: the scratch grows
+        for T=7 and the second T=6 certificate reuses it."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][5]["instance"])
+        release_leaf_scratch()
+        first = report_bits(certify_myopic(inst, 6))
+        small = len(kept_leaf_scratch())
+        certify_myopic(inst, 7)
+        grown = kept_leaf_scratch()
+        assert len(grown) > small
+        assert report_bits(certify_myopic(inst, 6)) == first
+        assert kept_leaf_scratch() is grown
+
+    def test_threads_match_sequential_calls(self):
+        """Two threads certifying eight deep inputs each at the same time
+        give the reports of sequential calls, bit for bit."""
+        doc = json.loads(DEEP.read_text())
+        insts = [ModelInstance.from_json_dict(e["instance"]) for e in doc["instances"][:16]]
+        want = [report_bits(certify_myopic(inst, 6)) for inst in insts]
+        got = [None] * len(insts)
+        barrier = threading.Barrier(2)
+
+        def certify(offset: int) -> None:
+            barrier.wait()
+            for k in range(offset, len(insts), 2):
+                got[k] = report_bits(certify_myopic(insts[k], 6))
+
+        # Daemon threads with a timed join: one scratch shared between
+        # threads has hung an in-place sort of the keys.  A short switch
+        # interval interleaves the two passes finely.
+        threads = [threading.Thread(target=certify, args=(k,), daemon=True) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+    def test_over_budget_request_refused_after_the_count(self, monkeypatch):
+        """A budget one below the deep T=6 total is refused as soon as the
+        leaves are counted, with the budget's message: the others' top
+        rewards are never taken, and the refusal keeps only the scratch
+        the count used."""
+        doc = json.loads(DEEP.read_text())
+        inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
+        release_leaf_scratch()
+        total = sum(certify_myopic(inst, 6).per_depth_node_counts)
+        assert total == 137_257
+        held = len(kept_leaf_scratch())
+        release_leaf_scratch()
+        calls = []
+        monkeypatch.setattr(
+            policy_module, "_top_two_others",
+            lambda *a, top=policy_module._top_two_others, **k: calls.append(1) or top(*a, **k),
+        )
+        with pytest.raises(NodeBudgetExceededError) as refused:
+            certify_myopic(inst, 6, node_budget=total - 1)
+        assert str(refused.value) == f"node budget {total - 1} exceeded for N=3, Y=3, T=6"
+        assert not calls
+        assert len(kept_leaf_scratch()) == held
+        # The same budget with one node more certifies.
+        assert certify_myopic(inst, 6, node_budget=total).horizon == 6
+        assert calls == [1]
 
 
 class TestLevelMerge:
