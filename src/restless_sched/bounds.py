@@ -12,15 +12,18 @@ u (original profile) and u' (raised profile):
 
 ``check_bounds_suite`` first draws and classifies every ordered pair,
 keeping the raw profiles in one array, and validates all of them in one
-call.  Draws run on Python floats: each costs its generator calls, a
-few float operations and one call of the myopic rule.  An instance
-whose first and last rows of A have immediate rewards within
+call.  It draws in rounds of arrays: each round gives every sample not
+yet realized ``_CANDIDATES`` candidate pairs, classifies all of them
+with one call of the myopic rule, and each sample keeps its first
+candidate of the wanted case.  Every candidate makes the same draws in
+a fixed order whatever its case, so a round's draws depend on how many
+samples are left and on N, never on how its candidates classify.  An
+instance whose first and last rows of A have immediate rewards within
 ``ARGMAX_TOL`` is rejected before any draw: every drawn belief would
 then tie on reward, so no raised profile could change the myopic
-action.  One batched sweep of the
-auxiliary value then covers both profiles of every sample, each valued
-up to its own lookahead T, and gives the exact gaps; one interval
-table gives the bounds.  The table checks every delta at once,
+action.  One batched sweep of the auxiliary value then covers both
+profiles of every sample, each valued up to its own lookahead T, and
+gives the exact gaps; one interval table gives the bounds.  The table checks every delta at once,
 computes the power terms beta^i R'(A')^i delta of all samples together
 (one row per sample, up to the largest lookahead, with the terms past
 a sample's own lookahead zeroed) and sums them into the three case
@@ -38,13 +41,24 @@ import numpy as np
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
 from .filtering import propagate_rows
-from .policy import ARGMAX_TOL, TreeEvaluator, check_integer, myopic_policy, row_sum
+from .policy import (
+    ARGMAX_TOL,
+    TreeEvaluator,
+    check_integer,
+    check_seed,
+    myopic_policy,
+    row_sum,
+)
 from .types import ModelInstance, valid_belief_rows
 
 #: Containment checked with this additive slack.
 SLACK_TOL = 1e-9
 #: Bound tests stay exact by capping the lookahead depth.
 MAX_LOOKAHEAD = 4
+#: Candidates each unrealized sample draws per round of the suite.
+_CANDIDATES = 8
+#: Candidates a sample may draw before its case counts as unrealizable.
+_MAX_DRAWS = 200
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,10 @@ def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray)
 
 
 def _one_delta(inst: ModelInstance, regime: int, t: int, T: int, delta) -> dict:
-    """The regime's three case intervals for one delta: the one-row table."""
+    """The regime's three case intervals for one delta: the one-row table.
+    A slot or horizon that is not an integer raises ``TypeError``."""
+    check_integer("t", t)
+    check_integer("T", T)
     if t < 0:
         raise ValueError(f"t={t} is negative")
     if t > T:
@@ -176,6 +193,43 @@ def lemma4_bounds(
     return _one_delta(inst, 2, t, T, delta)
 
 
+def _draw_candidates(rng: np.random.Generator, want: np.ndarray, n: int, N: int, low, high):
+    """One round of the suite's draws: ``n`` candidates for each sample
+    whose target case is ``want`` (P,).  A candidate is a profile of N
+    beliefs on the segment between ``low`` and ``high`` and the same
+    profile with the belief in slot l raised toward ``high``.
+
+    Each candidate makes every draw whatever its case, as arrays over
+    all candidates in this order: its lookahead, its N mixing weights,
+    one uniform for the slot l of case 3 and one for the raising weight
+    alpha.  Case 1 raises the top weight and case 2 the bottom one (the
+    first, as ``argmax`` and ``argmin`` pick).  Case 3 copies the top
+    weight into a slot l above it, uniform over those slots, so that
+    the original profile tie-breaks away from l; with the top weight in
+    the last slot there is none, and the candidate is not ``ok``.
+    Returns the (P, n) lookaheads and slots l, the (P, n, 2, N, X)
+    original and raised profiles and the (P, n) ``ok`` mask.
+    """
+    shape = (len(want), n)
+    horizon = rng.integers(0, MAX_LOOKAHEAD + 1, size=shape)
+    weights = rng.random(shape + (N,))
+    slot_u, alpha_u = rng.random(shape), rng.random(shape)
+    want = want[:, None]
+    top = weights.argmax(axis=-1)
+    above = np.minimum(top + 1 + (slot_u * (N - 1 - top)).astype(np.int64), N - 1)
+    slot = np.where(want == 1, top, np.where(want == 2, weights.argmin(axis=-1), above))
+    at = np.arange(N) == slot[..., None]
+    top_weight = np.take_along_axis(weights, top[..., None], axis=-1)
+    np.copyto(weights, top_weight, where=at & (want == 3)[..., None])
+    # Entry by entry the two products and one sum of
+    # generate._mixture_rows, as one belief at a time would have them.
+    profile = (1.0 - weights)[..., None] * low + weights[..., None] * high
+    lo, hi = np.where(want == 2, 0.02, 0.05), np.where(want == 2, 0.2, 0.9)
+    alpha = (lo + (hi - lo) * alpha_u)[..., None, None]
+    raised = np.where(at[..., None], (1 - alpha) * profile + alpha * high, profile)
+    return horizon, slot, np.stack((profile, raised), axis=2), (want != 3) | (top < N - 1)
+
+
 def _detect_regime(inst: ModelInstance) -> int:
     if verify_assumption1(inst).satisfied:
         return 1
@@ -198,28 +252,34 @@ def check_bounds_suite(
     is MLR-comparable and the chain clause keeps holding), component l
     raised by mixing toward the upper anchor, and the realized (u, u')
     pattern classified by immediate rewards; misclassified draws are
-    redrawn.  A draw makes its generator calls (lookahead, N weights,
-    the slot l of case 3, the mixing weight alpha), builds both profiles
-    on Python floats and classifies them with one ``policy.decide``
-    call, the myopic tie rule.  The cases need a second project, a
+    redrawn.  The draws come in rounds: each round draws
+    ``_CANDIDATES`` candidates for every sample still unrealized, in
+    sample order, as arrays in a fixed order (lookaheads, N weights per
+    candidate, one uniform per candidate for the slot l of case 3 and
+    one for the mixing weight alpha; ``_draw_candidates``), whatever
+    each candidate's case.  One ``policy.decide`` call, the myopic tie
+    rule, classifies the round's original and raised profiles, and
+    each sample takes its first candidate of its case; a sample with
+    none goes on to the next round, and one still unrealized after
+    ``_MAX_DRAWS`` (200) candidates raises ``IncomparablePairError``.
+    The stream so depends on ``n_samples``: a shorter suite is not a
+    prefix of a longer one.  The cases need a second project, a
     second state and extreme rows of A whose immediate rewards differ
     by more than ``ARGMAX_TOL`` (otherwise every drawn belief ties on
     reward), so N = 1, X = 1 and |R'A[0] - R'A[-1]| <= ARGMAX_TOL are
     rejected before any draw.  Then validates every original and raised
     profile in one call (``valid_belief_rows``).
-    The profiles of all samples, in draw order, are the roots of one
+    The profiles of all samples, in sample order, are the roots of one
     sweep of W^u_0, each valued up to its sample's lookahead T, which
     gives each sample's exact gap; nodes of different lookaheads never
     merge, so each gap has the bits of a sweep of that lookahead's
     samples alone.  One interval table gives every sample's bounds.
-    Samples are returned in draw order.
+    Samples are returned in sample order.
     """
     check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     if regime not in (None, 1, 2):
         raise ValueError(f"regime must be None, 1 or 2, got {regime!r}")
     N, X = inst.n_projects, inst.n_states
@@ -243,57 +303,36 @@ def check_bounds_suite(
     rng = np.random.default_rng(seed)
     prefix = "C" if regime == 1 else "D"
     policy = myopic_policy(inst)
-    low, high = inst.A.rows[-1].tolist(), inst.A.rows[0].tolist()
+    low, high = inst.A.rows[-1], inst.A.rows[0]
     if regime == 1:
         low, high = high, low
     pairs = np.empty((n_samples, 2, N, X))  # the original and raised profile per sample
     draws = np.empty((n_samples, 5), dtype=np.int64)  # (case - 1, T, l, u, u') per sample
-
-    for k in range(n_samples):
-        want = k % 3 + 1  # 1 -> C1/D1, 2 -> C2/D2, 3 -> C3/D3
-        for _ in range(200):
-            T = int(rng.integers(0, MAX_LOOKAHEAD + 1))
-            # rng.random(N) draws the bits of rng.uniform(0.0, 1.0, N).
-            weights = rng.random(N).tolist()
-            # max/min and list.index pick the first extreme, as np.argmax
-            # and np.argmin do.
-            if want == 1:
-                l = weights.index(max(weights))
-            elif want == 2:
-                l = weights.index(min(weights))
-            else:
-                # Duplicate the top belief into a higher slot l so the
-                # original profile tie-breaks away from l.
-                j = weights.index(max(weights))
-                if j == N - 1:
-                    continue
-                l = int(rng.integers(j + 1, N))
-                weights[l] = weights[j]
-            # Entry by entry the two products and one sum of
-            # generate._mixture_rows, so the profiles keep its bits.
-            profile = [[(1.0 - w) * a + w * b for a, b in zip(low, high)] for w in weights]
-            alpha = rng.uniform(0.02, 0.2) if want == 2 else rng.uniform(0.05, 0.9)
-            raised = list(profile)
-            raised[l] = [(1 - alpha) * x + alpha * h for x, h in zip(profile[l], high)]
-            pairs[k] = profile, raised
-
-            u, u_prime = policy.decide(0, pairs[k]).tolist()
-            if u_prime == l and u == l:
-                realized = 1
-            elif u_prime != l and u != l and u_prime == u:
-                realized = 2
-            elif u_prime == l and u != l:
-                realized = 3
-            else:
-                continue
-            if realized != want:
-                continue
-            draws[k] = (want - 1, T, l, u, u_prime)
-            break
-        else:
+    pending = np.arange(n_samples)  # unrealized samples, in sample order
+    drawn = 0  # candidates each pending sample has drawn
+    while pending.size:
+        if drawn == _MAX_DRAWS:
             raise IncomparablePairError(
-                None, None, f"could not realize case {prefix}{want} in 200 draws"
+                None, None,
+                f"could not realize case {prefix}{pending[0] % 3 + 1} in {_MAX_DRAWS} draws",
             )
+        n = min(_CANDIDATES, _MAX_DRAWS - drawn)
+        drawn += n
+        want = pending % 3 + 1  # 1 -> C1/D1, 2 -> C2/D2, 3 -> C3/D3
+        horizon, slot, candidates, ok = _draw_candidates(rng, want, n, N, low, high)
+        u = policy.decide(0, candidates.reshape(-1, N, X)).reshape(len(pending), n, 2)
+        # u' = u is case 1 if u' = l and case 2 if not; u' != u is case 3
+        # if u' = l, and no case if not.
+        prime_at_l, same = u[..., 1] == slot, u[..., 0] == u[..., 1]
+        accepted = ok & (np.where(same, 2 - prime_at_l, 3 * prime_at_l) == want[:, None])
+        hit = accepted.any(axis=1)
+        pick = accepted.argmax(axis=1)[hit]  # each sample's first accepted candidate
+        k = pending[hit]
+        pairs[k] = candidates[hit, pick]
+        draws[k] = np.column_stack(
+            (want[hit] - 1, horizon[hit, pick], slot[hit, pick], u[hit, pick])
+        )
+        pending = pending[~hit]
 
     roots = valid_belief_rows(pairs)
     case, horizon, raised_at, first = draws[:, 0], draws[:, 1], draws[:, 2], draws[:, 3:]

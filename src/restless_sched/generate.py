@@ -23,6 +23,7 @@ import numpy as np
 
 from .assumptions import _verify
 from .exceptions import CannotViolateError, GenerationExhaustedError
+from .policy import check_seed
 from .types import ModelInstance, validate_instance
 
 
@@ -80,7 +81,10 @@ def _generate(params: GeneratorParams, seed: int, regime: int) -> ModelInstance:
     """Rejection-sample an instance verified under ``regime``, regime 2
     under the mirrored clause-3 reading (see module docstring).  Both
     regimes draw the same variates in the same order; only the order of
-    A's mixing weights, B and the initial chain depend on the regime."""
+    A's mixing weights, B and the initial chain depend on the regime.
+    A seed that is not an integer raises ``TypeError`` and a negative
+    one ``ValueError``."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     last_failure = "no attempt made"
     for _ in range(params.max_attempts):
@@ -133,8 +137,10 @@ def perturb_violate(inst: ModelInstance, clause_id: str, seed: int) -> ModelInst
     the reading the generators verify: printed for regime 1, mirrored
     for regime 2.  The result stays structurally well-formed; raises
     CannotViolateError when the clause cannot be broken at the
-    instance's dimensions.
+    instance's dimensions.  A seed that is not an integer raises
+    ``TypeError`` and a negative one ``ValueError``.
     """
+    check_seed(seed)
     regime_s, _, clause_s = clause_id.partition(".")
     if regime_s not in ("1", "2") or clause_s not in ("1", "2", "3", "4", "5"):
         raise ValueError(f"clause id must look like '1.3', got {clause_id!r}")

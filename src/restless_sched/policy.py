@@ -729,6 +729,15 @@ def check_integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer (``TypeError``) or is negative
+    (``ValueError``), each naming ``seed``; numpy's own messages name
+    neither, and would take True as 1."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -> None:
     """Reject a slot or horizon that is not an integer (``TypeError``), a
     negative horizon or slot, a slot past the horizon, and a profile
@@ -815,11 +824,9 @@ def seeded_random_policy(n_projects: int, seed: int) -> PolicyRule:
     A count or seed that is not an integer raises ``TypeError``, and
     fewer than one project or a negative seed ``ValueError``."""
     check_integer("n_projects", n_projects)
-    check_integer("seed", seed)
+    check_seed(seed)
     if n_projects < 1:
         raise ValueError(f"n_projects must be >= 1, got {n_projects}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
 
     def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
         pick = int(np.random.default_rng((seed, t)).integers(n_projects))

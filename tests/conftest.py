@@ -247,15 +247,18 @@ def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
 
 
 def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regime: int) -> list:
-    """``check_bounds_suite`` one sample at a time: the same draws from
-    the same generator, each root validated as a ``BeliefProfile`` of
-    ``BeliefVector``s and each sample's intervals from
-    ``lemma_intervals``.  The gaps come from one sweep per lookahead of
-    the validated roots in draw order, which the suite's one sweep over
-    all lookaheads must match bit for bit.  Returns one tuple of every
-    ``BoundSample`` field per sample."""
+    """``check_bounds_suite`` one candidate at a time: the same rounds of
+    array draws from the same generator, but each pending sample's
+    candidates built on its own, in order, classified by one
+    ``policy.decide`` call on their pair and the three case tests
+    spelled out, up to the first accepted one.  Each root is validated
+    as a ``BeliefProfile`` of ``BeliefVector``s and each sample's
+    intervals come from ``lemma_intervals``.  The gaps come from one
+    sweep per lookahead of the validated roots in sample order, which
+    the suite's one sweep over all lookaheads must match bit for bit.
+    Returns one tuple of every ``BoundSample`` field per sample."""
     from restless_sched import BeliefProfile, BeliefVector
-    from restless_sched.bounds import MAX_LOOKAHEAD, SLACK_TOL
+    from restless_sched.bounds import _CANDIDATES, _MAX_DRAWS, MAX_LOOKAHEAD, SLACK_TOL
     from restless_sched.policy import TreeEvaluator, myopic_policy
 
     rng = np.random.default_rng(seed)
@@ -265,43 +268,55 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
     low, high = inst.A.rows[-1], inst.A.rows[0]
     if regime == 1:
         low, high = high, low
-    draws, roots = [], []
-    for k in range(n_samples):
-        want = k % 3 + 1
-        for _ in range(200):
-            T = int(rng.integers(0, MAX_LOOKAHEAD + 1))
-            weights = rng.uniform(0.0, 1.0, N)
-            if want == 1:
-                l = int(np.argmax(weights))
-            elif want == 2:
-                l = int(np.argmin(weights))
-            else:
-                j = int(np.argmax(weights))
-                if j == N - 1:
+    draws, roots = [None] * n_samples, [None] * n_samples
+    pending, drawn = list(range(n_samples)), 0
+    while pending:
+        if drawn == _MAX_DRAWS:
+            raise AssertionError(f"case {prefix}{pending[0] % 3 + 1} not realized in 200 draws")
+        n = min(_CANDIDATES, _MAX_DRAWS - drawn)
+        drawn += n
+        horizons = rng.integers(0, MAX_LOOKAHEAD + 1, size=(len(pending), n))
+        all_weights = rng.random((len(pending), n, N))
+        slot_draws = rng.random((len(pending), n))
+        alpha_draws = rng.random((len(pending), n))
+        for i, k in enumerate(pending):
+            want = k % 3 + 1
+            for b in range(n):
+                T = int(horizons[i, b])
+                weights = all_weights[i, b].copy()
+                if want == 1:
+                    l = int(np.argmax(weights))
+                elif want == 2:
+                    l = int(np.argmin(weights))
+                else:
+                    j = int(np.argmax(weights))
+                    if j == N - 1:
+                        continue
+                    l = j + 1 + int(slot_draws[i, b] * (N - 1 - j))
+                    weights[l] = weights[j]
+                beliefs = [(1 - w) * low + w * high for w in weights]
+                lo, hi = (0.02, 0.2) if want == 2 else (0.05, 0.9)
+                alpha = lo + (hi - lo) * alpha_draws[i, b]
+                raised = (1 - alpha) * beliefs[l] + alpha * high
+                raised_profile = list(beliefs)
+                raised_profile[l] = raised
+                u, u_prime = policy.decide(0, np.array([beliefs, raised_profile])).tolist()
+                if u_prime == l and u == l:
+                    realized = 1
+                elif u_prime != l and u != l and u_prime == u:
+                    realized = 2
+                elif u_prime == l and u != l:
+                    realized = 3
+                else:
                     continue
-                l = int(rng.integers(j + 1, N))
-                weights[l] = weights[j]
-            beliefs = [(1 - w) * low + w * high for w in weights]
-            alpha = rng.uniform(0.02, 0.2) if want == 2 else rng.uniform(0.05, 0.9)
-            raised = (1 - alpha) * beliefs[l] + alpha * high
-            raised_profile = list(beliefs)
-            raised_profile[l] = raised
-            u, u_prime = policy.decide(0, np.array([beliefs, raised_profile])).tolist()
-            if u_prime == l and u == l:
-                realized = 1
-            elif u_prime != l and u != l and u_prime == u:
-                realized = 2
-            elif u_prime == l and u != l:
-                realized = 3
-            else:
-                continue
-            if realized == want:
-                break
-        else:
-            raise AssertionError(f"case {prefix}{want} not realized in 200 draws")
-        profiles = [BeliefProfile([BeliefVector(b) for b in p], 0) for p in (beliefs, raised_profile)]
-        draws.append((f"{prefix}{want}", T, beliefs[l], raised, u, u_prime))
-        roots.append([p.arrays() for p in profiles])
+                if realized == want:
+                    draws[k] = (f"{prefix}{want}", T, beliefs[l], raised, u, u_prime)
+                    roots[k] = [
+                        BeliefProfile([BeliefVector(x) for x in p], 0).arrays()
+                        for p in (beliefs, raised_profile)
+                    ]
+                    break
+        pending = [k for k in pending if draws[k] is None]
     gaps = [None] * n_samples
     for T in sorted({d[1] for d in draws}):
         picked = [i for i, d in enumerate(draws) if d[1] == T]

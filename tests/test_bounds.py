@@ -15,24 +15,26 @@ from restless_sched import (
     gen_assumption2_instance,
     lemma2_bounds,
     lemma4_bounds,
+    myopic_policy,
     stay_policy,
     verify_assumption1,
 )
 from restless_sched.bounds import _interval_table
-from restless_sched.policy import TreeEvaluator
+from restless_sched.policy import PolicyRule, TreeEvaluator
 
-#: (case, T, u, u') of the first twelve samples of two suites, keyed by
-#: (regime, instance seed, suite seed); evaluation must not change the draws.
+#: (case, T, u, u') of the samples of two twelve-sample suites, keyed by
+#: (regime, instance seed, suite seed), as ``per_sample_bounds_suite``
+#: draws them; evaluation must not change the draws.
 PINNED_DRAWS = {
     (1, 3, 5): [
-        ("C1", 3, 1, 1), ("C2", 4, 2, 2), ("C3", 0, 1, 2), ("C1", 1, 1, 1),
-        ("C2", 4, 2, 2), ("C3", 4, 1, 2), ("C1", 3, 1, 1), ("C2", 0, 2, 2),
-        ("C3", 0, 1, 2), ("C1", 0, 2, 2), ("C2", 2, 1, 1), ("C3", 2, 1, 2),
+        ("C1", 3, 2, 2), ("C2", 4, 2, 2), ("C3", 3, 1, 2), ("C1", 1, 1, 1),
+        ("C2", 0, 2, 2), ("C3", 4, 1, 2), ("C1", 1, 2, 2), ("C2", 4, 2, 2),
+        ("C3", 2, 1, 2), ("C1", 1, 2, 2), ("C2", 2, 2, 2), ("C3", 0, 1, 2),
     ],
     (2, 1009, 11): [
-        ("D1", 0, 2, 2), ("D2", 0, 1, 1), ("D3", 1, 2, 3), ("D1", 3, 2, 2),
-        ("D2", 4, 3, 3), ("D3", 2, 1, 3), ("D1", 4, 2, 2), ("D2", 4, 3, 3),
-        ("D3", 1, 1, 3), ("D1", 0, 1, 1), ("D2", 2, 1, 1), ("D3", 0, 2, 3),
+        ("D1", 0, 2, 2), ("D2", 2, 3, 3), ("D3", 3, 2, 3), ("D1", 2, 3, 3),
+        ("D2", 1, 2, 2), ("D3", 1, 1, 2), ("D1", 4, 2, 2), ("D2", 4, 3, 3),
+        ("D3", 0, 1, 3), ("D1", 4, 3, 3), ("D2", 3, 3, 3), ("D3", 1, 2, 3),
     ],
 }
 
@@ -41,6 +43,30 @@ def sample_fields(s) -> tuple:
     """Every field of a bound sample, floats and arrays by their bits."""
     return (s.case, s.t, s.T, s.x_low.tobytes(), s.x_high.tobytes(), s.u, s.u_prime,
             s.delta_w.hex(), s.lower.hex(), s.upper.hex(), s.verdict)
+
+
+@pytest.fixture
+def draw_rounds(monkeypatch) -> list:
+    """(target cases, candidates per sample) of each round of draws the
+    suites of a test make, recorded around ``bounds._draw_candidates``."""
+    rounds = []
+    draw = bounds_module._draw_candidates
+
+    def spy(rng, want, n, *args):
+        rounds.append((want.tolist(), n))
+        return draw(rng, want, n, *args)
+
+    monkeypatch.setattr(bounds_module, "_draw_candidates", spy)
+    return rounds
+
+
+def reference_fields(reference) -> list:
+    """``sample_fields`` of each sample of ``per_sample_bounds_suite``."""
+    return [
+        (case, t, T, x_low.tobytes(), x_high.tobytes(), u, u_prime,
+         gap.hex(), lower.hex(), upper.hex(), verdict)
+        for case, t, T, x_low, x_high, u, u_prime, gap, lower, upper, verdict in reference
+    ]
 
 
 def mlr_deltas(rng, inst, regime, n):
@@ -74,6 +100,18 @@ class TestLemmaInputChecks:
     def test_negative_fosd_tail(self, two_state_instance, bound_fn):
         with pytest.raises(ValueError, match="MLR-ordered"):
             bound_fn(two_state_instance, 0, 2, np.array([0.3, -0.3]))
+
+    def test_non_integer_slot_or_horizon(self, two_state_instance, bound_fn):
+        # Unchecked, T = 2.5 gave T = 2's intervals, t = 0.5 and T = True
+        # the span-1 intervals, and T = '3' a bare comparison error.
+        delta = np.array([-0.2, 0.2])
+        for t, T, name in ((0, 2.5, "T"), (0.5, 2, "t"), (0, True, "T"), (np.True_, 2, "t"),
+                           (0, "3", "T"), ("0", 2, "t"), (0, 2.0, "T")):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
+                bound_fn(two_state_instance, t, T, delta)
+        # numpy integers stay accepted, with the same intervals.
+        got = bound_fn(two_state_instance, np.int64(1), np.int32(3), delta)
+        assert got == bound_fn(two_state_instance, 1, 3, delta)
 
     def test_non_finite_delta(self, small_params, bound_fn):
         inst = gen_assumption1_instance(small_params, 3)
@@ -322,12 +360,54 @@ class TestCheckBoundsSuite:
         (2, gen_assumption2_instance, "D3"),
     ])
     def test_unrealized_case_gives_up_after_200_draws(self, small_params, monkeypatch,
-                                                      regime, gen, case):
+                                                      draw_rounds, regime, gen, case):
         # A rule that always works project 0 never gives u' = l != u.
         inst = gen(small_params, 3 if regime == 1 else 1009)
         monkeypatch.setattr(bounds_module, "myopic_policy", lambda inst: stay_policy(1))
         with pytest.raises(IncomparablePairError, match=f"case {case} in 200 draws"):
             check_bounds_suite(inst, 3, 0, regime=regime)
+        # The case-3 sample is in every round and draws exactly 200
+        # candidates; the last rounds hold it alone.
+        assert all(want[-1] == 3 for want, _ in draw_rounds)
+        assert sum(n for _, n in draw_rounds) == 200
+        assert draw_rounds[-1][0] == [3]
+
+    @pytest.mark.parametrize("regime, gen", [(1, gen_assumption1_instance),
+                                             (2, gen_assumption2_instance)])
+    def test_draws_do_not_depend_on_classification(self, small_params, monkeypatch,
+                                                   regime, gen):
+        # The first round's profiles, as handed to the one decision call,
+        # have the same bits under the myopic rule and under a rule that
+        # classifies every candidate otherwise.
+        inst = gen(small_params, 3 if regime == 1 else 1009)
+        seen = []
+
+        def recording(rule):
+            return PolicyRule(rule.name, lambda t, b: seen.append(b.copy()) or rule.decide(t, b))
+
+        monkeypatch.setattr(bounds_module, "myopic_policy",
+                            lambda inst: recording(myopic_policy(inst)))
+        check_bounds_suite(inst, 30, 4, regime=regime)
+        mark = len(seen)
+        monkeypatch.setattr(bounds_module, "myopic_policy", lambda inst: recording(stay_policy(1)))
+        with pytest.raises(IncomparablePairError):
+            check_bounds_suite(inst, 30, 4, regime=regime)
+        first, other = seen[0], seen[mark]
+        assert first.shape == (2 * 30 * bounds_module._CANDIDATES, inst.n_projects, inst.n_states)
+        np.testing.assert_array_equal(first.view(np.uint64), other.view(np.uint64))
+
+    @pytest.mark.parametrize("regime, gen", [(1, gen_assumption1_instance),
+                                             (2, gen_assumption2_instance)])
+    def test_later_round_matches_reference(self, draw_rounds, regime, gen):
+        # With N = 2, a case-3 candidate whose top weight is in the last
+        # slot is rejected, half of them.  Suite seed 39 leaves one case-3
+        # sample unrealized after the first round.
+        inst = gen(GeneratorParams(x_range=(2, 2), n_range=(2, 2)), 7)
+        samples = check_bounds_suite(inst, 30, 39)
+        assert len(draw_rounds) == 2 and draw_rounds[1][0] == [3]
+        assert [sample_fields(s) for s in samples] == reference_fields(
+            per_sample_bounds_suite(inst, 30, 39, regime)
+        )
 
     @pytest.mark.parametrize("regime", [1, 2])
     @pytest.mark.parametrize("N", [2, 3])
@@ -337,11 +417,7 @@ class TestCheckBoundsSuite:
         inst = gen(GeneratorParams(x_range=(X, X), n_range=(N, N)), 7)
         samples = check_bounds_suite(inst, 60, 5)
         reference = per_sample_bounds_suite(inst, 60, 5, regime)
-        assert [sample_fields(s) for s in samples] == [
-            (case, t, T, x_low.tobytes(), x_high.tobytes(), u, u_prime,
-             gap.hex(), lower.hex(), upper.hex(), verdict)
-            for case, t, T, x_low, x_high, u, u_prime, gap, lower, upper, verdict in reference
-        ]
+        assert [sample_fields(s) for s in samples] == reference_fields(reference)
 
     def test_identical_pair_zero_gap(self, small_params):
         # alpha -> 0 limit checked directly through the bound functions:

@@ -118,3 +118,34 @@ class TestPerturbViolate:
         inst = gen_assumption1_instance(small_params, 4)
         with pytest.raises(ValueError):
             perturb_violate(inst, "3.1", seed=0)
+
+
+class TestSeedChecks:
+    """Each entry point rejects a seed that is not a nonnegative integer
+    with an error that names it; unchecked, True ran as seed 1 and the
+    others failed inside numpy with messages that name no argument."""
+
+    @staticmethod
+    def calls(small_params):
+        inst = gen_assumption1_instance(small_params, 4)
+        return [
+            lambda seed: gen_assumption1_instance(small_params, seed),
+            lambda seed: gen_assumption2_instance(small_params, seed),
+            lambda seed: perturb_violate(inst, "1.1", seed),
+        ]
+
+    def test_non_integer_seed_rejected(self, small_params):
+        for call in self.calls(small_params):
+            for seed in (2.5, 3.0, "3", True, np.True_, None):
+                with pytest.raises(TypeError, match=f"^seed must be an integer, got {seed!r}$"):
+                    call(seed)
+
+    def test_negative_seed_rejected(self, small_params):
+        for call in self.calls(small_params):
+            for seed in (-1, np.int64(-2)):
+                with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+                    call(seed)
+
+    def test_numpy_integer_seed_accepted(self, small_params):
+        for call in self.calls(small_params):
+            assert call(np.int64(5)).to_json_dict() == call(5).to_json_dict()
