@@ -21,10 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ComplexSpectrumError, NonDiagonalizableError
-from .filtering import filter_rows, propagate_rows
+from .filtering import filter_rows, row_dot
 from .orders import chain_break, column_break
 from .spectral import discount_matrices, eigendecompose, reward_separation_check
-from .types import ModelInstance, ObservationMatrix, TransitionMatrix
+from .types import ModelInstance, ObservationMatrix, TransitionMatrix, check_integer
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,18 @@ def find_threshold_K(
     inequalities reverse, so it asks T(A'e_X, K) <=_r (A')^2 e_X and
     T(A'e_1, K-1) >=_r (A')^2 e_X.  ``alt_clause3`` swaps the reference
     vector of the second inequality (e_X <-> e_1).  Candidates whose
-    filter branch has zero likelihood are skipped.
+    filter branch has zero likelihood are skipped.  A regime that is not
+    an integer raises ``TypeError``.
     """
+    check_integer("regime", regime)
     if regime not in (1, 2):
         raise ValueError(f"regime must be 1 or 2, got {regime}")
-    A_T = A.rows.T
     e = np.eye(B.n_states)
     # ``near`` is e_1 in regime 1 and e_X in regime 2; ``far`` the other.
     ends = e[[0, -1]] if regime == 1 else e[[-1, 0]]
     # T(A'e, m) filters the two-step image (A')^2 e, which is also the
     # reference vector: (A')^2 e_near, or (A')^2 e_far under ``alt_clause3``.
-    zz = propagate_rows(A_T, propagate_rows(A_T, ends[None]))
+    zz = row_dot(row_dot(ends[None], A.rows), A.rows)
     _, live, filtered = filter_rows(zz, B.rows)
     zz_near, zz_far = zz[0]
     ref = zz_far if alt_clause3 else zz_near

@@ -40,16 +40,9 @@ import numpy as np
 
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
-from .filtering import propagate_rows
-from .policy import (
-    ARGMAX_TOL,
-    TreeEvaluator,
-    check_integer,
-    check_seed,
-    myopic_policy,
-    row_sum,
-)
-from .types import ModelInstance, valid_belief_rows
+from .filtering import row_dot
+from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy, row_sum
+from .types import ModelInstance, check_integer, check_seed, valid_belief_rows
 
 #: Containment checked with this additive slack.
 SLACK_TOL = 1e-9
@@ -98,20 +91,15 @@ def _check_deltas(deltas: np.ndarray) -> None:
 
 
 def _power_terms(inst: ModelInstance, deltas: np.ndarray, n_powers: int) -> np.ndarray:
-    """terms[k, i] = beta^i R'(A')^i deltas[k] for i = 0..n_powers.
-
-    Both products are stacks of matrix-vector products, so every term
-    gets the bits of the one-vector ``float(R @ v)`` and ``A' @ v``;
-    ``V @ R`` would round some rows differently.
-    """
-    k, X = deltas.shape
-    powers = np.empty((k, n_powers + 1, 1, X))  # (A')^i delta as a row
-    powers[:, 0, 0] = v = deltas
+    """terms[k, i] = beta^i R'(A')^i deltas[k] for i = 0..n_powers, every
+    product by ``row_dot``."""
+    powers = np.empty((n_powers + 1,) + deltas.shape)  # (A')^i delta per row
+    powers[0] = deltas
     for i in range(1, n_powers + 1):
-        powers[:, i, 0] = v = propagate_rows(inst.A.rows.T, v)
+        powers[i] = row_dot(powers[i - 1], inst.A.rows)
     # beta^i by repeated multiplication, as a running scale would have it.
     scales = np.cumprod([1.0] + [inst.beta] * n_powers)
-    return scales * (powers @ inst.R.values[:, None])[..., 0, 0]
+    return scales * row_dot(powers, inst.R.values).T
 
 
 def _interval_table(inst: ModelInstance, regime: int, spans, deltas: np.ndarray) -> np.ndarray:
@@ -280,6 +268,8 @@ def check_bounds_suite(
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     check_seed(seed)
+    if regime is not None:
+        check_integer("regime", regime)
     if regime not in (None, 1, 2):
         raise ValueError(f"regime must be None, 1 or 2, got {regime!r}")
     N, X = inst.n_projects, inst.n_states
@@ -294,7 +284,7 @@ def check_bounds_suite(
     # Profiles are drawn on the segment between these rows, so the
     # reward of every drawn belief lies between theirs; equal rows are
     # the special case of equal rewards.
-    spread = float(inst.R.values @ (inst.A.rows[0] - inst.A.rows[-1]))
+    spread = float(row_dot(inst.A.rows[0] - inst.A.rows[-1], inst.R.values))
     if abs(spread) <= ARGMAX_TOL:
         raise ValueError(
             "the bound cases need distinct first and last rows of A whose immediate "

@@ -22,7 +22,9 @@ children's values, gathered by ``take`` as every row gather of the DP
 is.  Exact certificates stay exponential in the horizon (restless
 bandits are PSPACE-hard: Papadimitriou & Tsitsiklis, Math. Oper. Res.
 1999); the tables cut the float work per level from the node count to
-the table size.
+the table size.  Every product, A'x, likelihood or reward, is
+``filtering.row_dot``'s in-order fold, so a certificate's values and
+counts have the same bits whatever BLAS kernel numpy loads.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import policy
 from .exceptions import NodeBudgetExceededError
-from .filtering import BeliefProfile
+from .filtering import BeliefProfile, row_dot
 from .policy import (
     ARGMAX_TOL,
     TreeEvaluator,
@@ -41,7 +43,7 @@ from .policy import (
     check_profile,
     row_max,
 )
-from .types import ModelInstance
+from .types import ModelInstance, check_integer
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -54,8 +56,10 @@ class ValueReport:
     #: Distinct rounded profiles per depth.  These hang on the last bits
     #: of the arithmetic: keys round beliefs to ``KEY_DECIMALS`` = 12, so
     #: two profiles a few ulp apart across a 1e-12 rounding line are two
-    #: nodes, and the counts can differ between BLAS or numpy builds.
-    #: The values and the gap do not, beyond their last bits.
+    #: nodes.  Every product is ``filtering.row_dot``'s in-order fold and
+    #: every sum in order, each one rounded numpy operation, so the
+    #: counts, like the values, have the same bits under every BLAS
+    #: kernel.
     per_depth_node_counts: tuple[int, ...]
     #: Fraction of distinct DP nodes where the myopic action attains the max.
     argmax_agreement: float
@@ -76,7 +80,8 @@ class ValueReport:
 
 def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> ValueReport:
     """Optimal and myopic values of one profile over T slots after the
-    current one (depths 0..T).
+    current one (depths 0..T).  A node budget that is not an integer
+    raises ``TypeError`` and one below 1 ``ValueError``: no tree fits.
 
     A level is ``ids`` (n, N), row indices into the depth's ``table``
     (M, X) of one-project beliefs; ``TreeEvaluator.next_level`` builds
@@ -91,6 +96,9 @@ def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> Val
     Every level, deepest first, then takes the same step: ``backup``
     from the level below, if any, then its best and myopic values.
     """
+    check_integer("node_budget", node_budget)
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be >= 1, got {node_budget}")
     ev = TreeEvaluator(inst, T)
     counts = [0] * (T + 1)
 
@@ -103,13 +111,12 @@ def _solve(inst: ModelInstance, beliefs: tuple, T: int, node_budget: int) -> Val
     sweep = []
     for depth in range(T - 1):
         count(depth, len(ids))
-        # The 3-D np.dot gives each row the bits it has in a built level.
-        rewards = np.dot(table[None], ev.R)[0].take(ids)
+        rewards = row_dot(table, ev.R).take(ids)
         table, ids, d, inverse = ev.next_level(table, ids)
         sweep.append((rewards, d, inverse))
     # The leaf-parent level, or at T=0 the root as its own leaf.
     count(len(sweep), len(ids))
-    rewards = values = myopic = np.dot(table[None], ev.R)[0].take(ids)
+    rewards = values = myopic = row_dot(table, ev.R).take(ids)
     agree = 0
     if T > 0:
         # Every leaf agrees.  The leaf pass refuses an over-budget

@@ -5,19 +5,24 @@ The worked project's belief is updated by the HMM filter
 ``d(x, m) = 1' B(m) A'x``; every passive project propagates as
 ``A'x``.  Pure functions throughout; profiles are values.
 
-``propagate_rows`` and ``filter_rows`` are the package's one array form
-of A'x and of T(x, m) on every observation.  The tree kernel
-(``policy.TreeEvaluator``), the clause-3 threshold search, the power
-terms of ``bounds`` and the validated one-belief steps here all call
-them, and node counts hang on their last bits.  ``filter_rows`` is
-also the tree kernels' one zero-likelihood rule (see there).
+``row_dot`` is the package's one product of beliefs with a matrix or a
+vector: A'x is ``row_dot(x, A)``, the likelihoods of ``filter_rows``
+are ``row_dot(z, B)``, and every immediate reward R'x is
+``row_dot(x, R)``.  It adds each entry's products in order, one numpy
+multiply and one add at a time, so its bits depend on no BLAS kernel
+and on no shape or layout of its input: node counts and certificate
+bits hang on them.  ``filter_rows`` is the one array form of T(x, m) on
+every observation, and the tree kernels' one zero-likelihood rule (see
+there).  The tree kernel (``policy.TreeEvaluator``), the clause-3
+threshold search, the power terms of ``bounds`` and the validated
+one-belief steps here all call the two.
 
 The simulator is the one exception: it propagates its history table
 with one gemm and filters only the observation that occurred.  On the
 simulate-mc workload the shared batch filter cost 4-19 %, running the
 history table on ``expand`` cost about 10 % (faster in 2 of 30 pairs),
-and the stacked A'x takes 386 us on 6,561 profiles against 15 us for
-the gemm.
+and ``row_dot`` took 1,041 us against the gemm's 28 us on 19,683
+profiles.
 """
 
 from __future__ import annotations
@@ -31,7 +36,13 @@ from .exceptions import (
     ImpossibleObservationError,
     InvalidBeliefError,
 )
-from .types import BeliefVector, ModelInstance, ObservationMatrix, TransitionMatrix
+from .types import (
+    BeliefVector,
+    ModelInstance,
+    ObservationMatrix,
+    TransitionMatrix,
+    check_integer,
+)
 
 #: d(x, m) below this is treated as an impossible observation.
 LIKELIHOOD_FLOOR = 1e-300
@@ -52,6 +63,7 @@ class BeliefProfile:
         )
         if not beliefs:
             raise InvalidBeliefError("profile needs at least one belief")
+        check_integer("time", time)
         if time < 0:
             raise ValueError(f"time must be nonnegative, got {time}")
         object.__setattr__(self, "beliefs", beliefs)
@@ -65,31 +77,43 @@ class BeliefProfile:
         return tuple(x.probs for x in self.beliefs)
 
 
-def propagate_rows(A_T: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A'x of every belief x in ``rows`` (..., X), with A_T = A',
-    C-contiguous."""
-    # A stack of matrix-vector products, which round each belief as the
-    # one-vector ``A_T @ x`` does.
-    return (A_T @ rows[..., None])[..., 0]
+def row_dot(x: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``x @ M`` over the last axis of ``x`` (..., X), for ``M`` of shape
+    (X,) or (X, K): every entry adds its X products in order,
+    x_0 M_0 + x_1 M_1 + ..., each one numpy multiply and one add, with
+    no BLAS and no FMA, so its bits are those of a scalar loop whatever
+    the kernel, the shape or the layout.
+
+    The products run over whole rows of a (K, rows) block, and the
+    result is a (..., K) view of it: numpy runs an operation that
+    broadcasts over a short last axis a few elements at a time.
+    """
+    rows = x.reshape(-1, x.shape[-1]).T
+    if len(rows) != len(M):
+        raise DimensionMismatchError(f"rows of length {len(rows)} times {len(M)} rows")
+    cols = M.reshape(len(M), -1, 1)
+    out = rows[0] * cols[0]
+    for row, col in zip(rows[1:], cols[1:]):
+        out += row * col
+    return out.T.reshape(x.shape[:-1] + M.shape[1:])
 
 
 def filter_rows(z: np.ndarray, B: np.ndarray):
     """The filter T(x, m) of every propagated belief z = A'x in the
-    C-contiguous (K, n, X) ``z`` on every observation m of B (X, Y).
+    (K, n, X) ``z`` on every observation m of B (X, Y).
 
     Returns (likelihood (K, n, Y), live, filtered (X, Y, K, n)), where
     ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``.  A dead
     branch's row is its first live sibling's, so a tree kernel that
     weights it by 0.0 merges it into that node and adds nothing to a
-    sum.  Each of the K likelihood products is one (n, X) @ (X, Y)
-    matrix product.
-    The filter itself is elementwise, so its bits do not depend on the
-    layout, which puts the long axis last.  Each row sum adds the X
+    sum.  The likelihoods are ``row_dot(z, B)``, laid out (Y, K, n) as
+    the filter is.  The filter itself is elementwise, so its bits do not
+    depend on the layout, which puts the long axis last.  Each row sum adds the X
     columns one after another, in order, never pairwise.  A live row
     whose sum drifts from 1 by more than ``FILTER_SUM_TOL`` raises
     ``InvalidBeliefError``.
     """
-    d = z @ B
+    d = row_dot(z, B)
     live = d > LIKELIHOOD_FLOOR
     live_t = live.transpose(2, 0, 1)
     filtered = B[:, :, None, None] * z.transpose(2, 0, 1)[:, None]
@@ -108,12 +132,15 @@ def filter_rows(z: np.ndarray, B: np.ndarray):
 
 def _step(A: TransitionMatrix, x: BeliefVector, B: ObservationMatrix | None = None, m: int = 1):
     """A'x of one belief as a (1, 1, X) array, after checking that A,
-    and B with its 1-based observation m if given, fit it."""
-    if B is not None and not 1 <= m <= B.n_obs:
-        raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
+    and B with its 1-based observation m (an integer) if given, fit
+    it."""
+    if B is not None:
+        check_integer("m", m)
+        if not 1 <= m <= B.n_obs:
+            raise IndexError(f"observation index {m} out of range 1..{B.n_obs}")
     if A.n_states != x.dim or (B is not None and B.n_states != x.dim):
         raise DimensionMismatchError("matrix/belief dimensions differ")
-    return propagate_rows(A.rows.T, x.probs[None, None])
+    return row_dot(x.probs[None, None], A.rows)
 
 
 def propagate(A: TransitionMatrix, x: BeliefVector) -> BeliefVector:
@@ -137,7 +164,10 @@ def step_profile(
     inst: ModelInstance, profile: BeliefProfile, u: int, m: int
 ) -> BeliefProfile:
     """Advance a profile one slot: project u (1-based) is worked and
-    filtered on observation m; everyone else propagates passively."""
+    filtered on observation m; everyone else propagates passively.  A
+    project or observation that is not an integer raises
+    ``TypeError``."""
+    check_integer("u", u)
     if not 1 <= u <= profile.n_projects:
         raise IndexError(f"project index {u} out of range 1..{profile.n_projects}")
     updated = []

@@ -23,8 +23,7 @@ import numpy as np
 
 from .assumptions import _verify
 from .exceptions import CannotViolateError, GenerationExhaustedError
-from .policy import check_seed
-from .types import ModelInstance, validate_instance
+from .types import ModelInstance, check_integer, check_seed, validate_instance
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,19 @@ class GeneratorParams:
     max_attempts: int = 1000
 
     def __post_init__(self):
+        """A dimension bound or ``max_attempts`` that is not an integer
+        raises ``TypeError``; an empty range, a dimension below 2, a beta
+        outside [0, 1) or no attempt ``ValueError``."""
         for name in ("x_range", "y_range", "n_range"):
             lo, hi = getattr(self, name)
+            check_integer(name, lo)
+            check_integer(name, hi)
             if lo > hi or lo < 2:
                 raise ValueError(f"{name} must be a nonempty range >= 2, got ({lo}, {hi})")
         lo, hi = self.beta_range
         if not (0.0 <= lo <= hi < 1.0):
             raise ValueError(f"beta_range must lie in [0, 1), got ({lo}, {hi})")
+        check_integer("max_attempts", self.max_attempts)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
 

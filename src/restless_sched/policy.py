@@ -13,8 +13,8 @@ beliefs[n, N, X]) -> actions[n]`` with 0-based actions; the simulator
 calls it on the distinct histories of a slot and ``policy_value`` on
 one tree level, and both reject a decision of another shape or an
 action outside 0..N-1 (``check_decisions``).  Immediate rewards are
-``np.dot(beliefs, R)`` everywhere: the myopic rule decides on the same
-product that the DP values nodes with.  ``row_max``, which the tie rule
+``filtering.row_dot(beliefs, R)`` everywhere: the myopic rule decides on
+the same product that the DP values nodes with.  ``row_max``, which the tie rule
 and the DP use, takes the maximum column by column, avoiding numpy's
 slow reduction over a short last axis; ``row_sum`` sums one the same
 way, left to right from +0.0, where numpy would sum 8 or more terms
@@ -49,8 +49,10 @@ about 11 MB, a T=8 one takes 81 MB and frees it), so that a repeated
 certificate maps no fresh pages for its leaves; no array it returns
 aliases the scratch.  A deep T=6 certificate filters 2,093 table rows
 where built levels filtered 58,824 project rows.  Every level takes
-A'x and T(x, m) from ``filtering.propagate_rows`` and
-``filtering.filter_rows``, and keeps all Y children of a worked node: a
+A'x and T(x, m) from ``filtering.row_dot`` and ``filtering.filter_rows``,
+whose bits depend on neither the level's shape nor its layout, so a
+factored level's rows have the bits of a built one's, and keeps all Y
+children of a worked node: a
 dead (zero-likelihood) one is its first live sibling (``filter_rows``)
 at likelihood 0.0.
 
@@ -80,8 +82,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .filtering import BeliefProfile, filter_rows, propagate_rows
-from .types import ModelInstance, belief_key, key_bits
+from .filtering import BeliefProfile, filter_rows, row_dot
+from .types import ModelInstance, belief_key, check_integer, check_seed, key_bits
 
 #: Two values within this are treated as tied.
 ARGMAX_TOL = 1e-12
@@ -387,9 +389,9 @@ class TreeEvaluator:
     def __init__(self, inst: ModelInstance, horizon: int):
         self.inst = inst
         self.T = int(horizon)
-        self.A_T = inst.A.rows.T.copy()
-        self.B = inst.B.rows.copy()
-        self.R = inst.R.values.copy()
+        self.A = inst.A.rows
+        self.B = inst.B.rows
+        self.R = inst.R.values
         self.beta = inst.beta
         self.N = inst.n_projects
         self.Y = inst.n_obs
@@ -403,16 +405,16 @@ class TreeEvaluator:
         first live sibling (``filter_rows``) at likelihood 0.0.
         """
         rows = np.arange(len(level))
-        propagated = propagate_rows(self.A_T, level)
+        propagated = row_dot(level, self.A)
         d, live, filtered = filter_rows(propagated[rows, actions][None], self.B)
         children = np.empty((len(level), self.Y) + level.shape[1:])
         children[...] = propagated[:, None]
         children[rows, :, actions] = filtered[:, :, 0].T
         return children.reshape((-1,) + level.shape[1:]), np.where(live, d, 0.0).ravel()
 
-    def _next_table(self, table: np.ndarray, n: int):
-        """The next depth's table below ``table`` (M, X), the rows of a
-        level of n nodes, with a canonical id per row.
+    def _next_table(self, table: np.ndarray):
+        """The next depth's table below ``table`` (M, X), with a canonical
+        id per row.
 
         Each table row is propagated and filtered on every observation
         once, into the next depth's table: the M propagated rows, then
@@ -428,18 +430,9 @@ class TreeEvaluator:
         ids, K).
         """
         M, X = table.shape
-        propagated = propagate_rows(self.A_T, table)
-        # numpy's matmul takes a one-row likelihood product through gemv
-        # and a longer one through gemm, whose last bits can differ.  A
-        # level of n nodes has n rows per action, so a one-node level
-        # filters its rows one at a time, as a built one would.
-        z = propagated[:, None] if n == 1 else propagated[None]
-        d, live, filtered = filter_rows(z, self.B)
-        # C order, which np.concatenate would not keep when M = 1: a
-        # strided row gets other bits from np.dot.
-        table = np.empty(((self.Y + 1) * M, X))
-        table[:M] = propagated
-        table[M:] = filtered.reshape(X, -1).T
+        propagated = row_dot(table, self.A)
+        d, live, filtered = filter_rows(propagated[None], self.B)
+        table = np.concatenate((propagated, filtered.reshape(X, -1).T))
         order, head = _group_rows(table.copy())
         canon = np.empty(len(order), dtype=np.uint64)
         canon[order] = head.cumsum() - 1
@@ -505,7 +498,7 @@ class TreeEvaluator:
         the kept children.
         """
         (n, N), M = ids.shape, len(table)
-        table, d, canon, K = self._next_table(table, n)
+        table, d, canon, K = self._next_table(table)
         keys = self._child_keys(canon, K, np.ascontiguousarray(ids.T))
         first, inverse = _merge_children(keys.reshape(self.Y, N, n))
         del keys
@@ -558,10 +551,10 @@ class TreeEvaluator:
         a time, in whole parents, each array shaped (Y, N, parents) like
         the keys, so that every operation runs over whole parents.  A
         leaf's rewards are its worked project's and the passive ones of
-        its parent, all from one ``np.dot`` over the table as over built
-        children.  Its largest is the larger of the worked reward and
-        the largest passive reward of the other projects, which
-        ``np.maximum`` takes exactly; the tie rule picks that reward too
+        its parent, all from one ``row_dot`` over the table.  Its largest
+        is the larger of the worked reward and the largest passive
+        reward of the other projects, which ``np.maximum`` takes
+        exactly; the tie rule picks that reward too
         unless the runner-up, the smaller of those two or the others'
         second largest (``_top_two_others``), lies within ARGMAX_TOL of
         it.  Only the actions with such a leaf go through the tie rule,
@@ -571,9 +564,8 @@ class TreeEvaluator:
         them.  A dead leaf is its first live sibling at likelihood 0.0.
         """
         (n, N), Y = ids.shape, self.Y
-        table, d, canon, K = self._next_table(table, n)
-        # The 3-D np.dot gives each row the bits it has in a built level.
-        rows = np.dot(table[None], self.R)[0].reshape(Y + 1, -1)
+        table, d, canon, K = self._next_table(table)
+        rows = row_dot(table, self.R).reshape(Y + 1, -1)
         # Per observation and table row, the worked project's reward and
         # the likelihood, gathered together; the table is not needed
         # past its rewards.
@@ -690,7 +682,7 @@ class TreeEvaluator:
         for depth in range(t, int(horizon.max(initial=t)) + 1):
             if u is None:
                 u = check_decisions(policy, policy.decide(depth, level), level)
-            values = np.dot(level, self.R)[np.arange(len(level)), u]
+            values = row_dot(level[np.arange(len(level)), u], self.R)
             grow = np.flatnonzero(horizon > depth)
             if not len(grow):
                 break
@@ -718,24 +710,6 @@ class TreeEvaluator:
     def policy_value(self, t: int, beliefs: tuple, policy: PolicyRule) -> float:
         """Value of ``policy`` from slot t of one profile."""
         return float(self.sweep(t, np.array((beliefs,)), policy)[0])
-
-
-def check_integer(name: str, value) -> None:
-    """Reject a count, slot, horizon, seed, project or action that is
-    neither a Python nor a numpy integer with a ``TypeError`` naming the
-    argument.  A bool is rejected too, though ``isinstance(True, int)``
-    holds: True would run as 1."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-
-
-def check_seed(seed) -> None:
-    """Reject a seed that is not an integer (``TypeError``) or is negative
-    (``ValueError``), each naming ``seed``; numpy's own messages name
-    neither, and would take True as 1."""
-    check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def check_profile(inst: ModelInstance, profile: BeliefProfile, t: int, T: int) -> None:
@@ -786,7 +760,7 @@ def myopic_policy(inst: ModelInstance) -> PolicyRule:
 
     def decide(t: int, beliefs: np.ndarray) -> np.ndarray:
         del t
-        return _greatest_array_index(np.dot(beliefs, r))
+        return _greatest_array_index(row_dot(beliefs, r))
 
     return PolicyRule("myopic", decide)
 

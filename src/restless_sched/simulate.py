@@ -55,8 +55,8 @@ import numpy as np
 # ``step_profile`` is unused here; the per-layer tracer in perfbench
 # wraps ``simulate.step_profile`` by name.
 from .filtering import step_profile  # noqa: F401
-from .policy import PolicyRule, check_decisions, check_integer, row_sum
-from .types import ModelInstance
+from .policy import PolicyRule, check_decisions, row_sum
+from .types import ModelInstance, check_integer
 
 _SEED_MASK = (1 << 64) - 1
 #: Trajectories simulated together: bounds the engine's working memory

@@ -7,7 +7,9 @@ across threads.
 
 The module also owns the key that decides when two beliefs or profiles
 are the same: entries rounded to ``KEY_DECIMALS`` with -0.0 turned into
-0.0, read as bytes (``belief_key``) or as uint64 words (``key_bits``).
+0.0, read as bytes (``belief_key``) or as uint64 words (``key_bits``),
+and the integer checks that every module applies to its counts, slots,
+indices and seeds (``check_integer``, ``check_seed``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,24 @@ RENORM_TOL = 1e-9
 CLAMP_TOL = -1e-12
 #: Beliefs are rounded to this many decimals for hashing/memoization.
 KEY_DECIMALS = 12
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a count, slot, horizon, seed, project, action or observation
+    that is neither a Python nor a numpy integer with a ``TypeError``
+    naming the argument.  A bool is rejected too, though
+    ``isinstance(True, int)`` holds: True would run as 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer (``TypeError``) or is negative
+    (``ValueError``), each naming ``seed``; numpy's own messages name
+    neither, and would take True as 1."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

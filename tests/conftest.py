@@ -36,13 +36,39 @@ def small_params() -> GeneratorParams:
     return GeneratorParams()
 
 
+def in_order_dot(x, M) -> np.ndarray:
+    """``x @ M`` over the last axis of ``x``, for ``M`` of shape (X,) or
+    (X, K), in pure Python floats: every entry is x_0 M_0 + x_1 M_1 +
+    ..., each product and each sum rounded on its own, left to right
+    from the first product.  The references' one product, written here
+    and not taken from the package, so that they check
+    ``filtering.row_dot`` instead of calling it.  Each distinct row (by
+    its bytes) is multiplied once: built levels repeat their rows."""
+    x, M = np.asarray(x, dtype=float), np.asarray(M, dtype=float)
+    flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
+    first = inverse = np.arange(len(flat))
+    if len(flat) > 1:
+        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    cols = M.reshape(len(M), -1).T.tolist()
+    out = []
+    for row in flat[first].tolist():
+        for col in cols:
+            total = row[0] * col[0]
+            for a, b in zip(row[1:], col[1:]):
+                total += a * b
+            out.append(total)
+    out = np.array(out).reshape(len(first), -1)[inverse.ravel()]
+    return out.reshape(x.shape[:-1] + M.shape[1:])
+
+
 def reference_filter(A: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int):
     """(d(x, m), T(x, m)) of one belief ``x`` on 0-based observation m0
     by scalar numpy arithmetic, apart from the package's batch filter:
     z = A'x, d = B(m)'z, T = B(m) z / d renormalised by its sum.  T is
     None when d is at most 1e-300, an impossible observation."""
-    z = A.T @ x
-    d = float(B[:, m0] @ z)
+    z = in_order_dot(x, A)
+    d = float(in_order_dot(z, B[:, m0]))
     if d <= 1e-300:
         return d, None
     out = B[:, m0] * z / d
@@ -129,10 +155,10 @@ def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float
     slot the project of largest immediate reward, ties within 1e-12 to
     the lowest index."""
     A, B, R = inst.A.rows, inst.B.rows, inst.R.values
-    value = float(R @ beliefs[u])
+    value = float(in_order_dot(beliefs[u], R))
     if t == T:
         return value
-    propagated = [A.T @ x for x in beliefs]
+    propagated = [in_order_dot(x, A) for x in beliefs]
     acc = 0.0
     for m in range(inst.n_obs):
         joint = B[:, m] * propagated[u]
@@ -141,7 +167,7 @@ def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float
             continue
         stepped = list(propagated)
         stepped[u] = joint / d
-        rewards = [float(R @ x) for x in stepped]
+        rewards = [float(in_order_dot(x, R)) for x in stepped]
         nxt = next(i for i, r in enumerate(rewards) if r >= max(rewards) - 1e-12)
         acc += d * recursive_avf(inst, stepped, t + 1, T, nxt)
     return value + inst.beta * acc
@@ -158,7 +184,7 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
     A, B, R = inst.A.rows, inst.B.rows, inst.R.values
 
     def step(profile, m):
-        propagated = [A.T @ x for x in profile]
+        propagated = [in_order_dot(x, A) for x in profile]
         joint = B[:, m] * propagated[u]
         d = joint.sum()
         if d <= 0.0:
@@ -166,7 +192,7 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
         propagated[u] = joint / d
         return d, propagated
 
-    value = float(R @ beliefs[u])
+    value = float(in_order_dot(beliefs[u], R))
     if t == T:
         return value
     acc = 0.0
@@ -177,7 +203,7 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
         _, ref = step(reference, m)
         if ref is None:
             ref = stepped
-        rewards = [float(R @ x) for x in ref]
+        rewards = [float(in_order_dot(x, R)) for x in ref]
         nxt = next(i for i, r in enumerate(rewards) if r >= max(rewards) - 1e-12)
         acc += d * recursive_avf_frozen(inst, stepped, ref, t + 1, T, nxt)
     return value + inst.beta * acc
@@ -205,12 +231,11 @@ def series_difference_oracle(R, A, beta: float, x1, x2, n_terms: int) -> float:
     Brute-force reference that the closed form R' Q' (x1 - x2) is checked
     against; deliberately avoids the eigendecomposition.
     """
-    A_T = A.rows.T
     total = 0.0
     v = x1.probs - x2.probs
     for _ in range(n_terms):
-        v = beta * (A_T @ v)
-        total += float(R.values @ v)
+        v = beta * in_order_dot(v, A.rows)
+        total += float(in_order_dot(v, R.values))
     return total
 
 
@@ -219,7 +244,7 @@ def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
     t = 0 for one delta, by a loop over the powers: terms[i] = beta^i
     R'(A')^i delta, summed one delta at a time and one term at a time,
     left to right from 0.0."""
-    A_T, R = inst.A.rows.T, inst.R.values
+    A, R = inst.A.rows, inst.R.values
     delta = np.asarray(delta, dtype=float)
     if abs(delta.sum()) > 1e-9:
         raise ValueError("delta must be a difference of distributions (sum 0)")
@@ -228,8 +253,8 @@ def lemma_intervals(inst: ModelInstance, T: int, delta, regime: int) -> dict:
     terms = np.empty(T + 1)
     v, scale = delta.copy(), 1.0
     for i in range(T + 1):
-        terms[i] = scale * float(R @ v)
-        v = A_T @ v
+        terms[i] = scale * float(in_order_dot(v, R))
+        v = in_order_dot(v, A)
         scale *= inst.beta
     r_delta = float(terms[0])
 
@@ -381,20 +406,20 @@ def reference_merge(rows: np.ndarray):
 def reference_expand(ev, level: np.ndarray, actions: np.ndarray):
     """``TreeEvaluator.expand`` as first written, with the arithmetic
     that every report's last bits were pinned to: one action column at
-    a time, the stacked A'x, one (n, X) @ (X, Y) likelihood product per
-    column, and each filtered row summed by numpy over its contiguous X
-    axis (pairwise from 8 terms on)."""
+    a time, A'x and the likelihoods by ``in_order_dot``, and each
+    filtered row summed by numpy over its contiguous X axis (pairwise
+    from 8 terms on)."""
     from restless_sched.filtering import FILTER_SUM_TOL, LIKELIHOOD_FLOOR
 
     n, K = actions.shape
     rows = np.arange(n)
-    propagated = (ev.A_T @ level[..., None])[..., 0]
+    propagated = in_order_dot(level, ev.A)
     buf = np.empty((n, K, ev.Y) + level.shape[1:])
     ds = np.empty((n, K, ev.Y))
     for k in range(K):
         a = actions[:, k]
         z = propagated[rows, a]
-        d = ds[:, k] = z @ ev.B
+        d = ds[:, k] = in_order_dot(z, ev.B)
         live = d > LIKELIHOOD_FLOOR
         filtered = ev.B.T * z[:, None, :] / np.where(live, d, 1.0)[:, :, None]
         s = filtered.sum(axis=-1)
@@ -412,13 +437,13 @@ def reference_leaves(ev, level: np.ndarray):
     under every action, as the DP valued and counted it before leaves
     were valued from their parents: (optimal, myopic, segment,
     likelihood, observation, count) in expansion order, the values by
-    ``np.dot`` over the built children and the tie rule, the count by
-    ``np.unique`` over their keys."""
+    ``in_order_dot`` over the built children and the tie rule, the count
+    by ``np.unique`` over their keys."""
     from restless_sched.policy import _greatest_array_index, row_max
 
     every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
     children, parent, u, obs, d = reference_expand(ev, level, every_action)
-    rewards = np.dot(children, ev.R)
+    rewards = in_order_dot(children, ev.R)
     myopic = np.take_along_axis(rewards, _greatest_array_index(rewards)[:, None], axis=-1)[:, 0]
     count = len(np.unique(row_keys(children)))
     return row_max(rewards), myopic, parent * ev.N + u, d, obs, count
@@ -447,7 +472,7 @@ def reference_sweep(inst: ModelInstance, beliefs, t: int, T: int, policy, first=
     for depth in range(t, T + 1):
         if u is None:
             u = policy.decide(depth, rows)
-        rewards = np.dot(rows, ev.R)[np.arange(len(rows)), u]
+        rewards = in_order_dot(rows, ev.R)[np.arange(len(rows)), u]
         if depth == T:
             break
         children, parent, _, _, d = reference_expand(ev, rows, u[:, None])
@@ -477,16 +502,16 @@ def reference_solve(inst: ModelInstance, beliefs, t: int, T: int):
         counts[depth] = len(rows)
         if depth + 1 == T:
             optimal, myopic, seg, d, _, counts[T] = reference_leaves(ev, rows)
-            sweep.append((np.dot(rows, ev.R), seg, d, None))
+            sweep.append((in_order_dot(rows, ev.R), seg, d, None))
             break
         every_action = np.broadcast_to(np.arange(ev.N), (len(rows), ev.N))
         children, parent, u, _, d = reference_expand(ev, rows, every_action)
         first, inverse = reference_merge(children)
-        sweep.append((np.dot(rows, ev.R), parent * ev.N + u, d, inverse))
+        sweep.append((in_order_dot(rows, ev.R), parent * ev.N + u, d, inverse))
         rows = children[first]
     else:
         counts[T] = 1
-        rewards = np.dot(rows, ev.R)
+        rewards = in_order_dot(rows, ev.R)
         best = _greatest_array_index(rewards)
         optimal = row_max(rewards)
         myopic = np.take_along_axis(rewards, best[:, None], axis=-1)[:, 0]
@@ -535,7 +560,7 @@ def myopic_pick(profile, R) -> int:
     ``policy._greatest_array_index`` of its immediate rewards."""
     from restless_sched.policy import _greatest_array_index
 
-    return int(_greatest_array_index(np.dot(np.array((profile.arrays(),)), R.values))[0]) + 1
+    return int(_greatest_array_index(in_order_dot(np.array((profile.arrays(),)), R.values))[0]) + 1
 
 
 def obs_likelihood(A, B, x, m: int) -> float:

@@ -86,6 +86,13 @@ class TestThresholdK:
         # opposite extreme; flat observations cannot bridge it.
         assert find_threshold_K(A, B_flat, 2, alt_clause3=False) is None
 
+    @pytest.mark.parametrize("regime", [True, 1.0])
+    def test_non_integer_regime_rejected(self, two_state_instance, regime):
+        # True == 1 and 1.0 == 1, so a membership test alone runs both
+        # as regime 1.
+        with pytest.raises(TypeError, match="regime"):
+            find_threshold_K(two_state_instance.A, two_state_instance.B, regime)
+
 
 class TestVerifyAssumption2:
     def _descending_instance(self):

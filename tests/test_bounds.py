@@ -282,6 +282,14 @@ class TestCheckBoundsSuite:
             with pytest.raises(ValueError, match="regime"):
                 check_bounds_suite(inst, 3, 0, regime=regime)
 
+    def test_non_integer_regime_rejected(self, small_params):
+        # True == 1 and 1.0 == 1, so a membership test alone runs both
+        # as regime 1.
+        inst = gen_assumption1_instance(small_params, 3)
+        for regime in (True, 1.0):
+            with pytest.raises(TypeError, match="regime"):
+                check_bounds_suite(inst, 3, 0, regime=regime)
+
     def test_no_samples_rejected(self, small_params):
         inst = gen_assumption1_instance(small_params, 3)
         for n_samples in (0, -5):

@@ -10,6 +10,7 @@ from conftest import (
     dirichlet_instance,
     exact_certificate,
     group_merge,
+    in_order_dot,
     reference_expand,
     reference_filter,
     reference_leaves,
@@ -155,6 +156,16 @@ class TestOptimalValue:
         prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
         with pytest.raises(NodeBudgetExceededError):
             optimal_value(two_state_instance, prof, 0, 6, node_budget=10)
+
+    @pytest.mark.parametrize("budget, error", [
+        (2.5, TypeError), (True, TypeError), (-1, ValueError), (0, ValueError),
+    ])
+    def test_bad_node_budget_rejected(self, two_state_instance, budget, error):
+        prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
+        with pytest.raises(error, match="node_budget"):
+            optimal_value(two_state_instance, prof, 0, 2, node_budget=budget)
+        with pytest.raises(error, match="node_budget"):
+            certify_myopic(two_state_instance, 2, node_budget=budget)
 
     def test_node_budget_boundary(self, small_params):
         inst = gen_assumption1_instance(small_params, 0)
@@ -371,12 +382,11 @@ class TestLeafPass:
     @pytest.mark.parametrize(
         "seed, N, X, Y",
         [
-            # One-node levels: numpy's matmul takes a one-row likelihood
-            # product through gemv, a longer one through gemm.
+            # One-node levels, whose likelihood products BLAS would take
+            # through gemv where a longer level goes through gemm.
             (3, 2, 9, 3),
-            # One project: np.concatenate of a one-row table and its
-            # transposed filtered rows would be F-ordered, and np.dot
-            # gives a strided row other bits.
+            # One project: the one-row table and its transposed filtered
+            # rows are F-ordered, a strided layout.
             (7, 1, 9, 2),
         ],
     )
@@ -409,7 +419,7 @@ class TestLeafPass:
         for table, ids in tables:
             # The DP's table holds the built level's rows bit for bit.
             assert same_bits(table[ids], level)
-            *got, count = ev.leaf_pass(table.copy(), ids, np.dot(level, ev.R))
+            *got, count = ev.leaf_pass(table.copy(), ids, in_order_dot(level, ev.R))
             for g, w in zip(got, want):
                 assert same_bits(g, w)
             assert count == want_count
@@ -443,7 +453,7 @@ class TestLeafPass:
         # Some child shares its key with a child of another parent.
         assert (parent[first][inverse.ravel()] != parent).any()
         for table, ids in tables:
-            count = ev.leaf_pass(table, ids, np.dot(level, ev.R))[-1]
+            count = ev.leaf_pass(table, ids, in_order_dot(level, ev.R))[-1]
             assert count == reference_leaves(ev, level)[-1] == len(first)
         assert not exact_merges
 
@@ -512,7 +522,7 @@ def reference_leaf_pass(ev: TreeEvaluator, level: np.ndarray):
     (n, N) by ``segment_backup`` of the built leaves' values, and the
     number of distinct leaves."""
     optimal, myopic, segment, d, _, count = reference_leaves(ev, level)
-    rewards = np.dot(level, ev.R)
+    rewards = in_order_dot(level, ev.R)
     return (*(segment_backup(rewards, segment, d, v, ev.beta) for v in (optimal, myopic)), count)
 
 
@@ -543,7 +553,7 @@ def check_level(ev: TreeEvaluator, table: np.ndarray, ids: np.ndarray, want) -> 
     observation); a dead child of ``next_level`` has likelihood 0.0 and
     its first live sibling's key."""
     (*values, count), (children, parent, u, obs, d), (first, inverse) = want
-    *got, got_count = ev.leaf_pass(table.copy(), ids, np.dot(table[ids], ev.R))
+    *got, got_count = ev.leaf_pass(table.copy(), ids, in_order_dot(table[ids], ev.R))
     for g, w in zip(got, values):
         assert same_bits(g, w)
     assert got_count == count == len(first)
@@ -673,7 +683,7 @@ class TestPackedMerge:
         table, ids = initial_table(inst, 2)
         ev = TreeEvaluator(inst, 3)
         (n, N), M, Y = ids.shape, len(table), ev.Y
-        _, _, canon, K = ev._next_table(table, n)
+        _, _, canon, K = ev._next_table(table)
         assert K ** N > 2 ** 64
         keys = ev._child_keys(canon, K, np.ascontiguousarray(ids.T)).reshape(Y, N, n)
         assert exact_merges == [1]
@@ -704,7 +714,7 @@ class TestPackedMerge:
         table, ids = initial_table(inst, 4)
         ev = TreeEvaluator(inst, 6)
         (n, N), Y = ids.shape, ev.Y
-        _, _, canon, K = ev._next_table(table, n)
+        _, _, canon, K = ev._next_table(table)
         keys = ev._child_keys(canon, K, np.ascontiguousarray(ids.T)).reshape(Y, N, n)
         assert keys.size == 21_609
         shifted = keys << np.uint64(64 - int(keys.max()).bit_length())
@@ -737,7 +747,7 @@ class TestLeafChunks:
         inst = absorbing_instance if make is None else make()
         table, ids = initial_table(inst, 2)
         ev = TreeEvaluator(inst, 3)
-        rewards = np.dot(table[ids], ev.R)
+        rewards = in_order_dot(table[ids], ev.R)
         got = []
         for parents in chunk_splits(len(ids)):
             monkeypatch.setattr(policy_module, "_LEAF_CHUNK", parents * ev.N * ev.Y)
@@ -797,7 +807,7 @@ class TestLeafTies:
         level, tables = factorings(inst, depth)
         ev = TreeEvaluator(inst, depth + 1)
         *want, want_count = reference_leaf_pass(ev, level)
-        rewards = np.dot(level, ev.R)
+        rewards = in_order_dot(level, ev.R)
         if instance == "near N=3" and depth:
             # The tie rule picks the lower project's smaller reward.
             assert not same_bits(*want)
@@ -861,7 +871,7 @@ def deep_leaf_parents():
     inst = ModelInstance.from_json_dict(doc["instances"][0]["instance"])
     table, ids = initial_table(inst, 5)
     ev = TreeEvaluator(inst, 6)
-    return ev, table, ids, np.dot(table[None], ev.R)[0].take(ids)
+    return ev, table, ids, in_order_dot(table, ev.R).take(ids)
 
 
 class TestLeafMemory:
@@ -931,7 +941,7 @@ class TestLeafScratch:
         inst = tied_projects_instance(3)
         table, ids = initial_table(inst, 3)
         ev = TreeEvaluator(inst, 4)
-        optimal, myopic, _ = ev.leaf_pass(table, ids, np.dot(table[None], ev.R)[0].take(ids))
+        optimal, myopic, _ = ev.leaf_pass(table, ids, in_order_dot(table, ev.R).take(ids))
         assert myopic is not optimal
         kept = kept_leaf_scratch()
         assert not np.shares_memory(optimal, kept) and not np.shares_memory(myopic, kept)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from conftest import obs_likelihood, same_bits
+from conftest import in_order_dot, obs_likelihood, same_bits
 
 import restless_sched.filtering as filtering_module
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
+    DimensionMismatchError,
     ImpossibleObservationError,
     InvalidBeliefError,
     ModelInstance,
@@ -89,6 +90,69 @@ class TestFilterUpdate:
                 assert np.allclose(got.probs, expected)
 
 
+class TestRowDot:
+    """``row_dot`` is the package's one product: bit for bit the pure
+    Python in-order dot, whatever the shape or layout of its input."""
+
+    @staticmethod
+    def rows(X: int) -> np.ndarray:
+        """(4, 5, X) differences of distributions, with exact zeros in
+        both the entries and the products, and -0.0 entries."""
+        rng = np.random.default_rng(X)
+        x = rng.dirichlet(np.ones(X), (4, 5)) - rng.dirichlet(np.ones(X), (4, 5))
+        x[0] = 0.0
+        x[1, :, 0] = -0.0
+        x[2, :, -1] = 0.0
+        return x
+
+    @pytest.mark.parametrize("X", [2, 3, 9])
+    @pytest.mark.parametrize("columns", [None, 1, 4], ids=["1-D", "K=1", "K=4"])
+    def test_matches_in_order_dot(self, X, columns):
+        rng = np.random.default_rng(10 * X + (columns or 0))
+        shape = (X,) if columns is None else (X, columns)
+        M = rng.uniform(-1.0, 1.0, shape)
+        M[X // 2] = 0.0
+        x = self.rows(X)
+        want = in_order_dot(x, M)
+        assert same_bits(filtering_module.row_dot(x, M), want)
+        # The same bits for an F-ordered copy, one block and one row.
+        assert same_bits(filtering_module.row_dot(np.asfortranarray(x), M), want)
+        assert same_bits(filtering_module.row_dot(x[3], M), want[3])
+        assert same_bits(filtering_module.row_dot(x[3, 1], M), want[3, 1])
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(DimensionMismatchError):
+            filtering_module.row_dot(np.ones((4, 3)), np.ones(2))
+
+
+class TestIntegerArguments:
+    """The one-belief steps and the profile's slot take integers only;
+    True would run as 1 and 1.5 as no project or a bare numpy error."""
+
+    @pytest.mark.parametrize("u, m, name", [
+        (1.5, 1, "u"), (True, 1, "u"), (1, True, "m"), (1, 1.5, "m"), (2, 1.0, "m"),
+    ])
+    def test_step_profile_rejects_non_integers(self, two_state_instance, u, m, name):
+        prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            step_profile(two_state_instance, prof, u, m)
+
+    @pytest.mark.parametrize("m", [1.0, True])
+    def test_filter_update_rejects_non_integers(self, m):
+        with pytest.raises(TypeError, match="^m must be an integer"):
+            filter_update(A, B, BeliefVector([0.5, 0.5]), m)
+
+    @pytest.mark.parametrize("time", [2.5, True])
+    def test_profile_time_rejects_non_integers(self, time):
+        with pytest.raises(TypeError, match="^time must be an integer"):
+            BeliefProfile([BeliefVector([0.5, 0.5])], time)
+
+    def test_numpy_integers_accepted(self, two_state_instance):
+        prof = BeliefProfile(two_state_instance.initial_beliefs, np.int64(2))
+        out = step_profile(two_state_instance, prof, np.int64(1), np.int32(2))
+        assert out.time == 3 and type(out.time) is int
+
+
 class TestStepProfile:
     def test_active_filtered_passive_propagated(self, two_state_instance):
         prof = BeliefProfile(two_state_instance.initial_beliefs, 0)
@@ -144,7 +208,7 @@ class TestDeadBranches:
         z = np.concatenate((np.eye(X), rng.dirichlet(np.ones(X), 3)))
         z = np.stack((z, z[::-1]))
         d, live, filtered = filtering_module.filter_rows(z, B)
-        assert same_bits(d, z @ B)
+        assert same_bits(d, in_order_dot(z, B))
         assert not live.all() and live.any(axis=-1).all()
         for k, i in np.ndindex(*z.shape[:2]):
             first = live[k, i].argmax()

@@ -26,6 +26,17 @@ class TestGeneratorParams:
         with pytest.raises(ValueError):
             GeneratorParams(max_attempts=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_attempts", True), ("max_attempts", 2.5),
+        ("x_range", (2.5, 3)), ("y_range", (2, 3.0)), ("n_range", (True, 3)),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            GeneratorParams(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        GeneratorParams(x_range=(np.int64(2), np.int64(3)), max_attempts=np.int32(5))
+
 
 class TestGenAssumption1:
     def test_emitted_instances_reverify(self, small_params):
