@@ -14,9 +14,9 @@ calls it on the distinct histories of a slot and ``policy_value`` on
 one tree level, and both reject a decision of another shape or an
 action outside 0..N-1 (``check_decisions``).  Immediate rewards are
 ``filtering.row_dot(beliefs, R)`` everywhere: the myopic rule decides on
-the same product that the DP values nodes with.  ``row_max``, which the tie rule
-and the DP use, takes the maximum column by column, avoiding numpy's
-slow reduction over a short last axis; ``row_sum`` sums one the same
+the same product that the DP values nodes with.  ``row_max``, which the
+tie rule and the DP use, takes the maximum column by column, avoiding
+numpy's slow reduction over a short last axis; ``row_sum`` sums one the same
 way, left to right from +0.0, where numpy would sum 8 or more terms
 pairwise.
 
@@ -52,9 +52,8 @@ where built levels filtered 58,824 project rows.  Every level takes
 A'x and T(x, m) from ``filtering.row_dot`` and ``filtering.filter_rows``,
 whose bits depend on neither the level's shape nor its layout, so a
 factored level's rows have the bits of a built one's, and keeps all Y
-children of a worked node: a
-dead (zero-likelihood) one is its first live sibling (``filter_rows``)
-at likelihood 0.0.
+children of a worked node: a dead (zero-likelihood) one is its first
+live sibling (``filter_rows``) at likelihood 0.0.
 
 Rows are grouped by rounded key in ``_group_rows``: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
