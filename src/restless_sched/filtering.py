@@ -118,7 +118,10 @@ def filter_rows(z: np.ndarray, B: np.ndarray):
     live_t = live.transpose(2, 0, 1)
     filtered = B[:, :, None, None] * z.transpose(2, 0, 1)[:, None]
     filtered /= np.where(live, d, 1.0).transpose(2, 0, 1)
-    s = filtered.sum(axis=0)
+    # ``filtered.sum(axis=0)`` would add pairwise on one node at Y = 1.
+    s = filtered[0] + filtered[1] if len(filtered) > 1 else filtered[0].copy()
+    for row in filtered[2:]:
+        s += row
     drift = live_t & (np.abs(s - 1.0) > FILTER_SUM_TOL)
     if drift.any():
         first = s.transpose(1, 2, 0)[drift.transpose(1, 2, 0)][0]

@@ -19,33 +19,61 @@ and its worked project is filtered on the observation, not through
 ``filtering.filter_rows`` (its docstring says why).  Each profile
 goes through the same row-wise arithmetic as when every trajectory
 kept a copy of its own, so totals do not depend on how many
-trajectories share a history.  What stays per trajectory is the hidden
-states, the random draws, the rewards and the row index.  A decision
-of the wrong shape raises ``ValueError``, one outside 0..N-1
-``IndexError``, a horizon or trajectory count that is not an integer
-``TypeError``, and a negative horizon ``ValueError``.
+trajectories share a history.  What stays per trajectory is one
+hidden-state code per project, the random draws, the rewards and the
+row index.  A decision of the wrong shape raises ``ValueError``, one
+outside 0..N-1 ``IndexError``, a horizon or trajectory count that is
+not an integer ``TypeError``, and a negative horizon ``ValueError``.
+
+A hidden state is drawn only when its project is worked, since only
+the worked project's state reaches a reward or an observation.  A
+passive chain evolves unobserved, so its state at slot t follows the
+row its project's last revealed information gives, propagated by A
+for the slots in between.  That information is the project's
+*source*, one of N + X*Y:
+
+- x0_j, project j's initial belief, revealed at slot 0;
+- for each state s and observation m, the posterior of the next
+  state, P(s' | s, m) proportional to A[s, s'] B[s', m], revealed at
+  slot t + 1 after the project is worked in state s at slot t and
+  emits m.
+
+Each trajectory keeps, per project, one intp code
+``source * (T + 1) - tau`` for a source revealed at slot tau, so that
+at slot t the code plus t is the row (source, k = t - tau) of one cdf
+table of every source propagated k = 0..T slots (``_sources``).  Per
+slot the worked project's state is drawn from that row, its reward
+added, its observation drawn from P(m | s) = sum_s' A[s, s'] B[s', m],
+and its code set to the posterior source (s, m) at tau = t + 1.  The
+joint law of rewards and observations is that of drawing every chain
+every slot; the bits are not.  The posteriors and P(m | s) come from
+one product, summed in order, so a zero-probability (s, m) is exactly
+the one never drawn; its posterior row, never used, is A's row s.
+The source table has (N + X*Y) * (T + 1) rows of X floats, 12 * 9 * 3
+at the deep instance's N = X = Y = 3 and T = 8, and is built once per
+call by ``filtering.row_dot``, so no BLAS enters the draws.
 
 A call allocates one workspace (``_Workspace``), sized to its first
 block, and every block and slot works in views of it through ``out=``
 arguments, so no slot maps fresh memory for its per-trajectory arrays.
-It holds the hidden states (current and next), each trajectory's
-history row, action, worked project, gathered index and observation,
-and one set of draw buffers (uniforms, gathered cdf thresholds,
-comparison mask and count) that the initial-state, state and
-observation draws share.  The totals of every block go into views of
-one array of length n_traj.  Only arrays the size of the history table
-are still allocated per slot.
+It holds the codes, each trajectory's history row, action, worked
+project, draw (source row, then state, then code and history key) and
+observation, and one set of draw buffers of n entries each
+(thresholds, comparison mask and count) that the state and
+observation draws share, beside 2n uniforms.  The totals of every
+block go into views of one array of length n_traj.  Only arrays the
+size of the history table are still allocated per slot.
 
 RNG contract: a call draws from one ``np.random.default_rng(seed)``;
 its blocks of up to ``_BLOCK`` trajectories take turns, and each draws
-first every initial state, then per slot every project's next state
-and the active project's observation, each by inverting a cumulative
-distribution (last entry pinned to 1) against one uniform.  Results are
-therefore deterministic in (instance, policy, T, n_traj, seed), and
-``estimate_value`` gives the same mean and standard error with or
-without ``return_totals``.  The workspace decides only where results
-are written, not which uniforms are drawn, in what order, or how they
-are compared.
+per slot n uniforms for the worked projects' states, then n for their
+observations, each inverting a cumulative distribution (last entry
+pinned to 1).  The last slot's observations are drawn from the stream
+but not used.  Results are therefore deterministic in (instance,
+policy, T, n_traj, seed), and ``estimate_value`` gives the same mean
+and standard error with or without ``return_totals``.  The workspace
+decides only where results are written, not which uniforms are
+drawn, in what order, or how they are compared.
 """
 
 from __future__ import annotations
@@ -54,7 +82,7 @@ import numpy as np
 
 # ``step_profile`` is unused here; the per-layer tracer in perfbench
 # wraps ``simulate.step_profile`` by name.
-from .filtering import step_profile  # noqa: F401
+from .filtering import row_dot, step_profile  # noqa: F401
 from .policy import PolicyRule, check_decisions, row_sum
 from .types import ModelInstance, check_integer
 
@@ -102,8 +130,9 @@ def _inverse_cdf(
     for the gathered column, ``mask`` (bool) and ``count`` (an unsigned
     type that holds the count), both ``u``'s shape, and ``out`` (any
     integer array of ``u``'s shape), which receives and returns the
-    draws.  ``row`` must be in range: the gather wraps instead of
-    checking, because a checked ``take`` copies its ``out`` first.
+    draws; it may be ``row`` itself, which is read only before it.
+    ``row`` must be in range: the gather wraps instead of checking,
+    because a checked ``take`` copies its ``out`` first.
     """
     count.fill(0)
     for k in range(cdf.shape[-1] - 1):
@@ -118,26 +147,24 @@ class _Workspace:
     ``size`` trajectories, allocated once per call and reused by every
     block and slot through views.
 
-    The draw buffers (uniforms, gathered thresholds, mask and count) are
-    flat arrays of ``size * N`` entries shared by the initial-state
-    draw (viewed as (N, n)), the state draw (flat, in (n, N) order) and
-    the observation draw (the first n entries); the threshold buffer
-    also carries each slot's rewards.
-    ``states`` holds the current and the next hidden states, which swap
-    roles each slot.  ``traj`` has one column per trajectory and five
-    rows: its history row, action, worked project's flat index, a
-    gathered index (a state, then the history key) and observation.
-    ``base`` is the constant flat offset of each trajectory's states.
+    ``uniform`` holds a slot's 2 * size uniforms, the states' then the
+    observations'.  The other draw buffers (thresholds, mask and count)
+    hold ``size`` entries, shared by the state and the observation
+    draws; the threshold buffer also carries each slot's rewards.
+    ``codes`` holds each trajectory's N source codes, flat in (n, N)
+    order.  ``traj`` has one column per trajectory and five rows: its
+    history row, action, worked project's flat index, draw (source
+    row, state, then code and history key) and observation.  ``base``
+    is the constant flat offset of each trajectory's codes.
     """
 
     def __init__(self, inst: ModelInstance, size: int):
         N = inst.n_projects
-        flat = size * N
-        self.uniform = np.empty(flat)
-        self.threshold = np.empty(flat)
-        self.mask = np.empty(flat, dtype=bool)
-        self.count = np.empty(flat, dtype=np.min_scalar_type(max(inst.n_states, inst.n_obs) - 1))
-        self.states = np.empty((2, flat), dtype=np.intp)
+        self.uniform = np.empty(2 * size)
+        self.threshold = np.empty(size)
+        self.mask = np.empty(size, dtype=bool)
+        self.count = np.empty(size, dtype=np.min_scalar_type(max(inst.n_states, inst.n_obs) - 1))
+        self.codes = np.empty(size * N, dtype=np.intp)
         self.traj = np.empty((5, size), dtype=np.intp)
         self.base = np.arange(size) * N
 
@@ -148,10 +175,36 @@ def _check_horizon(T: int) -> None:
         raise ValueError(f"horizon T must be >= 0, got {T}")
 
 
+def _sources(inst: ModelInstance, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every source's state law k = 0..T slots after it was revealed,
+    (N + X*Y, T + 1, X): rows 0..N-1 start from the initial beliefs,
+    row N + s*Y + m from the posterior P(s' | s, m), and each k is
+    ``row_dot`` of k - 1 with A.  Also the observation law P(m | s),
+    (X, Y).
+
+    Both come from the one product A[s, s'] B[s', m]: P(m | s) is its
+    in-order sum over s', zero exactly when every term is, and the
+    posteriors are its terms over that sum.  A zero-probability
+    (s, m)'s posterior, never drawn, is A's row s."""
+    N, X, Y = inst.n_projects, inst.n_states, inst.n_obs
+    A = inst.A.rows
+    joint = (A[:, :, None] * inst.B.rows).transpose(0, 2, 1)  # (s, m, s')
+    obs = row_sum(joint)
+    live = obs > 0.0
+    post = np.where(live[..., None], joint / np.where(live, obs, 1.0)[..., None], A[:, None])
+    law = np.empty((N + X * Y, T + 1, X))
+    law[:N, 0] = [x.probs for x in inst.initial_beliefs]
+    law[N:, 0] = post.reshape(X * Y, X)
+    for k in range(1, T + 1):
+        law[:, k] = row_dot(law[:, k - 1], A)
+    return law, obs
+
+
 def _lockstep(
     inst: ModelInstance,
     policy: PolicyRule,
     T: int,
+    cdfs: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator,
     work: _Workspace,
     totals: np.ndarray,
@@ -159,8 +212,10 @@ def _lockstep(
     """The engine: writes into ``totals`` the discounted total reward of
     each of its len(totals) trajectories over slots 0..T (T >= 0),
     simulated in lockstep in views of ``work``, whose size must be at
-    least that.  Nothing is kept across slots but the history table,
-    each trajectory's node in it, the states and the totals.
+    least that.  ``cdfs`` are the cdfs of ``_sources``' two laws, the
+    first flattened to one row per (source, k).  Nothing is kept across
+    slots but the history table, each trajectory's node in it, the
+    codes and the totals.
 
     Every gather into the workspace uses ``take(out=, mode="wrap")``, the
     fastest mode that writes straight into ``out``; its indices are in
@@ -172,32 +227,22 @@ def _lockstep(
     B_T = inst.B.rows.T.copy()  # row m: each state's likelihood of observation m
     R = inst.R.values
     row_item = np.dtype((np.void, X * A.itemsize))
+    state_cdf, obs_cdf = cdfs
     n = len(totals)
-    # States and the state draw's buffers are flat (n * N,) views, read
-    # as (n, N) in C order; the observation draw uses their first n
-    # entries.
-    current, nxt = work.states[:, : n * N]
-    uniform, threshold, mask, count = (
-        b[: n * N] for b in (work.uniform, work.threshold, work.mask, work.count)
-    )
-    uniform_n, threshold_n, mask_n, count_n = (b[:n] for b in (uniform, threshold, mask, count))
-    node, action, active, gather, obs = work.traj[:, :n]
+    uniform = work.uniform[: 2 * n].reshape(2, n)
+    threshold, mask, count = (b[:n] for b in (work.threshold, work.mask, work.count))
+    codes = work.codes[: n * N]
+    node, action, active, draw, obs = work.traj[:, :n]
     base = work.base[:n]
 
     # ``table`` holds one belief profile per distinct observation history
     # and ``node`` each trajectory's row in it; at slot 0 every
-    # trajectory shares the empty history.
+    # trajectory shares the empty history, and project j's source is
+    # x0_j, revealed at slot 0.
     x0 = np.array([x.probs for x in inst.initial_beliefs])  # (N, X)
     table = x0[None].copy()
     node.fill(0)
-    a_cdf = _cdf(A)
-    b_cdf = _cdf(inst.B.rows)
-    # Project j's initial states invert row j of the (N, n) uniforms.
-    _inverse_cdf(
-        _cdf(x0), np.arange(N)[:, None], rng.random(out=uniform.reshape(N, n)),
-        out=current.reshape(n, N).T, threshold=threshold[:N].reshape(N, 1),
-        mask=mask.reshape(N, n), count=count.reshape(N, n),
-    )
+    codes.reshape(n, N)[:] = np.arange(N) * (T + 1)
 
     totals.fill(0.0)
     scale = 1.0
@@ -206,25 +251,31 @@ def _lockstep(
         acts = check_decisions(policy, policy.decide(t, table), table).astype(np.intp, copy=False)
         u = acts.take(node, out=action, mode="wrap")
         np.add(base, u, out=active)  # flat index of each trajectory's worked project
-        state = current.take(active, out=gather, mode="wrap")
-        # The rewards pass through the threshold buffer, free until the draws.
-        np.add(totals, (scale * R).take(state, out=threshold_n, mode="wrap"), out=totals)
+        row = np.add(codes.take(active, out=draw, mode="wrap"), t, out=draw)
+        rng.random(out=uniform)
+        # The worked project's state, drawn from its source's row in
+        # place of the row.  The rewards pass through the threshold
+        # buffer, free until the next draw.
+        state = _inverse_cdf(
+            state_cdf, row, uniform[0], out=draw, threshold=threshold, mask=mask, count=count,
+        )
+        np.add(totals, (scale * R).take(state, out=threshold, mode="wrap"), out=totals)
         scale *= inst.beta
-
-        # Transition every chain, then the active one emits.
-        _inverse_cdf(
-            a_cdf, current, rng.random(out=uniform), out=nxt,
-            threshold=threshold, mask=mask, count=count,
-        )
-        _inverse_cdf(
-            b_cdf, nxt.take(active, out=gather, mode="wrap"), rng.random(out=uniform_n), out=obs,
-            threshold=threshold_n, mask=mask_n, count=count_n,
-        )
         if t < T:
+            _inverse_cdf(
+                obs_cdf, state, uniform[1], out=obs, threshold=threshold, mask=mask, count=count,
+            )
+            # Its source is now the posterior (state, obs), revealed at
+            # t + 1: code (N + state*Y + obs) * (T + 1) - (t + 1).
+            code = np.add(np.multiply(state, Y, out=draw), obs, out=draw)
+            np.multiply(code, T + 1, out=code)
+            np.add(code, N * (T + 1) - t - 1, out=code)
+            codes.put(active, code, mode="wrap")
+
             # The (node, observation) pairs that occurred are the next
             # slot's histories, numbered in the order of their keys; a
             # scatter numbers them faster than a cumsum of ``seen``.
-            key = np.add(np.multiply(node, Y, out=gather), obs, out=gather)
+            key = np.add(np.multiply(node, Y, out=draw), obs, out=draw)
             seen = np.zeros(len(table) * Y, dtype=bool)
             seen[key] = True
             pairs = seen.nonzero()[0]
@@ -243,7 +294,6 @@ def _lockstep(
             # assigns the rows of a float array element by element.
             np.put(child.view(row_item), worked, (num / total[:, None]).view(row_item))
             table = child.reshape(-1, N, X)
-        current, nxt = nxt, current
 
 
 def _estimate_batched(
@@ -251,14 +301,16 @@ def _estimate_batched(
 ) -> np.ndarray:
     """Discounted total reward of each of n_traj trajectories, simulated
     in consecutive lockstep blocks that draw from one generator and share
-    one workspace."""
+    one workspace and one pair of source cdfs."""
     _check_horizon(T)
     # As a Python int: a numpy one cannot hold the mask.
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
+    law, obs = _sources(inst, T)
+    cdfs = (_cdf(law).reshape(-1, inst.n_states), _cdf(obs))
     totals = np.empty(n_traj)
     work = _Workspace(inst, min(_BLOCK, n_traj))
     for start in range(0, n_traj, _BLOCK):
-        _lockstep(inst, policy, T, rng, work, totals[start : start + _BLOCK])
+        _lockstep(inst, policy, T, cdfs, rng, work, totals[start : start + _BLOCK])
     return totals
 
 

@@ -38,28 +38,19 @@ def small_params() -> GeneratorParams:
 
 def in_order_dot(x, M) -> np.ndarray:
     """``x @ M`` over the last axis of ``x``, for ``M`` of shape (X,) or
-    (X, K), in pure Python floats: every entry is x_0 M_0 + x_1 M_1 +
-    ..., each product and each sum rounded on its own, left to right
-    from the first product.  The references' one product, written here
-    and not taken from the package, so that they check
-    ``filtering.row_dot`` instead of calling it.  Each distinct row (by
-    its bytes) is multiplied once: built levels repeat their rows."""
+    (X, K): every entry is x_0 M_0 + x_1 M_1 + ..., each product and each
+    sum rounded on its own, left to right from the first product.  The
+    references' one product, written here and not taken from the
+    package, so that they check ``filtering.row_dot`` instead of calling
+    it.  A fold over the columns of ``x``: one numpy multiply of column
+    i by row i of ``M`` and one add, each over every entry at once."""
     x, M = np.asarray(x, dtype=float), np.asarray(M, dtype=float)
-    flat = np.ascontiguousarray(x.reshape(-1, x.shape[-1]))
-    first = inverse = np.arange(len(flat))
-    if len(flat) > 1:
-        keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    cols = M.reshape(len(M), -1).T.tolist()
-    out = []
-    for row in flat[first].tolist():
-        for col in cols:
-            total = row[0] * col[0]
-            for a, b in zip(row[1:], col[1:]):
-                total += a * b
-            out.append(total)
-    out = np.array(out).reshape(len(first), -1)[inverse.ravel()]
-    return out.reshape(x.shape[:-1] + M.shape[1:])
+    flat = x.reshape(-1, x.shape[-1])
+    terms = M.reshape(len(M), -1)
+    total = flat[:, :1] * terms[0]
+    for i in range(1, len(terms)):
+        total = total + flat[:, i : i + 1] * terms[i]
+    return total.reshape(x.shape[:-1] + M.shape[1:])
 
 
 def reference_filter(A: np.ndarray, B: np.ndarray, x: np.ndarray, m0: int):
@@ -158,7 +149,7 @@ def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float
     value = float(in_order_dot(beliefs[u], R))
     if t == T:
         return value
-    propagated = [in_order_dot(x, A) for x in beliefs]
+    propagated = list(in_order_dot(np.array(beliefs), A))
     acc = 0.0
     for m in range(inst.n_obs):
         joint = B[:, m] * propagated[u]
@@ -167,7 +158,7 @@ def recursive_avf(inst: ModelInstance, beliefs, t: int, T: int, u: int) -> float
             continue
         stepped = list(propagated)
         stepped[u] = joint / d
-        rewards = [float(in_order_dot(x, R)) for x in stepped]
+        rewards = in_order_dot(np.array(stepped), R).tolist()
         nxt = next(i for i, r in enumerate(rewards) if r >= max(rewards) - 1e-12)
         acc += d * recursive_avf(inst, stepped, t + 1, T, nxt)
     return value + inst.beta * acc
@@ -183,27 +174,29 @@ def recursive_avf_frozen(inst: ModelInstance, beliefs, reference, t: int, T: int
     reference."""
     A, B, R = inst.A.rows, inst.B.rows, inst.R.values
 
-    def step(profile, m):
-        propagated = [in_order_dot(x, A) for x in profile]
+    def step(propagated, m):
         joint = B[:, m] * propagated[u]
         d = joint.sum()
         if d <= 0.0:
             return d, None
-        propagated[u] = joint / d
-        return d, propagated
+        stepped = list(propagated)
+        stepped[u] = joint / d
+        return d, stepped
 
     value = float(in_order_dot(beliefs[u], R))
     if t == T:
         return value
+    propagated = list(in_order_dot(np.array(beliefs), A))
+    propagated_ref = list(in_order_dot(np.array(reference), A))
     acc = 0.0
     for m in range(inst.n_obs):
-        d, stepped = step(beliefs, m)
+        d, stepped = step(propagated, m)
         if stepped is None:
             continue
-        _, ref = step(reference, m)
+        _, ref = step(propagated_ref, m)
         if ref is None:
             ref = stepped
-        rewards = [float(in_order_dot(x, R)) for x in ref]
+        rewards = in_order_dot(np.array(ref), R).tolist()
         nxt = next(i for i, r in enumerate(rewards) if r >= max(rewards) - 1e-12)
         acc += d * recursive_avf_frozen(inst, stepped, ref, t + 1, T, nxt)
     return value + inst.beta * acc

@@ -1,11 +1,12 @@
 import json
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from conftest import random_simplex, random_stochastic
+from conftest import in_order_dot, random_simplex, random_stochastic, same_bits
 from restless_sched import (
     BeliefProfile,
     ModelInstance,
@@ -16,9 +17,10 @@ from restless_sched import (
     policy_value,
     round_robin_policy,
     seeded_random_policy,
+    simulate,
     stay_policy,
 )
-from restless_sched.simulate import _BLOCK, _cdf, _inverse_cdf
+from restless_sched.simulate import _BLOCK, _cdf, _inverse_cdf, _sources
 
 #: The deep base instance (X=Y=N=3), which perfbench's simulate-mc runs at T=8.
 DEEP = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "simulate.json"
@@ -58,39 +60,117 @@ def all_policies(inst) -> list:
     return [myopic_policy(inst), round_robin_policy(n), stay_policy(1), seeded_random_policy(n, 4)]
 
 
+def sparse_instance() -> ModelInstance:
+    """``zero_likelihood_instance``'s B with a sparse A whose state 0
+    always moves to state 1, which cannot emit observation 0: (s, m) =
+    (0, 0) has probability 0.  (``zero_likelihood_instance``'s A is
+    dense, so every (s, m) of it has a positive probability.)"""
+    inst = zero_likelihood_instance()
+    A = [[0.0, 1.0, 0.0], [0.5, 0.2, 0.3], [0.3, 0.3, 0.4]]
+    return ModelInstance(3, 3, 3, A, inst.B, inst.R, inst.beta, inst.initial_beliefs)
+
+
+def cdf(pmf):
+    """Cumulative sums along the last axis, the last entry pinned to 1."""
+    c = np.cumsum(pmf, axis=-1)
+    return c / c[..., -1:]
+
+
+def draw(c, u):
+    """Categorical draws from the cdf rows ``c`` (..., K) against the
+    uniforms ``u``, which broadcast against them: the count of the other
+    entries at or below each uniform."""
+    out = np.zeros(np.broadcast_shapes(c.shape[:-1], u.shape), dtype=np.int64)
+    for k in range(c.shape[-1] - 1):
+        out += c[..., k] <= u
+    return out
+
+
+def source_laws(inst, T):
+    """The state law of every source k = 0..T slots after it was
+    revealed, (N + X*Y, T + 1, X), and the observation law P(m | s),
+    written apart from the engine: x0_j for source j, the posterior
+    A[s, :] B[:, m] / P(m | s) for source N + s*Y + m (A's row s where
+    P(m | s) = 0), each propagated by ``in_order_dot``."""
+    N, X, Y = inst.n_projects, inst.n_states, inst.n_obs
+    A, B = inst.A.rows, inst.B.rows
+    obs = in_order_dot(A, B)
+    laws = [x.probs for x in inst.initial_beliefs]
+    laws += [A[s] * B[:, m] / obs[s, m] if obs[s, m] > 0.0 else A[s]
+             for s in range(X) for m in range(Y)]
+    rows = [np.array(laws)]
+    for _ in range(T):
+        rows.append(in_order_dot(rows[-1], A))
+    return np.stack(rows, axis=1), obs
+
+
 def reference_totals(inst, policy, T, n_traj, seed):
-    """The engine as first written, for comparison: stacked matmuls,
-    two-index gathers and a row-sum filter, with the same RNG calls in
-    the same order (blocks of ``_BLOCK`` trajectories from one
-    generator)."""
+    """The engine's contract written plainly, for comparison.  Each
+    trajectory keeps, per project, an explicit source and the slot tau
+    it was revealed at.  Per slot the worked project's state is drawn
+    from its source's law t - tau slots on, its observation from
+    P(m | s), and its source becomes the posterior (s, m) at t + 1.
+    Beliefs go through stacked matmuls, two-index gathers and a
+    row-sum filter.  The RNG calls are the contract's: blocks of
+    ``_BLOCK`` trajectories from one generator, n uniforms per slot
+    for the states, then n for the observations."""
     rng = np.random.default_rng(seed)
-    N, X = inst.n_projects, inst.n_states
+    N, X, Y = inst.n_projects, inst.n_states, inst.n_obs
     A, B, R = inst.A.rows, inst.B.rows, inst.R.values
     x0 = np.stack([x.probs for x in inst.initial_beliefs])
-
-    def cdf(pmf):
-        c = np.cumsum(pmf, axis=-1)
-        return c / c[..., -1:]
-
-    def draw(c, row, u):
-        out = np.zeros(u.shape, dtype=np.int64)
-        for k in range(c.shape[-1] - 1):
-            out += c[row, k] <= u
-        return out
+    law, obs_law = source_laws(inst, T)
 
     blocks = []
     for start in range(0, n_traj, _BLOCK):
         n = min(_BLOCK, n_traj - start)
         rows = np.arange(n)
         beliefs = np.broadcast_to(x0, (n, N, X)).copy()
-        current = draw(cdf(x0), np.arange(N), rng.random((N, n)).T)
+        source = np.tile(np.arange(N), (n, 1))
+        tau = np.zeros((n, N), dtype=np.int64)
+        totals, scale = np.zeros(n), 1.0
+        for t in range(T + 1):
+            u = policy.decide(t, beliefs)
+            state = draw(cdf(law[source[rows, u], t - tau[rows, u]]), rng.random(n))
+            u_obs = rng.random(n)
+            totals += scale * R[state]
+            scale *= inst.beta
+            if t < T:
+                obs = draw(cdf(obs_law[state]), u_obs)
+                source[rows, u] = N + state * Y + obs
+                tau[rows, u] = t + 1
+                beliefs = beliefs @ A
+                num = beliefs[rows, u] * B[:, obs].T
+                beliefs[rows, u] = num / num.sum(axis=1, keepdims=True)
+        blocks.append(totals)
+    return np.concatenate(blocks)
+
+
+def eager_totals(inst, policy, T, n_traj, seed):
+    """The engine before states were drawn on demand: every project's
+    hidden state is drawn at slot 0 and moved by A every slot, and the
+    worked project's next state emits the observation.  Stacked
+    matmuls, two-index gathers and a row-sum filter; per block, N * n
+    uniforms for the initial states (project-major), then per slot
+    N * n for the next states (trajectory-major) and n for the
+    observations.  Its totals have the engine's law, not its bits."""
+    rng = np.random.default_rng(seed)
+    N, X = inst.n_projects, inst.n_states
+    A, B, R = inst.A.rows, inst.B.rows, inst.R.values
+    x0 = np.stack([x.probs for x in inst.initial_beliefs])
+
+    blocks = []
+    for start in range(0, n_traj, _BLOCK):
+        n = min(_BLOCK, n_traj - start)
+        rows = np.arange(n)
+        beliefs = np.broadcast_to(x0, (n, N, X)).copy()
+        current = draw(cdf(x0), rng.random((N, n)).T)
         totals, scale = np.zeros(n), 1.0
         for t in range(T + 1):
             u = policy.decide(t, beliefs)
             totals += scale * R[current[rows, u]]
             scale *= inst.beta
-            nxt = draw(cdf(A), current, rng.random((n, N)))
-            obs = draw(cdf(B), nxt[rows, u], rng.random(n))
+            nxt = draw(cdf(A)[current], rng.random((n, N)))
+            obs = draw(cdf(B)[nxt[rows, u]], rng.random(n))
             if t < T:
                 beliefs = beliefs @ A
                 num = beliefs[rows, u] * B[:, obs].T
@@ -151,6 +231,104 @@ class TestEngineMatchesReference:
         estimate_value(inst, spy_rule(policy, calls), 10, 40, 31)
         decisions = np.concatenate([policy.decide(t, beliefs) for t, beliefs in calls])
         assert set(decisions.tolist()) == {0, 1}
+
+
+class TestSources:
+    def test_rows_are_sources_folded_in_order(self):
+        # Row (source, k) is (A')^k of the source, one in-order fold per
+        # slot: every initial belief and one posterior.
+        inst = mixed_dims_instance()
+        N, Y, T = inst.n_projects, inst.n_obs, 6
+        A, B = inst.A.rows, inst.B.rows
+        law, obs = _sources(inst, T)
+        assert law.shape == (N + inst.n_states * Y, T + 1, inst.n_states)
+        assert same_bits(obs, in_order_dot(A, B))
+        s, m = 2, 1
+        starts = [(j, x.probs) for j, x in enumerate(inst.initial_beliefs)]
+        starts.append((N + s * Y + m, A[s] * B[:, m] / obs[s, m]))
+        for source, x in starts:
+            for k in range(T + 1):
+                assert same_bits(law[source, k], x)
+                x = in_order_dot(x, A)
+
+    def test_zero_probability_source_is_a_valid_row(self):
+        inst = sparse_instance()
+        N, Y = inst.n_projects, inst.n_obs
+        law, obs = _sources(inst, 3)
+        assert obs[0, 0] == 0.0 and np.all(np.delete(obs.ravel(), 0) > 0.0)
+        assert same_bits(law[N, 0], inst.A.rows[0])
+        c = _cdf(law)
+        assert np.all(np.isfinite(c)) and np.all(c[..., -1] == 1.0)
+
+    def test_zero_probability_observation_never_drawn(self, monkeypatch):
+        # Every observation draw's worked states and observations, seen
+        # through the engine's one inverse-cdf function: the observation
+        # table is the only cdf with X rows.
+        inst = sparse_instance()
+        pairs = []
+
+        def spy(cdf, row, u, **buffers):
+            out = _inverse_cdf(cdf, row, u, **buffers)
+            if len(cdf) == inst.n_states:
+                pairs.append(np.stack([row, out]))
+            return out
+
+        monkeypatch.setattr(simulate, "_inverse_cdf", spy)
+        for policy in all_policies(inst):
+            estimate_value(inst, policy, 6, 5000, 1)
+        state, obs = np.concatenate(pairs, axis=1)
+        assert np.any(state == 0) and np.any(obs == 0)
+        assert not np.any((state == 0) & (obs == 0))
+
+
+#: Level of each two-sample chi-square comparison below.
+LAW_LEVEL = 1e-4
+
+
+def chi_square_bound(df: int, level: float) -> float:
+    """The upper ``level`` quantile of chi-square with ``df`` degrees of
+    freedom, by the Wilson-Hilferty approximation."""
+    z = NormalDist().inv_cdf(1.0 - level)
+    return df * (1.0 - 2.0 / (9 * df) + z * np.sqrt(2.0 / (9 * df))) ** 3
+
+
+def homogeneity(a: np.ndarray, b: np.ndarray) -> tuple[float, int]:
+    """Two-sample chi-square statistic of equally many totals ``a`` and
+    ``b`` over their distinct values, and its degrees of freedom.  Values
+    seen fewer than 10 times in both samples together are pooled into
+    one cell."""
+    values = np.union1d(a, b)
+    ca = np.bincount(np.searchsorted(values, a), minlength=len(values))
+    cb = np.bincount(np.searchsorted(values, b), minlength=len(values))
+    small = ca + cb < 10
+    ca = np.append(ca[~small], ca[small].sum())
+    cb = np.append(cb[~small], cb[small].sum())
+    cells = ca + cb > 0
+    ca, cb = ca[cells], cb[cells]
+    return float(np.sum((ca - cb) ** 2 / (ca + cb))), len(ca) - 1
+
+
+class TestEngineLaw:
+    """The engine draws a state only when its project is worked; the
+    eager engine draws every chain every slot.  Their totals share one
+    law.  At T = 3 the totals take at most X^4 values, so each value's
+    frequency is compared, at level ``LAW_LEVEL``, and the means within
+    5 combined standard errors.  The two engines use different seeds:
+    with one seed both would draw a stay policy's slot-0 states from
+    the same uniforms."""
+
+    @pytest.mark.parametrize("make", [mixed_dims_instance, zero_likelihood_instance, sparse_instance])
+    def test_totals_match_eager_engine_in_law(self, make):
+        inst = make()
+        n, T = 20_000, 3
+        for policy in all_policies(inst):
+            lazy = estimate_value(inst, policy, T, n, 101, return_totals=True)[2]
+            eager = eager_totals(inst, policy, T, n, 202)
+            stat, df = homogeneity(lazy, eager)
+            assert df >= 2
+            assert stat <= chi_square_bound(df, LAW_LEVEL), (policy.name, stat, df)
+            se = np.sqrt((lazy.var(ddof=1) + eager.var(ddof=1)) / n)
+            assert abs(lazy.mean() - eager.mean()) <= 5.0 * se, policy.name
 
 
 def constant_rule(project: int) -> PolicyRule:
@@ -324,10 +502,11 @@ class TestInverseCdf:
 class TestWorkspaceMemory:
     def test_deep_batch_memory(self):
         """One workspace serves every block and slot of a call: 400,000
-        trajectories of the deep instance at T=8 peaked at 11.4 MiB of
-        traced memory with fresh temporaries per slot, 13.4 MiB with
-        draw buffers shared by the draws, and 18.7 MiB with one buffer
-        per role."""
+        trajectories of the deep instance at T=8 peak at 10.0 MiB of
+        traced memory with one source code per project and n-wide draw
+        buffers, against 13.2 MiB when every chain's current and next
+        states were kept, 11.4 MiB with fresh temporaries per slot and
+        18.7 MiB with one buffer per role."""
         doc = json.loads(DEEP.read_text())
         inst = ModelInstance.from_json_dict(doc["instance"])
         tracemalloc.start()
@@ -337,7 +516,7 @@ class TestWorkspaceMemory:
         finally:
             tracemalloc.stop()
         assert np.isfinite(mean)
-        assert peak < 16 * 2**20
+        assert peak < 12 * 2**20
 
 
 class TestEstimateValue:
