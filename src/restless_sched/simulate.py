@@ -213,9 +213,9 @@ def _lockstep(
     each of its len(totals) trajectories over slots 0..T (T >= 0),
     simulated in lockstep in views of ``work``, whose size must be at
     least that.  ``cdfs`` are the cdfs of ``_sources``' two laws, the
-    first flattened to one row per (source, k).  Nothing is kept across
-    slots but the history table, each trajectory's node in it, the
-    codes and the totals.
+    first flattened to one row per (source, k), both column-major.
+    Nothing is kept across slots but the history table, each
+    trajectory's node in it, the codes and the totals.
 
     Every gather into the workspace uses ``take(out=, mode="wrap")``, the
     fastest mode that writes straight into ``out``; its indices are in
@@ -306,7 +306,10 @@ def _estimate_batched(
     # As a Python int: a numpy one cannot hold the mask.
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
     law, obs = _sources(inst, T)
-    cdfs = (_cdf(law).reshape(-1, inst.n_states), _cdf(obs))
+    # Column-major, so that each column ``_inverse_cdf`` gathers from is
+    # contiguous: ``take`` copies a strided source whole, which would
+    # cost every slot the size of the (T + 1)-deep source table.
+    cdfs = tuple(np.asfortranarray(_cdf(x)) for x in (law.reshape(-1, inst.n_states), obs))
     totals = np.empty(n_traj)
     work = _Workspace(inst, min(_BLOCK, n_traj))
     for start in range(0, n_traj, _BLOCK):

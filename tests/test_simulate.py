@@ -280,6 +280,22 @@ class TestSources:
         assert np.any(state == 0) and np.any(obs == 0)
         assert not np.any((state == 0) & (obs == 0))
 
+    def test_state_draws_gather_from_contiguous_columns(self, monkeypatch):
+        """``take`` copies a strided source whole, so a row-major source
+        table would cost every slot's state draw the whole (T + 1)-deep
+        table: at T = 20,000 a 2-trajectory call of the deep instance
+        took 15 s against 1.5 s before states were drawn on demand."""
+        inst = mixed_dims_instance()
+        columns = []
+
+        def spy(cdf, row, u, **buffers):
+            columns.extend(cdf[:, k].flags.c_contiguous for k in range(cdf.shape[1]))
+            return _inverse_cdf(cdf, row, u, **buffers)
+
+        monkeypatch.setattr(simulate, "_inverse_cdf", spy)
+        estimate_value(inst, myopic_policy(inst), 40, 10, 0)
+        assert columns and all(columns)
+
 
 #: Level of each two-sample chi-square comparison below.
 LAW_LEVEL = 1e-4
