@@ -40,8 +40,8 @@ import numpy as np
 
 from .assumptions import verify_assumption1, verify_assumption2
 from .exceptions import IncomparablePairError
-from .filtering import row_dot
-from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy, row_sum
+from .filtering import row_dot, row_sum
+from .policy import ARGMAX_TOL, TreeEvaluator, myopic_policy
 from .types import ModelInstance, check_integer, check_seed, valid_belief_rows
 
 #: Containment checked with this additive slack.

@@ -15,7 +15,9 @@ bits hang on them.  ``filter_rows`` is the one array form of T(x, m) on
 every observation, and the tree kernels' one zero-likelihood rule (see
 there).  The tree kernel (``policy.TreeEvaluator``), the clause-3
 threshold search, the power terms of ``bounds`` and the validated
-one-belief steps here all call the two.
+one-belief steps here all call the two.  ``row_sum`` is the one exact
+sum, left to right from +0.0 along a last axis, of every backup, leaf
+pass, interval table and simulator sum and of ``filter_rows``.
 
 The simulator is the one exception: it propagates its history table
 with one gemm and filters only the observation that occurred.  On the
@@ -98,6 +100,16 @@ def row_dot(x: np.ndarray, M: np.ndarray) -> np.ndarray:
     return out.T.reshape(x.shape[:-1] + M.shape[1:])
 
 
+def row_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The sum along the last axis (at least one entry), into ``out`` if
+    given, added column by column from +0.0, where ``values.sum(axis=-1)``
+    adds 8 or more terms pairwise.  A lone -0.0 sums to +0.0."""
+    out = np.add(values[..., 0], 0.0, out=out)
+    for k in range(1, values.shape[-1]):
+        out += values[..., k]
+    return out
+
+
 def filter_rows(z: np.ndarray, B: np.ndarray):
     """The filter T(x, m) of every propagated belief z = A'x in the
     (K, n, X) ``z`` on every observation m of B (X, Y).
@@ -108,20 +120,16 @@ def filter_rows(z: np.ndarray, B: np.ndarray):
     weights it by 0.0 merges it into that node and adds nothing to a
     sum.  The likelihoods are ``row_dot(z, B)``, laid out (Y, K, n) as
     the filter is.  The filter itself is elementwise, so its bits do not
-    depend on the layout, which puts the long axis last.  Each row sum adds the X
-    columns one after another, in order, never pairwise.  A live row
-    whose sum drifts from 1 by more than ``FILTER_SUM_TOL`` raises
-    ``InvalidBeliefError``.
+    depend on the layout, which puts the long axis last.  A live row
+    whose ``row_sum`` over X drifts from 1 by more than
+    ``FILTER_SUM_TOL`` raises ``InvalidBeliefError``.
     """
     d = row_dot(z, B)
     live = d > LIKELIHOOD_FLOOR
     live_t = live.transpose(2, 0, 1)
     filtered = B[:, :, None, None] * z.transpose(2, 0, 1)[:, None]
     filtered /= np.where(live, d, 1.0).transpose(2, 0, 1)
-    # ``filtered.sum(axis=0)`` would add pairwise on one node at Y = 1.
-    s = filtered[0] + filtered[1] if len(filtered) > 1 else filtered[0].copy()
-    for row in filtered[2:]:
-        s += row
+    s = row_sum(filtered.transpose(1, 2, 3, 0))
     drift = live_t & (np.abs(s - 1.0) > FILTER_SUM_TOL)
     if drift.any():
         first = s.transpose(1, 2, 0)[drift.transpose(1, 2, 0)][0]

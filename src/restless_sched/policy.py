@@ -16,9 +16,9 @@ action outside 0..N-1 (``check_decisions``).  Immediate rewards are
 ``filtering.row_dot(beliefs, R)`` everywhere: the myopic rule decides on
 the same product that the DP values nodes with.  ``row_max``, which the
 tie rule and the DP use, takes the maximum column by column, avoiding
-numpy's slow reduction over a short last axis; ``row_sum`` sums one the same
-way, left to right from +0.0, where numpy would sum 8 or more terms
-pairwise.
+numpy's slow reduction over a short last axis; ``filtering.row_sum``
+sums one the same way, left to right from +0.0, where numpy would sum 8
+or more terms pairwise.
 
 The tree is grown one level at a time and summed backwards, each level
 by ``backup`` on (..., Y) blocks of its children.
@@ -81,7 +81,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .filtering import BeliefProfile, filter_rows, row_dot
+from .filtering import BeliefProfile, filter_rows, row_dot, row_sum
 from .types import ModelInstance, belief_key, check_integer, check_seed, key_bits
 
 #: Two values within this are treated as tied.
@@ -152,16 +152,6 @@ def row_max(values: np.ndarray) -> np.ndarray:
     out = np.maximum(values[..., 0], values[..., -1])
     for k in range(1, values.shape[-1] - 1):
         np.maximum(out, values[..., k], out=out)
-    return out
-
-
-def row_sum(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The sum along the last axis (at least one entry), into ``out`` if
-    given, added column by column from +0.0, where ``values.sum(axis=-1)``
-    adds 8 or more terms pairwise.  A lone -0.0 sums to +0.0."""
-    out = np.add(values[..., 0], 0.0, out=out)
-    for k in range(1, values.shape[-1]):
-        out += values[..., k]
     return out
 
 

@@ -51,7 +51,8 @@ one product, summed in order, so a zero-probability (s, m) is exactly
 the one never drawn; its posterior row, never used, is A's row s.
 The source table has (N + X*Y) * (T + 1) rows of X floats, 12 * 9 * 3
 at the deep instance's N = X = Y = 3 and T = 8, and is built once per
-call by ``filtering.row_dot``, so no BLAS enters the draws.
+call, in place and column-major, from one law propagated by
+``filtering.row_dot``, so no BLAS enters the draws.
 
 A call allocates one workspace (``_Workspace``), sized to its first
 block, and every block and slot works in views of it through ``out=``
@@ -82,8 +83,8 @@ import numpy as np
 
 # ``step_profile`` is unused here; the per-layer tracer in perfbench
 # wraps ``simulate.step_profile`` by name.
-from .filtering import row_dot, step_profile  # noqa: F401
-from .policy import PolicyRule, check_decisions, row_sum
+from .filtering import row_dot, row_sum, step_profile  # noqa: F401
+from .policy import PolicyRule, check_decisions
 from .types import ModelInstance, check_integer
 
 _SEED_MASK = (1 << 64) - 1
@@ -92,15 +93,15 @@ _SEED_MASK = (1 << 64) - 1
 _BLOCK = 1 << 16
 
 
-def _cdf(pmf: np.ndarray) -> np.ndarray:
+def _cdf(pmf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative sums along the last axis, scaled so the last entry is
-    exactly 1.
+    exactly 1, into ``out`` (of any layout) if given.
 
     Validated rows may sum to 1 only within 1e-9; unpinned, a uniform
     above the last entry would fall off the end of the distribution.
     """
-    cdf = np.cumsum(pmf, axis=-1)
-    return cdf / cdf[..., -1:]
+    cdf = np.add.accumulate(pmf, axis=-1, out=out)
+    return np.divide(cdf, cdf[..., -1:], out=cdf)
 
 
 def _inverse_cdf(
@@ -176,14 +177,17 @@ def _check_horizon(T: int) -> None:
 
 
 def _sources(inst: ModelInstance, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every source's state law k = 0..T slots after it was revealed,
-    (N + X*Y, T + 1, X): rows 0..N-1 start from the initial beliefs,
-    row N + s*Y + m from the posterior P(s' | s, m), and each k is
-    ``row_dot`` of k - 1 with A.  Also the observation law P(m | s),
-    (X, Y).
+    """The engine's two cdf tables, column-major so that each column
+    ``_inverse_cdf`` gathers is contiguous (``take`` copies a strided
+    source whole).  Row source * (T + 1) + k of the state table is the
+    cdf of the source's law k = 0..T slots after it was revealed:
+    sources 0..N-1 are the initial beliefs, N + s*Y + m the posterior
+    P(s' | s, m).  One law is propagated by ``row_dot`` with A, each
+    depth's cdf written into rows k :: T + 1.  The observation table
+    (X, Y) is the cdf of P(m | s).
 
-    Both come from the one product A[s, s'] B[s', m]: P(m | s) is its
-    in-order sum over s', zero exactly when every term is, and the
+    Both laws come from the one product A[s, s'] B[s', m]: P(m | s) is
+    its in-order sum over s', zero exactly when every term is, and the
     posteriors are its terms over that sum.  A zero-probability
     (s, m)'s posterior, never drawn, is A's row s."""
     N, X, Y = inst.n_projects, inst.n_states, inst.n_obs
@@ -192,12 +196,13 @@ def _sources(inst: ModelInstance, T: int) -> tuple[np.ndarray, np.ndarray]:
     obs = row_sum(joint)
     live = obs > 0.0
     post = np.where(live[..., None], joint / np.where(live, obs, 1.0)[..., None], A[:, None])
-    law = np.empty((N + X * Y, T + 1, X))
-    law[:N, 0] = [x.probs for x in inst.initial_beliefs]
-    law[N:, 0] = post.reshape(X * Y, X)
-    for k in range(1, T + 1):
-        law[:, k] = row_dot(law[:, k - 1], A)
-    return law, obs
+    law = np.concatenate([[x.probs for x in inst.initial_beliefs], post.reshape(X * Y, X)])
+    state_cdf = np.empty(((N + X * Y) * (T + 1), X), order="F")
+    for k in range(T + 1):
+        if k:
+            law = row_dot(law, A)
+        _cdf(law, out=state_cdf[k :: T + 1])
+    return state_cdf, _cdf(obs, out=np.empty((X, Y), order="F"))
 
 
 def _lockstep(
@@ -212,8 +217,7 @@ def _lockstep(
     """The engine: writes into ``totals`` the discounted total reward of
     each of its len(totals) trajectories over slots 0..T (T >= 0),
     simulated in lockstep in views of ``work``, whose size must be at
-    least that.  ``cdfs`` are the cdfs of ``_sources``' two laws, the
-    first flattened to one row per (source, k), both column-major.
+    least that.  ``cdfs`` are ``_sources``' two tables.
     Nothing is kept across slots but the history table, each
     trajectory's node in it, the codes and the totals.
 
@@ -305,11 +309,7 @@ def _estimate_batched(
     _check_horizon(T)
     # As a Python int: a numpy one cannot hold the mask.
     rng = np.random.default_rng(int(seed) & _SEED_MASK)
-    law, obs = _sources(inst, T)
-    # Column-major, so that each column ``_inverse_cdf`` gathers from is
-    # contiguous: ``take`` copies a strided source whole, which would
-    # cost every slot the size of the (T + 1)-deep source table.
-    cdfs = tuple(np.asfortranarray(_cdf(x)) for x in (law.reshape(-1, inst.n_states), obs))
+    cdfs = _sources(inst, T)
     totals = np.empty(n_traj)
     work = _Workspace(inst, min(_BLOCK, n_traj))
     for start in range(0, n_traj, _BLOCK):
