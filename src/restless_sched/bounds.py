@@ -259,9 +259,9 @@ def check_bounds_suite(
     profile in one call (``valid_belief_rows``).
     The profiles of all samples, in sample order, are the roots of one
     sweep of W^u_0, each valued up to its sample's lookahead T, which
-    gives each sample's exact gap; nodes of different lookaheads never
-    merge, so each gap has the bits of a sweep of that lookahead's
-    samples alone.  One interval table gives every sample's bounds.
+    gives each sample's exact gap; the sweep merges no nodes, so each
+    gap has the bits of a sweep of that sample's two profiles alone.
+    One interval table gives every sample's bounds.
     Samples are returned in sample order.
     """
     check_integer("n_samples", n_samples)

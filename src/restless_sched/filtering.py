@@ -116,9 +116,9 @@ def filter_rows(z: np.ndarray, B: np.ndarray):
 
     Returns (likelihood (K, n, Y), live, filtered (X, Y, K, n)), where
     ``live`` marks the likelihoods above ``LIKELIHOOD_FLOOR``.  A dead
-    branch's row is its first live sibling's, so a tree kernel that
-    weights it by 0.0 merges it into that node and adds nothing to a
-    sum.  The likelihoods are ``row_dot(z, B)``, laid out (Y, K, n) as
+    branch's row is its first live sibling's, so the DP merges it into
+    that node, and a tree kernel that weights it by 0.0 adds nothing to
+    a sum.  The likelihoods are ``row_dot(z, B)``, laid out (Y, K, n) as
     the filter is.  The filter itself is elementwise, so its bits do not
     depend on the layout, which puts the long axis last.  A live row
     whose ``row_sum`` over X drifts from 1 by more than

@@ -24,9 +24,10 @@ The tree is grown one level at a time and summed backwards, each level
 by ``backup`` on (..., Y) blocks of its children.
 ``TreeEvaluator.sweep`` follows one decision per node from many root
 profiles at once, each root up to its own horizon, on built levels of
-profiles (``TreeEvaluator.expand``) merged by rounded key; it gives
-``policy_value`` and the auxiliary value function W^u_t (take action u
-at slot t, act myopically afterwards).
+profiles (``TreeEvaluator.expand``) that merge nothing, so each root is
+valued as if swept alone; it gives ``policy_value`` and the auxiliary
+value function W^u_t (take action u at slot t, act myopically
+afterwards).
 
 The DP in ``dp`` works every action of every node, and its levels are
 factored: projects evolve independently, so a level is ``ids`` (n, N),
@@ -55,21 +56,19 @@ factored level's rows have the bits of a built one's, and keeps all Y
 children of a worked node: a dead (zero-likelihood) one is its first
 live sibling (``filter_rows``) at likelihood 0.0.
 
-Rows are grouped by rounded key in ``_group_rows``: one 64-bit
+The rows of each next table of the DP are grouped by rounded key in
+``_group_rows``, which gives each row a canonical id: one 64-bit
 fingerprint per row (its key bits times ``fingerprint_multipliers``,
 summed modulo 2**64), one sort, a bit-for-bit check of the rows that
 share one, and, if two different rows do, ``_exact_merge``, ``np.unique``
-over the rows.  It groups a sweep's built nodes and each next table of
-the DP, by ``np.argsort``: on a sweep's levels of a few hundred rows,
-packing positions beside the keys costs more than it saves.  The DP
-keys a child by its N table rows' canonical ids packed into one exact
-integer, or, where that integer would pass 2**64, by the rank of its id
-row (``_exact_merge``).  ``next_level`` merges the children with one
-in-place sort of uint64 words, each key shifted above its child's
-position in expansion order (``_merge_children``), and ``leaf_pass``
-counts them with one in-place sort of the keys; neither needs a tie
-check.  Every value still comes from the unrounded table rows, so a
-factored level merges bit for bit as a built one.
+over the rows.  The DP keys a child by its N table rows' canonical ids
+packed into one exact integer, or, where that integer would pass 2**64,
+by the rank of its id row (``_exact_merge``).  ``next_level`` merges
+the children with one in-place sort of uint64 words, each key shifted
+above its child's position in expansion order (``_merge_children``),
+and ``leaf_pass`` counts them with one in-place sort of the keys;
+neither needs a tie check.  Every value still comes from the unrounded
+table rows, so a factored level merges bit for bit as a built one.
 """
 
 from __future__ import annotations
@@ -246,9 +245,10 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, head
 
 
-def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of ``rows`` (n, k) by rounded key as ``_runs``
-    does, rounding them in place with ``key_bits``.
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Group the rows of ``rows`` (n, k) by rounded key, rounding them
+    in place with ``key_bits``: (canonical ids, K), per row a uint64 id
+    in [0, K), equal exactly where the rows' keys are.
 
     Each row's fingerprint is its key bits times
     ``fingerprint_multipliers``, summed modulo 2**64.  The rows are
@@ -262,8 +262,10 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tie = (~head[1:]).nonzero()[0]
     tied = order.take(tie)
     if not np.array_equal(bits.take(tied, axis=0), bits.take(order.take(tie + 1), axis=0)):
-        return _runs(_exact_merge(bits))
-    return order, head
+        order, head = _runs(_exact_merge(bits))
+    canon = np.empty(len(order), dtype=np.uint64)
+    canon[order] = head.cumsum() - 1
+    return canon, int(np.count_nonzero(head))
 
 
 def _exact_merge(bits: np.ndarray) -> np.ndarray:
@@ -272,24 +274,6 @@ def _exact_merge(bits: np.ndarray) -> np.ndarray:
     row among the distinct rows in sorted order of their bytes."""
     keys = bits.view(np.dtype((np.void, bits.itemsize * bits.shape[1]))).ravel()
     return np.unique(keys, return_inverse=True)[1]
-
-
-def _first_occurrence(order: np.ndarray, head: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """From ``_runs``' grouping of n rows: the index of each
-    distinct key's first row, in order of first rows, and for every row
-    the position of its key among those."""
-    n = len(order)
-    # Per key, its first row; per row, its key.
-    firsts = np.minimum.reduceat(order, head.nonzero()[0])
-    key = np.empty(n, dtype=np.intp)
-    key[order] = head.cumsum() - 1
-    # The keys in order of their first rows.
-    seen = np.zeros(n, dtype=bool)
-    seen[firsts] = True
-    first = seen.nonzero()[0]
-    rank = np.empty(n, dtype=np.intp)
-    rank[first] = np.arange(len(first))
-    return first, rank[firsts][key]
 
 
 def _merge_children(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,10 +406,8 @@ class TreeEvaluator:
         propagated = row_dot(table, self.A)
         d, live, filtered = filter_rows(propagated[None], self.B)
         table = np.concatenate((propagated, filtered.reshape(X, -1).T))
-        order, head = _group_rows(table.copy())
-        canon = np.empty(len(order), dtype=np.uint64)
-        canon[order] = head.cumsum() - 1
-        return table, np.where(live, d, 0.0).reshape(M, -1), canon, int(np.count_nonzero(head))
+        canon, K = _group_rows(table.copy())
+        return table, np.where(live, d, 0.0).reshape(M, -1), canon, K
 
     def _child_keys(
         self, canon: np.ndarray, K: int, columns: np.ndarray, out: np.ndarray | None = None
@@ -471,9 +453,9 @@ class TreeEvaluator:
 
     def next_level(self, table: np.ndarray, ids: np.ndarray):
         """The DP's next level below the nodes ``ids`` (n, N) of
-        ``table`` (M, X): the children under every action, merged as
-        ``sweep`` merges ``expand``'s children, keeping each key's first
-        child in ``expand``'s order.
+        ``table`` (M, X): the children under every action, merged by
+        rounded key, keeping each key's first child in ``expand``'s
+        order.
 
         The children's keys (``_child_keys``) are merged by one in-place
         sort of packed (key, position) words (``_merge_children``),
@@ -651,13 +633,21 @@ class TreeEvaluator:
         given, is the 0-based project each root works at slot t.  Root i
         is valued up to slot ``horizons[i]`` (each at least t), or up to
         the evaluator's T if ``horizons`` is not given: a node at its
-        horizon is a leaf.  Each level expands only the chosen action of
-        the nodes below their horizon and merges equal keys of the same
-        horizon below the roots, keeping the first occurrence, which is
-        the one a depth-first walk of the roots in order meets first.
-        Roots of one horizon are thus valued bit for bit as in a sweep
-        of those roots alone.  One backward sweep then sums each node's
-        likelihood-weighted child values in observation order.
+        horizon is a leaf.  Each level holds the Y children of every
+        node of the level above that is below its horizon, in parent
+        order, under the node's chosen action; nothing is merged, so
+        every root is valued bit for bit as in a sweep of that root
+        alone, and a sweep expands Y**d nodes per root at depth d.  One
+        backward sweep then sums each node's likelihood-weighted child
+        values in observation order.
+
+        The package's own sweeps are shallow: the bound suite caps its
+        lookahead at ``bounds.MAX_LOOKAHEAD`` (4).  A deep sweep of an
+        instance whose histories round to a few profiles, such as a
+        regime-2 instance with a flat B, costs Y**T nodes where a merge
+        by rounded key kept a handful: on ``generate --regime 2 --seed
+        1`` (X = Y = N = 3), ``policy_value`` at T = 13 takes 0.45-0.72
+        s and 315-372 MB max RSS, where the merging sweep took 2-3 ms.
 
         A sweep builds its levels instead of factoring them as the DP
         does: it works one action per node on levels of a few hundred
@@ -675,19 +665,12 @@ class TreeEvaluator:
             grow = np.flatnonzero(horizon > depth)
             if not len(grow):
                 break
-            children, d = self.expand(level[grow], u[grow])
-            parent = grow.repeat(self.Y)
-            # The horizon as one more key column: an integer-valued
-            # column rounds to itself, so it only splits keys.  The keys
-            # are a fresh array, which ``_group_rows`` rounds in place.
-            n = len(children)
-            keys = np.concatenate((children.reshape(n, -1), horizon[parent, None]), axis=1)
-            kept, inverse = _first_occurrence(*_group_rows(keys))
-            levels.append((values, grow, d.reshape(-1, self.Y), inverse.reshape(-1, self.Y)))
-            level, horizon, u = children[kept], horizon[parent[kept]], None
+            level, d = self.expand(level[grow], u[grow])
+            levels.append((values, grow, d.reshape(-1, self.Y)))
+            horizon, u = horizon[grow].repeat(self.Y), None
         # A node at its horizon keeps its reward; the others are backed up.
-        for rewards, grow, d, inverse in reversed(levels):
-            rewards[grow] = backup(rewards[grow], d, values[inverse], self.beta)
+        for rewards, grow, d in reversed(levels):
+            rewards[grow] = backup(rewards[grow], d, values.reshape(-1, self.Y), self.beta)
             values = rewards
         return values
 

@@ -15,6 +15,7 @@ indices and seeds (``check_integer``, ``check_seed``).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -209,9 +210,15 @@ class ModelInstance:
     initial_beliefs: tuple[BeliefVector, ...]
 
     def __init__(self, n_projects, n_states, n_obs, A, B, R, beta, initial_beliefs):
-        object.__setattr__(self, "n_projects", int(n_projects))
-        object.__setattr__(self, "n_states", int(n_states))
-        object.__setattr__(self, "n_obs", int(n_obs))
+        """A count that is not an integer (``check_integer``) and a
+        ``beta`` that is a bool or not a real number raise ``TypeError``
+        naming the field: ``int`` and ``float`` would take 2.9 as 2 and
+        True or '0.5' as a number."""
+        for name, count in (("n_projects", n_projects), ("n_states", n_states), ("n_obs", n_obs)):
+            check_integer(name, count)
+            object.__setattr__(self, name, int(count))
+        if isinstance(beta, (bool, np.bool_)) or not isinstance(beta, numbers.Real):
+            raise TypeError(f"beta must be a real number, got {beta!r}")
         object.__setattr__(self, "A", A if isinstance(A, TransitionMatrix) else TransitionMatrix(A))
         object.__setattr__(self, "B", B if isinstance(B, ObservationMatrix) else ObservationMatrix(B))
         object.__setattr__(self, "R", R if isinstance(R, RewardVector) else RewardVector(R))

@@ -354,9 +354,9 @@ def per_sample_bounds_suite(inst: ModelInstance, n_samples: int, seed: int, regi
 @pytest.fixture
 def exact_merges(monkeypatch) -> list:
     """One entry per ``policy._exact_merge`` call: the exact merge that
-    ``_group_rows`` falls back to for a sweep's nodes and the DP's table
-    rows on a fingerprint collision, and that ranks the DP's children's
-    id rows when their packed keys would not fit in 64 bits."""
+    ``_group_rows`` falls back to for the DP's table rows on a
+    fingerprint collision, and that ranks the DP's children's id rows
+    when their packed keys would not fit in 64 bits."""
     import restless_sched.policy as policy_module
 
     calls = []
@@ -374,21 +374,28 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
 
 
-def group_merge(rows: np.ndarray):
+def canonical_ids(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """The rows of ``rows`` (n, ...), each flattened to one key row,
-    merged as ``TreeEvaluator.sweep`` merges a level: ``_group_rows``
-    on a copy, which it rounds in place, then ``_first_occurrence``.
-    Returns each distinct key's first row in order of first occurrence,
-    and per row the position of its key among those."""
-    from restless_sched.policy import _first_occurrence, _group_rows
+    grouped as ``TreeEvaluator._next_table`` groups a table:
+    ``_group_rows`` on a copy, which it rounds in place.  Returns per
+    row its canonical id, and the number K of ids."""
+    from restless_sched.policy import _group_rows
 
-    return _first_occurrence(*_group_rows(rows.reshape(len(rows), -1).copy()))
+    return _group_rows(rows.reshape(len(rows), -1).copy())
+
+
+def same_partition(ids: np.ndarray, reference: np.ndarray) -> bool:
+    """Whether the labels ``ids`` and ``reference`` (n,) of the same n
+    rows put two rows in one group exactly when the other does."""
+    pairs = np.unique(np.stack((ids.astype(np.int64), reference.astype(np.int64))), axis=1)
+    return pairs.shape[1] == len(np.unique(ids)) == len(np.unique(reference))
 
 
 def reference_merge(rows: np.ndarray):
-    """``group_merge`` by ``np.unique`` over ``row_keys``: each distinct
-    key's first row in order of first occurrence, and per row the
-    position of its key."""
+    """The rows of ``rows`` (n, ...) merged by ``np.unique`` over
+    ``row_keys``, as the DP merges a level: each distinct key's first
+    row in order of first occurrence, and per row the position of its
+    key."""
     _, first, inverse = np.unique(row_keys(rows), return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
@@ -454,8 +461,8 @@ def segment_backup(rewards, segment, d, next_values, beta):
 def reference_sweep(inst: ModelInstance, beliefs, t: int, T: int, policy, first=None) -> float:
     """``TreeEvaluator.sweep`` of one root from slot t to T: each level
     built by ``reference_expand`` under the policy's decisions, or the
-    0-based ``first`` action at slot t, merged by ``reference_merge``
-    and backed up by ``segment_backup``."""
+    0-based ``first`` action at slot t, every live child of every node
+    kept with nothing merged, and backed up by ``segment_backup``."""
     from restless_sched.policy import TreeEvaluator
 
     ev = TreeEvaluator(inst, T)
@@ -469,12 +476,11 @@ def reference_sweep(inst: ModelInstance, beliefs, t: int, T: int, policy, first=
         if depth == T:
             break
         children, parent, _, _, d = reference_expand(ev, rows, u[:, None])
-        kept, inverse = reference_merge(children)
-        levels.append((rewards, parent, d, inverse))
-        rows, u = children[kept], None
+        levels.append((rewards, parent, d))
+        rows, u = children, None
     values = rewards
-    for rewards, parent, d, inverse in reversed(levels):
-        values = segment_backup(rewards, parent, d, values[inverse], ev.beta)
+    for rewards, parent, d in reversed(levels):
+        values = segment_backup(rewards, parent, d, values, ev.beta)
     return float(values[0])
 
 

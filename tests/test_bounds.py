@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lemma_intervals, per_sample_bounds_suite, recursive_avf
+from conftest import lemma_intervals, per_sample_bounds_suite, recursive_avf, reference_sweep
 import restless_sched.bounds as bounds_module
 from restless_sched import (
     BeliefProfile,
@@ -453,6 +453,29 @@ class TestCheckBoundsSuite:
         assert [(s.case, s.delta_w, s.lower, s.upper) for s in a] == [
             (s.case, s.delta_w, s.lower, s.upper) for s in b
         ]
+
+    def test_gaps_match_unmerged_reference_bit_for_bit(self, monkeypatch):
+        # Regime 2, instance seed 1, suite seed 1: in sample 62 (D3) and
+        # six others, histories below one profile round to the same key
+        # but carry other bits, so a sweep that merged by rounded key
+        # moved the gaps' last bits.
+        inst = gen_assumption2_instance(GeneratorParams(), 1)
+        sweeps = []
+        sweep = TreeEvaluator.sweep
+
+        def spy(ev, t, roots, policy, first=None, horizons=None):
+            sweeps.append((roots, first, horizons))
+            return sweep(ev, t, roots, policy, first, horizons)
+
+        monkeypatch.setattr(TreeEvaluator, "sweep", spy)
+        samples = check_bounds_suite(inst, 300, 1)
+        assert samples[62].case == "D3"
+        (roots, first, _), = sweeps
+        policy = myopic_policy(inst)
+        for i, s in enumerate(samples):
+            low, high = (reference_sweep(inst, roots[k], 0, s.T, policy, first=first[k])
+                         for k in (2 * i, 2 * i + 1))
+            assert s.delta_w.hex() == (high - low).hex(), i
 
     @pytest.mark.parametrize("regime, inst_seed, seed", sorted(PINNED_DRAWS))
     def test_gaps_match_memo_free_recursion(self, small_params, monkeypatch,

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (
+    canonical_ids,
     dirichlet_instance,
     exact_certificate,
-    group_merge,
     in_order_dot,
     reference_expand,
     reference_filter,
@@ -20,6 +20,7 @@ from conftest import (
     report_bits,
     row_keys,
     same_bits,
+    same_partition,
     segment_backup,
 )
 
@@ -333,13 +334,13 @@ def leaf_instance(request, absorbing_instance) -> ModelInstance:
 
 def initial_level(inst: ModelInstance, depth: int) -> np.ndarray:
     """The DP's merged level at ``depth`` below the initial profile,
-    built by ``reference_expand`` and merged by ``group_merge``."""
+    built by ``reference_expand`` and merged by ``reference_merge``."""
     ev = TreeEvaluator(inst, depth)
     level = np.array((tuple(x.probs for x in inst.initial_beliefs),))
     for _ in range(depth):
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
         children = reference_expand(ev, level, every_action)[0]
-        level = children[group_merge(children)[0]]
+        level = children[reference_merge(children)[0]]
     return level
 
 
@@ -1024,7 +1025,8 @@ class TestLeafScratch:
 
 class TestLevelMerge:
     def test_deep_level_merged_without_the_exact_merge(self, exact_merges):
-        # Input 14's depth-5 level: 21,609 children of 2,401 nodes.
+        # Input 14's depth-5 level: 21,609 children of 2,401 nodes,
+        # grouped as ``_next_table`` groups a table's rows.
         doc = json.loads(DEEP.read_text())
         inst = ModelInstance.from_json_dict(doc["instances"][14]["instance"])
         level = initial_level(inst, 4)
@@ -1032,10 +1034,10 @@ class TestLevelMerge:
         every_action = np.broadcast_to(np.arange(ev.N), (len(level), ev.N))
         children = reference_expand(ev, level, every_action)[0]
         assert len(children) == 21_609
-        want = reference_merge(children)
-        first, inverse = group_merge(children)
+        first, inverse = reference_merge(children)
+        canon, K = canonical_ids(children)
         assert not exact_merges
-        assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
+        assert K == len(first) and same_partition(canon, inverse)
 
     def test_deep_table_merged_as_built_children(self, exact_merges):
         # The same level merged by the DP from its table of depth 4.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import myopic_pick, recursive_avf, reference_filter, same_bits
+from conftest import myopic_pick, recursive_avf, reference_filter, row_keys, same_bits
 from restless_sched import (
     BeliefProfile,
     BeliefVector,
@@ -257,8 +257,8 @@ class TestAuxiliarySweep:
     def test_mixed_horizons_match_one_sweep_per_horizon(self, small_params, regime):
         # Roots of horizons 0..4 interleaved in one sweep, against one
         # sweep per horizon of that horizon's roots in the same order:
-        # the same bits.  The same profile recurs with two horizons,
-        # which must not merge, and with one horizon, which may.
+        # the same bits.  The same profile recurs with two horizons and
+        # with one horizon.
         gen = gen_assumption1_instance if regime == 1 else gen_assumption2_instance
         inst = gen(small_params, 3 if regime == 1 else 1009)
         N, X = inst.n_projects, inst.n_states
@@ -278,6 +278,28 @@ class TestAuxiliarySweep:
                     )
                     np.testing.assert_array_equal(got[picked].view(np.uint64),
                                                   alone.view(np.uint64))
+
+    def test_roots_with_children_of_one_key_keep_their_own_bits(self, small_params):
+        # A root nudged by 1e-13 has children whose beliefs round to the
+        # same keys as the base root's but carry other bits; a sweep that
+        # merged by rounded key valued the nudged root on the base
+        # root's nodes.
+        inst = gen_assumption1_instance(small_params, 3)
+        base = np.array([x.probs for x in inst.initial_beliefs])
+        nudged = base.copy()
+        nudged[:, 0] += 1e-13
+        nudged[:, -1] -= 1e-13
+        roots, first = np.array([base, nudged]), np.array([0, 0])
+        ev, Y = TreeEvaluator(inst, 3), inst.n_obs
+        children = ev.expand(roots, first)[0]
+        assert np.array_equal(row_keys(children[:Y]), row_keys(children[Y:]))
+        assert not same_bits(children[:Y], children[Y:])
+        for policy, given in ((myopic_policy(inst), first), (myopic_policy(inst), None),
+                              (round_robin_policy(inst.n_projects), None)):
+            got = ev.sweep(0, roots, policy, given)
+            for i in range(len(roots)):
+                alone = ev.sweep(0, roots[i:i + 1], policy, None if given is None else first[i:i + 1])
+                assert got[i].hex() == alone[0].hex()
 
 
 class TestPolicyValue:

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import group_merge, reference_merge, row_keys
+from conftest import canonical_ids, row_keys, same_partition
 
 import restless_sched.policy as policy_module
 from restless_sched import (
@@ -143,6 +143,29 @@ class TestModelInstance:
         with pytest.raises(ValueError, match="must be an object, not list"):
             ModelInstance.from_json("[]")
 
+    @pytest.mark.parametrize("field", ["n_projects", "n_states", "n_obs"])
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "2", None])
+    def test_count_that_is_not_an_integer_raises_type_error(self, two_state_instance, field, value):
+        # int() took 2.9 as 2 and True as 1.
+        args = two_state_instance.__dict__ | {field: value}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            ModelInstance(**args)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, 0.5j])
+    def test_beta_that_is_not_a_real_number_raises_type_error(self, two_state_instance, value):
+        # float() took True as 1.0 and '0.5' as 0.5.
+        args = two_state_instance.__dict__ | {"beta": value}
+        with pytest.raises(TypeError, match="beta must be a real number"):
+            ModelInstance(**args)
+
+    def test_numpy_counts_and_beta_accepted(self, two_state_instance):
+        args = two_state_instance.__dict__ | {
+            "n_projects": np.int64(2), "n_obs": np.int32(2), "beta": np.float32(0.5)
+        }
+        inst = ModelInstance(**args)
+        assert (inst.n_projects, inst.n_obs, inst.beta) == (2, 2, 0.5)
+        assert type(inst.n_projects) is int and type(inst.beta) is float
+
 
 class TestValidateInstance:
     def test_good_instance_ok(self, two_state_instance):
@@ -195,9 +218,16 @@ def reference_count(rows: np.ndarray) -> int:
     return len(np.unique(row_keys(rows)))
 
 
+def reference_ids(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``, the rank of its ``row_keys`` key among the
+    distinct keys (``np.unique``)."""
+    return np.unique(row_keys(rows), return_inverse=True)[1].ravel()
+
+
 def with_groups(rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """``rows`` flattened to key rows, with ``groups`` as one more key
-    column, as a bound suite's sweep adds each node's horizon."""
+    column: an integer-valued column rounds to itself, so it only
+    splits keys."""
     return np.concatenate((rows.reshape(len(rows), -1), groups[:, None]), axis=1)
 
 
@@ -209,17 +239,18 @@ def planted_duplicates(rng, n: int, N: int, X: int) -> np.ndarray:
 
 
 def distinct_count(rows: np.ndarray) -> int:
-    """The number of nodes ``group_merge`` keeps of ``rows``, after
-    checking that it lists first occurrences in ascending order and maps
-    every row to a node with the row's key."""
-    first, inverse = group_merge(rows)
-    assert (np.diff(first) > 0).all()
-    assert np.array_equal(row_keys(rows[first][inverse]), row_keys(rows))
-    return len(first)
+    """The number K of canonical ids ``canonical_ids`` gives ``rows``,
+    after checking that the ids are 0..K-1 and group the rows as
+    ``np.unique`` over their ``row_keys`` does."""
+    canon, K = canonical_ids(rows)
+    assert canon.dtype == np.uint64
+    assert np.array_equal(np.unique(canon), np.arange(K))
+    assert same_partition(canon, reference_ids(rows))
+    return K
 
 
 class TestCountDistinctRows:
-    """``group_merge`` counts the distinct keys of a level."""
+    """``_group_rows`` counts the distinct keys of a table."""
 
     @pytest.mark.parametrize("n, N, X", [(1, 3, 3), (200, 1, 2), (200, 3, 3), (200, 3, 4)])
     def test_matches_reference_on_planted_duplicates(self, n, N, X):
@@ -248,15 +279,16 @@ class TestCountDistinctRows:
         assert distinct_count(rows) == reference_count(rows) == 1
 
     def test_equal_keys_in_different_groups_stay_apart(self):
-        # A bound suite's sweep groups nodes by their horizon.
+        # Rows that differ in one integer key column only.
         rng = np.random.default_rng(5)
         rows = planted_duplicates(rng, 200, 3, 3)
         groups = rng.integers(0, 3, size=len(rows))
         keys = row_keys(rows)
         want = len({(k.tobytes(), g) for k, g in zip(keys, groups.tolist())})
         assert reference_count(rows) < distinct_count(with_groups(rows, groups)) == want
-        first, inverse = group_merge(with_groups(rows, groups))
-        assert np.array_equal(groups[first][inverse], groups)
+        canon, K = canonical_ids(with_groups(rows, groups))
+        # Every id holds rows of one group.
+        assert len(np.unique(np.stack((canon.astype(np.int64), groups)), axis=1)[0]) == K
 
 
 
@@ -278,7 +310,7 @@ def column_0_multipliers(n: int) -> np.ndarray:
 class TestFingerprintMerge:
     """``_group_rows`` sorts one fingerprint per row and compares
     rows that share one bit for bit; a tie between different rows sends
-    the level to ``_exact_merge``."""
+    the table to ``_exact_merge``."""
 
     @pytest.mark.parametrize(
         "multipliers",
@@ -293,20 +325,18 @@ class TestFingerprintMerge:
         # in key column 0.
         rows, groups = fingerprint_level(3)
         keys = with_groups(rows, groups) if grouped else rows
-        want = reference_merge(keys)
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", multipliers)
-        first, inverse = group_merge(keys)
+        canon, K = canonical_ids(keys)
         assert exact_merges
-        assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
+        assert K == reference_count(keys) and same_partition(canon, reference_ids(keys))
 
     @pytest.mark.parametrize("grouped", [False, True])
     def test_level_merged_by_fingerprints(self, exact_merges, grouped):
         rows, groups = fingerprint_level(3)
         keys = with_groups(rows, groups) if grouped else rows
-        want = reference_merge(keys)
-        first, inverse = group_merge(keys)
+        canon, K = canonical_ids(keys)
         assert not exact_merges
-        assert np.array_equal(first, want[0]) and np.array_equal(inverse, want[1])
+        assert K == reference_count(keys) and same_partition(canon, reference_ids(keys))
 
     def test_tie_across_groups_takes_the_exact_merge(self, monkeypatch, exact_merges):
         # Equal keys in different groups; with the group's multiplier
@@ -314,6 +344,6 @@ class TestFingerprintMerge:
         rows = np.broadcast_to(np.array([[0.2, 0.8], [0.6, 0.4]]), (6, 2, 2)).copy()
         groups = np.array([0, 1, 0, 2, 1, 0])
         monkeypatch.setattr(policy_module, "fingerprint_multipliers", column_0_multipliers)
-        first, inverse = group_merge(with_groups(rows, groups))
+        canon, K = canonical_ids(with_groups(rows, groups))
         assert exact_merges
-        assert first.tolist() == [0, 1, 3] and inverse.tolist() == [0, 1, 0, 2, 1, 0]
+        assert K == 3 and same_partition(canon, groups)
